@@ -40,7 +40,7 @@ from .elliptic import Nome, theta
 from .errors import CmError, DomainError
 from .jack import jack_expand, partition
 from .master import eigenvalue_elliptic
-from .perturb import bethe_crosscheck, rs_series
+from .perturb import _crosscheck_record, bethe_crosscheck, rs_series
 from .states import (base_point, bethe_state_elliptic, bethe_state_tri,
                      jack_proportionality, l2_estimate, residual_check)
 from .weights import (Weight, build_indexing, lambda_to_xi, root_system,
@@ -419,7 +419,8 @@ def cmd_verify(args) -> Dict:
     _, spread = jack_proportionality(trig_state, jack, args.l)
     check("jack_ratio_spread", spread, 1e-9)
 
-    # perturbation crosscheck at the target nome
+    # perturbation crosscheck at the target nome, on the continued root
+    # of the certified state (bethe_crosscheck's default partial mode)
     series = rs_series(lam, args.N, args.l, args.order)
     e0_gap = abs(series.coefficients[0]
                  - 2.0 * math.pi ** 2
@@ -428,7 +429,7 @@ def cmd_verify(args) -> Dict:
     p_real = info["target"].real
     gap_tol = 100.0 * abs(info["target"]) ** (args.order + 1) * scale
     if info["path"] is not None and info["target"].imag == 0 and p_real > 0:
-        cc = bethe_crosscheck(series, p_real, steps=args.steps)
+        cc = _crosscheck_record(series, p_real, info["modes"]["partial"])
         check("perturbation_gap", cc["gap"], gap_tol)
     else:
         cc = None

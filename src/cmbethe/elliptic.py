@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
@@ -47,6 +48,8 @@ ArrayLike = Union[complex, float, np.ndarray]
 _TWO_PI_I = 2j * math.pi
 _MAX_TERMS = 200
 _LATTICE_TOL = 1e-12
+#: Largest exponent whose exp is a finite float.
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class Nome:
@@ -132,6 +135,11 @@ def _theta_hat(x: np.ndarray, nome: Nome) -> tuple[np.ndarray, ...]:
     small_count = 0
     for n in range(1, _MAX_TERMS + 1):
         k = (2 * n - 1) * math.pi
+        growth = k * im_max
+        if growth > _LOG_FLOAT_MAX:
+            raise AccuracyError(
+                f"theta series term {n} overflows the float range at "
+                f"max |Im x| = {im_max} (|g|={abs(g)})")
         sign = 1.0 if n % 2 == 1 else -1.0
         coef = sign * q_n
         ang = k * x
@@ -145,7 +153,7 @@ def _theta_hat(x: np.ndarray, nome: Nome) -> tuple[np.ndarray, ...]:
         st += (coef * dt) * s
         st1 += (coef * dt * k) * c
 
-        bound = abs(q_n) * (1.0 + k ** 3) * math.exp(k * im_max)
+        bound = abs(q_n) * (1.0 + k ** 3) * math.exp(growth)
         bound_max = max(bound_max, bound)
         if bound <= tol * bound_max:
             small_count += 1

@@ -48,6 +48,7 @@ from .elliptic import Nome, wp_shifted
 from .errors import (AccuracyError, DegeneracyError, DomainError,
                      ResourceError)
 from .jack import PartitionT, jack_expand, partition
+from .master import eigenvalue_elliptic
 from .weights import (Weight, build_indexing, e0, jack_energy, lambda_to_xi,
                       root_system)
 
@@ -534,11 +535,10 @@ def bethe_crosscheck(series: EnergySeries, p: float, *, steps: int = 10,
     compare: returns {p, E_BA, partial_sum, gap}.
 
     The gap |E_BA(p) - Sum_{k<=K} p^k E^(k)| shrinks like p^{K+1} (regular
-    convergence); ``mode`` selects the eigenvalue derivative mode used along
-    the continuation.  The Bethe weight is the traceless representative of
-    lam + (l+1) rho_bar; for a non-traceless lam the continued eigenvalue is
-    shifted back by the exact center-of-mass energy 2 pi^2 s^2/N (s = |lam|),
-    which the translation-invariant potentials preserve at every order.
+    convergence); ``mode`` selects the eigenvalue derivative mode, evaluated
+    once at the endpoint of the continuation.  The Bethe weight is the
+    traceless representative of lam + (l+1) rho_bar; the record restores the
+    center-of-mass energy of a non-traceless lam (see _crosscheck_record).
     """
     rs = root_system(series.N, series.l)
     idx = build_indexing(series.N, series.l)
@@ -549,10 +549,24 @@ def bethe_crosscheck(series: EnergySeries, p: float, *, steps: int = 10,
         xi_s = Weight([xi.exact[i] for i in sigma])
     else:
         xi_s = Weight([float(xi.coords[i]) for i in sigma])
-    path = continue_nome(rep, xi_s, rs, idx, p, steps=steps,
-                         eigenvalue_mode=mode)
+    path = continue_nome(rep, xi_s, rs, idx, p, steps=steps)
+    eigenvalue = eigenvalue_elliptic(path.endpoint.point, xi_s, rs, idx,
+                                     mode=mode)
+    return _crosscheck_record(series, p, eigenvalue)
+
+
+def _crosscheck_record(series: EnergySeries, p: float,
+                       eigenvalue: complex) -> Dict:
+    """{p, E_BA, partial_sum, gap} for the Bethe eigenvalue continued to the
+    real nome p.
+
+    The continuation sees only the traceless part of the label; for a
+    non-traceless lam the eigenvalue is shifted back by the exact
+    center-of-mass energy 2 pi^2 s^2/N (s = |lam|), which the
+    translation-invariant potentials preserve at every order.
+    """
     s_total = float(sum(series.lam))
-    e_ba = complex(path.endpoint.eigenvalue).real \
+    e_ba = complex(eigenvalue).real \
         + 2.0 * math.pi ** 2 * s_total ** 2 / series.N
     partial = series.partial_sum(float(p))
     return {"p": float(p), "E_BA": float(e_ba),

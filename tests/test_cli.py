@@ -2,21 +2,26 @@
 
 Each subcommand is driven in-process through ``main(argv)``; stdout is a
 single JSON document (or an error envelope with a stable code), so the tests
-parse it directly.  One subprocess test checks the installed console-script
-wiring.
+parse it directly.  One subprocess test checks the console-script wiring,
+through ``python -m cmbethe.cli`` when ``cm`` is not installed.
 """
 
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from cmbethe import cli, critical, perturb
 from cmbethe.cli import main
+from cmbethe.weights import Weight, build_indexing, lambda_to_xi, root_system
 
 SQRT6_OVER_14 = math.sqrt(6) / 14.0
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -233,6 +238,42 @@ class TestVerifyCommand:
         assert payload["error"]["code"] == "DOMAIN"
 
 
+class TestVerifySharedChain:
+    """cm verify searches and continues once; the perturbation gap is
+    measured on the continued root that the state certificate uses."""
+
+    def test_one_search_one_continuation(self, capsys, monkeypatch):
+        calls = {"search": 0, "continue": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        search = counted("search", critical.find_admissible_critical_point)
+        cont = counted("continue", critical.continue_nome)
+        for mod in (cli, perturb):
+            monkeypatch.setattr(mod, "find_admissible_critical_point", search)
+            monkeypatch.setattr(mod, "continue_nome", cont)
+        code, payload, _ = run_cli(
+            capsys, "verify", "--N", "3", "--l", "1", "--lambda", "1,0,-1",
+            "--p", "0.01")
+        assert code == 0
+        assert calls == {"search": 1, "continue": 1}
+        assert "perturbation_gap" in {c["name"] for c in payload["checks"]}
+
+        rs, idx = root_system(3, 1), build_indexing(3, 1)
+        xi = lambda_to_xi(Weight([1, 0, -1]), rs)
+        sigma, trig = critical.find_admissible_critical_point(xi, rs, idx)
+        xi_s = Weight([xi.exact[i] for i in sigma])
+        path = critical.continue_nome(trig, xi_s, rs, idx, 0.01,
+                                      eigenvalue_mode="partial")
+        expected = path.endpoint.eigenvalue.real
+        e_ba = payload["perturbation"]["crosscheck"]["E_BA"]
+        assert abs(e_ba - expected) <= 1e-12 * abs(expected)
+
+
 class TestDeterminism:
     """Identical configuration (including seed) gives identical bytes."""
 
@@ -284,12 +325,19 @@ class TestConsoleScript:
     """The installed entry point behaves like main()."""
 
     def test_cm_executable(self):
+        # without an installed console script, run the module entry point
+        # against this source tree
         exe = shutil.which("cm")
+        env = dict(os.environ)
         if exe is None:
-            pytest.skip("console script not on PATH")
+            cmd = [sys.executable, "-m", "cmbethe.cli"]
+            old = env.get("PYTHONPATH")
+            env["PYTHONPATH"] = str(SRC) + (os.pathsep + old if old else "")
+        else:
+            cmd = [exe]
         proc = subprocess.run(
-            [exe, "jack", "--N", "2", "--alpha", "1/2", "--lambda", "2,0"],
-            capture_output=True, text=True, timeout=120)
+            cmd + ["jack", "--N", "2", "--alpha", "1/2", "--lambda", "2,0"],
+            capture_output=True, text=True, timeout=120, env=env)
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)
         coeffs = {tuple(c["mu"]): c["exact"]

@@ -437,6 +437,15 @@ class TestSeriesConvergenceGuard:
         with pytest.raises(AccuracyError):
             theta(0.3, nm)
 
+    def test_large_imaginary_part_is_accuracy_error(self):
+        # far from the real axis the truncation bound exp((2n-1) pi |Im x|)
+        # leaves the float range; that is an accuracy failure, not a raw
+        # OverflowError
+        with pytest.raises(AccuracyError, match=r"\|Im x\|"):
+            theta(80j, 0.05)
+        with pytest.raises(AccuracyError):
+            theta(np.array([0.3, 0.2 + 300j]), Nome(p=0.0))
+
 
 if __name__ == "__main__":
     pytest.main([__file__, "-v"])

@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cmbethe.critical import continue_nome, find_admissible_critical_point
 from cmbethe.errors import AccuracyError, DegeneracyError, DomainError
 from cmbethe.perturb import (
     EnergySeries,
@@ -27,6 +28,7 @@ from cmbethe.perturb import (
     rs_series,
     unperturbed_energy,
 )
+from cmbethe.weights import Weight, build_indexing, lambda_to_xi, root_system
 
 H = Fraction(1, 2)
 LAM_N2 = (H, -H)                      # the N=2, l=1 fundamental state
@@ -293,6 +295,25 @@ class TestCrossValidation:
         rec = bethe_crosscheck(series, 1e-3)
         assert set(rec) == {"p", "E_BA", "partial_sum", "gap"}
         assert rec["gap"] == abs(rec["E_BA"] - rec["partial_sum"])
+
+    @pytest.mark.parametrize("mode", ["partial", "total"])
+    @pytest.mark.parametrize("lam,N", [((1, 0), 2), ((1, 0, -1), 3)])
+    def test_endpoint_eigenvalue_matches_every_step_path(self, lam, N, mode):
+        # reference: the continuation that evaluates the eigenvalue at every
+        # accepted step, read at its endpoint; the crosscheck evaluates it
+        # at the endpoint only and must agree bit for bit
+        l, p = 1, 1e-2
+        series = rs_series(lam, N, l, 1)
+        rs, idx = root_system(N, l), build_indexing(N, l)
+        xi = lambda_to_xi(Weight(list(lam)), rs)
+        sigma, trig = find_admissible_critical_point(xi, rs, idx)
+        xi_s = Weight([xi.exact[i] for i in sigma])
+        path = continue_nome(trig, xi_s, rs, idx, p, eigenvalue_mode=mode)
+        e_ba = path.endpoint.eigenvalue.real \
+            + 2.0 * math.pi ** 2 * float(sum(series.lam)) ** 2 / N
+        rec = bethe_crosscheck(series, p, mode=mode)
+        assert rec["E_BA"] == e_ba
+        assert rec["gap"] == abs(e_ba - series.partial_sum(p))
 
     def test_center_of_mass_consistency(self):
         # a non-traceless label: the continuation sees only the traceless
