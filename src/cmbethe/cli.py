@@ -428,7 +428,7 @@ def cmd_verify(args) -> Dict:
     check("E0_matches_2pi2_xi_xi", e0_gap, 1e-9 * scale)
     p_real = info["target"].real
     gap_tol = 100.0 * abs(info["target"]) ** (args.order + 1) * scale
-    if info["path"] is not None and info["target"].imag == 0 and p_real > 0:
+    if info["path"] is not None and info["target"].imag == 0 and p_real != 0:
         cc = _crosscheck_record(series, p_real, info["modes"]["partial"])
         check("perturbation_gap", cc["gap"], gap_tol)
     else:

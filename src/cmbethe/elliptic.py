@@ -110,25 +110,35 @@ def _as_nome(nome: Nome | complex) -> Nome:
     return nome if isinstance(nome, Nome) else Nome(p=nome)
 
 
-def _theta_hat(x: np.ndarray, nome: Nome) -> tuple[np.ndarray, ...]:
+#: Names of the reduced-series outputs of ``_theta_hat``, in kernel order.
+_SERIES = ("s0", "s1", "s2", "s3", "st", "st1")
+
+
+def _theta_hat(x: np.ndarray, nome: Nome,
+               series: tuple[str, ...]) -> tuple[np.ndarray, ...]:
     """Reduced theta series and derivatives at complex points x.
 
-    Returns (s0, s1, s2, s3, st, st1): the series value, x-derivatives up to
-    third order, the tau-derivative, and the tau-derivative of the first
-    x-derivative.  Term n carries g^(n(n-1)); its tau-derivative multiplies it
-    by pi*i*n(n-1) (the remaining pi*i/4 of the full theta1 exponent lives in
-    the prefactor 2*g^(1/4), handled by the callers).
+    Returns the requested ``series``, in the requested order, from
+    s0, s1, s2, s3 (the series value and its x-derivatives up to third
+    order), st (the tau-derivative) and st1 (the tau-derivative of the first
+    x-derivative); only those are accumulated.  Term n carries g^(n(n-1));
+    its tau-derivative multiplies it by pi*i*n(n-1) (the remaining pi*i/4 of
+    the full theta1 exponent lives in the prefactor 2*g^(1/4), handled by
+    the callers).  Truncation and the overflow guard do not depend on the
+    request, so each series is the same whichever others are asked for.
     """
     g = nome.g
     tol = nome.series_tolerance
     im_max = float(np.max(np.abs(x.imag))) if x.size else 0.0
 
-    s0 = np.zeros_like(x)
-    s1 = np.zeros_like(x)
-    s2 = np.zeros_like(x)
-    s3 = np.zeros_like(x)
-    st = np.zeros_like(x)
-    st1 = np.zeros_like(x)
+    acc = {name: np.zeros_like(x) for name in series}
+    s0, s1, s2, s3, st, st1 = (acc.get(name) for name in _SERIES)
+    want_sin = s0 is not None or s2 is not None or st is not None
+    want_cos = s1 is not None or s3 is not None or st1 is not None
+    ang = np.empty_like(x)
+    s = np.empty_like(x) if want_sin else None
+    c = np.empty_like(x) if want_cos else None
+    tmp = np.empty_like(x)
 
     q_n = 1.0 + 0j       # g^(n(n-1)) by cumulative product
     bound_max = 0.0
@@ -142,16 +152,24 @@ def _theta_hat(x: np.ndarray, nome: Nome) -> tuple[np.ndarray, ...]:
                 f"max |Im x| = {im_max} (|g|={abs(g)})")
         sign = 1.0 if n % 2 == 1 else -1.0
         coef = sign * q_n
-        ang = k * x
-        s = np.sin(ang)
-        c = np.cos(ang)
-        s0 += coef * s
-        s1 += (coef * k) * c
-        s2 -= (coef * k * k) * s
-        s3 -= (coef * k ** 3) * c
+        np.multiply(k, x, out=ang)
+        if want_sin:
+            np.sin(ang, out=s)
+        if want_cos:
+            np.cos(ang, out=c)
+        if s0 is not None:
+            s0 += np.multiply(coef, s, out=tmp)
+        if s1 is not None:
+            s1 += np.multiply(coef * k, c, out=tmp)
+        if s2 is not None:
+            s2 -= np.multiply(coef * k * k, s, out=tmp)
+        if s3 is not None:
+            s3 -= np.multiply(coef * k ** 3, c, out=tmp)
         dt = 1j * math.pi * n * (n - 1)
-        st += (coef * dt) * s
-        st1 += (coef * dt * k) * c
+        if st is not None:
+            st += np.multiply(coef * dt, s, out=tmp)
+        if st1 is not None:
+            st1 += np.multiply(coef * dt * k, c, out=tmp)
 
         bound = abs(q_n) * (1.0 + k ** 3) * math.exp(growth)
         bound_max = max(bound_max, bound)
@@ -168,13 +186,14 @@ def _theta_hat(x: np.ndarray, nome: Nome) -> tuple[np.ndarray, ...]:
         raise AccuracyError(
             f"theta series not converged in {_MAX_TERMS} terms (|g|={abs(g)}, "
             f"max |Im x|={im_max})")
-    return s0, s1, s2, s3, st, st1
+    return tuple(acc[name] for name in series)
 
 
 @lru_cache(maxsize=64)
 def _zero_data(nome: Nome) -> tuple[complex, complex, complex]:
     """(theta_hat'(0), theta_hat'''(0), d_tau theta_hat'(0)) for a given nome."""
-    _, s1, _, s3, _, st1 = _theta_hat(np.zeros(1, dtype=complex), nome)
+    s1, s3, st1 = _theta_hat(np.zeros(1, dtype=complex), nome,
+                             ("s1", "s3", "st1"))
     return complex(s1[0]), complex(s3[0]), complex(st1[0])
 
 
@@ -215,7 +234,7 @@ def theta1(x: ArrayLike, nome: Nome | complex) -> ThetaValue:
     x_arr = np.asarray(x, dtype=complex)
     scalar = x_arr.ndim == 0
     x_arr = np.atleast_1d(x_arr)
-    s0, s1, _, _, st, _ = _theta_hat(x_arr, nome)
+    s0, s1, st = _theta_hat(x_arr, nome, ("s0", "s1", "st"))
     if nome.tau is None:
         pref = 0j
     else:
@@ -237,7 +256,7 @@ def theta(x: ArrayLike, nome: Nome | complex) -> ThetaValue:
     x_arr = np.asarray(x, dtype=complex)
     scalar = x_arr.ndim == 0
     x_arr = np.atleast_1d(x_arr)
-    s0, s1, _, _, st, _ = _theta_hat(x_arr, nome)
+    s0, s1, st = _theta_hat(x_arr, nome, ("s0", "s1", "st"))
     d1_0, _, st1_0 = _zero_data(nome)
     value = s0 / d1_0
     d_x = s1 / d1_0
@@ -255,7 +274,7 @@ def log_theta_d1(x: ArrayLike, nome: Nome | complex) -> ArrayLike:
     scalar = x_arr.ndim == 0
     x_arr = np.atleast_1d(x_arr)
     _check_off_lattice(x_arr, nome, "x")
-    s0, s1, _, _, _, _ = _theta_hat(x_arr, nome)
+    s0, s1 = _theta_hat(x_arr, nome, ("s0", "s1"))
     return _maybe_scalar(s1 / s0, scalar)
 
 
@@ -266,7 +285,7 @@ def log_theta_d2(x: ArrayLike, nome: Nome | complex) -> ArrayLike:
     scalar = x_arr.ndim == 0
     x_arr = np.atleast_1d(x_arr)
     _check_off_lattice(x_arr, nome, "x")
-    s0, s1, s2, _, _, _ = _theta_hat(x_arr, nome)
+    s0, s1, s2 = _theta_hat(x_arr, nome, ("s0", "s1", "s2"))
     r1 = s1 / s0
     return _maybe_scalar(s2 / s0 - r1 * r1, scalar)
 
@@ -278,7 +297,7 @@ def log_theta_dtau(x: ArrayLike, nome: Nome | complex) -> ArrayLike:
     scalar = x_arr.ndim == 0
     x_arr = np.atleast_1d(x_arr)
     _check_off_lattice(x_arr, nome, "x")
-    s0, _, _, _, st, _ = _theta_hat(x_arr, nome)
+    s0, st = _theta_hat(x_arr, nome, ("s0", "st"))
     d1_0, _, st1_0 = _zero_data(nome)
     return _maybe_scalar(st / s0 - st1_0 / d1_0, scalar)
 
@@ -288,17 +307,20 @@ def sigma_lambda(lam: ArrayLike, x: ArrayLike, nome: Nome | complex) -> ArrayLik
 
     Simple poles at x on the lattice, zeros at x = lam (mod lattice).  In the
     fixed normalization theta'(0) = 1; the factor is kept for clarity.
+    lam and x broadcast against each other: theta(x) and theta(lam) are
+    evaluated (and checked against the lattice) on their own shapes, and
+    only theta(x - lam) and the quotient take the broadcast shape.
     """
     nome = _as_nome(nome)
     lam_arr = np.asarray(lam, dtype=complex)
     x_arr = np.asarray(x, dtype=complex)
     scalar = lam_arr.ndim == 0 and x_arr.ndim == 0
-    lam_b, x_b = np.broadcast_arrays(np.atleast_1d(lam_arr), np.atleast_1d(x_arr))
-    _check_off_lattice(x_b, nome, "x")
-    _check_off_lattice(lam_b, nome, "lambda")
-    s0_num, _, _, _, _, _ = _theta_hat(x_b - lam_b, nome)
-    s0_x, _, _, _, _, _ = _theta_hat(x_b, nome)
-    s0_l, _, _, _, _, _ = _theta_hat(lam_b, nome)
+    lam_arr, x_arr = np.atleast_1d(lam_arr), np.atleast_1d(x_arr)
+    _check_off_lattice(x_arr, nome, "x")
+    _check_off_lattice(lam_arr, nome, "lambda")
+    s0_num, = _theta_hat(x_arr - lam_arr, nome, ("s0",))
+    s0_x, = _theta_hat(x_arr, nome, ("s0",))
+    s0_l, = _theta_hat(lam_arr, nome, ("s0",))
     d1_0, _, _ = _zero_data(nome)
     # theta'(0)*theta(u)/(theta(x)theta(lam)) in reduced-series form:
     # the 2 g^(1/4) prefactors cancel between the single numerator theta and
@@ -318,7 +340,7 @@ def wp(x: ArrayLike, nome: Nome | complex) -> ArrayLike:
     scalar = x_arr.ndim == 0
     x_arr = np.atleast_1d(x_arr)
     _check_off_lattice(x_arr, nome, "x")
-    s0, s1, s2, _, _, _ = _theta_hat(x_arr, nome)
+    s0, s1, s2 = _theta_hat(x_arr, nome, ("s0", "s1", "s2"))
     d1_0, d3_0, _ = _zero_data(nome)
     r1 = s1 / s0
     log_dd = s2 / s0 - r1 * r1

@@ -25,7 +25,13 @@ e^{2 pi i xi_i x_i}).  Fixed constant conventions of this module:
     raw (un-normalized) forms so its reported constant is convention-fixed.
 
 Physical states are Sym^(l) omega: the plain sum over S_N for odd l, the
-sign-weighted sum for even l.  ``residual_check`` applies the Hamiltonian
+sign-weighted sum for even l.  For the elliptic omega every sigma factor
+depends only on an ordered pair (x_a, x_b) and on one of the distinct
+u = t_k - t_{f(k)}, so Sym^(l) omega is evaluated from one table of
+sigma_{x_a - x_b}(u) per row block of points (a single ``sigma_lambda``
+call): each permutation relabels the pair columns it gathers and contributes
+its own prefactor, and no theta series runs per permutation or per slot.
+``residual_check`` applies the Hamiltonian
 
     H = -(1/2) Sum_i d^2/dx_i^2 + l(l+1) Sum_{i<j} (wp(x_i-x_j) + 2 eta)
 
@@ -53,6 +59,13 @@ from .weights import (BetheIndexing, RootSystemData, Weight, admissible,
 
 TWO_PI_I = 2j * math.pi
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+#: Cap on the complex entries of one row block of the elliptic sigma table,
+#: and of the factors one permutation gathers from it.
+_BLOCK_ENTRIES = 1 << 12
+#: Most uniform draws ``sample_torus_points`` makes before giving up, and
+#: the draws it tests per block.
+_SAMPLE_DRAWS = 200000
+_SAMPLE_CHUNK = 4096
 
 Evaluator = Callable[[np.ndarray], complex]
 
@@ -73,24 +86,29 @@ def sample_torus_points(N: int, n: int, *, margin: float = 0.1, seed: int = 0,
                         traceless: bool = False) -> np.ndarray:
     """n deterministic points in [0,1)^N with pairwise periodic separation
     min_{i<j} dist(x_i - x_j, Z) > margin; optionally shifted to sum_i x_i = 0.
+
+    Points are the first n accepted of at most ``_SAMPLE_DRAWS`` successive
+    uniform draws from the seeded generator, tested in blocks.
     """
     rng = np.random.default_rng(seed)
-    out = np.empty((n, N))
-    count = 0
-    for _ in range(200000):
-        x = rng.random(N)
-        d = x[:, None] - x[None, :]
-        per = np.abs(d - np.round(d))
-        if np.min(per[np.triu_indices(N, 1)]) <= margin:
-            continue
-        if traceless:
-            x = x - x.mean()
-        out[count] = x
-        count += 1
-        if count == n:
-            return out
-    raise ResourceError(
-        f"could not draw {n} points with pairwise margin {margin} in [0,1)^{N}")
+    iu, ju = np.triu_indices(N, 1)
+    accepted = [np.empty((0, N))]
+    count = drawn = 0
+    while count < n and drawn < _SAMPLE_DRAWS:
+        chunk = min(_SAMPLE_DRAWS - drawn, _SAMPLE_CHUNK)
+        x = rng.random((chunk, N))
+        drawn += chunk
+        d = x[:, iu] - x[:, ju]
+        x = x[np.all(np.abs(d - np.round(d)) > margin, axis=1)][:n - count]
+        accepted.append(x)
+        count += x.shape[0]
+    if count < n:
+        raise ResourceError(
+            f"could not draw {n} points with pairwise margin {margin} in [0,1)^{N}")
+    out = np.concatenate(accepted)
+    if traceless:
+        out = out - out.mean(axis=1, keepdims=True)
+    return out
 
 
 def _as_batch(x) -> tuple[np.ndarray, bool]:
@@ -171,46 +189,77 @@ def _omega_tri_raw(point: TrigPoint, xi: Weight, rs: RootSystemData,
     return evaluator
 
 
-def _omega_elliptic_raw(point: EllipticPoint, xi: Weight, rs: RootSystemData,
-                        idx: BetheIndexing) -> Evaluator:
-    """The elliptic omega as a function of x, without base-point normalization."""
-    if not membership_F(point, xi, rs, idx):
-        raise MembershipError("t is outside F^tau (a factor of Phi_tau vanishes)")
-    t = np.asarray(point.t, dtype=complex)
-    nome = point.nome
-    N, m = rs.N, idx.m
-    xi_f = np.asarray(xi.coords, dtype=float)
-    c = idx.c
+class _EllipticOmega:
+    """The elliptic omega as a function of x, without base-point normalization.
 
-    terms = []
-    for w_flat, f_tuple in zip(idx.W_maps, idx.Fw_maps):
-        for f_flat in f_tuple:
-            slots = []
-            for kk in range(m):
-                tf = 0j if f_flat[kk] == 0 else complex(t[f_flat[kk] - 1])
-                # 0-based x indices: c(k) and w(k)+1
-                slots.append((c[kk] - 1, w_flat[kk], complex(t[kk]) - tf))
-            terms.append(slots)
+    Each slot factor sigma_{x_a - x_b}(u) depends only on the ordered pair
+    (a, b) = (c(k), w(k)+1) and on u = t_k - t_{f(k)}.  Construction records
+    the distinct u and, for every (w, f) term and slot k, its pair and u
+    index.  Evaluation builds, per row block of x, the table of sigma over
+    all N(N-1) ordered pair differences and all u in one ``sigma_lambda``
+    call; omega(x o pi) for any x-permutation pi is then a gather-product
+    over relabeled pair columns times the prefactor e^{2 pi i (xi, x o pi)},
+    with no further theta series.  Row blocks hold at most
+    ``_BLOCK_ENTRIES`` table entries and gathered factors, so scratch memory
+    does not grow with the batch.
+    """
 
-    def evaluator(x) -> complex:
+    def __init__(self, point: EllipticPoint, xi: Weight, rs: RootSystemData,
+                 idx: BetheIndexing):
+        if not membership_F(point, xi, rs, idx):
+            raise MembershipError("t is outside F^tau (a factor of Phi_tau vanishes)")
+        t = np.asarray(point.t, dtype=complex)
+        self.nome = point.nome
+        self.N = N = rs.N
+        self.xi = np.asarray(xi.coords, dtype=float)
+        u_index: dict = {}
+        slots = []
+        for w_flat, f_tuple in zip(idx.W_maps, idx.Fw_maps):
+            for f_flat in f_tuple:
+                for kk in range(idx.m):
+                    u_k = u_index.setdefault((kk, f_flat[kk]), len(u_index))
+                    # 0-based x indices: c(k) and w(k)+1
+                    slots.append((idx.c[kk] - 1, w_flat[kk], u_k))
+        self.u = np.array([t[kk] - (0j if f == 0 else t[f - 1])
+                           for kk, f in u_index], dtype=complex)
+        self._a, self._b, self._u = np.moveaxis(
+            np.array(slots).reshape(-1, idx.m, 3), -1, 0)
+        self._pair_a, self._pair_b = np.nonzero(~np.eye(N, dtype=bool))
+        self._pair_id = np.full((N, N), -1)
+        self._pair_id[self._pair_a, self._pair_b] = np.arange(N * (N - 1))
+        width = max(self._pair_a.size * self.u.size, self._a.size)
+        self._rows = max(1, _BLOCK_ENTRIES // width)
+
+    def __call__(self, x):
+        return self.perm_sum(x, [(tuple(range(self.N)), 1)])
+
+    def perm_sum(self, x, perms: Sequence[tuple[Sequence[int], int]]):
+        """Sum of sign * omega(x o perm) over the (perm, sign) pairs."""
         xb, single = _as_batch(x)
-        if xb.shape[-1] != N:
-            raise DomainError(f"expected {N} coordinates, got {xb.shape[-1]}")
-        pref = np.exp(TWO_PI_I * (xb @ xi_f))
-        acc = np.zeros(xb.shape[0], dtype=complex)
-        for slots in terms:
-            prod = np.ones(xb.shape[0], dtype=complex)
-            for i0, j0, u in slots:
-                lam = xb[:, i0] - xb[:, j0]
-                prod *= sigma_lambda(lam, u, nome)
-            acc += prod
-        val = pref * acc
-        return complex(val[0]) if single else val
-
-    return evaluator
+        if xb.shape[-1] != self.N:
+            raise DomainError(f"expected {self.N} coordinates, got {xb.shape[-1]}")
+        n_u = self.u.size
+        gathers = []
+        for perm, sign in perms:
+            perm = np.asarray(perm)
+            cols = self._pair_id[perm[self._a], perm[self._b]] * n_u + self._u
+            gathers.append((perm, sign, cols))
+        acc = np.empty(xb.shape[0], dtype=complex)
+        for start in range(0, xb.shape[0], self._rows):
+            blk = xb[start:start + self._rows]
+            diff = blk[:, self._pair_a] - blk[:, self._pair_b]
+            table = sigma_lambda(diff[:, :, None], self.u,
+                                 self.nome).reshape(blk.shape[0], -1)
+            total = np.zeros(blk.shape[0], dtype=complex)
+            for perm, sign, cols in gathers:
+                pref = np.exp(TWO_PI_I * (blk[:, perm] @ self.xi))
+                total += sign * (pref * table[:, cols].prod(axis=2).sum(axis=1))
+            acc[start:start + blk.shape[0]] = total
+        return complex(acc[0]) if single else acc
 
 
 def _normalized(raw: Evaluator, N: int) -> Evaluator:
+    """raw / raw(x*), keeping raw's permutation-sum hook if it has one."""
     ref = raw(base_point(N))
     if ref == 0 or not np.isfinite(ref):
         raise DomainError(
@@ -220,6 +269,8 @@ def _normalized(raw: Evaluator, N: int) -> Evaluator:
     def evaluator(x):
         return raw(x) / ref
 
+    if hasattr(raw, "perm_sum"):
+        evaluator.perm_sum = lambda x, perms: raw.perm_sum(x, perms) / ref
     return evaluator
 
 
@@ -243,13 +294,24 @@ def omega_elliptic(point: EllipticPoint, xi: Weight, rs: RootSystemData,
     with the prefactor e^{2 pi i (xi, x)}; requires t in F^tau_{N,l};
     x_i = x_j (mod lattice) raises PoleError.
     """
-    return _normalized(_omega_elliptic_raw(point, xi, rs, idx), rs.N)
+    return _normalized(_EllipticOmega(point, xi, rs, idx), rs.N)
 
 
 def symmetrize(evaluator: Evaluator, N: int, l: int) -> Evaluator:
-    """Sym^(l): plain sum over S_N for odd l, sign-weighted sum for even l."""
+    """Sym^(l): plain sum over S_N for odd l, sign-weighted sum for even l.
+
+    An evaluator with a ``perm_sum(x, perms)`` method (the elliptic omega)
+    receives the signed permutation list in one call; any other callable is
+    evaluated once per permutation of the x-coordinates.
+    """
     perms = [(p, 1 if l % 2 == 1 else _perm_sign(p))
              for p in permutations(range(N))]
+    perm_sum = getattr(evaluator, "perm_sum", None)
+    if perm_sum is not None:
+        def sym(x):
+            return perm_sum(x, perms)
+
+        return sym
 
     def sym(x):
         xb, single = _as_batch(x)

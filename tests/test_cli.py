@@ -230,6 +230,17 @@ class TestVerifyCommand:
         assert checks["perturbation_gap"]["pass"]
         assert all(c["pass"] for c in payload["checks"])
 
+    def test_negative_real_nome_measures_gap(self, capsys):
+        # the series is a power series in p: the gap is checked for p < 0 too
+        code, payload, _ = run_cli(
+            capsys, "verify", "--N", "2", "--l", "1", "--lambda", "1/2,-1/2",
+            "--p", "-0.01")
+        assert code == 0
+        checks = {c["name"]: c for c in payload["checks"]}
+        assert checks["perturbation_gap"]["pass"]
+        assert len(checks) == 7
+        assert payload["perturbation"]["crosscheck"]["p"] == -0.01
+
     def test_missing_lambda_refused(self, capsys):
         code, payload, _ = run_cli(
             capsys, "verify", "--N", "2", "--l", "1", "--xi", "3",

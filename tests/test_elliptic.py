@@ -267,6 +267,32 @@ class TestSigma:
             sigma_lambda(0.0, 0.3, nm)
 
 
+    def test_broadcast_table_on_unbroadcast_kernels(self, monkeypatch):
+        """lam (M, P, 1) against x (U,): each entry equals the scalar call,
+        and theta(x), theta(lam) run on their own shapes, not the table's."""
+        from cmbethe import elliptic
+        nm = Nome(p=0.3)
+        rng = np.random.default_rng(4)
+        lam = (rng.uniform(0.1, 0.9, size=(5, 6)) + 0j)[:, :, None]
+        x = np.array([0.21 + 0.05j, 0.47 - 0.11j, 0.68 + 0.02j, 0.83 + 0.13j])
+        sigma_lambda(0.3, 0.45, nm)          # caches theta'(0) for this nome
+        sizes = []
+        kernel = elliptic._theta_hat
+
+        def counting(arg, *rest):
+            sizes.append(arg.size)
+            return kernel(arg, *rest)
+
+        monkeypatch.setattr(elliptic, "_theta_hat", counting)
+        table = sigma_lambda(lam, x, nm)
+        assert sorted(sizes) == [4, 30, 120]
+        monkeypatch.undo()
+        assert table.shape == (5, 6, 4)
+        for (i, j, k), val in np.ndenumerate(table):
+            ref = sigma_lambda(complex(lam[i, j, 0]), complex(x[k]), nm)
+            assert abs(val - ref) <= 1e-14 * abs(ref), (i, j, k, val, ref)
+
+
 class TestWp:
     """The Weierstrass function in the constant-free Laurent normalization."""
 

@@ -21,8 +21,9 @@ from cmbethe.critical import (
     find_admissible_critical_point,
 )
 from cmbethe.elliptic import Nome, theta
-from cmbethe.errors import DomainError, MembershipError, PoleError
+from cmbethe.errors import DomainError, MembershipError, PoleError, ResourceError
 from cmbethe.jack import jack_expand
+from cmbethe import states
 from cmbethe.master import TrigPoint
 from cmbethe.states import (
     BetheState,
@@ -38,7 +39,8 @@ from cmbethe.states import (
     sym_omega_tri_nonvanishing,
     symmetrize,
 )
-from cmbethe.weights import build_indexing, root_system, weight_from_lambda_coords
+from cmbethe.weights import (Weight, build_indexing, root_system,
+                             weight_from_lambda_coords)
 
 RS21 = root_system(2, 1)
 IDX21 = build_indexing(2, 1)
@@ -354,6 +356,61 @@ class TestResidualCheck:
             f"near-diagonal {vals} vs generic {generic}")
 
 
+def continued_state_parts(lam, N, l, p):
+    """(point, xi, rs, idx) of the admissible root continued to nome p."""
+    rs, idx = root_system(N, l), build_indexing(N, l)
+    xi = weight_from_lambda_coords(lam, N)
+    sigma, seed = find_admissible_critical_point(xi, rs, idx)
+    xi_s = Weight([xi.exact[i] for i in sigma])
+    point = continue_nome(seed, xi_s, rs, idx, p, steps=8).endpoint.point
+    return point, xi_s, rs, idx
+
+
+class TestSigmaTableEvaluator:
+    """The elliptic Sym^(l) omega from one sigma table per row block agrees
+    with the plain loop over x-permutations of omega."""
+
+    @pytest.mark.parametrize("p", [0.05, 0.3])
+    @pytest.mark.parametrize("lam,N,l", [([3], 2, 1), ([4], 2, 2),
+                                         ([3, 3], 3, 1)])
+    def test_matches_plain_permutation_loop(self, lam, N, l, p):
+        point, xi, rs, idx = continued_state_parts(lam, N, l, p)
+        fused = bethe_state_elliptic(point, xi, rs, idx,
+                                     compute_eigenvalue=False).evaluator
+        omega = omega_elliptic(point, xi, rs, idx)
+        plain = symmetrize(lambda x: omega(x), N, l)
+        # every table row has at least two entries, so this spans two blocks
+        xs = sample_torus_points(N, states._BLOCK_ENTRIES // 2 + 1, seed=12)
+        ref = plain(xs)
+        scale = float(np.max(np.abs(ref)))
+        assert float(np.max(np.abs(fused(xs) - ref))) <= 1e-13 * scale
+        one = fused(xs[3])
+        assert isinstance(one, complex)
+        assert abs(one - ref[3]) <= 1e-13 * scale
+
+    def test_pole_at_coincident_coordinates(self):
+        point, xi, rs, idx = continued_state_parts([3, 3], 3, 1, 0.05)
+        st = bethe_state_elliptic(point, xi, rs, idx, compute_eigenvalue=False)
+        with pytest.raises(PoleError):
+            st.evaluator(np.array([0.3, 0.3, 0.7]))
+        with pytest.raises(PoleError):
+            st.evaluator(np.array([[0.1, 0.4, 0.8], [0.2, 0.6, 1.2]]))
+
+    def test_one_sigma_call_per_row_block(self, monkeypatch):
+        point, xi, rs, idx = continued_state_parts([3, 3], 3, 1, 0.05)
+        st = bethe_state_elliptic(point, xi, rs, idx, compute_eigenvalue=False)
+        calls = []
+        kernel = states.sigma_lambda
+
+        def counting(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(states, "sigma_lambda", counting)
+        st.evaluator(sample_torus_points(3, 64, seed=2))
+        assert len(calls) == 1
+
+
 class TestLimitChain:
     """As p -> 0 the normalized elliptic state approaches the normalized
     trigonometric (Jack) state; the sup distance falls by ~10x per decade."""
@@ -430,6 +487,38 @@ class TestSampling:
     def test_traceless_option(self):
         xs = sample_torus_points(3, 10, margin=0.1, seed=1, traceless=True)
         assert np.max(np.abs(xs.sum(axis=1))) < 1e-12
+
+    @pytest.mark.parametrize("N,n,seed,traceless", [
+        (3, 1024, 3, False), (2, 1024, 7, False), (3, 10, 11, True),
+        (4, 48, 5, False), (9, 20, 1, True)])
+    def test_matches_one_draw_at_a_time(self, N, n, seed, traceless):
+        def one_at_a_time(margin=0.1):
+            rng = np.random.default_rng(seed)
+            out = np.empty((n, N))
+            count = 0
+            for _ in range(200000):
+                x = rng.random(N)
+                d = x[:, None] - x[None, :]
+                per = np.abs(d - np.round(d))
+                if np.min(per[np.triu_indices(N, 1)]) <= margin:
+                    continue
+                if traceless:
+                    x = x - x.mean()
+                out[count] = x
+                count += 1
+                if count == n:
+                    return out
+
+        margin = 0.1 if N < 5 else 0.02
+        assert np.array_equal(
+            sample_torus_points(N, n, margin=margin, seed=seed,
+                                traceless=traceless),
+            one_at_a_time(margin))
+
+    def test_draw_cap(self):
+        # three points on the unit circle cannot all be 0.4 apart
+        with pytest.raises(ResourceError):
+            sample_torus_points(3, 1, margin=0.4)
 
     def test_deterministic(self):
         a = sample_torus_points(2, 8, margin=0.1, seed=4)
