@@ -11,7 +11,8 @@ The package builds, in layers:
   * ``states``    — Bethe vectors, symmetrization, and direct spectral
                     verification of the eigenfunction property;
   * ``jack``      — Jack polynomials and the trigonometric-limit comparison;
-  * ``perturb``   — Rayleigh-Schrodinger series in the nome for cross-checks;
+  * ``perturb``   — Rayleigh-Schrodinger series in the nome for cross-checks,
+                    from the closed-form V_k and exact Laurent elements;
   * ``cli``       — the ``cm`` command-line interface.
 """
 

@@ -197,9 +197,8 @@ def _zero_data(nome: Nome) -> tuple[complex, complex, complex]:
     return complex(s1[0]), complex(s3[0]), complex(st1[0])
 
 
-def lattice_distance(x: ArrayLike, nome: Nome | complex) -> ArrayLike:
-    """Distance from x to the period lattice Z + tau*Z (to Z when p = 0)."""
-    nome = _as_nome(nome)
+def _distance_to_lattice(x: ArrayLike, nome: Nome) -> np.ndarray:
+    """|x - nearest point of Z + tau*Z| (of Z when p = 0), as an array."""
     x_arr = np.asarray(x, dtype=complex)
     if nome.tau is None:
         red = x_arr - np.round(x_arr.real)
@@ -208,13 +207,17 @@ def lattice_distance(x: ArrayLike, nome: Nome | complex) -> ArrayLike:
         b = np.round(x_arr.imag / tau.imag)
         red = x_arr - b * tau
         red = red - np.round(red.real)
-    d = np.abs(red)
+    return np.abs(red)
+
+
+def lattice_distance(x: ArrayLike, nome: Nome | complex) -> ArrayLike:
+    """Distance from x to the period lattice Z + tau*Z (to Z when p = 0)."""
+    d = _distance_to_lattice(x, _as_nome(nome))
     return d if np.ndim(x) else float(d)
 
 
 def _check_off_lattice(x: np.ndarray, nome: Nome, what: str) -> None:
-    d = lattice_distance(x, nome)
-    if np.any(np.asarray(d) < _LATTICE_TOL):
+    if np.any(_distance_to_lattice(x, nome) < _LATTICE_TOL):
         raise PoleError(f"{what} lies on the theta zero lattice (distance < {_LATTICE_TOL})")
 
 

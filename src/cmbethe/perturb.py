@@ -6,22 +6,33 @@ The shifted elliptic Hamiltonian
     H(p) = -(1/2) Sum_i d^2/dx_i^2 + l(l+1) Sum_{i<j} wp_shifted(x_i - x_j; p)
 
 reduces at p = 0 to the trigonometric model H_0 with the pi^2/sin^2
-interaction, and expands as H(p) = H_0 + Sum_{k>=1} p^k V_k.  Every V_k is a
-finite cosine sum in the pair differences with harmonics d <= k (the band
-structure that makes the matrix elements Pieri-like).  ``potential_coeffs``
-extracts the cosine coefficients numerically: sample the interaction
-difference on a circle |p| = r, discrete-Fourier-transform in p (Cauchy
-coefficient extraction) and then in the pair difference, and certify the
-banded representation by the residual against the sampled orders.
+interaction, and expands as H(p) = H_0 + Sum_{k>=1} p^k V_k.  Differentiating
+log theta_1 twice gives, per pair difference s and with u = p^n e^{2 pi i s},
+v = p^n e^{-2 pi i s},
 
-``matrix_element`` computes <psi_mu, V_k psi_lam>/(|psi_mu| |psi_lam|) for
-the unperturbed eigenstates psi_lam = Delta^{l+1} J_lam^{(1/(l+1))} by torus
-product quadrature, exact once the per-axis grid exceeds the Laurent span of
-the integrand.  ``rs_series`` runs the standard non-degenerate
-Rayleigh-Schrodinger recursion to order K over the finite set of partitions
-reachable within the total band (never an ad-hoc cutoff): a state mu can
-enter at order K only if it can be reached from lambda and returned within
-total hop budget K, i.e. (1/2) Sum |mu_i - lambda_i| <= K - 1.
+    wp_shifted(s; p) - pi^2/sin^2(pi s) = -4 pi^2 Sum_{n>=1} [u/(1-u)^2 + v/(1-v)^2],
+
+and u/(1-u)^2 = Sum_m m u^m turns this into the Lambert series
+-8 pi^2 Sum_k p^k Sum_{d|k} d cos(2 pi d s).  So V_k is exact and finite:
+
+    V_k = -8 pi^2 l(l+1) Sum_{d|k} d Sum_{i<j} cos 2 pi d (x_i - x_j),
+
+which ``potential_coeffs`` returns as a banded cosine table (harmonics
+d <= k).  ``exact_interaction`` evaluates the same quantity by the
+theta-quotient route and stays the independent oracle for it.
+
+The unperturbed eigenstates psi_lam = Delta^{l+1} J_lam^{(1/(l+1))} are
+finite Laurent polynomials in X_i = e^{2 pi i x_i} with rational
+coefficients, and Sum_{i<j} cos 2 pi d (x_i - x_j) acts on them by the
+exponent shifts +-d (e_i - e_j) with weight 1/2.  ``matrix_element`` and
+``rs_series`` therefore compute <psi_mu, V_k psi_lam>/(|psi_mu| |psi_lam|)
+as an exact integer pairing of coefficient dictionaries (the torus inner
+product is the coefficient dot product), rounded to float once.
+``rs_series`` runs the standard non-degenerate Rayleigh-Schrodinger recursion
+to order K over the finite set of partitions reachable within the total band
+(never an ad-hoc cutoff): a state mu can enter at order K only if it can be
+reached from lambda and returned within total hop budget K, i.e.
+(1/2) Sum |mu_i - lambda_i| <= K - 1.
 
 Unperturbed levels: H_0 psi_lam = (e0 + 2 pi^2 E_lam) psi_lam with
 E_lam = Sum lam_i^2 + (l+1) Sum (N+1-2i) lam_i, which equals
@@ -39,34 +50,30 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from itertools import combinations
+from operator import add
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .critical import continue_nome, find_admissible_critical_point
 from .elliptic import Nome, wp_shifted
-from .errors import (AccuracyError, DegeneracyError, DomainError,
-                     ResourceError)
-from .jack import PartitionT, jack_expand, partition
+from .errors import DegeneracyError, DomainError
+from .jack import PartitionT, _distinct_perms, jack_expand, partition
 from .master import eigenvalue_elliptic
 from .weights import (Weight, build_indexing, e0, jack_energy, lambda_to_xi,
                       root_system)
 
 TWO_PI = 2.0 * math.pi
-TWO_PI_I = 2j * math.pi
 
 #: Default guard on the expansion order.
 K_MAX = 8
-#: Default radius of the p-sampling circle for coefficient extraction.
-EXTRACTION_RADIUS = 0.1
-#: Extracted orders must match their banded cosine form this well.
-EXTRACTION_TOL = 1e-9
-#: Grid-doubling disagreement above this flags quadrature under-resolution.
-QUADRATURE_TOL = 1e-8
 #: Unperturbed-level gaps below this (relative) are treated as degenerate.
 DEGENERACY_TOL = 1e-8
-#: Cap on torus quadrature grids (points = n^N).
-_MAX_GRID_POINTS = 8_000_000
+
+#: An exact Laurent polynomial {integer exponent vector -> integer coefficient}.
+LaurentT = Dict[Tuple[int, ...], int]
 
 
 # ---------------------------------------------------------------------------
@@ -78,18 +85,14 @@ class PotentialSeries:
     """Banded cosine representation of the interaction orders.
 
     ``coeffs[k-1][d]`` multiplies cos(2 pi d (x_i - x_j)) in V_k, summed over
-    pairs i < j; the l(l+1) coupling is included.  ``extraction_residual`` is
-    the largest deviation of any sampled p-order from its banded cosine
-    reconstruction (out-of-band, odd and imaginary content all count).
+    pairs i < j; the l(l+1) coupling is included.  The table is the closed
+    form -8 pi^2 l(l+1) d for d | k and 0 otherwise (d = 0 included).
     """
 
     N: int
     l: int
     K: int
     coeffs: Tuple[Tuple[float, ...], ...]
-    extraction_residual: float
-    radius: float
-    n_p_samples: int
 
     def _order(self, k: int) -> Tuple[float, ...]:
         if not 1 <= k <= self.K:
@@ -106,11 +109,7 @@ class PotentialSeries:
         return float(out) if out.ndim == 0 else out
 
     def vk(self, k: int) -> Callable:
-        """V_k as a callable on configuration points of shape (..., N).
-
-        The returned function carries its harmonic bound as attribute
-        ``band`` (used for quadrature sizing and reachable-set logic).
-        """
+        """V_k as a callable on configuration points of shape (..., N)."""
         self._order(k)
         N = self.N
 
@@ -125,7 +124,6 @@ class PotentialSeries:
                     out += self.pair_profile(k, xb[:, i] - xb[:, j])
             return out
 
-        v.band = k
         return v
 
     def reconstruct(self, p: complex, x):
@@ -135,39 +133,6 @@ class PotentialSeries:
         for k in range(1, self.K + 1):
             out += (p ** k) * self.vk(k)(xb)
         return out.real if abs(complex(p).imag) == 0.0 else out
-
-
-def _interaction_profile(s, p: complex) -> np.ndarray:
-    """wp_shifted(s; p) - pi^2/sin^2(pi s) for one pair, cancellation-free.
-
-    Differentiating log theta_1(s) = log sin(pi s)
-    + Sum_n [log(1 - p^n E) + log(1 - p^n / E)] + const(p) twice
-    (E = e^{2 pi i s}) gives
-
-        wp_shifted(s) - pi^2/sin^2(pi s)
-          = -4 pi^2 Sum_{n>=1} [u/(1-u)^2 + v/(1-v)^2],  u = p^n E, v = p^n/E,
-
-    with the weighted eta shift absorbing the p-independent constant.  The
-    direct difference of the two ~1/s^2 terms loses ~1e-12 absolute near the
-    pole, which the r^{-k} Cauchy amplification would magnify past the
-    extraction tolerance; this form is exact to round-off of the small
-    result itself (`exact_interaction` keeps the direct theta-quotient route
-    so reconstruction tests validate the two against each other).
-    """
-    sb = np.asarray(s, dtype=float)
-    ex = np.exp(TWO_PI_I * sb)
-    out = np.zeros(sb.shape, dtype=complex)
-    p = complex(p)
-    p_n = 1.0 + 0j
-    floor = (1.0 - abs(p)) ** 2
-    for _ in range(1, 300):
-        p_n *= p
-        if abs(p_n) / floor < 1e-20:
-            break
-        u = p_n * ex
-        v = p_n / ex
-        out += u / (1.0 - u) ** 2 + v / (1.0 - v) ** 2
-    return -4.0 * math.pi ** 2 * out
 
 
 def exact_interaction(x, p: complex, l: int):
@@ -187,66 +152,37 @@ def exact_interaction(x, p: complex, l: int):
     return out.real if abs(complex(p).imag) == 0.0 else out
 
 
-def potential_coeffs(N: int, l: int, K: int, *,
-                     radius: float = EXTRACTION_RADIUS,
-                     n_p_samples: Optional[int] = None,
-                     grid_n: int = 64,
-                     residual_tol: float = EXTRACTION_TOL) -> PotentialSeries:
-    """Extract V_1..V_K by Cauchy coefficient extraction on |p| = radius.
+def _coupling(l: int) -> float:
+    """-8 pi^2 l(l+1): the weight of d cos(2 pi d s) in every V_k with d | k."""
+    return -8 * math.pi ** 2 * l * (l + 1)
 
-    The interaction difference is sampled at n_p_samples >= max(4K, 16)
-    points on the circle and at grid_n midpoints of the pair difference; a
-    DFT in p isolates each order, a cosine analysis in the difference yields
-    the banded coefficients.  Raises AccuracyError when any sampled order
-    deviates from its banded cosine form by more than residual_tol
-    (remedy: increase n_p_samples or shrink radius).
-    """
-    if not (isinstance(N, int) and N >= 2):
-        raise DomainError(f"need integer N >= 2, got {N}")
-    if not (isinstance(l, int) and l >= 1):
-        raise DomainError(f"need integer l >= 1, got {l}")
+
+def _divisors(k: int) -> List[int]:
+    return [d for d in range(1, k + 1) if k % d == 0]
+
+
+def _check_order(K: int) -> None:
     if not (isinstance(K, int) and 0 <= K <= K_MAX):
         raise DomainError(f"order K must satisfy 0 <= K <= {K_MAX}, got {K}")
-    if not 0.0 < radius < 0.3:
-        raise DomainError(f"sampling radius must lie in (0, 0.3), got {radius}")
-    m_p = max(4 * K, 16) if n_p_samples is None else int(n_p_samples)
-    if m_p < max(4 * K, 8):
-        raise DomainError(
-            f"need n_p_samples >= max(4K, 8) = {max(4 * K, 8)}, got {m_p}")
-    if grid_n < 4 * K + 8:
-        raise DomainError(f"need grid_n >= {4 * K + 8}, got {grid_n}")
 
-    s = (np.arange(grid_n) + 0.5) / grid_n
-    coupling = l * (l + 1)
-    samples = np.empty((m_p, grid_n), dtype=complex)
-    for j in range(m_p):
-        p_j = radius * np.exp(TWO_PI_I * j / m_p)
-        samples[j] = coupling * _interaction_profile(s, p_j)
-    # orders[k] = (1/M) Sum_j samples[j] e^{-2 pi i jk/M} / r^k
-    orders = np.fft.fft(samples, axis=0) / m_p
 
-    coeffs: List[Tuple[float, ...]] = []
-    residual = 0.0
-    for k in range(1, K + 1):
-        g_k = orders[k] / radius ** k
-        c = np.empty(k + 1)
-        c[0] = float(g_k.real.mean())
-        recon = np.full(grid_n, c[0])
-        for d in range(1, k + 1):
-            basis = np.cos(TWO_PI * d * s)
-            c[d] = float(2.0 * (g_k.real * basis).mean())
-            recon += c[d] * basis
-        residual = max(residual, float(np.max(np.abs(g_k - recon))))
-        coeffs.append(tuple(c))
-    if residual > residual_tol:
-        raise AccuracyError(
-            f"potential extraction residual {residual:.3e} exceeds "
-            f"{residual_tol:.1e}; adjust the sampling circle (a larger "
-            "radius tames the r^-k round-off amplification, a smaller one "
-            "the aliasing) or increase n_p_samples")
-    return PotentialSeries(N=N, l=l, K=K, coeffs=tuple(coeffs),
-                           extraction_residual=residual, radius=radius,
-                           n_p_samples=m_p)
+def _check_coupling(l: int) -> None:
+    if not (isinstance(l, int) and l >= 1):
+        raise DomainError(f"need integer l >= 1, got {l}")
+
+
+def potential_coeffs(N: int, l: int, K: int) -> PotentialSeries:
+    """V_1..V_K in closed form: ``coeffs[k-1][d]`` is -8 pi^2 l(l+1) d when
+    d divides k and 0 otherwise (the Lambert expansion of the shifted pair
+    potential, see the module docstring)."""
+    if not (isinstance(N, int) and N >= 2):
+        raise DomainError(f"need integer N >= 2, got {N}")
+    _check_coupling(l)
+    _check_order(K)
+    c = _coupling(l)
+    coeffs = tuple(tuple(c * d if d and k % d == 0 else 0.0
+                         for d in range(k + 1)) for k in range(1, K + 1))
+    return PotentialSeries(N=N, l=l, K=K, coeffs=coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -275,98 +211,114 @@ def band_distance(mu, lam) -> int:
     return int(total / 2)
 
 
-def _quad_points(n: int, N: int) -> np.ndarray:
-    if n ** N > _MAX_GRID_POINTS:
-        raise ResourceError(
-            f"quadrature grid {n}^{N} exceeds {_MAX_GRID_POINTS} points")
-    axes = [np.arange(n) / n] * N
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in mesh], axis=-1)
+@lru_cache(maxsize=None)
+def _delta_power(N: int, w: int) -> LaurentT:
+    """Delta^w = Prod_{i<j} (X_i - X_j)^w, one binomial factor at a time."""
+    poly: LaurentT = {(0,) * N: 1}
+    for i, j in combinations(range(N), 2):
+        for _ in range(w):
+            nxt: LaurentT = {}
+            for e, c in poly.items():
+                for slot, term in ((i, c), (j, -c)):
+                    f = list(e)
+                    f[slot] += 1
+                    f = tuple(f)
+                    nxt[f] = nxt.get(f, 0) + term
+            poly = {e: c for e, c in nxt.items() if c}
+    return poly
 
 
-def _vandermonde_power(pts: np.ndarray, w: int) -> np.ndarray:
-    X = np.exp(TWO_PI_I * pts)
-    delta = np.ones(pts.shape[0], dtype=complex)
-    N = pts.shape[-1]
+def _laurent_state(mu: PartitionT, l: int, shift: Fraction) -> LaurentT:
+    """A positive integer multiple of psi_mu = Delta^{l+1} J_mu^{(1/(l+1))}
+    with every exponent lowered by ``shift`` (a member of mu's periodicity
+    class), so that all exponents are integers.
+
+    The normalized pairings below are invariant under both the scale and a
+    common shift, so states built with the same shift pair correctly.
+    """
+    jack = jack_expand(mu, Fraction(1, l + 1))
+    scale = math.lcm(*(c.denominator for c in jack.coeffs.values()))
+    delta = _delta_power(len(mu), l + 1)
+    psi: LaurentT = {}
+    for nu, c in jack.coeffs.items():
+        c_int = int(c * scale)
+        for perm in _distinct_perms(tuple(int(a - shift) for a in nu)):
+            for e, dc in delta.items():
+                key = tuple(map(add, perm, e))
+                psi[key] = psi.get(key, 0) + c_int * dc
+    return {e: c for e, c in psi.items() if c}
+
+
+def _harmonic(psi: LaurentT, d: int) -> LaurentT:
+    """2 Sum_{i<j} cos 2 pi d (x_i - x_j) applied to psi: the sum over
+    ordered pairs i != j of the exponent shift d (e_i - e_j)."""
+    N = len(next(iter(psi)))
+    shifts = []
     for i in range(N):
-        for j in range(i + 1, N):
-            delta *= X[:, i] - X[:, j]
-    return delta ** w
+        for j in range(N):
+            if i != j:
+                s = [0] * N
+                s[i], s[j] = d, -d
+                shifts.append(tuple(s))
+    out: LaurentT = {}
+    for e, c in psi.items():
+        for s in shifts:
+            key = tuple(map(add, e, s))
+            out[key] = out.get(key, 0) + c
+    return out
 
 
-def _span(mu: PartitionT) -> int:
-    return int(mu[0] - mu[-1])
+def _pairing(a: LaurentT, b: LaurentT) -> int:
+    """The torus inner product of two real Laurent polynomials: the dot
+    product of their coefficients."""
+    if len(a) > len(b):
+        a, b = b, a
+    get = b.get
+    return sum(c * get(e, 0) for e, c in a.items())
 
 
-def _weight_int(alpha) -> int:
-    inv_alpha = Fraction(1) / Fraction(alpha)
-    if inv_alpha.denominator != 1 or inv_alpha <= 0:
-        raise DomainError(
-            f"states need 1/alpha a positive integer, got alpha = {alpha}")
-    return int(inv_alpha)
+def _normalized(raw: int, norm_a: int, norm_b: int) -> float:
+    """raw / (2 sqrt(norm_a norm_b)), rounded once from the exact integers
+    (the 1/2 undoes the doubled cosine of ``_harmonic``)."""
+    return math.copysign(math.sqrt(raw * raw / (4 * norm_a * norm_b)), raw)
 
 
-def _element_on_grid(mu: PartitionT, lam: PartitionT, v: Callable,
-                     alpha, N: int, n: int) -> complex:
-    """<psi_mu, V psi_lam>/(|psi_mu| |psi_lam|) with psi = Delta^{1/alpha} J,
-    all three integrals on the same n-per-axis product grid."""
-    w = _weight_int(alpha)
-    pts = _quad_points(n, N)
-    dw = _vandermonde_power(pts, w)
-    psi_mu = dw * np.atleast_1d(jack_expand(mu, alpha).evaluate(pts))
-    psi_lam = psi_mu if mu == lam else \
-        dw * np.atleast_1d(jack_expand(lam, alpha).evaluate(pts))
-    b = pts.shape[0]
-    norm_mu = math.sqrt(float(np.vdot(psi_mu, psi_mu).real) / b)
-    norm_lam = norm_mu if mu == lam else \
-        math.sqrt(float(np.vdot(psi_lam, psi_lam).real) / b)
-    if norm_mu == 0.0 or norm_lam == 0.0:
-        raise DegeneracyError("state norm vanished on the quadrature grid")
-    raw = complex(np.vdot(psi_mu, np.atleast_1d(v(pts)) * psi_lam)) / b
-    return raw / (norm_mu * norm_lam)
+def _element(psi_a: LaurentT, images: Dict[int, LaurentT], norm_a: int,
+             norm_b: int, k: int, l: int) -> float:
+    """<psi_a, V_k psi_b>/(|psi_a| |psi_b|) from the harmonic images of
+    psi_b (``images[d]`` = ``_harmonic(psi_b, d)`` for every d | k)."""
+    raw = sum(d * _pairing(psi_a, images[d]) for d in _divisors(k))
+    return _coupling(l) * _normalized(raw, norm_a, norm_b)
 
 
-def matrix_element(mu, lam, V_k: Callable, alpha, N: int, *,
-                   quad_n: Optional[int] = None) -> float:
-    """<psi_mu, V_k psi_lam>/(|psi_mu| |psi_lam|) by torus quadrature.
+def matrix_element(mu, lam, k: int, l: int) -> float:
+    """<psi_mu, V_k psi_lam>/(|psi_mu| |psi_lam|) for the unperturbed states
+    psi = Delta^{l+1} J^{(1/(l+1))}, exactly.
 
-    States are psi = Delta^{1/alpha} J normalized by the same inner product
-    ``jack.inner_product`` computes; the common measure constant cancels in
-    the ratio.  With quad_n omitted the grid is sized to the exact Laurent
-    span of the integrand (the result is quadrature-exact); a supplied
-    quad_n is validated by grid doubling and the refined value returned
-    (AccuracyError beyond QUADRATURE_TOL).  Elements vanish whenever mu and
-    lam differ beyond the V_k band or in total degree.
+    Both states are exact Laurent polynomials; V_k is the closed-form cosine
+    sum of ``potential_coeffs``, so the element is an integer pairing divided
+    by the root of the two integer norms, rounded to float once.  The norms
+    are those ``jack.inner_product`` computes, up to a constant that cancels.
+    Elements vanish whenever mu and lam differ beyond the V_k band or in
+    total degree.
     """
     mu_t, lam_t = partition(mu), partition(lam)
-    if len(mu_t) != N or len(lam_t) != N:
-        raise DomainError(f"partitions must have length N = {N}")
-    w = _weight_int(alpha)
+    if len(mu_t) != len(lam_t) or len(mu_t) < 2:
+        raise DomainError("partitions must have one equal length N >= 2")
+    if not (isinstance(k, int) and k >= 1):
+        raise DomainError(f"order k must be an integer >= 1, got {k}")
+    _check_coupling(l)
     for a, b in zip(mu_t, lam_t):
         if (a - b).denominator != 1:
             raise DomainError(
                 "mu and lam lie in different periodicity classes "
                 f"({a} - {b} is not an integer); the pairing is undefined")
-    band = int(getattr(V_k, "band", K_MAX))
-    n_exact = _span(mu_t) + _span(lam_t) + 2 * w * (N - 1) + 2 * band + 2
-    n_exact = max(n_exact, 2 * _span(mu_t) + 2 * w * (N - 1) + 2)
-    n_exact = max(n_exact, 2 * _span(lam_t) + 2 * w * (N - 1) + 2)
-
-    if quad_n is None:
-        value = _element_on_grid(mu_t, lam_t, V_k, alpha, N, n_exact)
-    else:
-        if quad_n < 2:
-            raise DomainError(f"need quad_n >= 2, got {quad_n}")
-        coarse = _element_on_grid(mu_t, lam_t, V_k, alpha, N, int(quad_n))
-        value = _element_on_grid(mu_t, lam_t, V_k, alpha, N, 2 * int(quad_n))
-        if abs(coarse - value) > QUADRATURE_TOL * max(1.0, abs(value)):
-            raise AccuracyError(
-                f"quadrature under-resolved: grid doubling moved the element "
-                f"by {abs(coarse - value):.3e} (quad_n = {quad_n})")
-    if abs(value.imag) > QUADRATURE_TOL * max(1.0, abs(value)):
-        raise AccuracyError(
-            f"matrix element has spurious imaginary part {value.imag:.3e}")
-    return float(value.real)
+    shift = lam_t[-1]
+    psi_mu = _laurent_state(mu_t, l, shift)
+    psi_lam = _laurent_state(lam_t, l, shift)
+    images = {d: _harmonic(psi_lam, d) for d in _divisors(k)}
+    return _element(psi_mu, images, _pairing(psi_mu, psi_mu),
+                    _pairing(psi_lam, psi_lam), k, l)
 
 
 # ---------------------------------------------------------------------------
@@ -445,33 +397,23 @@ def reachable_partitions(lam, budget: int) -> List[PartitionT]:
 
 
 def rs_series(lam, N: int, l: int, K: int, *,
-              series: Optional[PotentialSeries] = None,
               degeneracy_tol: float = DEGENERACY_TOL) -> EnergySeries:
     """Non-degenerate Rayleigh-Schrodinger expansion to order K.
 
-    E^(0) = e0 + 2 pi^2 E_lam; higher orders use matrix elements of the
-    extracted V_1..V_K over the band-reachable basis.  A second unperturbed
-    level within degeneracy_tol * scale of E^(0) inside that basis raises
+    E^(0) = e0 + 2 pi^2 E_lam; higher orders use the exact matrix elements
+    of the closed-form V_1..V_K over the band-reachable basis, each basis
+    state built once.  A second unperturbed level within
+    degeneracy_tol * scale of E^(0) inside that basis raises
     DegeneracyError (degenerate RS is out of scope).
     """
     lam_t = partition(lam)
     if len(lam_t) != N:
         raise DomainError(f"partition must have length N = {N}")
-    if not (isinstance(K, int) and 0 <= K <= K_MAX):
-        raise DomainError(f"order K must satisfy 0 <= K <= {K_MAX}, got {K}")
-    if not (isinstance(l, int) and l >= 1):
-        raise DomainError(f"need integer l >= 1, got {l}")
-    alpha = Fraction(1, l + 1)
-    w = l + 1
+    _check_order(K)
+    _check_coupling(l)
     level0 = unperturbed_energy(lam_t, N, l)
     if K == 0:
         return EnergySeries(lam_t, N, l, 0, (level0,))
-    if series is None:
-        series = potential_coeffs(N, l, K)
-    if series.N != N or series.l != l or series.K < K:
-        raise DomainError(
-            f"potential series was extracted for (N={series.N}, l={series.l},"
-            f" K={series.K}); need (N={N}, l={l}, K>={K})")
 
     basis = reachable_partitions(lam_t, K - 1)
     i_lam = basis.index(lam_t)
@@ -484,24 +426,16 @@ def rs_series(lam, N: int, l: int, K: int, *,
                 f"{lam_t} within {degeneracy_tol:.1e} (relative); "
                 "degenerate perturbation theory is out of scope")
 
-    # One common grid, exact for every pairing and every V_k band.
-    max_span = max(_span(mu) for mu in basis)
-    n = 2 * max_span + 2 * w * (N - 1) + 2 * K + 2
-    pts = _quad_points(n, N)
-    b = pts.shape[0]
-    dw = _vandermonde_power(pts, w)
-    psi = [dw * np.atleast_1d(jack_expand(mu, alpha).evaluate(pts))
-           for mu in basis]
-    norms = [math.sqrt(float(np.vdot(f, f).real) / b) for f in psi]
+    psi = [_laurent_state(mu, l, lam_t[-1]) for mu in basis]
+    norms = [_pairing(f, f) for f in psi]
+    images = [{d: _harmonic(f, d) for d in range(1, K + 1)} for f in psi]
     m = len(basis)
     elements = {}
     for k in range(1, K + 1):
-        v_vals = np.atleast_1d(series.vk(k)(pts))
         mat = np.empty((m, m))
         for a in range(m):
             for c in range(a, m):
-                raw = complex(np.vdot(psi[a], v_vals * psi[c])) / b
-                val = raw.real / (norms[a] * norms[c])
+                val = _element(psi[a], images[c], norms[a], norms[c], k, l)
                 mat[a, c] = val
                 mat[c, a] = val
         elements[k] = mat

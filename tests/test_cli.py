@@ -18,6 +18,7 @@ import pytest
 
 from cmbethe import cli, critical, perturb
 from cmbethe.cli import main
+from cmbethe.errors import AccuracyError
 from cmbethe.weights import Weight, build_indexing, lambda_to_xi, root_system
 
 SQRT6_OVER_14 = math.sqrt(6) / 14.0
@@ -204,10 +205,22 @@ class TestPerturbCommand:
         assert code == 4
         assert payload["error"]["code"] == "DEGENERACY"
 
-    def test_extraction_accuracy_exit_code(self, capsys):
+    def test_order_k_max(self, capsys):
         code, payload, _ = run_cli(
             capsys, "perturb", "--N", "2", "--l", "1",
             "--lambda", "1/2,-1/2", "--order", "8")
+        assert code == 0
+        assert payload["K"] == 8
+        assert len(payload["E"]) == 9
+
+    def test_accuracy_error_exit_code(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AccuracyError("accuracy postcondition not met")
+
+        monkeypatch.setattr(cli, "rs_series", refuse)
+        code, payload, _ = run_cli(
+            capsys, "perturb", "--N", "2", "--l", "1",
+            "--lambda", "1/2,-1/2", "--order", "2")
         assert code == 7
         assert payload["error"]["code"] == "ACCURACY"
 

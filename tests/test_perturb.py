@@ -1,11 +1,12 @@
 """Tests for the Rayleigh-Schrodinger expansion in powers of the nome.
 
-The interaction coefficients have an exact divisor-sum oracle (the Fourier
-expansion of the shifted pair potential), so extraction is checked exactly;
-matrix elements are checked against band vanishing, hermiticity, and the
-hand-computed N=2 first- and second-order shifts; the assembled series is
-cross-validated order by order against the Bethe-Ansatz continuation
-eigenvalue, which is computed by entirely different machinery.
+The interaction coefficients are the closed-form divisor table (the Fourier
+expansion of the shifted pair potential); the theta-quotient interaction
+checks it by its O(p^{K+1}) reconstruction error.  The exact Laurent matrix
+elements are checked against a torus product quadrature, band vanishing,
+hermiticity, and the hand-computed N=2 first- and second-order shifts; the
+assembled series is cross-validated order by order against the Bethe-Ansatz
+continuation eigenvalue, which is computed by entirely different machinery.
 """
 
 import math
@@ -15,8 +16,10 @@ import numpy as np
 import pytest
 
 from cmbethe.critical import continue_nome, find_admissible_critical_point
-from cmbethe.errors import AccuracyError, DegeneracyError, DomainError
+from cmbethe.errors import DegeneracyError, DomainError
+from cmbethe.jack import jack_expand
 from cmbethe.perturb import (
+    K_MAX,
     EnergySeries,
     PotentialSeries,
     band_distance,
@@ -33,8 +36,6 @@ from cmbethe.weights import Weight, build_indexing, lambda_to_xi, root_system
 H = Fraction(1, 2)
 LAM_N2 = (H, -H)                      # the N=2, l=1 fundamental state
 SERIES_N2 = potential_coeffs(2, 1, 2)
-V1 = SERIES_N2.vk(1)
-V2 = SERIES_N2.vk(2)
 
 
 def partitions_of(total, N):
@@ -46,14 +47,16 @@ def partitions_of(total, N):
 
 
 class TestPotentialCoeffs:
-    """Cauchy/DFT extraction of the interaction coefficients."""
+    """The closed-form interaction coefficients."""
 
     def test_divisor_oracle_exact(self):
         # The shifted pair potential has the Lambert expansion
-        # -8 pi^2 Sum_m p^m Sum_{d | m} d cos(2 pi d s), so the extracted
-        # order-k, harmonic-d coefficient is -8 pi^2 l(l+1) d when d | k,
-        # else 0.
-        for N, l, K in [(2, 1, 4), (3, 2, 3)]:
+        # -8 pi^2 Sum_m p^m Sum_{d | m} d cos(2 pi d s), so the order-k,
+        # harmonic-d coefficient is -8 pi^2 l(l+1) d when d | k, else 0,
+        # up to the advertised K_MAX for every small (N, l)
+        cases = [(2, 1, 4), (3, 2, 3)] + [
+            (N, l, K_MAX) for N in (2, 3) for l in (1, 2, 3)]
+        for N, l, K in cases:
             series = potential_coeffs(N, l, K)
             scale = 8 * math.pi ** 2 * l * (l + 1) * K
             for k in range(1, K + 1):
@@ -80,7 +83,8 @@ class TestPotentialCoeffs:
         # |Sum_{k<=K} p^k V_k - exact| = O(p^{K+1}): halving p divides the
         # residual by about 2^{K+1}
         x = np.array([0.31, 0.74])
-        for K, lo, hi in [(2, 6.0, 10.0), (3, 12.0, 20.0)]:
+        for K, lo, hi in [(2, 6.0, 10.0), (3, 12.0, 20.0),
+                          (K_MAX, 384.0, 640.0)]:
             series = potential_coeffs(2, 1, K)
 
             def resid(p):
@@ -89,9 +93,6 @@ class TestPotentialCoeffs:
 
             ratio = resid(0.05) / resid(0.025)
             assert lo < ratio < hi, f"K={K}: residual ratio {ratio}"
-
-    def test_extraction_residual_recorded(self):
-        assert SERIES_N2.extraction_residual < 1e-9
 
     def test_band_limited_shape(self):
         # order k carries harmonics d <= k only
@@ -103,17 +104,6 @@ class TestPotentialCoeffs:
         with pytest.raises(DomainError):
             potential_coeffs(2, 1, 9)
 
-    def test_tight_tolerance_flagged(self):
-        with pytest.raises(AccuracyError):
-            potential_coeffs(2, 1, 4, residual_tol=1e-16)
-
-    def test_high_order_needs_larger_circle(self):
-        # at K=8 the r^{-k} round-off amplification on the default circle
-        # exceeds the residual budget; a larger radius restores it
-        with pytest.raises(AccuracyError):
-            potential_coeffs(2, 1, 8)
-        series = potential_coeffs(2, 1, 8, radius=0.28)
-        assert series.extraction_residual < 1e-9
 
 
 class TestBandDistance:
@@ -134,47 +124,105 @@ class TestBandDistance:
             band_distance((2, 0), (1, 0))
 
 
+def quadrature_element(mu, lam, k, l):
+    """<psi_mu, V_k psi_lam>/(|psi_mu| |psi_lam|) by torus product
+    quadrature, psi = Delta^{l+1} J^{(1/(l+1))}: an independent reference
+    for the exact Laurent pairing.  The uniform n-point rule per axis is
+    exact once n exceeds the per-axis Laurent span of every integrand."""
+    N, w = len(mu), l + 1
+    span = max(mu[0] - mu[-1], lam[0] - lam[-1])
+    n = int(2 * span) + 2 * w * (N - 1) + 2 * k + 2
+    axes = np.meshgrid(*[np.arange(n) / n] * N, indexing="ij")
+    pts = np.stack([g.ravel() for g in axes], axis=-1)
+    X = np.exp(2j * math.pi * pts)
+    dw = np.ones(pts.shape[0], dtype=complex)
+    for i in range(N):
+        for j in range(i + 1, N):
+            dw *= X[:, i] - X[:, j]
+    dw = dw ** w
+    alpha = Fraction(1, w)
+    psi_mu = dw * jack_expand(mu, alpha).evaluate(pts)
+    psi_lam = dw * jack_expand(lam, alpha).evaluate(pts)
+    v = potential_coeffs(N, l, k).vk(k)(pts)
+    value = np.vdot(psi_mu, v * psi_lam) / math.sqrt(
+        np.vdot(psi_mu, psi_mu).real * np.vdot(psi_lam, psi_lam).real)
+    assert abs(value.imag) < 1e-10 * max(1.0, abs(value))
+    return float(value.real)
+
+
+def n2_pool():
+    """N=2 integer partitions of degree <= 6."""
+    return [lam for tot in range(7) for lam in partitions_of(tot, 2)]
+
+
+def _coupling_scale(l, k):
+    """The largest closed-form coefficient of V_k, -8 pi^2 l(l+1) k."""
+    return -8 * math.pi ** 2 * l * (l + 1) * k
+
+
 class TestMatrixElement:
-    """Normalized <psi_mu, V_k psi_lam> by torus quadrature."""
+    """Normalized <psi_mu, V_k psi_lam> from exact Laurent coefficients."""
 
     def test_band_vanishing(self):
         mu = (Fraction(9, 2), -Fraction(9, 2))
-        v = matrix_element(mu, LAM_N2, V1, H, 2)
+        v = matrix_element(mu, LAM_N2, 1, 1)
         assert abs(v) < 1e-10, f"beyond-band element {v}"
 
     def test_hermiticity(self):
         mu = (Fraction(3, 2), -Fraction(3, 2))
-        a = matrix_element(mu, LAM_N2, V1, H, 2)
-        b = matrix_element(LAM_N2, mu, V1, H, 2)
+        a = matrix_element(mu, LAM_N2, 1, 1)
+        b = matrix_element(LAM_N2, mu, 1, 1)
         assert abs(a - b) < 1e-10 * max(1.0, abs(a)), f"{a} vs {b}"
 
     def test_diagonal_is_first_order_shift(self):
-        diag = matrix_element(LAM_N2, LAM_N2, V1, H, 2)
-        series = rs_series(LAM_N2, 2, 1, 1, series=SERIES_N2)
+        diag = matrix_element(LAM_N2, LAM_N2, 1, 1)
+        series = rs_series(LAM_N2, 2, 1, 1)
         assert abs(diag - series.coefficients[1]) < 1e-10 * abs(diag)
 
     def test_first_order_shift_value(self):
         # hand integral: <cos 2 pi (x1 - x2)> against |Delta^2 J|^2 gives
         # E1 = 4 pi^2 for the fundamental N=2 state
-        diag = matrix_element(LAM_N2, LAM_N2, V1, H, 2)
+        diag = matrix_element(LAM_N2, LAM_N2, 1, 1)
         assert abs(diag - 4 * math.pi ** 2) < 1e-10, (
             f"{diag} vs {4 * math.pi ** 2}")
 
-    def test_under_resolved_quadrature_flagged(self):
-        with pytest.raises(AccuracyError):
-            matrix_element(LAM_N2, LAM_N2, V1, H, 2, quad_n=4)
+    def test_agrees_with_quadrature_n2(self):
+        # every equal-total pair of the N=2 pool, k = 1..3
+        pool = n2_pool()
+        for k in (1, 2, 3):
+            for mu in pool:
+                for lam in pool:
+                    if sum(mu) != sum(lam):
+                        continue
+                    exact = matrix_element(mu, lam, k, 1)
+                    ref = quadrature_element(mu, lam, k, 1)
+                    assert abs(exact - ref) <= 1e-12 * max(
+                        abs(ref), abs(_coupling_scale(1, k))), (
+                        f"k={k} {mu},{lam}: {exact} vs {ref}")
+
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_agrees_with_quadrature_n3(self, l):
+        # the band-2 neighbourhood of (1, 0, -1), k = 1..3
+        pool = reachable_partitions((1, 0, -1), 2)
+        for k in (1, 2, 3):
+            for a, mu in enumerate(pool):
+                for lam in pool[a:]:
+                    exact = matrix_element(mu, lam, k, l)
+                    ref = quadrature_element(mu, lam, k, l)
+                    assert abs(exact - ref) <= 1e-12 * max(
+                        abs(ref), abs(_coupling_scale(l, k))), (
+                        f"l={l} k={k} {mu},{lam}: {exact} vs {ref}")
 
     def test_symmetry_sector_closure(self):
         # elements connect equal-total states within the band only;
         # exhaustive over N=2 integer partitions of degree <= 6
-        pool = [lam for tot in range(7) for lam in partitions_of(tot, 2)]
+        pool = n2_pool()
         for k in (1, 2):
-            vk = SERIES_N2.vk(k)
             for mu in pool:
                 for lam in pool:
                     if sum(mu) != sum(lam):
                         continue  # guarded separately; integral is 0
-                    v = matrix_element(mu, lam, vk, H, 2)
+                    v = matrix_element(mu, lam, k, 1)
                     if band_distance(mu, lam) > k:
                         assert abs(v) < 1e-10, (
                             f"k={k}: {mu},{lam} beyond band: {v}")
@@ -213,22 +261,22 @@ class TestRsSeries:
                    - 20 * math.pi ** 2) < 1e-9
 
     def test_first_order_value(self):
-        series = rs_series(LAM_N2, 2, 1, 1, series=SERIES_N2)
+        series = rs_series(LAM_N2, 2, 1, 1)
         assert abs(series.coefficients[1] - 4 * math.pi ** 2) < 1e-9
 
     def test_second_order_matches_hand_formula(self):
         # E2 = <lam|V2|lam> - |<mu|V1|lam>|^2 / (16 pi^2), mu the one
         # band-1 neighbor with E0 gap -16 pi^2
-        series = rs_series(LAM_N2, 2, 1, 2, series=SERIES_N2)
+        series = rs_series(LAM_N2, 2, 1, 2)
         mu = (Fraction(3, 2), -Fraction(3, 2))
-        off = matrix_element(mu, LAM_N2, V1, H, 2)
-        diag2 = matrix_element(LAM_N2, LAM_N2, V2, H, 2)
+        off = matrix_element(mu, LAM_N2, 1, 1)
+        diag2 = matrix_element(LAM_N2, LAM_N2, 2, 1)
         hand = diag2 - off ** 2 / (16 * math.pi ** 2)
         assert abs(series.coefficients[2] - hand) < 1e-8 * abs(hand), (
             f"{series.coefficients[2]} vs {hand}")
 
     def test_coefficients_real_floats(self):
-        series = rs_series(LAM_N2, 2, 1, 2, series=SERIES_N2)
+        series = rs_series(LAM_N2, 2, 1, 2)
         assert all(isinstance(c, float) for c in series.coefficients)
 
     def test_degenerate_level_refused(self):
@@ -240,11 +288,21 @@ class TestRsSeries:
         assert len(series.coefficients) == 3
 
     def test_series_compatibility_guard(self):
+        # the series is fixed by (N, l, K): a label of another length is
+        # refused
         with pytest.raises(DomainError):
-            rs_series((1, 0, -1), 3, 1, 2, series=SERIES_N2)
+            rs_series((1, 0, -1), 2, 1, 2)
+
+    def test_order_k_max_runs(self):
+        # K = K_MAX works, and the lower orders do not depend on K
+        series = rs_series(LAM_N2, 2, 1, K_MAX)
+        assert len(series.coefficients) == K_MAX + 1
+        low = rs_series(LAM_N2, 2, 1, 2).coefficients
+        for a, b in zip(series.coefficients, low):
+            assert abs(a - b) < 1e-12 * abs(b), f"{a} vs {b}"
 
     def test_report_shape(self):
-        series = rs_series(LAM_N2, 2, 1, 2, series=SERIES_N2)
+        series = rs_series(LAM_N2, 2, 1, 2)
         rep = series.report()
         assert rep["lambda"] == [0.5, -0.5]
         assert rep["K"] == 2
@@ -253,7 +311,7 @@ class TestRsSeries:
         assert rep2["crosscheck"] == {"p": 0.01}
 
     def test_partial_sum_horner(self):
-        series = rs_series(LAM_N2, 2, 1, 2, series=SERIES_N2)
+        series = rs_series(LAM_N2, 2, 1, 2)
         e0_, e1, e2 = series.coefficients
         p = 0.01
         assert abs(series.partial_sum(p)
@@ -264,7 +322,7 @@ class TestCrossValidation:
     """The series against the Bethe-Ansatz continuation eigenvalue."""
 
     def test_gap_scales_as_p_cubed(self):
-        series = rs_series(LAM_N2, 2, 1, 2, series=SERIES_N2)
+        series = rs_series(LAM_N2, 2, 1, 2)
         gaps = [bethe_crosscheck(series, p)["gap"] for p in (1e-2, 1e-3)]
         slope = math.log10(gaps[0] / gaps[1])
         assert slope >= 2.7, f"gaps {gaps}, slope {slope}"
@@ -272,7 +330,7 @@ class TestCrossValidation:
     def test_finite_difference_reproduces_orders(self):
         # Richardson-extrapolated finite differences of E_BA(p) recover
         # E1 to 1% and E2 to 5%
-        series = rs_series(LAM_N2, 2, 1, 2, series=SERIES_N2)
+        series = rs_series(LAM_N2, 2, 1, 2)
         e0_, e1, e2 = series.coefficients
         p = 1e-3
         ba = {q: bethe_crosscheck(series, q)["E_BA"]
@@ -291,7 +349,7 @@ class TestCrossValidation:
         assert abs(e2_fd - e2) < 0.05 * abs(e2), f"{e2_fd} vs {e2}"
 
     def test_crosscheck_record_fields(self):
-        series = rs_series(LAM_N2, 2, 1, 1, series=SERIES_N2)
+        series = rs_series(LAM_N2, 2, 1, 1)
         rec = bethe_crosscheck(series, 1e-3)
         assert set(rec) == {"p", "E_BA", "partial_sum", "gap"}
         assert rec["gap"] == abs(rec["E_BA"] - rec["partial_sum"])
