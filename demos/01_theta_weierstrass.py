@@ -86,11 +86,10 @@ print("wp(x+tau) - wp(x)            :", abs(complex(wp(x0 + tau, nome) - wp(x0, 
 ###############################################################################
 # The shifted potential used by the Hamiltonian
 # ---------------------------------------------
-# wp_shifted = wp + 2 eta (weighted eta) has the exact trigonometric limit
+# wp_shifted = wp + 2 eta (the lattice quasi-period) has the exact trigonometric limit
 # pi^2/sin^2(pi x).  This is the interaction the spectral checks verify.
 
 lim = complex(wp_shifted(x0, Nome(p=0.0)))
 print("wp_shifted p=0 vs pi^2/sin^2 :",
       abs(lim - math.pi ** 2 / math.sin(math.pi * x0) ** 2))
-print("eta_const (series)           :", eta_const(nome))
-print("eta_const (weighted)         :", eta_const(nome, weighted=True))
+print("eta_const                    :", eta_const(nome))

@@ -2,19 +2,24 @@
 Closed-form trigonometric critical points and their Hessians
 ============================================================
 
-At nome p = 0 the Bethe equations reduce to a polynomial system whose
-solutions are known in closed form for two particles (any coupling l) and
-for three particles at l = 1.  This script prints those exact solutions,
-refines jittered copies with Newton's method to show the basin behavior,
-and compares the displayed discriminant/Hessian formulas with direct
-evaluation of the master-function Hessian.
+At nome p = 0 the Bethe equations reduce to a polynomial system in
+T = exp(-2 pi i t) whose solutions are known in closed form for two
+particles (any coupling l) and for three particles at l = 1.  This script
+prints those exact solutions, refines jittered copies with the package's
+Newton iteration (in t, at p = 0) to show the basin behavior, and compares
+the displayed discriminant/Hessian formulas with direct evaluation of the
+master-function Hessian.  Reports carry the Hessian of -log Phi in t; at a
+root det H_t = Prod_k (-2 pi i T_k)^2 det H_T converts it to the displays'
+T convention.
 """
+
+import math
 
 import numpy as np
 
 from cmbethe import (
     DomainError,
-    TrigPoint,
+    Nome,
     admissible,
     build_indexing,
     closed_form_n2,
@@ -23,7 +28,7 @@ from cmbethe import (
     delta_direct,
     hess_closed_form_n2,
     n3_closed_form_displays,
-    newton_trig,
+    newton_polish_tau,
     root_system,
     sigma_closed_form,
     weight_from_lambda_coords,
@@ -40,24 +45,33 @@ for l in (1, 2, 3):
         sig = sigma_closed_form(m1, l)
         print(f"l={l} m1={m1}: sigma = {[str(s) for s in sig]}")
 
+
+def det_T(report):
+    """The report's t-Hessian determinant in the T convention."""
+    T = report.point.to_T()
+    return report.hessian_det / np.prod((-2j * math.pi * T) ** 2)
+
+
 ###############################################################################
 # Newton refinement reproduces the closed form
 # --------------------------------------------
-# Jitter the exact roots by 2% and let the damped Newton iteration pull them
-# back; the recovered elementary symmetric functions match the rationals.
+# Jitter the exact roots by 2% and let the Newton iteration (steps capped at
+# 0.1 in t) pull them back; the recovered elementary symmetric functions
+# match the rationals.
 
 rng = np.random.default_rng(3)
 l, m1 = 2, 4
 rs, idx = root_system(2, l), build_indexing(2, l)
 xi = weight_from_lambda_coords([m1], 2)
 point, report = closed_form_n2(m1, l)
-seed = TrigPoint(list(np.asarray(point.T) * (1 + 0.02 * rng.standard_normal(l))))
-refined = newton_trig(seed, xi, rs, idx)
-mono = np.poly(np.asarray(refined.point.T, dtype=complex))
-print(f"\nl={l} m1={m1}: roots = {np.round(np.asarray(point.T), 12)}")
+seed = point.to_T() * (1 + 0.02 * rng.standard_normal(l))
+refined = newton_polish_tau(np.log(seed) / (-2j * math.pi), xi, rs, idx,
+                            Nome(p=0.0))
+mono = np.poly(np.exp(-2j * math.pi * refined))
+print(f"\nl={l} m1={m1}: roots = {np.round(point.to_T(), 12)}")
 print(f"recovered sigma_1, sigma_2 = {-mono[1]:.12f}, {mono[2]:.12f}"
       f"   (exact: {[str(s) for s in sigma_closed_form(m1, l)]})")
-print(f"gradient norm at the refined point: {refined.grad_norm:.2e}")
+print(f"gradient norm at the closed-form point: {report.grad_norm:.2e}")
 
 ###############################################################################
 # Discriminant and Hessian determinant in closed form
@@ -69,8 +83,8 @@ for l in (1, 2, 3):
     m1 = l + 2
     point, report = closed_form_n2(m1, l)
     print(f"l={l} m1={m1}: delta closed {complex(delta_closed_form_n2(m1, l)):.6f} "
-          f"direct {delta_direct(point):.6f} | Hess closed "
-          f"{complex(hess_closed_form_n2(m1, l)):.6f} direct {report.hessian_det:.6f}")
+          f"direct {delta_direct(point.to_T()):.6f} | Hess closed "
+          f"{complex(hess_closed_form_n2(m1, l)):.6f} direct {det_T(report):.6f}")
 print("l=1 m1=3 Hessian determinant:", hess_closed_form_n2(3, 1))
 
 ###############################################################################
@@ -96,12 +110,12 @@ except DomainError as exc:
 for m1, m2 in [(3, 3), (2, 2), (2, 4)]:
     point, report = closed_form_n3_l1(m1, m2)[0]
     disp = n3_closed_form_displays(m1, m2)
-    t1, t2, t3 = point.T
-    print(f"\n(m1,m2)=({m1},{m2}): T = {np.round(np.asarray(point.T), 10)}")
+    t1, t2, t3 = point.to_T()
+    print(f"\n(m1,m2)=({m1},{m2}): T = {np.round(point.to_T(), 10)}")
     print(f"  T1*T2 = {t1 * t2:.10f}  display {disp['T1T2']}")
     print(f"  (1-T1)(1-T2) = {(1 - t1) * (1 - t2):.10f}  "
           f"display {disp['one_minus_T1_one_minus_T2']}")
-    print(f"  Hessian direct {report.hessian_det:.8f} = "
+    print(f"  Hessian direct {det_T(report):.8f} = "
           f"{disp['hessian_factor']:+.0f} x displayed {disp['hessian_display']:.8f}")
     print(f"  gradient norm {report.grad_norm:.2e}")
 

@@ -4,10 +4,11 @@ The package builds, in layers:
 
   * ``elliptic``  — theta / Weierstrass q-series with x- and tau-derivatives;
   * ``weights``   — A_{N-1} weight bookkeeping and the Bethe index sets;
-  * ``master``    — the trigonometric and elliptic master functions, their
-                    log-gradients, Hessians and the eigenvalue functional;
-  * ``critical``  — closed-form and Newton critical points, and homotopy
-                    continuation of critical points in the nome;
+  * ``master``    — the elliptic master function (the trigonometric one is
+                    its p = 0 case), its log-gradient, Hessian, the one
+                    Newton iteration and the eigenvalue functional;
+  * ``critical``  — closed-form and searched p = 0 critical points, and
+                    homotopy continuation of critical points in the nome;
   * ``states``    — Bethe vectors, symmetrization, and direct spectral
                     verification of the eigenfunction property;
   * ``jack``      — Jack polynomials and the trigonometric-limit comparison;
@@ -43,7 +44,6 @@ from .elliptic import (
 from .weights import (
     BetheIndexing,
     RootSystemData,
-    TargetEigenvalue,
     Weight,
     admissible,
     build_indexing,
@@ -61,12 +61,9 @@ from .master import (
     CriticalReport,
     EllipticPoint,
     S_dtau,
-    TrigPoint,
     eigenvalue_elliptic,
     hessian_tau,
-    hessian_tri,
     log_phi_tau_grad,
-    log_phi_tri_grad,
     make_report,
     membership_F,
     newton_polish_tau,
@@ -82,7 +79,6 @@ from .critical import (
     find_admissible_critical_point,
     hess_closed_form_n2,
     n3_closed_form_displays,
-    newton_trig,
     sigma_closed_form,
 )
 from .states import (
@@ -129,17 +125,17 @@ __all__ = [
     "Nome", "ThetaValue", "eta_const", "lattice_distance", "log_theta_d1",
     "log_theta_d2", "log_theta_dtau", "sigma_lambda", "theta", "theta1",
     "wp", "wp_shifted",
-    "BetheIndexing", "RootSystemData", "TargetEigenvalue", "Weight",
+    "BetheIndexing", "RootSystemData", "Weight",
     "admissible", "build_indexing", "e0", "jack_energy", "lambda_coords",
     "lambda_to_xi", "pairing", "root_system", "target_eigenvalue",
     "w_count", "weight_from_lambda_coords",
-    "CriticalReport", "EllipticPoint", "S_dtau", "TrigPoint",
-    "eigenvalue_elliptic", "hessian_tau", "hessian_tri", "log_phi_tau_grad",
-    "log_phi_tri_grad", "make_report", "membership_F", "newton_polish_tau",
+    "CriticalReport", "EllipticPoint", "S_dtau",
+    "eigenvalue_elliptic", "hessian_tau", "log_phi_tau_grad", "make_report",
+    "membership_F", "newton_polish_tau",
     "ContinuationPath", "PathStep", "closed_form_n2", "closed_form_n3_l1",
     "continue_nome", "delta_closed_form_n2", "delta_direct",
     "find_admissible_critical_point", "hess_closed_form_n2",
-    "n3_closed_form_displays", "newton_trig", "sigma_closed_form",
+    "n3_closed_form_displays", "sigma_closed_form",
     "BetheState", "base_point", "bethe_state_elliptic", "bethe_state_tri",
     "jack_proportionality", "l2_estimate", "omega_elliptic", "omega_tri",
     "residual_check", "sample_torus_points", "sym_omega_tri_nonvanishing",

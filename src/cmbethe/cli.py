@@ -206,7 +206,7 @@ def cmd_critical(args) -> Dict:
     payload: Dict = {
         "schema": SCHEMA, "command": "critical", "N": args.N, "l": args.l,
         "xi": _weight_floats(xi), "sigma": list(sigma),
-        "T": [_complex_pair(z) for z in rep.point.T],
+        "T": [_complex_pair(z) for z in rep.point.to_T()],
         "grad_norm": float(rep.grad_norm),
         "hessian_det": _complex_pair(rep.hessian_det),
         "in_F": bool(rep.in_F),
@@ -225,7 +225,7 @@ def cmd_critical(args) -> Dict:
                 t3 = Fraction((m1 + m2 - 1) * (m2 - 1),
                               (m1 + m2 + 1) * (m2 + 1))
                 pts = closed_form_n3_l1(float(m1), float(m2))
-                roots = [_complex_pair(z) for z in pts[0][0].T[:2]]
+                roots = [_complex_pair(z) for z in pts[0][0].to_T()[:2]]
                 payload["closed_form"] = {
                     "T3": str(t3), "T3_value": float(t3),
                     "quadratic_roots": roots}
@@ -476,7 +476,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None, help="write CSV here")
     sp.set_defaults(func=cmd_theta)
 
-    sp = sub.add_parser("critical", help="trigonometric Bethe root")
+    sp = sub.add_parser(
+        "critical", help="trigonometric Bethe root",
+        description="The admissible trigonometric (p = 0) Bethe root.  T is "
+                    "printed; grad_norm and hessian_det are those of -log Phi "
+                    "in t at p = 0, the same convention as `cm continue`.")
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--l", type=int, required=True)
     _add_weight_flags(sp)

@@ -15,11 +15,18 @@ Closed forms:
     constant factors are exposed by ``n3_closed_form_displays`` and recorded
     by the tests).
 
-Generic search: damped Newton on the trigonometric Bethe equations from
-closed forms or randomized annulus seeds, accepting only points in F_{N,l}
-with non-degenerate Hessian and non-vanishing symmetrized Bethe vector.
+The closed forms solve in T = exp(-2 pi i t); every root they give, and
+every report, is a point in t at ``Nome(p=0)``, where the trigonometric
+Bethe equations are the elliptic ones.  Gradient norms and Hessian
+determinants are those of -log Phi in t (the T-convention displays above
+relate to them by det H_t = Prod_k (-2 pi i T_k)^2 det H_T at a root).
 
-Continuation: from a non-degenerate trigonometric point, the nome is
+Generic search: the capped Newton of ``master.newton_polish_tau`` at p = 0
+from closed forms or randomized annulus seeds, accepting only points in
+F_{N,l} with non-degenerate Hessian and non-vanishing symmetrized Bethe
+vector.
+
+Continuation: from a non-degenerate p = 0 point, the nome is
 advanced along a geometric-then-linear schedule (first step 1e-6, x10 per
 step until within a decade of the target, then ``steps`` linear steps),
 Newton-correcting the elliptic Bethe root at every step and halving the
@@ -40,9 +47,8 @@ import numpy as np
 from .elliptic import Nome
 from .errors import (ConvergenceError, DegeneracyError, DomainError,
                      MembershipError)
-from .master import (CriticalReport, EllipticPoint, TrigPoint, hessian_tau,
-                     hessian_tri, log_phi_tri_grad, make_report,
-                     membership_F, newton_polish_tau)
+from .master import (CriticalReport, EllipticPoint, hessian_tau, make_report,
+                     newton_polish_tau)
 from .weights import (BetheIndexing, RootSystemData, Weight, admissible,
                       lambda_coords, root_system, build_indexing)
 
@@ -51,6 +57,7 @@ P_MAX = 0.3
 MIN_STEP = 1e-12
 FIRST_STEP = 1e-6
 HESS_DEGENERACY_TOL = 1e-9
+SEARCH_MAX_ITER = 200
 
 
 def _fmt17(x: float) -> str:
@@ -104,7 +111,8 @@ def delta_closed_form_n2(m1: float, l: int) -> float:
 
 
 def hess_closed_form_n2(m1: float, l: int) -> float:
-    """Determinant of the Hessian of -log Phi_tri at the N=2 critical point."""
+    """Determinant of the Hessian of -log Phi_tri in the T variables at the
+    N=2 critical point."""
     val = float(math.factorial(l))
     for j in range(l):
         den = (-m1 + 1 + j) * (-2 * l + j)
@@ -114,9 +122,9 @@ def hess_closed_form_n2(m1: float, l: int) -> float:
     return val
 
 
-def delta_direct(T: TrigPoint | np.ndarray) -> complex:
+def delta_direct(T: np.ndarray) -> complex:
     """prod_{i<j} (T_i - T_j)^2 evaluated directly."""
-    arr = T.T if isinstance(T, TrigPoint) else np.asarray(T, dtype=complex)
+    arr = np.asarray(T, dtype=complex)
     val = 1.0 + 0j
     for i in range(len(arr)):
         for j in range(i + 1, len(arr)):
@@ -124,9 +132,27 @@ def delta_direct(T: TrigPoint | np.ndarray) -> complex:
     return complex(val)
 
 
-def closed_form_n2(m1: float, l: int) -> tuple[TrigPoint, CriticalReport]:
+def _polish_at_p0(T: np.ndarray, xi: Weight, rs: RootSystemData,
+                  idx: BetheIndexing) -> CriticalReport:
+    """Map T coordinates to t = log T / (-2 pi i) (principal branch) and
+    Newton-polish them at p = 0 to |grad| < NEWTON_TOL."""
+    nome = Nome(p=0.0)
+    t0 = np.log(np.asarray(T, dtype=complex)) / (-2j * math.pi)
+    t = newton_polish_tau(t0, xi, rs, idx, nome, tol=NEWTON_TOL,
+                          max_iter=SEARCH_MAX_ITER)
+    return make_report(EllipticPoint(t, nome), xi, rs, idx)
+
+
+def _degenerate(det: complex, H: np.ndarray) -> bool:
+    """The non-degeneracy test of every accepted point: |det H| at most
+    HESS_DEGENERACY_TOL times max(1, prod |diag H|)."""
+    scale = max(1.0, float(np.abs(np.diag(H)).prod()))
+    return abs(det) <= HESS_DEGENERACY_TOL * scale
+
+
+def closed_form_n2(m1: float, l: int) -> tuple[EllipticPoint, CriticalReport]:
     """The unique N=2 critical point: companion-matrix roots of the sigma
-    polynomial, Newton-polished to |grad| < 1e-12."""
+    polynomial, mapped to t and Newton-polished at p = 0."""
     sigmas = [float(s) for s in sigma_closed_form(m1, l)]
     coeffs = [1.0] + [(-1.0) ** i * s for i, s in enumerate(sigmas, start=1)]
     roots = np.roots(coeffs)
@@ -134,13 +160,14 @@ def closed_form_n2(m1: float, l: int) -> tuple[TrigPoint, CriticalReport]:
     idx = build_indexing(2, l)
     xi = Weight([m1 / 2.0, -m1 / 2.0]) if not float(m1).is_integer() \
         else Weight([Fraction(int(m1), 2), Fraction(-int(m1), 2)])
-    report = newton_trig(TrigPoint(roots), xi, rs, idx)
+    report = _polish_at_p0(roots, xi, rs, idx)
     return report.point, report
 
 
-def closed_form_n3_l1(m1: float, m2: float) -> list[tuple[TrigPoint, CriticalReport]]:
+def closed_form_n3_l1(m1: float, m2: float) -> list[tuple[EllipticPoint, CriticalReport]]:
     """The N=3, l=1 closed-form critical points, both orderings (T1,T2,T3)
-    and (T2,T1,T3) — or one if the quadratic has a double root."""
+    and (T2,T1,T3) — or one if the quadratic has a double root — as
+    Newton-polished p = 0 points."""
     for name, v in (("m1", m1), ("m2", m2), ("m1+m2", m1 + m2)):
         if v in (0, 1, -1):
             raise DomainError(f"excluded parameter: {name} = {v} is in {{0, +1, -1}}")
@@ -159,8 +186,8 @@ def closed_form_n3_l1(m1: float, m2: float) -> list[tuple[TrigPoint, CriticalRep
         orderings.append(np.array([r2, r1, t3]))
     out = []
     for T in orderings:
-        point = TrigPoint(T)
-        out.append((point, make_report(point, xi, rs, idx)))
+        report = _polish_at_p0(T, xi, rs, idx)
+        out.append((report.point, report))
     return out
 
 
@@ -186,53 +213,7 @@ def n3_closed_form_displays(m1: float, m2: float) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Newton search
-
-
-def newton_trig(seed: TrigPoint, xi: Weight, rs: RootSystemData,
-                idx: BetheIndexing, tol: float = NEWTON_TOL,
-                max_iter: int = 100) -> CriticalReport:
-    """Damped Newton iteration on the trigonometric Bethe equations.
-
-    Converged iff |grad| < tol; raises ConvergenceError after max_iter,
-    MembershipError if an iterate leaves F_{N,l}.
-    """
-    T = seed.T.astype(complex).copy()
-    if not membership_F(TrigPoint(T), xi, rs, idx):
-        raise MembershipError("seed is outside F (some factor of Phi vanishes)")
-    g = log_phi_tri_grad(TrigPoint(T), xi, rs, idx)
-    gnorm = float(np.linalg.norm(g))
-    for _ in range(max_iter):
-        if gnorm < tol:
-            return make_report(TrigPoint(T), xi, rs, idx)
-        H, _ = hessian_tri(TrigPoint(T), xi, rs, idx)
-        # Jacobian of the gradient is the Hessian of +log Phi = -H
-        try:
-            full_step = np.linalg.solve(-H, -g)
-        except np.linalg.LinAlgError as exc:
-            raise DegeneracyError(f"singular Hessian during Newton: {exc}") from exc
-        lam = 1.0
-        while lam > 2 ** -24:
-            T_new = T + lam * full_step
-            try:
-                g_new = log_phi_tri_grad(TrigPoint(T_new), xi, rs, idx)
-            except MembershipError:
-                lam /= 2
-                continue
-            gnorm_new = float(np.linalg.norm(g_new))
-            if gnorm_new < (1 - 0.25 * lam) * gnorm:
-                break
-            lam /= 2
-        else:
-            raise ConvergenceError(
-                f"Newton line search stalled at |grad| = {gnorm:.3e}")
-        T, g, gnorm = T_new, g_new, gnorm_new
-        if not membership_F(TrigPoint(T), xi, rs, idx):
-            raise MembershipError(
-                "Newton iterate left F (a factor of Phi fell below threshold)")
-    raise ConvergenceError(
-        f"Newton did not reach |grad| < {tol} in {max_iter} iterations "
-        f"(final |grad| = {gnorm:.3e})")
+# search
 
 
 def _search_permutations(N: int) -> list[tuple[int, ...]]:
@@ -247,15 +228,17 @@ def find_admissible_critical_point(
         xi_dominant: Weight, rs: RootSystemData, idx: BetheIndexing,
         n_seeds: int = 200, seed: int = 1234,
 ) -> tuple[tuple[int, ...], CriticalReport]:
-    """Search for a non-degenerate critical point over Weyl images of xi.
+    """Search for a non-degenerate p = 0 critical point over Weyl images of xi.
 
     Permutations sigma of the epsilon-coordinates are tried in the order
-    identity, reversal, lexicographic; for each, closed forms when available,
-    else damped Newton from randomized annulus seeds (0.05 < |T| < 5, away
-    from 0 and 1, fixed RNG seed).  A point is accepted iff it lies in
-    F_{N,l}, its Hessian determinant is non-degenerate, and the symmetrized
-    Bethe vector does not vanish.  Exhaustion raises ConvergenceError
-    (an inconclusive search, not a refutation).
+    identity, reversal, lexicographic; for each, the closed forms when they
+    apply (N = 2, or N = 3 with l = 1: they list every critical point),
+    else Newton at p = 0 (``SEARCH_MAX_ITER`` capped steps) from randomized
+    annulus seeds (0.05 < |T| < 5, away from 0 and 1, fixed RNG seed) mapped
+    to t.  A point is accepted iff it lies in F_{N,l}, its Hessian
+    determinant is non-degenerate, and the symmetrized Bethe vector does not
+    vanish.  Exhaustion raises ConvergenceError (an inconclusive search, not
+    a refutation) quoting the first failures, seed failures included.
     """
     if not admissible(xi_dominant, rs):
         raise DomainError(f"weight {xi_dominant!r} fails the admissibility gate")
@@ -268,16 +251,19 @@ def find_admissible_critical_point(
         xi_s = Weight(np.asarray(xi_dominant.coords)[list(sigma)])
         candidates: list[CriticalReport] = []
         ms = lambda_coords(xi_s)
-        try:
-            if N == 2:
-                _, rep = closed_form_n2(float(ms[0]), l)
-                candidates.append(rep)
-            elif N == 3 and l == 1:
-                for _, rep in closed_form_n3_l1(float(ms[0]), float(ms[1])):
-                    candidates.append(rep)
-        except (DomainError, ConvergenceError, MembershipError, DegeneracyError) as exc:
-            failures.append(f"sigma={sigma} closed form: {exc}")
-        if not candidates:
+        if N == 2 or (N == 3 and l == 1):
+            # the closed forms list every critical point of this image
+            try:
+                if N == 2:
+                    candidates.append(closed_form_n2(float(ms[0]), l)[1])
+                else:
+                    candidates += [rep for _, rep in
+                                   closed_form_n3_l1(float(ms[0]), float(ms[1]))]
+            except (DomainError, ConvergenceError, MembershipError,
+                    DegeneracyError) as exc:
+                failures.append(f"sigma={sigma} closed form: {exc}")
+        else:
+            seed_failures: list[str] = []
             for k in range(n_seeds):
                 r = 0.05 * (5.0 / 0.05) ** rng.random(idx.m)
                 if k % 2 == 0:
@@ -287,18 +273,20 @@ def find_admissible_critical_point(
                 if np.any(np.abs(T0) < 0.05) or np.any(np.abs(T0 - 1.0) < 0.05):
                     continue
                 try:
-                    candidates.append(newton_trig(TrigPoint(T0), xi_s, rs, idx))
-                except (ConvergenceError, MembershipError, DegeneracyError):
-                    continue
-                if candidates:
+                    candidates.append(_polish_at_p0(T0, xi_s, rs, idx))
                     break
+                except (ConvergenceError, MembershipError, DegeneracyError) as exc:
+                    seed_failures.append(f"seed {k}: {exc}")
+            if seed_failures:
+                failures.append(
+                    f"sigma={sigma}: {len(seed_failures)} seeds failed, first "
+                    + "; ".join(seed_failures[:2]))
         for rep in candidates:
-            scale = max(1.0, float(np.abs(np.diag(
-                hessian_tri(rep.point, xi_s, rs, idx)[0])).prod()))
             if not rep.in_F:
                 failures.append(f"sigma={sigma}: point left F")
                 continue
-            if abs(rep.hessian_det) <= HESS_DEGENERACY_TOL * scale:
+            H, _ = hessian_tau(rep.point, xi_s, rs, idx)
+            if _degenerate(rep.hessian_det, H):
                 failures.append(f"sigma={sigma}: degenerate Hessian {rep.hessian_det}")
                 continue
             if not sym_omega_tri_nonvanishing(rep.point, xi_s, rs, idx):
@@ -383,45 +371,42 @@ def continue_nome(trig: CriticalReport, xi: Weight, rs: RootSystemData,
                   *, p_max: float = P_MAX, first_step: float = FIRST_STEP,
                   min_step: float = MIN_STEP, newton_tol: float = NEWTON_TOL,
                   eigenvalue_mode: Optional[str] = None) -> ContinuationPath:
-    """Continue a non-degenerate trigonometric critical point to target_p.
+    """Continue a non-degenerate p = 0 critical point to target_p.
 
-    The seed (p=0) enters the path as the elliptic point t = log T/(-2 pi i)
-    (principal branch).  Each advance Newton-corrects the elliptic Bethe
-    root; on failure the step is halved down to min_step; a Hessian
-    determinant below threshold raises DegeneracyError; every accepted point
-    satisfies grad_norm < newton_tol and membership in F.
+    The seed report (a point at ``Nome(p=0)``, as the search returns it) is
+    the first path step.  Each advance Newton-corrects the elliptic Bethe
+    root; on failure the step is halved down to min_step; a degenerate
+    Hessian (the search's scaled test) raises DegeneracyError; every
+    accepted point satisfies grad_norm < newton_tol and membership in F.
     """
-    if not isinstance(trig.point, TrigPoint):
-        raise DomainError("continuation starts from a trigonometric report")
+    if trig.point.nome.p != 0:
+        raise DomainError("continuation starts from a p = 0 report")
     if steps < 1:
         raise DomainError(f"need steps >= 1, got {steps}")
     if abs(target_p) > p_max:
         raise DomainError(f"|target_p| = {abs(target_p)} exceeds p_max = {p_max}")
     if not trig.in_F:
         raise DomainError("trigonometric seed is outside F")
-    if abs(trig.hessian_det) <= HESS_DEGENERACY_TOL:
+    if _degenerate(trig.hessian_det, hessian_tau(trig.point, xi, rs, idx)[0]):
         raise DegeneracyError(
             f"trigonometric seed has degenerate Hessian: {trig.hessian_det}")
     if trig.grad_norm > newton_tol:
         raise DomainError(
             f"trigonometric seed is not a Bethe root: |grad| = {trig.grad_norm:.2e}")
 
-    t0 = trig.point.to_t()
-    nome0 = Nome(p=0.0)
-    pt0 = EllipticPoint(t0, nome0)
-    rep0 = make_report(pt0, xi, rs, idx)
+    pt0 = trig.point
     ev0 = None
     if eigenvalue_mode is not None:
         from .master import eigenvalue_elliptic
         ev0 = eigenvalue_elliptic(pt0, xi, rs, idx, mode=eigenvalue_mode)
-    path = ContinuationPath(steps=[PathStep(0j, pt0, rep0, ev0)],
+    path = ContinuationPath(steps=[PathStep(0j, pt0, trig, ev0)],
                             target_p=complex(target_p), first_step=first_step,
                             linear_steps=steps, min_step=min_step,
                             newton_tol=newton_tol)
     pending = _schedule(complex(target_p), first_step, steps)
     t_prev: Optional[np.ndarray] = None
     p_prev = 0j
-    t_good = t0.astype(complex)
+    t_good = pt0.t
     p_good = 0j
     while pending:
         p_try = pending[0]
@@ -447,11 +432,10 @@ def continue_nome(trig: CriticalReport, xi: Weight, rs: RootSystemData,
         except (ConvergenceError, MembershipError):
             pending.insert(0, p_good + (p_try - p_good) / 2.0)
             continue
-        H, det = hessian_tau(pt_new, xi, rs, idx)
-        scale = max(1.0, float(np.abs(np.diag(H)).prod()))
-        if abs(det) <= HESS_DEGENERACY_TOL * scale:
+        if _degenerate(rep.hessian_det, hessian_tau(pt_new, xi, rs, idx)[0]):
             err = DegeneracyError(
-                f"Hessian degenerated along the path at p = {p_try}: det = {det}")
+                f"Hessian degenerated along the path at p = {p_try}: "
+                f"det = {rep.hessian_det}")
             err.path = path
             raise err
         ev = None

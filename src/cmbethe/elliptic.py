@@ -6,16 +6,15 @@ Conventions, fixed once here and used by the whole package:
     theta(x)  = theta1(x) / theta1'(0)        ->  sin(pi*x)/pi    as p -> 0
     sigma_lam(x) = theta'(0) theta(x-lam) / (theta(x) theta(lam))
     wp(x)     = -(log theta1)''(x) + (1/3) theta1'''(0)/theta1'(0)
-    eta       = pi^2 (1/6 - 4 Sum_{n>=1}   p^n/(1-p^n))
-    eta_w     = pi^2 (1/6 - 4 Sum_{n>=1} n p^n/(1-p^n))   (lattice quasi-period)
+    eta       = pi^2 (1/6 - 4 Sum_{n>=1} n p^n/(1-p^n))   (lattice quasi-period)
 
 where p = exp(2*pi*i*tau) is the nome, |p| < 1. The constant in wp makes the
 Laurent expansion constant-free, wp(x) = 1/x^2 + O(x^2), so the p -> 0 limit
-is pi^2/sin^2(pi*x) - pi^2/3.  The two eta series agree at O(p) and split at
-O(p^2); eta_w equals -(1/6) theta1'''(0)/theta1'(0) identically and makes
-wp(x) + 2*eta -> pi^2/sin^2(pi*x) exactly.  ``wp_shifted`` defaults to the
-weighted variant, which is the one certified by the spectral residual tests;
-``eta_const`` with default arguments returns the unweighted series.
+is pi^2/sin^2(pi*x) - pi^2/3.  eta equals -(1/6) theta1'''(0)/theta1'(0)
+identically and makes wp(x) + 2*eta -> pi^2/sin^2(pi*x) exactly; it is the
+eta the spectral residual tests certify (the unweighted series
+Sum p^n/(1-p^n), which agrees with it at O(p) only, lives on as test
+evidence).
 
 Internally every theta quantity is computed from the reduced series
 
@@ -351,14 +350,12 @@ def wp(x: ArrayLike, nome: Nome | complex) -> ArrayLike:
     return _maybe_scalar(value, scalar)
 
 
-def eta_const(nome: Nome | complex, weighted: bool = False) -> complex:
-    """The eta constant pi^2 (1/6 - 4 Sum p^n/(1-p^n)).
+def eta_const(nome: Nome | complex) -> complex:
+    """The eta constant pi^2 (1/6 - 4 Sum n p^n/(1-p^n)).
 
-    With ``weighted=True`` the summand carries the extra factor n, giving the
-    first-period quasi-period of the (1, tau) lattice, which equals
-    -(1/6) theta1'''(0)/theta1'(0) identically.  The unweighted series is the
-    default; the shifted potential uses the weighted one (see ``wp_shifted``).
-    Real for real p in [0, 1).
+    The first-period quasi-period of the (1, tau) lattice, which equals
+    -(1/6) theta1'''(0)/theta1'(0) identically; the shifted potential uses it
+    (see ``wp_shifted``).  Real for real p in [0, 1).
     """
     nome = _as_nome(nome)
     p = nome.p
@@ -369,7 +366,7 @@ def eta_const(nome: Nome | complex, weighted: bool = False) -> complex:
         p_n *= p
         if p_n == 0:
             break
-        term = (n * p_n if weighted else p_n) / (1.0 - p_n)
+        term = n * p_n / (1.0 - p_n)
         total += term
         if abs(term) <= tol * max(1.0, abs(total)):
             break
@@ -381,14 +378,12 @@ def eta_const(nome: Nome | complex, weighted: bool = False) -> complex:
     return value
 
 
-def wp_shifted(x: ArrayLike, nome: Nome | complex, weighted_eta: bool = True) -> ArrayLike:
+def wp_shifted(x: ArrayLike, nome: Nome | complex) -> ArrayLike:
     """wp(x) + 2*eta.
 
-    By default the weighted (quasi-period) eta is used, so that the p -> 0
-    limit is exactly pi^2/sin^2(pi*x) and the Bethe eigenvalue formula is an
-    exact eigenvalue of the shifted Hamiltonian (the spectral residual tests
-    certify this choice).  Pass ``weighted_eta=False`` for the unweighted
-    series variant.
+    With the quasi-period eta the p -> 0 limit is exactly pi^2/sin^2(pi*x)
+    and the Bethe eigenvalue formula is an exact eigenvalue of the shifted
+    Hamiltonian (the spectral residual tests certify this choice).
     """
     nome = _as_nome(nome)
-    return wp(x, nome) + 2.0 * eta_const(nome, weighted=weighted_eta)
+    return wp(x, nome) + 2.0 * eta_const(nome)

@@ -1,23 +1,27 @@
 """Master functions of the Bethe ansatz, their log-gradients and Hessians.
 
-The trigonometric master function, in the variables T_i = exp(-2 pi i t_i):
+The elliptic master function, in the t variables at nome p:
+
+    log Phi_tau(t) = 2 pi i (xi, Sum_j t_j alpha_c(j)) + S(t; tau),
+    S(t; tau) = Sum_{i<j} (alpha_c(i), alpha_c(j)) log theta(t_i - t_j)
+                - l N Sum_{c(i)=1} log theta(t_i).
+
+The trigonometric master function is its p = 0 case: with theta(x) =
+sin(pi x)/pi and T_i = exp(-2 pi i t_i), log Phi_tau is, up to a constant,
 
     log Phi_tri(T) = Sum_j [-(xi - rho_bar, alpha_c(j))] log T_j
                      - l N Sum_{c(j)=1} log(1 - T_j)
                      + 2 Sum_{c(i)=c(j), i<j} log(T_i - T_j)
                      - Sum_{|c(i)-c(j)|=1, i<j} log(T_i - T_j),
 
-and the elliptic master function, in the t variables at nome p:
-
-    log Phi_tau(t) = 2 pi i (xi, Sum_j t_j alpha_c(j)) + S(t; tau),
-    S(t; tau) = Sum_{i<j} (alpha_c(i), alpha_c(j)) log theta(t_i - t_j)
-                - l N Sum_{c(i)=1} log theta(t_i).
-
-Critical points of Phi (zeros of the log-gradient) are the Bethe roots.  The
-Hessian convention is the Hessian matrix of MINUS log Phi (the non-degeneracy
-certificate is its determinant); only log-derivatives are ever evaluated, so
-no branch of log is needed anywhere except in the small centered-difference
-ratios of ``S_dtau(mode="total")``, which are all near 1.
+so trigonometric Bethe roots are elliptic points at ``Nome(p=0)`` and every
+gradient, Hessian and Newton step here is taken in t.  Critical points of
+Phi (zeros of the log-gradient) are the Bethe roots.  The Hessian convention
+is the Hessian matrix of MINUS log Phi (the non-degeneracy certificate is its
+determinant); at a root the t- and T-Hessians are related by
+det H_t = Prod_k (-2 pi i T_k)^2 det H_T.  Only log-derivatives are ever
+evaluated, so no branch of log is needed anywhere except in the small
+centered-difference ratios of ``S_dtau(mode="total")``, which are all near 1.
 
 The eigenvalue functional at an elliptic Bethe root:
 
@@ -33,38 +37,18 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
 from .elliptic import Nome, log_theta_d1, log_theta_d2, log_theta_dtau, theta
-from .errors import (ConvergenceError, DomainError, MembershipError,
-                     PoleError)
+from .errors import (ConvergenceError, DegeneracyError, DomainError,
+                     MembershipError, PoleError)
 from .weights import BetheIndexing, RootSystemData, Weight, pairing
 
 _TWO_PI_I = 2j * math.pi
-_EVAL_GUARD = 1e-13       # evaluation-time singularity guard
 _MEMBERSHIP_TOL = 1e-9    # factor-magnitude threshold of the F predicate
-
-
-@dataclass
-class TrigPoint:
-    """A point in the T variables, T_i = exp(-2 pi i t_i)."""
-
-    T: np.ndarray
-
-    def __post_init__(self):
-        self.T = np.atleast_1d(np.asarray(self.T, dtype=complex))
-        if not np.all(np.isfinite(self.T)):
-            raise DomainError("TrigPoint coordinates must be finite")
-
-    @property
-    def m(self) -> int:
-        return len(self.T)
-
-    def to_t(self) -> np.ndarray:
-        """Principal-branch t coordinates, t = log T / (-2 pi i)."""
-        return np.log(self.T) / (-_TWO_PI_I)
+_MAX_STEP = 0.1           # Newton step cap, max-abs over the t coordinates
+_RUNOFF_IM_T = 3.0        # max |Im t| (|T| within about e^{+-19}) of an iterate
 
 
 @dataclass
@@ -84,17 +68,15 @@ class EllipticPoint:
         return len(self.t)
 
     def to_T(self) -> np.ndarray:
+        """The trigonometric coordinates T = exp(-2 pi i t)."""
         return np.exp(-_TWO_PI_I * self.t)
-
-
-Point = Union[TrigPoint, EllipticPoint]
 
 
 @dataclass(frozen=True)
 class CriticalReport:
     """Certificate data for a candidate critical point."""
 
-    point: Point
+    point: EllipticPoint
     grad_norm: float
     hessian_det: complex
     in_F: bool
@@ -111,85 +93,15 @@ def _check_sizes(point_len: int, xi: Weight, rs: RootSystemData,
         raise DomainError(f"weight has N={xi.N}, root system has N={rs.N}")
 
 
-def _xi_alpha(xi: Weight) -> np.ndarray:
-    """(xi, alpha_a) for the simple roots, i.e. consecutive coordinate drops."""
-    return -np.diff(xi.coords)
-
-
-def _per_index_exponents(xi: Weight, idx: BetheIndexing) -> tuple[np.ndarray, np.ndarray]:
-    """b_k = (xi, alpha_c(k)) and a_k = (xi - rho_bar, alpha_c(k)) = b_k - 1."""
-    xa = _xi_alpha(xi)
-    b = np.array([xa[c - 1] for c in idx.c], dtype=complex)
-    return b, b - 1.0
+def _per_index_exponents(xi: Weight, idx: BetheIndexing) -> np.ndarray:
+    """b_k = (xi, alpha_c(k)); (xi, alpha_a) for the simple roots are the
+    consecutive coordinate drops."""
+    xa = -np.diff(xi.coords)
+    return np.array([xa[c - 1] for c in idx.c], dtype=complex)
 
 
 def _first_color_mask(idx: BetheIndexing) -> np.ndarray:
     return np.array([c == 1 for c in idx.c])
-
-
-# ---------------------------------------------------------------------------
-# trigonometric side
-
-
-def _as_T(point: TrigPoint | np.ndarray) -> np.ndarray:
-    return point.T if isinstance(point, TrigPoint) else \
-        np.atleast_1d(np.asarray(point, dtype=complex))
-
-
-def _guard_trig(T: np.ndarray, idx: BetheIndexing, K: np.ndarray) -> None:
-    mask1 = _first_color_mask(idx)
-    if np.any(np.abs(T) < _EVAL_GUARD):
-        raise MembershipError("a T coordinate vanishes (log T factor singular)")
-    if np.any(np.abs(1.0 - T[mask1]) < _EVAL_GUARD):
-        raise MembershipError("a first-color T coordinate hits 1 ((1-T) factor vanishes)")
-    D = T[:, None] - T[None, :]
-    coupled = (K != 0) & ~np.eye(idx.m, dtype=bool)
-    if np.any(np.abs(D[coupled]) < _EVAL_GUARD):
-        raise MembershipError("coupled T coordinates collide ((T_i - T_j) factor vanishes)")
-
-
-def log_phi_tri_grad(point: TrigPoint | np.ndarray, xi: Weight,
-                     rs: RootSystemData, idx: BetheIndexing) -> np.ndarray:
-    """The gradient d log Phi_tri / dT_i; zero exactly at Bethe roots."""
-    T = _as_T(point)
-    _check_sizes(len(T), xi, rs, idx)
-    K = idx.pair_coupling
-    _guard_trig(T, idx, K)
-    _, a = _per_index_exponents(xi, idx)
-    mask1 = _first_color_mask(idx)
-
-    grad = -a / T
-    grad[mask1] += rs.l * rs.N / (1.0 - T[mask1])
-    D = T[:, None] - T[None, :]
-    off = ~np.eye(idx.m, dtype=bool)
-    contrib = np.zeros_like(D)
-    sel = off & (K != 0)
-    contrib[sel] = K[sel] / D[sel]
-    grad += contrib.sum(axis=1)
-    return grad
-
-
-def hessian_tri(point: TrigPoint | np.ndarray, xi: Weight, rs: RootSystemData,
-                idx: BetheIndexing) -> tuple[np.ndarray, complex]:
-    """Hessian matrix of -log Phi_tri in the T variables, and its determinant."""
-    T = _as_T(point)
-    _check_sizes(len(T), xi, rs, idx)
-    K = idx.pair_coupling
-    _guard_trig(T, idx, K)
-    _, a = _per_index_exponents(xi, idx)
-    mask1 = _first_color_mask(idx)
-
-    D = T[:, None] - T[None, :]
-    off = ~np.eye(idx.m, dtype=bool)
-    inv_D2 = np.zeros_like(D)
-    sel = off & (K != 0)
-    inv_D2[sel] = K[sel] / D[sel] ** 2
-
-    H = -inv_D2.copy()                       # off-diagonal of -log Phi
-    diag = -a / T ** 2 + inv_D2.sum(axis=1)  # diagonal of -log Phi
-    diag[mask1] -= rs.l * rs.N / (1.0 - T[mask1]) ** 2
-    H[np.arange(idx.m), np.arange(idx.m)] = diag
-    return H, complex(np.linalg.det(H))
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +126,7 @@ def log_phi_tau_grad(pt: EllipticPoint, xi: Weight, rs: RootSystemData,
     _check_sizes(pt.m, xi, rs, idx)
     t, nome = pt.t, pt.nome
     K = idx.pair_coupling
-    b, _ = _per_index_exponents(xi, idx)
+    b = _per_index_exponents(xi, idx)
     mask1 = _first_color_mask(idx)
     try:
         zmat = _pair_eval(log_theta_d1, t, nome, K)
@@ -250,19 +162,45 @@ def hessian_tau(pt: EllipticPoint, xi: Weight, rs: RootSystemData,
 def newton_polish_tau(t: np.ndarray, xi: Weight, rs: RootSystemData,
                        idx: BetheIndexing, nome: Nome,
                        tol: float = 1e-12, max_iter: int = 30) -> np.ndarray:
-    """Newton-correct an elliptic critical point at a (nearby) nome."""
-    t = t.astype(complex).copy()
-    for _ in range(max_iter):
+    """Newton iteration on the elliptic Bethe equations at ``nome``, in t.
+
+    The package's one Newton: the root search runs it at p = 0 and the
+    continuation at every nome step.  Each step is capped at ``_MAX_STEP``
+    in max-abs over the coordinates.  Converged iff |grad| < tol.  Raises
+    ConvergenceError after ``max_iter`` steps or once an iterate runs off
+    (max |Im t| > ``_RUNOFF_IM_T``), naming the final |grad| and the largest
+    |Im t| reached; DegeneracyError if the Hessian is singular;
+    MembershipError if an iterate hits a zero of a theta factor.
+    """
+    t = np.array(t, dtype=complex)
+    im_max = float(np.max(np.abs(t.imag)))
+    for it in range(max_iter + 1):
         pt = EllipticPoint(t=t, nome=nome)
         g = log_phi_tau_grad(pt, xi, rs, idx)
-        if np.linalg.norm(g) < tol:
+        gnorm = float(np.linalg.norm(g))
+        if gnorm < tol:
             return t
+        if it == max_iter:
+            break
         H, _ = hessian_tau(pt, xi, rs, idx)
         # Jacobian of the gradient is the Hessian of +log Phi = -H
-        step = np.linalg.solve(-H, -g)
+        try:
+            step = np.linalg.solve(-H, -g)
+        except np.linalg.LinAlgError as exc:
+            raise DegeneracyError(f"singular Hessian during Newton: {exc}") from exc
+        size = float(np.max(np.abs(step)))
+        if size > _MAX_STEP:
+            step *= _MAX_STEP / size
         t = t + step
+        im_max = max(im_max, float(np.max(np.abs(t.imag))))
+        if im_max > _RUNOFF_IM_T:
+            break
+    where = f"(final |grad| = {gnorm:.3e}, max |Im t| = {im_max:.3g})"
+    if im_max > _RUNOFF_IM_T:
+        raise ConvergenceError(
+            f"Newton iterate ran off past |Im t| = {_RUNOFF_IM_T} {where}")
     raise ConvergenceError(
-        f"Newton correction did not reach |grad| < {tol} in {max_iter} iterations")
+        f"Newton did not reach |grad| < {tol} in {max_iter} iterations {where}")
 
 
 def _S_partial_dtau(t: np.ndarray, nome: Nome, rs: RootSystemData,
@@ -353,27 +291,15 @@ def eigenvalue_elliptic(pt: EllipticPoint, xi: Weight, rs: RootSystemData,
 # membership and reports
 
 
-def membership_F(point: Point, xi: Weight, rs: RootSystemData,
+def membership_F(point: EllipticPoint, xi: Weight, rs: RootSystemData,
                  idx: BetheIndexing, threshold: float = _MEMBERSHIP_TOL) -> bool:
     """True iff every factor of Phi is finite and non-zero at the point
-    (all factor magnitudes above ``threshold``)."""
+    (all theta-factor magnitudes above ``threshold``)."""
     _check_sizes(point.m, xi, rs, idx)
     K = idx.pair_coupling
     mask1 = _first_color_mask(idx)
     coupled = (K != 0) & ~np.eye(idx.m, dtype=bool)
-    if isinstance(point, TrigPoint):
-        T = point.T
-        if not np.all(np.isfinite(T)):
-            return False
-        if np.any(np.abs(T) <= threshold):
-            return False
-        if np.any(np.abs(1.0 - T[mask1]) <= threshold):
-            return False
-        D = T[:, None] - T[None, :]
-        return not np.any(np.abs(D[coupled]) <= threshold)
     t, nome = point.t, point.nome
-    if not np.all(np.isfinite(t)):
-        return False
     if np.any(mask1):
         vals = np.abs(np.atleast_1d(theta(t[mask1], nome).value))
         if np.any(vals <= threshold):
@@ -386,16 +312,12 @@ def membership_F(point: Point, xi: Weight, rs: RootSystemData,
     return True
 
 
-def make_report(point: Point, xi: Weight, rs: RootSystemData,
+def make_report(point: EllipticPoint, xi: Weight, rs: RootSystemData,
                 idx: BetheIndexing) -> CriticalReport:
-    """Assemble the CriticalReport (gradient norm, Hessian determinant of
-    -log Phi, membership) for a trigonometric or elliptic point."""
+    """Assemble the CriticalReport (gradient norm and Hessian determinant of
+    -log Phi in t, membership) for a point at any nome, p = 0 included."""
     in_f = membership_F(point, xi, rs, idx)
-    if isinstance(point, TrigPoint):
-        grad = log_phi_tri_grad(point, xi, rs, idx)
-        _, det = hessian_tri(point, xi, rs, idx)
-    else:
-        grad = log_phi_tau_grad(point, xi, rs, idx)
-        _, det = hessian_tau(point, xi, rs, idx)
+    grad = log_phi_tau_grad(point, xi, rs, idx)
+    _, det = hessian_tau(point, xi, rs, idx)
     return CriticalReport(point=point, grad_norm=float(np.linalg.norm(grad)),
                           hessian_det=det, in_F=in_f)

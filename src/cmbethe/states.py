@@ -53,7 +53,7 @@ import numpy as np
 
 from .elliptic import Nome, PoleError, sigma_lambda, wp_shifted
 from .errors import DomainError, MembershipError, ResourceError
-from .master import EllipticPoint, TrigPoint, membership_F
+from .master import EllipticPoint, membership_F
 from .weights import (BetheIndexing, RootSystemData, Weight, admissible,
                       build_indexing, root_system)
 
@@ -137,12 +137,14 @@ def _pair_diff_guard(x: np.ndarray, N: int) -> None:
                     f"the unsymmetrized state")
 
 
-def _omega_tri_raw(point: TrigPoint, xi: Weight, rs: RootSystemData,
+def _omega_tri_raw(point: EllipticPoint, xi: Weight, rs: RootSystemData,
                    idx: BetheIndexing) -> Evaluator:
     """omega_tri as a function of x, without base-point normalization."""
+    if point.nome.p != 0:
+        raise DomainError("omega_tri needs a p = 0 point")
     if not membership_F(point, xi, rs, idx):
         raise MembershipError("T is outside F (a factor of Phi_tri vanishes)")
-    T = np.asarray(point.T, dtype=complex)
+    T = point.to_T()
     N, l, m = rs.N, rs.l, idx.m
     xi_f = np.asarray(xi.coords, dtype=float)
     c = idx.c
@@ -274,11 +276,12 @@ def _normalized(raw: Evaluator, N: int) -> Evaluator:
     return evaluator
 
 
-def omega_tri(point: TrigPoint, xi: Weight, rs: RootSystemData,
+def omega_tri(point: EllipticPoint, xi: Weight, rs: RootSystemData,
               idx: BetheIndexing) -> Evaluator:
     """The trigonometric Bethe vector omega_tri, normalized to 1 at x*.
 
-    Takes x = (x_1, ..., x_N) (shape (N,) or batched (M, N)); the X variables
+    ``point`` is a p = 0 point, read in T = exp(-2 pi i t).  Takes
+    x = (x_1, ..., x_N) (shape (N,) or batched (M, N)); the X variables
     are e^{2 pi i x_i}.  Requires T in F_{N,l}; a collision T_k = T_{f(k)} in
     a paired slot raises PoleError, x_i = x_j (mod 1) at evaluation raises
     PoleError.
@@ -323,7 +326,7 @@ def symmetrize(evaluator: Evaluator, N: int, l: int) -> Evaluator:
     return sym
 
 
-def sym_omega_tri_nonvanishing(point: TrigPoint, xi: Weight,
+def sym_omega_tri_nonvanishing(point: EllipticPoint, xi: Weight,
                                rs: RootSystemData, idx: BetheIndexing,
                                n_samples: int = 6,
                                threshold: float = 1e-8) -> bool:
@@ -349,7 +352,7 @@ class BetheState:
     evaluator Sym^(l) omega (built from the x*-normalized omega)."""
 
     xi: Weight
-    point: TrigPoint | EllipticPoint
+    point: EllipticPoint
     nome: Optional[Nome]            # None marks the trigonometric limit
     evaluator: Evaluator
     eigenvalue: Optional[complex]
@@ -359,9 +362,10 @@ class BetheState:
         return self.nome is None or self.nome.p == 0
 
 
-def bethe_state_tri(point: TrigPoint, xi: Weight, rs: RootSystemData,
+def bethe_state_tri(point: EllipticPoint, xi: Weight, rs: RootSystemData,
                     idx: BetheIndexing) -> BetheState:
-    """The trigonometric state; its eigenvalue is the limit value 2 pi^2 (xi, xi)."""
+    """The trigonometric state at a p = 0 point; its eigenvalue is the limit
+    value 2 pi^2 (xi, xi)."""
     ev = symmetrize(omega_tri(point, xi, rs, idx), rs.N, rs.l)
     xi_f = np.asarray(xi.coords, dtype=float)
     return BetheState(xi=xi, point=point, nome=None, evaluator=ev,
@@ -399,7 +403,7 @@ def jack_proportionality(state: BetheState, jack, l: int,
     (un-normalized) omega_tri so the constant is convention-fixed: for N=2,
     l=1, xi = 3 Lambda_1 it equals 1/2 exactly.
     """
-    if not isinstance(state.point, TrigPoint):
+    if not state.is_trig:
         raise DomainError("proportionality test requires a trigonometric state")
     N = len(state.xi.coords)
     rs = root_system(N, l)
@@ -503,8 +507,7 @@ def residual_check(state: BetheState, grid_n: int = 64, fd_h: float = 1e-3,
 def _infer_l(state: BetheState) -> int:
     """l from the Bethe-root length m = l N (N-1)/2."""
     N = len(state.xi.coords)
-    m = len(state.point.T) if isinstance(state.point, TrigPoint) \
-        else len(state.point.t)
+    m = state.point.m
     lval, rem = divmod(2 * m, N * (N - 1))
     if rem:
         raise DomainError(f"point length {m} is not l N(N-1)/2 for N = {N}")

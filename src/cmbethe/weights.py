@@ -244,31 +244,20 @@ def e0(N: int, l: int) -> float:
     return math.pi ** 2 * (l + 1) ** 2 * N * (N * N - 1) / 6.0
 
 
-@dataclass(frozen=True)
-class TargetEigenvalue:
-    """The two published candidates for the p -> 0 eigenvalue limit of a state
-    labeled by dominant lambda:
+def target_eigenvalue(lam: Weight, N: int, l: int) -> float:
+    """The p -> 0 eigenvalue limit of the state labeled by dominant lambda,
 
-        without_term = 2 pi^2 E_lambda^[1/(l+1)] + e0          ( = 2 pi^2 (xi,xi) )
-        with_term    = without_term + (pi^2/6) N(N-1) l(l+1)
+        2 pi^2 E_lambda^[1/(l+1)] + e0  ( = 2 pi^2 (xi, xi) ).
 
-    The spectral residual tests arbitrate; the continuation limit matches
-    ``without_term`` under this package's conventions.
+    A published variant adds the constant (pi^2/6) N(N-1) l(l+1); the
+    spectral residual tests arbitrate, and the continuation limit matches
+    the value returned here under this package's conventions.
     """
-
-    with_term: float
-    without_term: float
-
-
-def target_eigenvalue(lam: Weight, N: int, l: int) -> TargetEigenvalue:
-    """Both p -> 0 eigenvalue-limit variants for dominant lambda."""
     if lam.N != N:
         raise DomainError(f"lambda has N={lam.N}, expected {N}")
     if not lam.in_P_plus:
         raise DomainError(f"lambda must be dominant, got {lam!r}")
-    base = 2 * math.pi ** 2 * float(jack_energy(lam, Fraction(1, l + 1))) + e0(N, l)
-    extra = math.pi ** 2 / 6.0 * N * (N - 1) * l * (l + 1)
-    return TargetEigenvalue(with_term=base + extra, without_term=base)
+    return 2 * math.pi ** 2 * float(jack_energy(lam, Fraction(1, l + 1))) + e0(N, l)
 
 
 # ---------------------------------------------------------------------------

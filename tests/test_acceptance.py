@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from cmbethe import (
-    TrigPoint,
+    Nome,
     Weight,
     admissible,
     bethe_crosscheck,
@@ -46,7 +46,7 @@ from cmbethe import (
     jack_expand,
     jack_proportionality,
     n3_closed_form_displays,
-    newton_trig,
+    newton_polish_tau,
     residual_check,
     root_system,
     rs_series,
@@ -57,6 +57,20 @@ from cmbethe import (
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
+
+
+def det_T(report):
+    """A p = 0 report's t-Hessian determinant in the closed forms' T
+    convention: det H_t = Prod_k (-2 pi i T_k)^2 det H_T at a root."""
+    T = report.point.to_T()
+    return report.hessian_det / np.prod((-2j * math.pi * T) ** 2)
+
+
+def target_with_term(lam, N, l):
+    """The rejected p -> 0 eigenvalue variant: the library target plus the
+    extra constant (pi^2/6) N(N-1) l(l+1)."""
+    return (target_eigenvalue(lam, N, l)
+            + math.pi ** 2 / 6.0 * N * (N - 1) * l * (l + 1))
 
 
 def _gate(k: int, ok: bool, detail: str) -> None:
@@ -93,20 +107,20 @@ def test_criterion_1_n2_closed_forms():
             point, report = closed_form_n2(m1, l)
             exact = [float(s) for s in sigma_closed_form(m1, l)]
             jitter = 1.0 + 0.02 * rng.standard_normal(l)
-            refined = newton_trig(
-                TrigPoint(list(np.asarray(point.T) * jitter)), xi, rs, idx)
-            got = elementary_symmetric(refined.point.T)
+            t_seed = np.log(point.to_T() * jitter) / (-2j * math.pi)
+            refined = newton_polish_tau(t_seed, xi, rs, idx, Nome(p=0.0))
+            got = elementary_symmetric(np.exp(-2j * math.pi * refined))
             worst_sigma = max(worst_sigma, max(
                 abs(g - e) for g, e in zip(got, exact)))
             delta_c = delta_closed_form_n2(m1, l)
-            worst_delta = max(worst_delta, abs(delta_direct(point) - delta_c)
+            worst_delta = max(worst_delta, abs(delta_direct(point.to_T()) - delta_c)
                               / max(1.0, abs(delta_c)))
             hess_c = hess_closed_form_n2(m1, l)
-            worst_hess = max(worst_hess, abs(report.hessian_det - hess_c)
+            worst_hess = max(worst_hess, abs(det_T(report) - hess_c)
                              / max(1.0, abs(hess_c)))
     _, rep31 = closed_form_n2(3, 1)
     gap16 = max(abs(float(hess_closed_form_n2(3, 1)) + 16.0),
-                abs(rep31.hessian_det + 16.0))
+                abs(det_T(rep31) + 16.0))
     ok = (worst_sigma < 1e-10 and worst_delta < 1e-9
           and worst_hess < 1e-9 and gap16 < 1e-12)
     _gate(1, ok,
@@ -125,16 +139,16 @@ def test_criterion_2_n3_closed_forms():
         point, report = closed_form_n3_l1(m1, m2)[0]
         disp = n3_closed_form_displays(m1, m2)
         worst_grad = max(worst_grad, report.grad_norm)
-        t1, t2 = point.T[0], point.T[1]
+        t1, t2 = point.to_T()[:2]
         prod_disp = disp["prod_sq_factor"] * disp["prod_sq_display"]
         worst_prod = max(
             worst_prod,
             abs(t1 * t2 - disp["T1T2"]) / max(1.0, abs(disp["T1T2"])),
             abs((1 - t1) * (1 - t2) - disp["one_minus_T1_one_minus_T2"])
             / max(1.0, abs(disp["one_minus_T1_one_minus_T2"])),
-            abs(delta_direct(point) - prod_disp) / max(1.0, abs(prod_disp)))
+            abs(delta_direct(point.to_T()) - prod_disp) / max(1.0, abs(prod_disp)))
         hess_disp = disp["hessian_factor"] * disp["hessian_display"]
-        worst_hess = max(worst_hess, abs(report.hessian_det - hess_disp)
+        worst_hess = max(worst_hess, abs(det_T(report) - hess_disp)
                          / max(1.0, abs(hess_disp)))
     ok = worst_grad < 1e-12 and worst_prod < 1e-10 and worst_hess < 1e-9
     _gate(2, ok,
@@ -252,10 +266,9 @@ def test_criterion_5_spectral_verification():
                               eigenvalue_mode="partial")
         e5 = complex(path5.endpoint.eigenvalue).real
         tgt = target_eigenvalue(Weight(list(lam)), N, l)
-        worst_tgt = max(worst_tgt,
-                        abs(e5 - tgt.without_term) / abs(tgt.without_term))
-        min_other = min(min_other,
-                        abs(e5 - tgt.with_term) / abs(tgt.with_term))
+        other = target_with_term(Weight(list(lam)), N, l)
+        worst_tgt = max(worst_tgt, abs(e5 - tgt) / abs(tgt))
+        min_other = min(min_other, abs(e5 - other) / abs(other))
     ok = (worst_res < 1e-4 and worst_ev < 1e-4 and worst_tgt < 1e-3
           and set(modes) == {"partial"} and min_other > 1e-3)
     _gate(5, ok,

@@ -261,6 +261,26 @@ class TestVerifyCommand:
         assert code == 2
         assert payload["error"]["code"] == "DOMAIN"
 
+    @pytest.mark.parametrize("N,l,lam", [(3, 2, "1,0,-1"), (4, 1, "1,0,0,-1")])
+    def test_levels_beyond_closed_forms_pass(self, capsys, N, l, lam):
+        """The search seeds levels with no closed form (the T-coordinate
+        search exited 3 with CONVERGENCE here) and every check passes."""
+        code, payload, _ = run_cli(
+            capsys, "verify", "--N", str(N), "--l", str(l), "--lambda", lam)
+        assert code == 0, payload
+        assert payload["verdict"] == "PASS"
+        assert all(c["pass"] for c in payload["checks"])
+
+    def test_large_l_jack_spread_canary(self, capsys):
+        """N=2 l=12 lambda=(1,-1) is the largest ladder level whose Jack
+        spread meets the unchanged 1e-9 tolerance."""
+        code, payload, _ = run_cli(
+            capsys, "verify", "--N", "2", "--l", "12", "--lambda", "1,-1")
+        assert code == 0
+        check = {c["name"]: c for c in payload["checks"]}["jack_ratio_spread"]
+        assert check["tolerance"] == 1e-9
+        assert check["pass"], check
+
 
 class TestVerifySharedChain:
     """cm verify searches and continues once; the perturbation gap is

@@ -1,11 +1,14 @@
 """Tests for critical-point construction and continuation in the nome.
 
-The N=2 and N=3 (l=1) closed forms are exact rational-root constructions, so
-they double as oracles for the Newton solver and for the discriminant/Hessian
-product formulas.  Continuation is checked against the analytically known
-endpoint t(0) = log 2 / (2 pi i) of the N=2, m1 = 3 state, against the
-expected O(p) drift of the Bethe root, and against its own path invariants
-(every accepted point is a converged, in-domain Bethe root).
+The N=2 and N=3 (l=1) closed forms are exact rational-root constructions in
+T = exp(-2 pi i t), so they double as oracles for the Newton solver (run in
+t at p = 0) and for the discriminant/Hessian product formulas; reported
+t-Hessian determinants convert to the T convention exactly at a root by
+det H_t = Prod_k (-2 pi i T_k)^2 det H_T.  Continuation is checked against
+the analytically known endpoint t(0) = log 2 / (2 pi i) of the N=2, m1 = 3
+state, against the expected O(p) drift of the Bethe root, and against its
+own path invariants (every accepted point is a converged, in-domain Bethe
+root).
 """
 
 import cmath
@@ -28,19 +31,22 @@ from cmbethe.critical import (
     find_admissible_critical_point,
     hess_closed_form_n2,
     n3_closed_form_displays,
-    newton_trig,
     sigma_closed_form,
 )
+from cmbethe import critical
+from cmbethe.elliptic import Nome
 from cmbethe.errors import (
     ConvergenceError,
     DegeneracyError,
     DomainError,
     MembershipError,
 )
-from cmbethe.master import TrigPoint
+from cmbethe.master import EllipticPoint, hessian_tau, newton_polish_tau
+from cmbethe.states import sym_omega_tri_nonvanishing
 from cmbethe.weights import (
     Weight,
     build_indexing,
+    lambda_to_xi,
     root_system,
     weight_from_lambda_coords,
 )
@@ -54,6 +60,24 @@ IDX31 = build_indexing(3, 1)
 XI_33 = weight_from_lambda_coords([3, 3], 3)
 
 T0_M3 = cmath.log(2) / (2j * cmath.pi)  # elliptic coordinate of T = 1/2 at p=0
+P0 = Nome(p=0.0)
+
+
+def t_of(T):
+    """t = log T / (-2 pi i), the p = 0 coordinates of T."""
+    return np.log(np.asarray(T, dtype=complex)) / (-2j * math.pi)
+
+
+def polish(T, xi, rs, idx, **kw):
+    """The one Newton at p = 0 from T coordinates; returns the root's T."""
+    t = newton_polish_tau(t_of(T), xi, rs, idx, P0, tol=NEWTON_TOL, **kw)
+    return np.exp(-2j * math.pi * t)
+
+
+def det_T(report):
+    """The report's t-Hessian determinant in the T convention."""
+    T = report.point.to_T()
+    return report.hessian_det / np.prod((-2j * math.pi * T) ** 2)
 
 
 def n2_xi(m1):
@@ -73,7 +97,8 @@ class TestClosedFormN2:
     def test_l1_m3_is_one_half(self):
         assert sigma_closed_form(3, 1) == [Fraction(1, 2)]
         point, report = closed_form_n2(3, 1)
-        assert abs(point.T[0] - 0.5) < 1e-14, f"T = {point.T}"
+        T = point.to_T()
+        assert abs(T[0] - 0.5) < 1e-14, f"T = {T}"
         assert report.grad_norm < 1e-12
         assert report.in_F
 
@@ -82,12 +107,13 @@ class TestClosedFormN2:
 
     def test_l2_m4_roots_solve_quadratic(self):
         point, report = closed_form_n2(4, 2)
-        for t in point.T:
+        T = point.to_T()
+        for t in T:
             res = t * t - 0.8 * t + 0.2
             assert abs(res) < 1e-12, f"z^2 - (4/5) z + 1/5 at {t}: {res}"
         assert report.grad_norm < 1e-12
         # complex-conjugate pair 0.4 +/- 0.2i
-        assert abs(point.T[0] - np.conj(point.T[1])) < 1e-12
+        assert abs(T[0] - np.conj(T[1])) < 1e-12
 
     def test_degenerate_m1_refused(self):
         for l in (1, 2, 3):
@@ -100,7 +126,7 @@ class TestClosedFormN2:
     def test_m1_zero_is_not_degenerate(self):
         # m1 = 0 escapes the vanishing-factor set: T = -1 with zero gradient.
         point, report = closed_form_n2(0, 1)
-        assert abs(point.T[0] - (-1.0)) < 1e-14
+        assert abs(point.to_T()[0] - (-1.0)) < 1e-14
         assert report.grad_norm < 1e-12
 
     def test_noninteger_m1_accepted(self):
@@ -112,7 +138,7 @@ class TestClosedFormN2:
             for m1 in range(l + 2, l + 7):
                 point, _ = closed_form_n2(m1, l)
                 closed = delta_closed_form_n2(m1, l)
-                direct = delta_direct(point)
+                direct = delta_direct(point.to_T())
                 assert abs(direct - closed) < 1e-9 * max(1.0, abs(closed)), (
                     f"l={l} m1={m1}: delta direct {direct} vs closed {closed}")
 
@@ -121,9 +147,9 @@ class TestClosedFormN2:
             for m1 in range(l + 2, l + 7):
                 _, report = closed_form_n2(m1, l)
                 closed = hess_closed_form_n2(m1, l)
-                assert abs(report.hessian_det - closed) < 1e-9 * max(
+                assert abs(det_T(report) - closed) < 1e-9 * max(
                     1.0, abs(closed)), (
-                    f"l={l} m1={m1}: hess {report.hessian_det} vs {closed}")
+                    f"l={l} m1={m1}: hess {det_T(report)} vs {closed}")
 
 
 class TestClosedFormN3L1:
@@ -132,7 +158,7 @@ class TestClosedFormN3L1:
     def test_point_33(self):
         reps = closed_form_n3_l1(3, 3)
         point, report = reps[0]
-        t1, t2, t3 = point.T
+        t1, t2, t3 = point.to_T()
         assert abs(t3 - 5.0 / 14.0) < 1e-14, f"T3 = {t3}"
         root = (8 + 1j * math.sqrt(6)) / 14
         assert abs(t1 - root) < 1e-12 or abs(t2 - root) < 1e-12
@@ -144,14 +170,15 @@ class TestClosedFormN3L1:
     def test_both_orderings_returned(self):
         reps = closed_form_n3_l1(3, 3)
         assert len(reps) == 2
-        a, b = reps[0][0].T, reps[1][0].T
+        a, b = reps[0][0].to_T(), reps[1][0].to_T()
         assert abs(a[0] - b[1]) < 1e-14 and abs(a[1] - b[0]) < 1e-14
         for _, report in reps:
             assert report.grad_norm < 1e-12
 
     def test_point_22(self):
         reps = closed_form_n3_l1(2, 2)
-        assert abs(reps[0][0].T[2] - 0.2) < 1e-14, f"T3 = {reps[0][0].T[2]}"
+        T3 = reps[0][0].to_T()[2]
+        assert abs(T3 - 0.2) < 1e-14, f"T3 = {T3}"
         assert reps[0][1].grad_norm < 1e-12
 
     def test_excluded_parameters_refused(self):
@@ -165,15 +192,15 @@ class TestClosedFormN3L1:
             point, report = closed_form_n3_l1(m1, m2)[0]
             assert disp["prod_sq_factor"] == -8.0
             assert disp["hessian_factor"] == -1.0
-            prod_direct = delta_direct(point)
+            prod_direct = delta_direct(point.to_T())
             prod_disp = disp["prod_sq_factor"] * disp["prod_sq_display"]
             assert abs(prod_direct - prod_disp) < 1e-9 * max(
                 1.0, abs(prod_disp)), (
                 f"({m1},{m2}): prod {prod_direct} vs {prod_disp}")
             hess_disp = disp["hessian_factor"] * disp["hessian_display"]
-            assert abs(report.hessian_det - hess_disp) < 1e-9 * max(
+            assert abs(det_T(report) - hess_disp) < 1e-9 * max(
                 1.0, abs(hess_disp)), (
-                f"({m1},{m2}): hess {report.hessian_det} vs {hess_disp}")
+                f"({m1},{m2}): hess {det_T(report)} vs {hess_disp}")
 
     def test_display_identities_33(self):
         disp = n3_closed_form_displays(3, 3)
@@ -182,37 +209,54 @@ class TestClosedFormN3L1:
 
 
 class TestNewtonTrig:
-    """Damped Newton on the trigonometric Bethe equations."""
+    """Newton on the trigonometric Bethe equations: the elliptic Newton in t
+    at p = 0, with capped steps."""
 
     def test_converges_from_nearby_seed(self):
-        report = newton_trig(TrigPoint([0.4]), XI_3L1, RS21, IDX21)
-        assert abs(report.point.T[0] - 0.5) < 1e-12, f"T = {report.point.T}"
-        assert report.grad_norm < NEWTON_TOL
+        T = polish([0.4], XI_3L1, RS21, IDX21)
+        assert abs(T[0] - 0.5) < 1e-12, f"T = {T}"
 
     def test_converges_from_far_seed(self):
-        report = newton_trig(TrigPoint([0.999]), XI_3L1, RS21, IDX21)
-        assert abs(report.point.T[0] - 0.5) < 1e-12, f"T = {report.point.T}"
+        T = polish([0.999], XI_3L1, RS21, IDX21)
+        assert abs(T[0] - 0.5) < 1e-12, f"T = {T}"
 
     def test_already_critical_seed_returns_immediately(self):
-        report = newton_trig(TrigPoint([0.5]), XI_3L1, RS21, IDX21)
-        assert report.grad_norm == 0.0
-        assert abs(report.point.T[0] - 0.5) == 0.0
+        t0 = t_of([0.5])
+        t = newton_polish_tau(t0, XI_3L1, RS21, IDX21, P0, max_iter=0)
+        assert np.array_equal(t, t0)
 
     def test_iteration_budget_exhaustion(self):
         with pytest.raises(ConvergenceError):
-            newton_trig(TrigPoint([0.999]), XI_3L1, RS21, IDX21, max_iter=1)
+            polish([0.999], XI_3L1, RS21, IDX21, max_iter=1)
+
+    def test_failure_reports_where_iterates_went(self):
+        """The ConvergenceError names the final |grad| and the largest
+        |Im t| the iterates reached."""
+        with pytest.raises(ConvergenceError) as info:
+            polish([0.999], XI_3L1, RS21, IDX21, max_iter=1)
+        msg = str(info.value)
+        assert "final |grad| = " in msg and "max |Im t| = " in msg, msg
+        grad = float(msg.split("final |grad| = ")[1].split(",")[0])
+        im_t = float(msg.split("max |Im t| = ")[1].rstrip(")"))
+        assert grad > NEWTON_TOL and 0 < im_t < 0.11, msg
+
+    def test_runaway_iterate_raises_convergence_error(self):
+        """An iterate past max |Im t| = 3 (|T| beyond about e^19) stops the
+        Newton with ConvergenceError instead of a theta overflow."""
+        with pytest.raises(ConvergenceError, match=r"ran off .* max \|Im t\| = 3"):
+            polish([1e6], XI_3L1, RS21, IDX21, max_iter=200)
 
     def test_seed_outside_domain_refused(self):
-        for bad in (1.0 + 0j, 0.0 + 0j):
+        # T = 1 at t = 0 and one period over (T = 0 has no finite t)
+        for bad in (0.0 + 0j, 1.0 + 0j):
             with pytest.raises(MembershipError):
-                newton_trig(TrigPoint([bad]), XI_3L1, RS21, IDX21)
+                newton_polish_tau(np.array([bad]), XI_3L1, RS21, IDX21, P0)
 
     def test_n3_converges_to_closed_form(self):
-        target = closed_form_n3_l1(3, 3)[0][0].T
-        seed = TrigPoint(target * 1.05 + 0.01)
-        report = newton_trig(seed, XI_33, RS31, IDX31)
-        assert np.linalg.norm(report.point.T - target) < 1e-10, (
-            f"Newton endpoint {report.point.T} vs closed form {target}")
+        target = closed_form_n3_l1(3, 3)[0][0].to_T()
+        T = polish(target * 1.05 + 0.01, XI_33, RS31, IDX31)
+        assert np.linalg.norm(T - target) < 1e-10, (
+            f"Newton endpoint {T} vs closed form {target}")
 
     def test_newton_recovers_sigma_sweep(self):
         rng = np.random.default_rng(7)
@@ -222,10 +266,9 @@ class TestNewtonTrig:
                 point, _ = closed_form_n2(m1, l)
                 jitter = 1.0 + 0.02 * (rng.random(l) - 0.5) \
                     + 0.02j * (rng.random(l) - 0.5)
-                report = newton_trig(TrigPoint(point.T * jitter),
-                                     n2_xi(m1), root_system(2, l),
-                                     build_indexing(2, l))
-                got = elementary_symmetric(report.point.T)
+                T = polish(point.to_T() * jitter, n2_xi(m1),
+                           root_system(2, l), build_indexing(2, l))
+                got = elementary_symmetric(T)
                 for k, (g, s) in enumerate(zip(got, sigmas), start=1):
                     assert abs(g - s) < 1e-10, (
                         f"l={l} m1={m1}: sigma_{k} = {g} vs {s}")
@@ -237,14 +280,14 @@ class TestFindAdmissible:
     def test_n2_m3_identity_permutation(self):
         sigma, report = find_admissible_critical_point(XI_3L1, RS21, IDX21)
         assert sigma == (0, 1)
-        assert abs(report.point.T[0] - 0.5) < 1e-12
+        assert abs(report.point.to_T()[0] - 0.5) < 1e-12
         assert report.grad_norm < 1e-12
 
     def test_n3_33_identity_permutation(self):
         sigma, report = find_admissible_critical_point(XI_33, RS31, IDX31)
         assert sigma == (0, 1, 2)
-        assert abs(report.point.T[2] - 5.0 / 14.0) < 1e-10, (
-            f"T3 = {report.point.T[2]}")
+        T3 = report.point.to_T()[2]
+        assert abs(T3 - 5.0 / 14.0) < 1e-10, f"T3 = {T3}"
 
     def test_inadmissible_weight_refused(self):
         with pytest.raises(DomainError):
@@ -255,6 +298,33 @@ class TestFindAdmissible:
         _, report = find_admissible_critical_point(XI_33, RS31, IDX31)
         assert abs(report.hessian_det) > 1e-9
         assert report.in_F
+
+    @pytest.mark.parametrize("N,l,lam", [
+        (3, 2, (1, 0, -1)), (3, 3, (0, 0, 0)), (4, 1, (1, 0, 0, -1))])
+    def test_search_seeds_beyond_closed_forms(self, N, l, lam):
+        """Levels without a closed form: the search returns a p = 0 root in
+        F with a non-degenerate Hessian and non-vanishing Sym omega_tri
+        (the T-coordinate search raised ConvergenceError here)."""
+        rs, idx = root_system(N, l), build_indexing(N, l)
+        xi = lambda_to_xi(Weight(list(lam)), rs)
+        sigma, report = find_admissible_critical_point(xi, rs, idx)
+        xi_s = Weight([xi.exact[i] for i in sigma])
+        assert report.point.nome.p == 0
+        assert report.grad_norm < NEWTON_TOL
+        assert report.in_F
+        H, _ = hessian_tau(report.point, xi_s, rs, idx)
+        scale = max(1.0, float(np.abs(np.diag(H)).prod()))
+        assert abs(report.hessian_det) > critical.HESS_DEGENERACY_TOL * scale
+        assert sym_omega_tri_nonvanishing(report.point, xi_s, rs, idx)
+
+    def test_exhaustion_quotes_seed_failures(self, monkeypatch):
+        monkeypatch.setattr(critical, "SEARCH_MAX_ITER", 1)
+        rs, idx = root_system(3, 2), build_indexing(3, 2)
+        xi = lambda_to_xi(Weight([1, 0, -1]), rs)
+        with pytest.raises(ConvergenceError) as info:
+            find_admissible_critical_point(xi, rs, idx, n_seeds=3)
+        msg = str(info.value)
+        assert "seeds failed" in msg and "final |grad| = " in msg, msg
 
 
 class TestContinueNome:
@@ -333,6 +403,13 @@ class TestContinueNome:
     def test_too_few_steps_refused(self):
         with pytest.raises(DomainError):
             continue_nome(self.seed(), XI_3L1, RS21, IDX21, 1e-3, steps=0)
+
+    def test_elliptic_seed_refused(self):
+        seed = self.seed()
+        moved = dataclasses.replace(
+            seed, point=EllipticPoint(seed.point.t, Nome(p=1e-3)))
+        with pytest.raises(DomainError):
+            continue_nome(moved, XI_3L1, RS21, IDX21, 1e-2)
 
     def test_degenerate_seed_refused(self):
         bad = dataclasses.replace(self.seed(), hessian_det=0.0)

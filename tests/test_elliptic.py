@@ -354,12 +354,28 @@ class TestWp:
                 wp(bad, nm)
 
 
+def _eta_unweighted(p):
+    """The rejected eta convention pi^2 (1/6 - 4 Sum p^n/(1-p^n)), kept as
+    test evidence: it agrees with the library's quasi-period eta at O(p)
+    only (the library's wp_shifted once offered it as an option)."""
+    total, p_n = 0.0, 1.0
+    for _ in range(1, 100000):
+        p_n *= p
+        if p_n == 0:
+            break
+        term = p_n / (1.0 - p_n)
+        total += term
+        if abs(term) <= 1e-16 * max(1.0, abs(total)):
+            break
+    return math.pi ** 2 * (1.0 / 6.0 - 4.0 * total)
+
+
 class TestEtaConstants:
-    """The unweighted and weighted eta series."""
+    """The library's (weighted, quasi-period) eta series and the rejected
+    unweighted one."""
 
     def test_trig_limit_is_pi_squared_over_six(self):
-        for weighted in (False, True):
-            val = eta_const(Nome(p=0.0), weighted=weighted)
+        for val in (_eta_unweighted(0.0), eta_const(Nome(p=0.0))):
             assert abs(val - math.pi ** 2 / 6.0) < 1e-15, f"eta(p=0) = {val}"
 
     def test_real_for_real_nome(self):
@@ -379,19 +395,19 @@ class TestEtaConstants:
 
     def test_unweighted_against_divisor_count_series(self):
         for p in (0.05, 0.1, 0.2):
-            val = eta_const(Nome(p=p))
+            val = _eta_unweighted(p)
             oracle = self._divisor_sum_series(p, weighted=False)
             assert abs(val - oracle) < 1e-13, f"eta(p={p}): {val} vs {oracle}"
 
     def test_weighted_against_divisor_sum_series(self):
         for p in (0.05, 0.1, 0.2):
-            val = eta_const(Nome(p=p), weighted=True)
+            val = eta_const(Nome(p=p))
             oracle = self._divisor_sum_series(p, weighted=True)
             assert abs(val - oracle) < 1e-13, f"eta_w(p={p}): {val} vs {oracle}"
 
     def test_frozen_value_at_p_one_tenth(self):
         # the inner sum Sum p^n/(1-p^n) at p = 0.1 is 0.12232404557909517...
-        val = eta_const(Nome(p=0.1))
+        val = _eta_unweighted(0.1)
         assert abs(val - (-3.1842334982701304)) < 1e-12, f"eta(0.1) = {val}"
 
     def test_weighted_equals_theta_third_derivative_ratio(self):
@@ -401,7 +417,7 @@ class TestEtaConstants:
         d1 = theta1(0.0, nm).d_x
         d3 = (theta1(h, nm).d_x - 2 * d1 + theta1(-h, nm).d_x) / h ** 2
         fd_eta = -d3 / d1 / 6.0
-        val = eta_const(nm, weighted=True)
+        val = eta_const(nm)
         assert abs(val - fd_eta) < 1e-5, f"eta_w {val} vs FD {fd_eta}"
 
 
@@ -419,9 +435,10 @@ class TestWpShifted:
     def test_default_uses_weighted_eta(self):
         nm = Nome(p=0.1)
         x = 0.3
-        assert wp_shifted(x, nm) == wp(x, nm) + 2 * eta_const(nm, weighted=True)
-        assert wp_shifted(x, nm, weighted_eta=False) == \
-            wp(x, nm) + 2 * eta_const(nm, weighted=False)
+        assert wp_shifted(x, nm) == wp(x, nm) + 2 * eta_const(nm)
+        # the rejected unweighted eta shifts the potential by a constant
+        gap = wp_shifted(x, nm) - (wp(x, nm) + 2 * _eta_unweighted(0.1))
+        assert abs(gap - 2 * (eta_const(nm) - _eta_unweighted(0.1))) < 1e-12
 
     def test_fourier_cosine_expansion(self):
         """With the weighted eta, for real s:

@@ -1,10 +1,14 @@
 """Tests for the master functions: log-gradients, Hessians, the eigenvalue
 functional, and the trigonometric degeneration.
 
-The hand-derivable N=2 and N=3 (l=1) closed-form values anchor the sign and
-exponent conventions; finite differences validate every derivative; the
-chain rule between the elliptic and trigonometric gradients is verified to
-vanish linearly in p.
+The trigonometric equations are the elliptic ones at p = 0, evaluated in t.
+The hand-derivable N=2 and N=3 (l=1) closed-form values, stated in
+T = exp(-2 pi i t), anchor the sign and exponent conventions through the
+exact chain rule grad_t = (-2 pi i T) grad_T and, at a root,
+det H_t = Prod_k (-2 pi i T_k)^2 det H_T; a test-local T-gradient is the
+reference for those cross-checks.  Finite differences validate every
+derivative; the elliptic gradient is verified to approach the image of the
+trigonometric one linearly in p.
 """
 
 import cmath
@@ -14,21 +18,20 @@ import numpy as np
 import pytest
 
 from cmbethe.elliptic import Nome
-from cmbethe.errors import ConvergenceError, DomainError, MembershipError
+from cmbethe.errors import (ConvergenceError, DegeneracyError, DomainError,
+                            MembershipError)
 from cmbethe.master import (
     CriticalReport,
     EllipticPoint,
     S_dtau,
-    TrigPoint,
     eigenvalue_elliptic,
     hessian_tau,
-    hessian_tri,
     log_phi_tau_grad,
-    log_phi_tri_grad,
     make_report,
     membership_F,
     newton_polish_tau,
 )
+from cmbethe.critical import hess_closed_form_n2
 from cmbethe.weights import build_indexing, root_system, weight_from_lambda_coords
 
 RS21 = root_system(2, 1)
@@ -38,6 +41,33 @@ XI_3L1 = weight_from_lambda_coords([3], 2)
 RS31 = root_system(3, 1)
 IDX31 = build_indexing(3, 1)
 XI_33 = weight_from_lambda_coords([3, 3], 3)
+
+P0 = Nome(p=0.0)
+
+
+def trig_point(T):
+    """The p = 0 point with trigonometric coordinates T."""
+    return EllipticPoint(np.log(np.asarray(T, dtype=complex)) / (-2j * math.pi), P0)
+
+
+def t_to_T_det(det_t, T):
+    """det H_T from det H_t at a root: det H_t = Prod_k (-2 pi i T_k)^2 det H_T."""
+    return det_t / np.prod((-2j * math.pi * np.asarray(T)) ** 2)
+
+
+def _log_phi_tri_grad(T, xi, rs, idx):
+    """Reference d log Phi_tri / dT_i in the T variables (no singularity guard)."""
+    T = np.atleast_1d(np.asarray(T, dtype=complex))
+    b = np.array([-np.diff(xi.coords)[c - 1] for c in idx.c], dtype=complex)
+    mask1 = np.array([c == 1 for c in idx.c])
+    K = idx.pair_coupling
+    grad = -(b - 1.0) / T
+    grad[mask1] += rs.l * rs.N / (1.0 - T[mask1])
+    D = T[:, None] - T[None, :]
+    sel = (K != 0) & ~np.eye(idx.m, dtype=bool)
+    contrib = np.zeros_like(D)
+    contrib[sel] = K[sel] / D[sel]
+    return grad + contrib.sum(axis=1)
 
 
 def n3_closed_point(m1, m2):
@@ -51,49 +81,60 @@ def n3_closed_point(m1, m2):
 
 
 class TestTrigGradient:
-    """The Bethe equations in the T variables."""
+    """The Bethe equations at p = 0, in t, against their T-variable form."""
 
     def test_n2_critical_point_has_zero_gradient(self):
-        g = log_phi_tri_grad(TrigPoint([0.5]), XI_3L1, RS21, IDX21)
+        assert abs(_log_phi_tri_grad([0.5], XI_3L1, RS21, IDX21)[0]) == 0.0
+        g = log_phi_tau_grad(trig_point([0.5]), XI_3L1, RS21, IDX21)
         assert abs(g[0]) == 0.0, f"grad at T=1/2: {g}"
 
     def test_n2_off_critical_value(self):
-        g = log_phi_tri_grad(TrigPoint([1.0 / 3.0]), XI_3L1, RS21, IDX21)
-        assert abs(g[0] - (-3.0)) < 1e-12, f"grad at T=1/3: {g} vs -3"
+        g_T = _log_phi_tri_grad([1.0 / 3.0], XI_3L1, RS21, IDX21)
+        assert abs(g_T[0] - (-3.0)) < 1e-12, f"grad_T at T=1/3: {g_T} vs -3"
+        # grad_t = (-2 pi i T) grad_T = 2 pi i
+        g = log_phi_tau_grad(trig_point([1.0 / 3.0]), XI_3L1, RS21, IDX21)
+        assert abs(g[0] - 2j * math.pi) < 1e-12, f"grad at T=1/3: {g} vs 2 pi i"
 
     def test_n3_closed_form_point_is_critical(self):
         T = n3_closed_point(3, 3)
         assert abs(T[2] - 5.0 / 14.0) < 1e-14
-        g = log_phi_tri_grad(TrigPoint(T), XI_33, RS31, IDX31)
+        g = log_phi_tau_grad(trig_point(T), XI_33, RS31, IDX31)
         assert np.linalg.norm(g) < 1e-12, f"grad at N=3 closed form: {g}"
 
     def test_finite_difference_consistency(self):
+        """grad_t at p = 0 against centered differences of log Phi_tri(T(t)),
+        and against the chain-rule image of the reference T-gradient."""
         rng = np.random.default_rng(11)
         h = 1e-6
         for _ in range(10):
             T = 0.3 + rng.random(3) + 0.5j * (rng.random(3) - 0.5)
-            grad = log_phi_tri_grad(TrigPoint(T), XI_33, RS31, IDX31)
+            pt = trig_point(T)
+            grad = log_phi_tau_grad(pt, XI_33, RS31, IDX31)
+            image = (-2j * math.pi * T) * _log_phi_tri_grad(T, XI_33, RS31, IDX31)
+            assert np.abs(grad - image).max() < 1e-12 * max(1.0, np.abs(image).max())
             for i in range(3):
                 for direction in (1.0, 1.0j):
-                    Tp, Tm = T.copy(), T.copy()
-                    Tp[i] += h * direction
-                    Tm[i] -= h * direction
-                    fd = (_log_phi_tri_value(Tp) - _log_phi_tri_value(Tm)) / (2 * h * direction)
+                    tp, tm = pt.t.copy(), pt.t.copy()
+                    tp[i] += h * direction
+                    tm[i] -= h * direction
+                    fd = (_log_phi_tri_value(np.exp(-2j * math.pi * tp))
+                          - _log_phi_tri_value(np.exp(-2j * math.pi * tm))) / (2 * h * direction)
                     rel = abs(grad[i] - fd) / max(1.0, abs(grad[i]))
                     assert rel < 1e-6, f"FD mismatch at i={i}: {grad[i]} vs {fd}"
 
     def test_singular_configurations_raise_membership_error(self):
         with pytest.raises(MembershipError):
-            log_phi_tri_grad(TrigPoint([1.0]), XI_3L1, RS21, IDX21)
+            log_phi_tau_grad(trig_point([1.0]), XI_3L1, RS21, IDX21)
         with pytest.raises(MembershipError):
-            log_phi_tri_grad(TrigPoint([0.0]), XI_3L1, RS21, IDX21)
+            # T = 1 again, one period over (T = 0 has no finite t)
+            log_phi_tau_grad(EllipticPoint([1.0], P0), XI_3L1, RS21, IDX21)
         with pytest.raises(MembershipError):
             # coupled collision T_1 = T_3 (colors 1 and 2 are adjacent)
-            log_phi_tri_grad(TrigPoint([0.4, 0.7, 0.4]), XI_33, RS31, IDX31)
+            log_phi_tau_grad(trig_point([0.4, 0.7, 0.4]), XI_33, RS31, IDX31)
 
     def test_size_validation(self):
         with pytest.raises(DomainError):
-            log_phi_tri_grad(TrigPoint([0.5, 0.5]), XI_3L1, RS21, IDX21)
+            log_phi_tau_grad(trig_point([0.5, 0.5]), XI_3L1, RS21, IDX21)
 
 
 def _log_phi_tri_value(T):
@@ -108,11 +149,12 @@ def _log_phi_tri_value(T):
 
 
 class TestTrigHessian:
-    """Hessian of -log Phi_tri and its closed-form determinants."""
+    """Hessian of -log Phi at p = 0 and the closed-form T-determinants."""
 
     def test_n2_l1_determinant_is_minus_sixteen(self):
-        H, det = hessian_tri(TrigPoint([0.5]), XI_3L1, RS21, IDX21)
-        assert abs(det - (-16.0)) < 1e-12, f"det = {det}"
+        H, det = hessian_tau(trig_point([0.5]), XI_3L1, RS21, IDX21)
+        det_T = t_to_T_det(det, [0.5])
+        assert abs(det_T - (-16.0)) < 1e-12, f"det = {det_T}"
 
     def test_n2_l2_determinant_closed_form(self):
         """l=2, m1=4: critical T are the roots of z^2 - (4/5)z + 1/5; the
@@ -120,28 +162,32 @@ class TestTrigHessian:
         xi = weight_from_lambda_coords([4], 2)
         rs, idx = root_system(2, 2), build_indexing(2, 2)
         roots = np.roots([1.0, -4.0 / 5.0, 1.0 / 5.0])
-        g = log_phi_tri_grad(TrigPoint(roots), xi, rs, idx)
+        g = log_phi_tau_grad(trig_point(roots), xi, rs, idx)
         assert np.linalg.norm(g) < 1e-12, f"closed-form roots not critical: {g}"
-        _, det = hessian_tri(TrigPoint(roots), xi, rs, idx)
-        assert abs(det - 750.0) < 1e-9 * 750.0, f"det = {det} vs 750"
+        _, det = hessian_tau(trig_point(roots), xi, rs, idx)
+        det_T = t_to_T_det(det, roots)
+        assert abs(det_T - 750.0) < 1e-9 * 750.0, f"det = {det_T} vs 750"
 
     def test_symmetry_exact(self):
         rng = np.random.default_rng(5)
         T = 0.3 + rng.random(3) + 0.4j * rng.random(3)
-        H, _ = hessian_tri(TrigPoint(T), XI_33, RS31, IDX31)
-        assert np.array_equal(H, H.T), "hessian_tri not exactly symmetric"
+        H, _ = hessian_tau(trig_point(T), XI_33, RS31, IDX31)
+        assert np.array_equal(H, H.T), "p = 0 Hessian not exactly symmetric"
 
     def test_matches_gradient_finite_differences(self):
         rng = np.random.default_rng(13)
         T = 0.3 + rng.random(3) + 0.3j * rng.random(3)
-        H, _ = hessian_tri(TrigPoint(T), XI_33, RS31, IDX31)
-        h = 1e-6
+        t = trig_point(T).t
+        H, _ = hessian_tau(EllipticPoint(t, P0), XI_33, RS31, IDX31)
+        # |H| is about 4e4 here (T_1 and T_2 lie 0.06 apart), so the O(h^2)
+        # error of the centered stencil needs a smaller step than in T
+        h = 1e-7
         for j in range(3):
-            Tp, Tm = T.copy(), T.copy()
-            Tp[j] += h
-            Tm[j] -= h
-            fd_col = (log_phi_tri_grad(TrigPoint(Tp), XI_33, RS31, IDX31)
-                      - log_phi_tri_grad(TrigPoint(Tm), XI_33, RS31, IDX31)) / (2 * h)
+            tp, tm = t.copy(), t.copy()
+            tp[j] += h
+            tm[j] -= h
+            fd_col = (log_phi_tau_grad(EllipticPoint(tp, P0), XI_33, RS31, IDX31)
+                      - log_phi_tau_grad(EllipticPoint(tm, P0), XI_33, RS31, IDX31)) / (2 * h)
             # H is the Hessian of -log Phi; the gradient is of +log Phi
             err = np.abs(H[:, j] + fd_col).max()
             assert err < 1e-5, f"Hessian column {j} vs FD: err={err}"
@@ -176,7 +222,7 @@ class TestEllipticGradient:
         (-2 pi i T_i) * d log Phi_tri/dT_i with T = exp(-2 pi i t), linearly in p."""
         t = np.array([0.1 - 0.22j])
         T = np.exp(-2j * math.pi * t)
-        image = (-2j * math.pi * T) * log_phi_tri_grad(TrigPoint(T), XI_3L1, RS21, IDX21)
+        image = (-2j * math.pi * T) * _log_phi_tri_grad(T, XI_3L1, RS21, IDX21)
         gaps = []
         for p in (1e-4, 1e-6, 1e-8):
             g = log_phi_tau_grad(EllipticPoint(t, Nome(p=p)), XI_3L1, RS21, IDX21)
@@ -188,7 +234,7 @@ class TestEllipticGradient:
     def test_degeneration_n3(self):
         t = np.array([0.21 - 0.1j, 0.52 - 0.05j, 0.33 - 0.3j])
         T = np.exp(-2j * math.pi * t)
-        image = (-2j * math.pi * T) * log_phi_tri_grad(TrigPoint(T), XI_33, RS31, IDX31)
+        image = (-2j * math.pi * T) * _log_phi_tri_grad(T, XI_33, RS31, IDX31)
         g8 = log_phi_tau_grad(EllipticPoint(t, Nome(p=1e-8)), XI_33, RS31, IDX31)
         assert np.abs(g8 - image).max() < 1e-6, f"degeneration gap: {np.abs(g8 - image).max()}"
 
@@ -244,10 +290,10 @@ class TestEllipticHessian:
         transformed by dT/dt = -2 pi i T (no gradient cross term)."""
         t_half = cmath.log(2) / (2j * math.pi)
         H_t, _ = hessian_tau(EllipticPoint([t_half], Nome(p=0.0)), XI_3L1, RS21, IDX21)
-        H_T, _ = hessian_tri(TrigPoint([0.5]), XI_3L1, RS21, IDX21)
+        H_T = hess_closed_form_n2(3, 1)      # the 1 x 1 T-Hessian at T = 1/2
         jac = -2j * math.pi * 0.5
-        assert abs(H_t[0, 0] - jac * jac * H_T[0, 0]) < 1e-10, \
-            f"{H_t[0, 0]} vs {jac * jac * H_T[0, 0]}"
+        assert abs(H_t[0, 0] - jac * jac * H_T) < 1e-10, \
+            f"{H_t[0, 0]} vs {jac * jac * H_T}"
 
 
 class TestNewtonPolish:
@@ -258,6 +304,15 @@ class TestNewtonPolish:
         g = log_phi_tau_grad(EllipticPoint(t, nm), XI_3L1, RS21, IDX21)
         assert np.linalg.norm(g) < 1e-12
         assert abs(t[0] - t_half) < 1e-2, "polished point wandered far from seed"
+
+    def test_singular_solve_is_degeneracy_error(self, monkeypatch):
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(DegeneracyError):
+            newton_polish_tau(np.array([0.45 + 0.0j]), XI_3L1, RS21, IDX21,
+                              Nome(p=0.1))
 
     def test_unreachable_tolerance_raises(self):
         nm = Nome(p=0.1)
@@ -334,11 +389,11 @@ class TestSdtauAndEigenvalue:
 
 class TestMembershipAndReport:
     def test_trig_membership_examples(self):
-        assert membership_F(TrigPoint([0.5]), XI_3L1, RS21, IDX21)
-        assert not membership_F(TrigPoint([1.0]), XI_3L1, RS21, IDX21)
-        assert not membership_F(TrigPoint([0.0]), XI_3L1, RS21, IDX21)
-        assert membership_F(TrigPoint(n3_closed_point(3, 3)), XI_33, RS31, IDX31)
-        assert not membership_F(TrigPoint([0.4, 0.4, 0.7]), XI_33, RS31, IDX31)
+        assert membership_F(trig_point([0.5]), XI_3L1, RS21, IDX21)
+        assert not membership_F(trig_point([1.0]), XI_3L1, RS21, IDX21)
+        assert not membership_F(EllipticPoint([1.0], P0), XI_3L1, RS21, IDX21)
+        assert membership_F(trig_point(n3_closed_point(3, 3)), XI_33, RS31, IDX31)
+        assert not membership_F(trig_point([0.4, 0.4, 0.7]), XI_33, RS31, IDX31)
 
     def test_elliptic_membership(self):
         nm = Nome(p=0.05)
@@ -346,10 +401,10 @@ class TestMembershipAndReport:
         assert not membership_F(EllipticPoint([0.0], nm), XI_3L1, RS21, IDX21)
 
     def test_report_fields(self):
-        rep = make_report(TrigPoint([0.5]), XI_3L1, RS21, IDX21)
+        rep = make_report(trig_point([0.5]), XI_3L1, RS21, IDX21)
         assert isinstance(rep, CriticalReport)
         assert rep.grad_norm == 0.0
-        assert abs(rep.hessian_det - (-16.0)) < 1e-12
+        assert abs(t_to_T_det(rep.hessian_det, [0.5]) - (-16.0)) < 1e-12
         assert rep.in_F
 
     def test_report_elliptic(self):

