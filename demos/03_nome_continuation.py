@@ -59,11 +59,11 @@ print(f"log-log slope over two decades: {slope:.4f}")
 ###############################################################################
 # Eigenvalues along the path
 # --------------------------
-# With ``eigenvalue_mode`` set, each step also evaluates the critical-value
+# With ``eigenvalues=True``, each step also evaluates the critical-value
 # eigenvalue formula; at p = 0 it equals 2 pi^2 (xi, xi) = 9 pi^2 here.
 
 path_ev = continue_nome(seed, xi, rs, idx, 1e-2, steps=10,
-                        eigenvalue_mode="partial")
+                        eigenvalues=True)
 print(f"\nE at p = 0    : {complex(path_ev.steps[0].eigenvalue).real:.9f}"
       f"   (9 pi^2 = {9 * math.pi ** 2:.9f})")
 print(f"E at p = 1e-2 : {complex(path_ev.endpoint.eigenvalue).real:.9f}")
@@ -82,7 +82,7 @@ for coords in ([3, 0, -3], [-3, 0, 3]):
     sg, sd = find_admissible_critical_point(w, rs3, idx3)
     w_s = Weight([w.exact[i] for i in sg])
     p3 = continue_nome(sd, w_s, rs3, idx3, 1e-3, steps=10,
-                       eigenvalue_mode="partial")
+                       eigenvalues=True)
     evs.append(complex(p3.endpoint.eigenvalue).real)
     print(f"xi = {coords}: E(1e-3) = {evs[-1]:.10f}")
 print("difference:", abs(evs[0] - evs[1]))

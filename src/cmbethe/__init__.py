@@ -35,6 +35,7 @@ from .elliptic import (
     log_theta_d1,
     log_theta_d2,
     log_theta_dtau,
+    log_theta_jet,
     sigma_lambda,
     theta,
     theta1,
@@ -123,8 +124,8 @@ __all__ = [
     "AccuracyError", "CmError", "ConvergenceError", "DegeneracyError",
     "DomainError", "MembershipError", "PoleError", "ResourceError",
     "Nome", "ThetaValue", "eta_const", "lattice_distance", "log_theta_d1",
-    "log_theta_d2", "log_theta_dtau", "sigma_lambda", "theta", "theta1",
-    "wp", "wp_shifted",
+    "log_theta_d2", "log_theta_dtau", "log_theta_jet", "sigma_lambda",
+    "theta", "theta1", "wp", "wp_shifted",
     "BetheIndexing", "RootSystemData", "Weight",
     "admissible", "build_indexing", "e0", "jack_energy", "lambda_coords",
     "lambda_to_xi", "pairing", "root_system", "target_eigenvalue",

@@ -39,7 +39,6 @@ from .critical import (NEWTON_TOL, closed_form_n3_l1, continue_nome,
 from .elliptic import Nome, theta
 from .errors import CmError, DomainError
 from .jack import jack_expand, partition
-from .master import eigenvalue_elliptic
 from .perturb import _crosscheck_record, bethe_crosscheck, rs_series
 from .states import (base_point, bethe_state_elliptic, bethe_state_tri,
                      jack_proportionality, l2_estimate, residual_check)
@@ -239,10 +238,9 @@ def cmd_continue(args) -> Dict:
     target = _parse_p(args.p)
     sigma, trig = find_admissible_critical_point(xi, rs, idx, seed=args.seed)
     xi_s = _permute_weight(xi, sigma)
-    ev_mode = None if args.mode == "none" else \
-        ("partial" if args.mode == "auto" else args.mode)
     path = continue_nome(trig, xi_s, rs, idx, target, steps=args.steps,
-                         newton_tol=args.tol, eigenvalue_mode=ev_mode)
+                         newton_tol=args.tol,
+                         eigenvalues=args.mode == "partial")
     end = path.endpoint
     payload: Dict = {
         "schema": SCHEMA, "command": "continue", "N": args.N, "l": args.l,
@@ -258,12 +256,7 @@ def cmd_continue(args) -> Dict:
     }
     if end.eigenvalue is not None:
         payload["endpoint"]["eigenvalue"] = _complex_pair(end.eigenvalue)
-        payload["eigenvalue_mode"] = ev_mode
-    if args.mode == "auto" and abs(target) > 0:
-        both = {m: eigenvalue_elliptic(end.point, xi_s, rs, idx, mode=m)
-                for m in ("partial", "total")}
-        payload["endpoint_modes"] = {
-            m: _complex_pair(v) for m, v in both.items()}
+        payload["eigenvalue_mode"] = args.mode
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(path.to_jsonl())
@@ -274,9 +267,9 @@ def cmd_continue(args) -> Dict:
     return payload
 
 
-def _build_state(args, want_eigenvalues: bool):
+def _build_state(args):
     """Common chain for state/verify: critical point, continuation to p,
-    elliptic (or trigonometric) state, Rayleigh data, mode arbitration."""
+    elliptic (or trigonometric) state with its eigenvalue, Rayleigh data."""
     rs = root_system(args.N, args.l)
     idx = build_indexing(args.N, args.l)
     xi = _resolve_xi(args, rs)
@@ -284,36 +277,21 @@ def _build_state(args, want_eigenvalues: bool):
     sigma, trig = find_admissible_critical_point(xi, rs, idx, seed=args.seed)
     xi_s = _permute_weight(xi, sigma)
     info: Dict = {"xi": xi, "xi_s": xi_s, "sigma": sigma, "rs": rs,
-                  "idx": idx, "trig": trig, "target": target, "path": None,
-                  "modes": None, "mode_matched": None}
+                  "idx": idx, "trig": trig, "target": target, "path": None}
     if abs(target) == 0:
         state = bethe_state_tri(trig.point, xi_s, rs, idx)
     else:
         path = continue_nome(trig, xi_s, rs, idx, target, steps=args.steps)
         info["path"] = path
-        pt = path.endpoint.point
-        state = bethe_state_elliptic(pt, xi_s, rs, idx,
-                                     compute_eigenvalue=False)
-        if want_eigenvalues:
-            modes = {m: eigenvalue_elliptic(pt, xi_s, rs, idx, mode=m)
-                     for m in ("partial", "total")}
-            info["modes"] = modes
-            if args.mode in ("partial", "total"):
-                state.eigenvalue = modes[args.mode]
-                info["mode_matched"] = args.mode
+        state = bethe_state_elliptic(path.endpoint.point, xi_s, rs, idx)
     e_ray, rel = residual_check(state, grid_n=args.grid, fd_h=args.fd_h)
     info["E_rayleigh"] = e_ray
     info["rel_residual"] = rel
-    if info["modes"] is not None and args.mode == "auto":
-        picked = min(info["modes"],
-                     key=lambda m: abs(info["modes"][m] - e_ray))
-        state.eigenvalue = info["modes"][picked]
-        info["mode_matched"] = picked
     return state, info
 
 
 def cmd_state(args) -> Dict:
-    state, info = _build_state(args, want_eigenvalues=True)
+    state, info = _build_state(args)
     try:
         l2 = [float(v) for v in l2_estimate(state)]
     except DomainError:
@@ -327,10 +305,6 @@ def cmd_state(args) -> Dict:
         "rel_residual": float(info["rel_residual"]),
         "l2": l2,
     }
-    if info["modes"] is not None:
-        payload["eigenvalue_modes"] = {
-            m: _complex_pair(v) for m, v in info["modes"].items()}
-        payload["mode_matched"] = info["mode_matched"]
     if args.out:
         n = int(args.grid)
         direction = np.zeros(args.N)
@@ -391,7 +365,7 @@ def cmd_verify(args) -> Dict:
         raise DomainError("--lambda must be exact (integer or fraction entries)")
     lam = partition(lam_w.exact)
 
-    state, info = _build_state(args, want_eigenvalues=True)
+    state, info = _build_state(args)
     checks: List[Dict] = []
 
     def check(name: str, value: float, tol: float) -> None:
@@ -420,7 +394,7 @@ def cmd_verify(args) -> Dict:
     check("jack_ratio_spread", spread, 1e-9)
 
     # perturbation crosscheck at the target nome, on the continued root
-    # of the certified state (bethe_crosscheck's default partial mode)
+    # and the eigenvalue of the certified state
     series = rs_series(lam, args.N, args.l, args.order)
     e0_gap = abs(series.coefficients[0]
                  - 2.0 * math.pi ** 2
@@ -429,7 +403,7 @@ def cmd_verify(args) -> Dict:
     p_real = info["target"].real
     gap_tol = 100.0 * abs(info["target"]) ** (args.order + 1) * scale
     if info["path"] is not None and info["target"].imag == 0 and p_real != 0:
-        cc = _crosscheck_record(series, p_real, info["modes"]["partial"])
+        cc = _crosscheck_record(series, p_real, e_ba)
         check("perturbation_gap", cc["gap"], gap_tol)
     else:
         cc = None
@@ -441,7 +415,6 @@ def cmd_verify(args) -> Dict:
         "lambda": [float(a) for a in lam],
         "xi": _weight_floats(info["xi"]), "sigma": list(info["sigma"]),
         "p": _complex_pair(info["target"]),
-        "mode_matched": info["mode_matched"],
         "eigenvalue": _complex_pair(e_ba),
         "E_rayleigh": _complex_pair(e_ray),
         "perturbation": series.report(crosscheck=cc),
@@ -495,8 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", required=True, help="target nome")
     sp.add_argument("--steps", type=int, default=10)
     sp.add_argument("--tol", type=float, default=NEWTON_TOL)
-    sp.add_argument("--mode", choices=["partial", "total", "auto", "none"],
-                    default="partial", help="eigenvalue mode along the path")
+    sp.add_argument("--mode", choices=["partial", "none"], default="partial",
+                    help="eigenvalue at every step (partial) or none")
     sp.add_argument("--seed", type=int, default=1234)
     sp.add_argument("--out", default=None, help="write the JSONL path here")
     sp.set_defaults(func=cmd_continue)
@@ -510,8 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid", type=int, default=64,
                     help="residual sample count / CSV slice resolution")
     sp.add_argument("--fd-h", dest="fd_h", type=float, default=1e-3)
-    sp.add_argument("--mode", choices=["partial", "total", "auto"],
-                    default="auto")
     sp.add_argument("--seed", type=int, default=1234)
     sp.add_argument("--out", default=None, help="write a CSV slice of psi")
     sp.set_defaults(func=cmd_state)
@@ -546,8 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--order", type=int, default=2)
     sp.add_argument("--tol", type=float, default=1e-4,
                     help="residual / eigenvalue-agreement tolerance")
-    sp.add_argument("--mode", choices=["partial", "total", "auto"],
-                    default="auto")
     sp.add_argument("--seed", type=int, default=1234)
     sp.add_argument("--out", default=None, help="also write the JSON here")
     sp.set_defaults(func=cmd_verify)

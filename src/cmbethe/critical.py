@@ -47,8 +47,8 @@ import numpy as np
 from .elliptic import Nome
 from .errors import (ConvergenceError, DegeneracyError, DomainError,
                      MembershipError)
-from .master import (CriticalReport, EllipticPoint, hessian_tau, make_report,
-                     newton_polish_tau)
+from .master import (CriticalReport, EllipticPoint, _polish,
+                     eigenvalue_elliptic)
 from .weights import (BetheIndexing, RootSystemData, Weight, admissible,
                       lambda_coords, root_system, build_indexing)
 
@@ -136,18 +136,15 @@ def _polish_at_p0(T: np.ndarray, xi: Weight, rs: RootSystemData,
                   idx: BetheIndexing) -> CriticalReport:
     """Map T coordinates to t = log T / (-2 pi i) (principal branch) and
     Newton-polish them at p = 0 to |grad| < NEWTON_TOL."""
-    nome = Nome(p=0.0)
     t0 = np.log(np.asarray(T, dtype=complex)) / (-2j * math.pi)
-    t = newton_polish_tau(t0, xi, rs, idx, nome, tol=NEWTON_TOL,
-                          max_iter=SEARCH_MAX_ITER)
-    return make_report(EllipticPoint(t, nome), xi, rs, idx)
+    return _polish(t0, xi, rs, idx, Nome(p=0.0), NEWTON_TOL, SEARCH_MAX_ITER)
 
 
-def _degenerate(det: complex, H: np.ndarray) -> bool:
+def _degenerate(rep: CriticalReport) -> bool:
     """The non-degeneracy test of every accepted point: |det H| at most
-    HESS_DEGENERACY_TOL times max(1, prod |diag H|)."""
-    scale = max(1.0, float(np.abs(np.diag(H)).prod()))
-    return abs(det) <= HESS_DEGENERACY_TOL * scale
+    HESS_DEGENERACY_TOL times max(1, prod |diag H|), H the report's Hessian."""
+    scale = max(1.0, float(np.abs(np.diag(rep.hessian)).prod()))
+    return abs(rep.hessian_det) <= HESS_DEGENERACY_TOL * scale
 
 
 def closed_form_n2(m1: float, l: int) -> tuple[EllipticPoint, CriticalReport]:
@@ -285,8 +282,7 @@ def find_admissible_critical_point(
             if not rep.in_F:
                 failures.append(f"sigma={sigma}: point left F")
                 continue
-            H, _ = hessian_tau(rep.point, xi_s, rs, idx)
-            if _degenerate(rep.hessian_det, H):
+            if _degenerate(rep):
                 failures.append(f"sigma={sigma}: degenerate Hessian {rep.hessian_det}")
                 continue
             if not sym_omega_tri_nonvanishing(rep.point, xi_s, rs, idx):
@@ -370,7 +366,7 @@ def continue_nome(trig: CriticalReport, xi: Weight, rs: RootSystemData,
                   idx: BetheIndexing, target_p: complex, steps: int = 10,
                   *, p_max: float = P_MAX, first_step: float = FIRST_STEP,
                   min_step: float = MIN_STEP, newton_tol: float = NEWTON_TOL,
-                  eigenvalue_mode: Optional[str] = None) -> ContinuationPath:
+                  eigenvalues: bool = False) -> ContinuationPath:
     """Continue a non-degenerate p = 0 critical point to target_p.
 
     The seed report (a point at ``Nome(p=0)``, as the search returns it) is
@@ -378,6 +374,7 @@ def continue_nome(trig: CriticalReport, xi: Weight, rs: RootSystemData,
     root; on failure the step is halved down to min_step; a degenerate
     Hessian (the search's scaled test) raises DegeneracyError; every
     accepted point satisfies grad_norm < newton_tol and membership in F.
+    With ``eigenvalues`` each step also carries ``eigenvalue_elliptic``.
     """
     if trig.point.nome.p != 0:
         raise DomainError("continuation starts from a p = 0 report")
@@ -387,7 +384,7 @@ def continue_nome(trig: CriticalReport, xi: Weight, rs: RootSystemData,
         raise DomainError(f"|target_p| = {abs(target_p)} exceeds p_max = {p_max}")
     if not trig.in_F:
         raise DomainError("trigonometric seed is outside F")
-    if _degenerate(trig.hessian_det, hessian_tau(trig.point, xi, rs, idx)[0]):
+    if _degenerate(trig):
         raise DegeneracyError(
             f"trigonometric seed has degenerate Hessian: {trig.hessian_det}")
     if trig.grad_norm > newton_tol:
@@ -395,10 +392,7 @@ def continue_nome(trig: CriticalReport, xi: Weight, rs: RootSystemData,
             f"trigonometric seed is not a Bethe root: |grad| = {trig.grad_norm:.2e}")
 
     pt0 = trig.point
-    ev0 = None
-    if eigenvalue_mode is not None:
-        from .master import eigenvalue_elliptic
-        ev0 = eigenvalue_elliptic(pt0, xi, rs, idx, mode=eigenvalue_mode)
+    ev0 = eigenvalue_elliptic(pt0, xi, rs, idx) if eigenvalues else None
     path = ContinuationPath(steps=[PathStep(0j, pt0, trig, ev0)],
                             target_p=complex(target_p), first_step=first_step,
                             linear_steps=steps, min_step=min_step,
@@ -421,29 +415,22 @@ def continue_nome(trig: CriticalReport, xi: Weight, rs: RootSystemData,
             t_seed = t_good + (t_good - t_prev) * ((p_try - p_good) / (p_good - p_prev))
         else:
             t_seed = t_good.copy()
-        nome_try = Nome(p=p_try)
         try:
-            t_new = newton_polish_tau(t_seed, xi, rs, idx, nome_try,
-                                      tol=newton_tol)
-            pt_new = EllipticPoint(t_new, nome_try)
-            rep = make_report(pt_new, xi, rs, idx)
+            rep = _polish(t_seed, xi, rs, idx, Nome(p=p_try), newton_tol)
             if not rep.in_F:
                 raise MembershipError("corrected point left F")
         except (ConvergenceError, MembershipError):
             pending.insert(0, p_good + (p_try - p_good) / 2.0)
             continue
-        if _degenerate(rep.hessian_det, hessian_tau(pt_new, xi, rs, idx)[0]):
+        if _degenerate(rep):
             err = DegeneracyError(
                 f"Hessian degenerated along the path at p = {p_try}: "
                 f"det = {rep.hessian_det}")
             err.path = path
             raise err
-        ev = None
-        if eigenvalue_mode is not None:
-            from .master import eigenvalue_elliptic
-            ev = eigenvalue_elliptic(pt_new, xi, rs, idx, mode=eigenvalue_mode)
-        path.steps.append(PathStep(p_try, pt_new, rep, ev))
+        ev = eigenvalue_elliptic(rep.point, xi, rs, idx) if eigenvalues else None
+        path.steps.append(PathStep(p_try, rep.point, rep, ev))
         t_prev, p_prev = t_good, p_good
-        t_good, p_good = t_new, p_try
+        t_good, p_good = rep.point.t, p_try
         pending.pop(0)
     return path

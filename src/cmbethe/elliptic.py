@@ -70,11 +70,15 @@ class Nome:
             raise DomainError("specify exactly one of p or tau")
         if tau is not None:
             tau = complex(tau)
+            if not cmath.isfinite(tau):
+                raise DomainError(f"tau must be finite, got {tau}")
             if tau.imag <= 0:
                 raise DomainError(f"Im tau must be positive, got {tau}")
             p = cmath.exp(_TWO_PI_I * tau)
         else:
             p = complex(p)
+            if not cmath.isfinite(p):
+                raise DomainError(f"p must be finite, got {p}")
             if abs(p) >= 1:
                 raise DomainError(f"|p| must be < 1 for convergence, got |p|={abs(p)}")
             tau = cmath.log(p) / _TWO_PI_I if p != 0 else None
@@ -269,27 +273,30 @@ def theta(x: ArrayLike, nome: Nome | complex) -> ThetaValue:
                       _maybe_scalar(d_tau, scalar))
 
 
-def log_theta_d1(x: ArrayLike, nome: Nome | complex) -> ArrayLike:
-    """theta'(x)/theta(x), the logarithmic x-derivative of theta."""
-    nome = _as_nome(nome)
-    x_arr = np.asarray(x, dtype=complex)
-    scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr)
-    _check_off_lattice(x_arr, nome, "x")
-    s0, s1 = _theta_hat(x_arr, nome, ("s0", "s1"))
-    return _maybe_scalar(s1 / s0, scalar)
-
-
-def log_theta_d2(x: ArrayLike, nome: Nome | complex) -> ArrayLike:
-    """(log theta)''(x) = theta''/theta - (theta'/theta)^2."""
+def log_theta_jet(x: ArrayLike, nome: Nome | complex
+                  ) -> tuple[ArrayLike, ArrayLike, ArrayLike]:
+    """(theta(x), theta'/theta, (log theta)'') from one lattice check and one
+    series evaluation; the first entry is bit-identical to ``theta(x).value``."""
     nome = _as_nome(nome)
     x_arr = np.asarray(x, dtype=complex)
     scalar = x_arr.ndim == 0
     x_arr = np.atleast_1d(x_arr)
     _check_off_lattice(x_arr, nome, "x")
     s0, s1, s2 = _theta_hat(x_arr, nome, ("s0", "s1", "s2"))
+    d1_0, _, _ = _zero_data(nome)
     r1 = s1 / s0
-    return _maybe_scalar(s2 / s0 - r1 * r1, scalar)
+    return (_maybe_scalar(s0 / d1_0, scalar), _maybe_scalar(r1, scalar),
+            _maybe_scalar(s2 / s0 - r1 * r1, scalar))
+
+
+def log_theta_d1(x: ArrayLike, nome: Nome | complex) -> ArrayLike:
+    """theta'(x)/theta(x), the logarithmic x-derivative of theta."""
+    return log_theta_jet(x, nome)[1]
+
+
+def log_theta_d2(x: ArrayLike, nome: Nome | complex) -> ArrayLike:
+    """(log theta)''(x) = theta''/theta - (theta'/theta)^2."""
+    return log_theta_jet(x, nome)[2]
 
 
 def log_theta_dtau(x: ArrayLike, nome: Nome | complex) -> ArrayLike:

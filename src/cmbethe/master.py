@@ -20,27 +20,30 @@ Phi (zeros of the log-gradient) are the Bethe roots.  The Hessian convention
 is the Hessian matrix of MINUS log Phi (the non-degeneracy certificate is its
 determinant); at a root the t- and T-Hessians are related by
 det H_t = Prod_k (-2 pi i T_k)^2 det H_T.  Only log-derivatives are ever
-evaluated, so no branch of log is needed anywhere except in the small
-centered-difference ratios of ``S_dtau(mode="total")``, which are all near 1.
+evaluated, so no branch of log is needed.  The gradient, the Hessian and the
+membership predicate of F all come from one theta-jet call on the factor
+arguments (``_master``), so a Newton iterate or a report costs one kernel
+call.
 
 The eigenvalue functional at an elliptic Bethe root:
 
     E = 2 pi^2 (xi, xi) - 2 pi i * dS/dtau,
 
-with dS/dtau either partial (fixed t, term-wise theta tau-derivatives) or
-total (along the critical branch t(tau), by one Newton-corrected continuation
-step and centered differencing).  At p = 0 both reduce to 2 pi^2 (xi, xi).
+with dS/dtau the partial derivative at fixed t (term-wise theta
+tau-derivatives); at p = 0 it vanishes and E = 2 pi^2 (xi, xi).  The
+derivative along the critical branch t(tau) is the rejected convention: it
+misses the Rayleigh quotient of the state by about 1 % at p = 0.01, and it
+lives on only as test evidence.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elliptic import Nome, log_theta_d1, log_theta_d2, log_theta_dtau, theta
+from .elliptic import Nome, log_theta_dtau, log_theta_jet
 from .errors import (ConvergenceError, DegeneracyError, DomainError,
                      MembershipError, PoleError)
 from .weights import BetheIndexing, RootSystemData, Weight, pairing
@@ -74,11 +77,13 @@ class EllipticPoint:
 
 @dataclass(frozen=True)
 class CriticalReport:
-    """Certificate data for a candidate critical point."""
+    """Certificate data for a candidate critical point: the gradient norm of
+    log Phi, the Hessian of -log Phi in t and its determinant, membership."""
 
     point: EllipticPoint
     grad_norm: float
     hessian_det: complex
+    hessian: np.ndarray = field(repr=False, compare=False)
     in_F: bool
 
 
@@ -108,81 +113,81 @@ def _first_color_mask(idx: BetheIndexing) -> np.ndarray:
 # elliptic side
 
 
-def _pair_eval(fn, t: np.ndarray, nome: Nome, K: np.ndarray) -> np.ndarray:
-    """Evaluate fn on the coupled off-diagonal differences t_i - t_j,
-    returning the full m x m matrix with zeros elsewhere."""
-    m = len(t)
+def _factor_points(t: np.ndarray, K: np.ndarray,
+                   mask1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The arguments of every theta factor of Phi in one array: the coupled
+    off-diagonal differences t_i - t_j (both orders, selected by the
+    returned m x m mask), then the first-colour coordinates."""
+    sel = (K != 0) & ~np.eye(len(t), dtype=bool)
     D = t[:, None] - t[None, :]
-    sel = (K != 0) & ~np.eye(m, dtype=bool)
-    out = np.zeros_like(D)
-    if np.any(sel):
-        out[sel] = fn(D[sel], nome)
+    return sel, np.concatenate([D[sel], t[mask1]])
+
+
+def _on_pairs(values: np.ndarray, sel: np.ndarray) -> np.ndarray:
+    """The m x m matrix holding ``values`` on the pairs ``sel``, zeros elsewhere."""
+    out = np.zeros(sel.shape, dtype=complex)
+    out[sel] = values
     return out
+
+
+def _master(pt: EllipticPoint, xi: Weight, rs: RootSystemData,
+            idx: BetheIndexing, threshold: float = _MEMBERSHIP_TOL
+            ) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(gradient of log Phi_tau, Hessian of -log Phi_tau, membership in F)
+    at a point, from one theta-jet call on every factor argument.
+
+    Membership means every theta-factor magnitude exceeds ``threshold``.
+    MembershipError if a factor argument lies on the theta zero lattice.
+    """
+    _check_sizes(pt.m, xi, rs, idx)
+    K = idx.pair_coupling
+    mask1 = _first_color_mask(idx)
+    sel, x = _factor_points(pt.t, K, mask1)
+    try:
+        th, d1, d2 = log_theta_jet(x, pt.nome)
+    except PoleError as exc:
+        raise MembershipError(f"theta factor vanishes: {exc}") from exc
+    n = int(sel.sum())
+    lN = rs.l * rs.N
+    grad = _TWO_PI_I * _per_index_exponents(xi, idx) \
+        + (K * _on_pairs(d1[:n], sel)).sum(axis=1)
+    grad[mask1] -= lN * d1[n:]
+    H = K * _on_pairs(d2[:n], sel)         # off-diagonal of -log Phi_tau
+    diag = -H.sum(axis=1)
+    diag[mask1] += lN * d2[n:]
+    H[np.arange(idx.m), np.arange(idx.m)] = diag
+    return grad, H, bool(np.all(np.abs(th) > threshold))
 
 
 def log_phi_tau_grad(pt: EllipticPoint, xi: Weight, rs: RootSystemData,
                      idx: BetheIndexing) -> np.ndarray:
     """The gradient d log Phi_tau / dt_i; zero exactly at elliptic Bethe roots."""
-    _check_sizes(pt.m, xi, rs, idx)
-    t, nome = pt.t, pt.nome
-    K = idx.pair_coupling
-    b = _per_index_exponents(xi, idx)
-    mask1 = _first_color_mask(idx)
-    try:
-        zmat = _pair_eval(log_theta_d1, t, nome, K)
-        grad = _TWO_PI_I * b + (K * zmat).sum(axis=1)
-        if np.any(mask1):
-            grad[mask1] -= rs.l * rs.N * np.atleast_1d(
-                log_theta_d1(t[mask1], nome))
-    except PoleError as exc:
-        raise MembershipError(f"theta factor vanishes: {exc}") from exc
-    return grad
+    return _master(pt, xi, rs, idx)[0]
 
 
 def hessian_tau(pt: EllipticPoint, xi: Weight, rs: RootSystemData,
                 idx: BetheIndexing) -> tuple[np.ndarray, complex]:
     """Hessian matrix of -log Phi_tau in the t variables, and its determinant."""
-    _check_sizes(pt.m, xi, rs, idx)
-    t, nome = pt.t, pt.nome
-    K = idx.pair_coupling
-    mask1 = _first_color_mask(idx)
-    try:
-        wmat = _pair_eval(log_theta_d2, t, nome, K)
-        Kw = K * wmat
-        H = Kw.copy()                      # off-diagonal of -log Phi_tau
-        diag = -Kw.sum(axis=1)
-        if np.any(mask1):
-            diag[mask1] += rs.l * rs.N * np.atleast_1d(log_theta_d2(t[mask1], nome))
-        H[np.arange(idx.m), np.arange(idx.m)] = diag
-    except PoleError as exc:
-        raise MembershipError(f"theta factor vanishes: {exc}") from exc
+    H = _master(pt, xi, rs, idx)[1]
     return H, complex(np.linalg.det(H))
 
 
-def newton_polish_tau(t: np.ndarray, xi: Weight, rs: RootSystemData,
-                       idx: BetheIndexing, nome: Nome,
-                       tol: float = 1e-12, max_iter: int = 30) -> np.ndarray:
-    """Newton iteration on the elliptic Bethe equations at ``nome``, in t.
-
-    The package's one Newton: the root search runs it at p = 0 and the
-    continuation at every nome step.  Each step is capped at ``_MAX_STEP``
-    in max-abs over the coordinates.  Converged iff |grad| < tol.  Raises
-    ConvergenceError after ``max_iter`` steps or once an iterate runs off
-    (max |Im t| > ``_RUNOFF_IM_T``), naming the final |grad| and the largest
-    |Im t| reached; DegeneracyError if the Hessian is singular;
-    MembershipError if an iterate hits a zero of a theta factor.
-    """
+def _polish(t: np.ndarray, xi: Weight, rs: RootSystemData, idx: BetheIndexing,
+            nome: Nome, tol: float = 1e-12, max_iter: int = 30) -> CriticalReport:
+    """The Newton of ``newton_polish_tau``, returning the report of the
+    converged iterate (built from the evaluation that certified it)."""
     t = np.array(t, dtype=complex)
     im_max = float(np.max(np.abs(t.imag)))
     for it in range(max_iter + 1):
         pt = EllipticPoint(t=t, nome=nome)
-        g = log_phi_tau_grad(pt, xi, rs, idx)
+        g, H, in_f = _master(pt, xi, rs, idx)
         gnorm = float(np.linalg.norm(g))
         if gnorm < tol:
-            return t
+            return CriticalReport(point=pt, grad_norm=gnorm,
+                                  hessian_det=complex(np.linalg.det(H)),
+                                  hessian=H, in_F=in_f)
         if it == max_iter:
             break
-        H, _ = hessian_tau(pt, xi, rs, idx)
         # Jacobian of the gradient is the Hessian of +log Phi = -H
         try:
             step = np.linalg.solve(-H, -g)
@@ -203,88 +208,56 @@ def newton_polish_tau(t: np.ndarray, xi: Weight, rs: RootSystemData,
         f"Newton did not reach |grad| < {tol} in {max_iter} iterations {where}")
 
 
+def newton_polish_tau(t: np.ndarray, xi: Weight, rs: RootSystemData,
+                       idx: BetheIndexing, nome: Nome,
+                       tol: float = 1e-12, max_iter: int = 30) -> np.ndarray:
+    """Newton iteration on the elliptic Bethe equations at ``nome``, in t.
+
+    The package's one Newton: the root search runs it at p = 0 and the
+    continuation at every nome step.  Each iterate makes one theta-jet call.
+    Each step is capped at ``_MAX_STEP`` in max-abs over the coordinates.
+    Converged iff |grad| < tol.  Raises ConvergenceError after ``max_iter``
+    steps or once an iterate runs off (max |Im t| > ``_RUNOFF_IM_T``),
+    naming the final |grad| and the largest |Im t| reached; DegeneracyError
+    if the Hessian is singular; MembershipError if an iterate hits a zero of
+    a theta factor.
+    """
+    return _polish(t, xi, rs, idx, nome, tol, max_iter).point.t
+
+
 def _S_partial_dtau(t: np.ndarray, nome: Nome, rs: RootSystemData,
                     idx: BetheIndexing) -> complex:
-    """dS/dtau at fixed t, term-wise theta tau-derivatives."""
-    K = idx.pair_coupling
-    mask1 = _first_color_mask(idx)
-    total = 0j
-    for i in range(idx.m):
-        for j in range(i + 1, idx.m):
-            if K[i, j] != 0:
-                total += K[i, j] * log_theta_dtau(t[i] - t[j], nome)
-    if np.any(mask1):
-        total -= rs.l * rs.N * np.sum(np.atleast_1d(
-            log_theta_dtau(t[mask1], nome)))
-    return complex(total)
-
-
-def _S_difference(t_new: np.ndarray, nome_new: Nome, t_old: np.ndarray,
-                  nome_old: Nome, rs: RootSystemData, idx: BetheIndexing) -> complex:
-    """S(t_new; tau_new) - S(t_old; tau_old), via term-wise principal logs of
-    theta ratios (each ratio is near 1 for small parameter steps)."""
-    K = idx.pair_coupling
-    mask1 = _first_color_mask(idx)
-    total = 0j
-    for i in range(idx.m):
-        for j in range(i + 1, idx.m):
-            if K[i, j] != 0:
-                num = theta(t_new[i] - t_new[j], nome_new).value
-                den = theta(t_old[i] - t_old[j], nome_old).value
-                total += K[i, j] * cmath.log(num / den)
-    for i in np.nonzero(mask1)[0]:
-        num = theta(t_new[i], nome_new).value
-        den = theta(t_old[i], nome_old).value
-        total -= rs.l * rs.N * cmath.log(num / den)
-    return total
+    """dS/dtau at fixed t, from one log_theta_dtau call on every factor
+    argument.  d_tau log theta is even in x, so each coupled pair, present
+    in both orders, is counted with weight 1/2."""
+    sel, x = _factor_points(t, idx.pair_coupling, _first_color_mask(idx))
+    vals = log_theta_dtau(x, nome)
+    n = int(sel.sum())
+    pairs = 0.5 * np.sum(idx.pair_coupling[sel] * vals[:n])
+    return complex(pairs - rs.l * rs.N * np.sum(vals[n:]))
 
 
 def S_dtau(pt: EllipticPoint, xi: Weight, rs: RootSystemData, idx: BetheIndexing,
-           mode: str = "partial", *, crit_tol: float = 1e-8,
-           fd_scale: float = 1e-4) -> complex:
-    """dS/dtau at an elliptic Bethe root.
-
-    mode="partial": derivative at fixed t (term-wise theta tau-derivatives).
-    mode="total": derivative along the critical branch t(tau), by one
-    Newton-corrected continuation step on either side and centered
-    differencing.  At a critical point the two differ by
-    Sum_i (dS/dt_i)(dt_i/dtau) with dS/dt_i = -2 pi i (xi, alpha_c(i)).
-
-    The point must satisfy the Bethe equations to ``crit_tol``.
+           *, crit_tol: float = 1e-8) -> complex:
+    """dS/dtau at an elliptic Bethe root, at fixed t (term-wise theta
+    tau-derivatives).  The point must satisfy the Bethe equations to
+    ``crit_tol``.
     """
-    if mode not in ("partial", "total"):
-        raise DomainError(f"mode must be 'partial' or 'total', got {mode!r}")
-    _check_sizes(pt.m, xi, rs, idx)
-    g = log_phi_tau_grad(pt, xi, rs, idx)
-    gnorm = float(np.linalg.norm(g))
+    gnorm = float(np.linalg.norm(log_phi_tau_grad(pt, xi, rs, idx)))
     if gnorm > crit_tol:
         raise DomainError(
             f"S_dtau requires a Bethe critical point: |grad| = {gnorm:.3e} "
             f"> {crit_tol:.1e}")
-    t, nome = pt.t, pt.nome
-    if nome.p == 0:
+    if pt.nome.p == 0:
         return 0j
-    if mode == "partial":
-        return _S_partial_dtau(t, nome, rs, idx)
-
-    tau = nome.tau
-    direction = tau / abs(tau)
-    delta = fd_scale * max(1.0, abs(tau))
-    step = delta * direction
-    nome_plus = Nome(tau=tau + step, series_tolerance=nome.series_tolerance)
-    nome_minus = Nome(tau=tau - step, series_tolerance=nome.series_tolerance)
-    t_plus = newton_polish_tau(t, xi, rs, idx, nome_plus)
-    t_minus = newton_polish_tau(t, xi, rs, idx, nome_minus)
-    dS_plus = _S_difference(t_plus, nome_plus, t, nome, rs, idx)
-    dS_minus = _S_difference(t_minus, nome_minus, t, nome, rs, idx)
-    return (dS_plus - dS_minus) / (2.0 * step)
+    return _S_partial_dtau(pt.t, pt.nome, rs, idx)
 
 
 def eigenvalue_elliptic(pt: EllipticPoint, xi: Weight, rs: RootSystemData,
-                        idx: BetheIndexing, mode: str = "partial") -> complex:
+                        idx: BetheIndexing) -> complex:
     """The Bethe eigenvalue E = 2 pi^2 (xi, xi) - 2 pi i dS/dtau."""
     base = 2.0 * math.pi ** 2 * pairing(xi, xi)
-    return base - _TWO_PI_I * S_dtau(pt, xi, rs, idx, mode=mode)
+    return base - _TWO_PI_I * S_dtau(pt, xi, rs, idx)
 
 
 # ---------------------------------------------------------------------------
@@ -295,29 +268,18 @@ def membership_F(point: EllipticPoint, xi: Weight, rs: RootSystemData,
                  idx: BetheIndexing, threshold: float = _MEMBERSHIP_TOL) -> bool:
     """True iff every factor of Phi is finite and non-zero at the point
     (all theta-factor magnitudes above ``threshold``)."""
-    _check_sizes(point.m, xi, rs, idx)
-    K = idx.pair_coupling
-    mask1 = _first_color_mask(idx)
-    coupled = (K != 0) & ~np.eye(idx.m, dtype=bool)
-    t, nome = point.t, point.nome
-    if np.any(mask1):
-        vals = np.abs(np.atleast_1d(theta(t[mask1], nome).value))
-        if np.any(vals <= threshold):
-            return False
-    D = t[:, None] - t[None, :]
-    if np.any(coupled):
-        vals = np.abs(theta(D[coupled], nome).value)
-        if np.any(vals <= threshold):
-            return False
-    return True
+    try:
+        return _master(point, xi, rs, idx, threshold)[2]
+    except MembershipError:
+        return False
 
 
 def make_report(point: EllipticPoint, xi: Weight, rs: RootSystemData,
                 idx: BetheIndexing) -> CriticalReport:
-    """Assemble the CriticalReport (gradient norm and Hessian determinant of
-    -log Phi in t, membership) for a point at any nome, p = 0 included."""
-    in_f = membership_F(point, xi, rs, idx)
-    grad = log_phi_tau_grad(point, xi, rs, idx)
-    _, det = hessian_tau(point, xi, rs, idx)
+    """Assemble the CriticalReport (gradient norm, Hessian and its
+    determinant of -log Phi in t, membership) for a point at any nome,
+    p = 0 included."""
+    grad, H, in_f = _master(point, xi, rs, idx)
     return CriticalReport(point=point, grad_norm=float(np.linalg.norm(grad)),
-                          hessian_det=det, in_F=in_f)
+                          hessian_det=complex(np.linalg.det(H)), hessian=H,
+                          in_F=in_f)

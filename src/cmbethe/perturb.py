@@ -463,16 +463,16 @@ def rs_series(lam, N: int, l: int, K: int, *,
 # cross-validation against the Bethe-Ansatz continuation
 
 
-def bethe_crosscheck(series: EnergySeries, p: float, *, steps: int = 10,
-                     mode: str = "partial") -> Dict:
+def bethe_crosscheck(series: EnergySeries, p: float, *,
+                     steps: int = 10) -> Dict:
     """Continue the Bethe root for xi = lam + (l+1) rho_bar to the nome p and
     compare: returns {p, E_BA, partial_sum, gap}.
 
     The gap |E_BA(p) - Sum_{k<=K} p^k E^(k)| shrinks like p^{K+1} (regular
-    convergence); ``mode`` selects the eigenvalue derivative mode, evaluated
-    once at the endpoint of the continuation.  The Bethe weight is the
-    traceless representative of lam + (l+1) rho_bar; the record restores the
-    center-of-mass energy of a non-traceless lam (see _crosscheck_record).
+    convergence); the eigenvalue is evaluated once, at the endpoint of the
+    continuation.  The Bethe weight is the traceless representative of
+    lam + (l+1) rho_bar; the record restores the center-of-mass energy of a
+    non-traceless lam (see _crosscheck_record).
     """
     rs = root_system(series.N, series.l)
     idx = build_indexing(series.N, series.l)
@@ -484,8 +484,7 @@ def bethe_crosscheck(series: EnergySeries, p: float, *, steps: int = 10,
     else:
         xi_s = Weight([float(xi.coords[i]) for i in sigma])
     path = continue_nome(rep, xi_s, rs, idx, p, steps=steps)
-    eigenvalue = eigenvalue_elliptic(path.endpoint.point, xi_s, rs, idx,
-                                     mode=mode)
+    eigenvalue = eigenvalue_elliptic(path.endpoint.point, xi_s, rs, idx)
     return _crosscheck_record(series, p, eigenvalue)
 
 

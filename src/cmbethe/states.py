@@ -53,7 +53,7 @@ import numpy as np
 
 from .elliptic import Nome, PoleError, sigma_lambda, wp_shifted
 from .errors import DomainError, MembershipError, ResourceError
-from .master import EllipticPoint, membership_F
+from .master import EllipticPoint, eigenvalue_elliptic, membership_F
 from .weights import (BetheIndexing, RootSystemData, Weight, admissible,
                       build_indexing, root_system)
 
@@ -373,15 +373,13 @@ def bethe_state_tri(point: EllipticPoint, xi: Weight, rs: RootSystemData,
 
 
 def bethe_state_elliptic(point: EllipticPoint, xi: Weight, rs: RootSystemData,
-                         idx: BetheIndexing, mode: str = "partial",
+                         idx: BetheIndexing,
                          compute_eigenvalue: bool = True) -> BetheState:
     """The elliptic state; the eigenvalue comes from the critical-value
     formula 2 pi^2 (xi, xi) - 2 pi i dS/dtau (requires a polished root)."""
     ev = symmetrize(omega_elliptic(point, xi, rs, idx), rs.N, rs.l)
-    eigenvalue = None
-    if compute_eigenvalue:
-        from .master import eigenvalue_elliptic
-        eigenvalue = eigenvalue_elliptic(point, xi, rs, idx, mode=mode)
+    eigenvalue = eigenvalue_elliptic(point, xi, rs, idx) \
+        if compute_eigenvalue else None
     return BetheState(xi=xi, point=point, nome=point.nome, evaluator=ev,
                       eigenvalue=eigenvalue)
 

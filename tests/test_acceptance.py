@@ -54,6 +54,7 @@ from cmbethe import (
     target_eigenvalue,
     weight_from_lambda_coords,
 )
+from total_convention import eigenvalue_total
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -257,13 +258,13 @@ def test_criterion_5_spectral_verification():
                                      compute_eigenvalue=False)
         e_ray, rel = residual_check(state, grid_n=48, fd_h=1e-3)
         worst_res = max(worst_res, rel)
-        by_mode = {m: eigenvalue_elliptic(pt, xi_s, rs, idx, mode=m)
-                   for m in ("partial", "total")}
+        by_mode = {"partial": eigenvalue_elliptic(pt, xi_s, rs, idx),
+                   "total": eigenvalue_total(pt, xi_s, rs, idx)}
         picked = min(by_mode, key=lambda m: abs(by_mode[m] - e_ray))
         modes.append(picked)
         worst_ev = max(worst_ev, abs(by_mode[picked] - e_ray) / abs(e_ray))
         path5 = continue_nome(rep, xi_s, rs, idx, 1e-5, steps=10,
-                              eigenvalue_mode="partial")
+                              eigenvalues=True)
         e5 = complex(path5.endpoint.eigenvalue).real
         tgt = target_eigenvalue(Weight(list(lam)), N, l)
         other = target_with_term(Weight(list(lam)), N, l)

@@ -12,13 +12,15 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from cmbethe import cli, critical, perturb
+from cmbethe import cli, critical, master, perturb, states
 from cmbethe.cli import main
 from cmbethe.errors import AccuracyError
+from cmbethe.master import eigenvalue_elliptic
 from cmbethe.weights import Weight, build_indexing, lambda_to_xi, root_system
 
 SQRT6_OVER_14 = math.sqrt(6) / 14.0
@@ -121,13 +123,25 @@ class TestContinueCommand:
     def test_inline_path_and_modes(self, capsys):
         code, payload, _ = run_cli(
             capsys, "continue", "--N", "2", "--l", "1", "--m", "3",
-            "--p", "1e-4", "--mode", "auto")
+            "--p", "1e-4")
         assert code == 0
         assert isinstance(payload["path"], list)
         assert len(payload["path"]) == payload["steps_accepted"]
-        modes = payload["endpoint_modes"]
-        assert set(modes) == {"partial", "total"}
-        assert abs(modes["partial"][0] - 9 * math.pi ** 2) < 0.1
+        assert payload["eigenvalue_mode"] == "partial"
+        assert "endpoint_modes" not in payload
+        partial = payload["endpoint"]["eigenvalue"]
+        assert abs(partial[0] - 9 * math.pi ** 2) < 0.1
+        assert payload["path"][-1]["eigenvalue"] == partial
+
+        code, payload, _ = run_cli(
+            capsys, "continue", "--N", "2", "--l", "1", "--m", "3",
+            "--p", "1e-4", "--mode", "none")
+        assert code == 0
+        assert "eigenvalue" not in payload["endpoint"]
+        for mode in ("total", "auto"):
+            with pytest.raises(SystemExit):
+                main(["continue", "--N", "2", "--l", "1", "--m", "3",
+                      "--p", "1e-4", "--mode", mode])
 
 
 class TestStateCommand:
@@ -139,9 +153,18 @@ class TestStateCommand:
             "--p", "0.01", "--grid", "48")
         assert code == 0
         assert payload["rel_residual"] < 1e-4
-        assert payload["mode_matched"] == "partial"
-        assert set(payload["eigenvalue_modes"]) == {"partial", "total"}
-        assert payload["eigenvalue"] == payload["eigenvalue_modes"]["partial"]
+        assert "mode_matched" not in payload
+        assert "eigenvalue_modes" not in payload
+        # the eigenvalue is the library's (partial) one at the continued root
+        rs, idx = root_system(2, 1), build_indexing(2, 1)
+        xi = Weight([Fraction(3, 2), Fraction(-3, 2)])
+        sigma, trig = critical.find_admissible_critical_point(xi, rs, idx)
+        xi_s = Weight([xi.exact[i] for i in sigma])
+        end = critical.continue_nome(trig, xi_s, rs, idx, 0.01).endpoint
+        expected = eigenvalue_elliptic(end.point, xi_s, rs, idx)
+        assert payload["eigenvalue"] == [expected.real, expected.imag]
+        e_ray = complex(*payload["E_rayleigh"])
+        assert abs(expected - e_ray) < 1e-4 * abs(e_ray)
         l2 = payload["l2"]
         assert len(l2) == 3
         assert abs(l2[-1] - l2[-2]) < 1e-3 * abs(l2[-1])
@@ -235,7 +258,7 @@ class TestVerifyCommand:
         assert code == 0
         assert payload["verdict"] == "PASS"
         assert payload["lambda"] == [0.5, -0.5]
-        assert payload["mode_matched"] == "partial"
+        assert "mode_matched" not in payload
         checks = {c["name"]: c for c in payload["checks"]}
         assert checks["rel_residual"]["value"] < 1e-4
         assert checks["jack_ratio_spread"]["value"] < 1e-9
@@ -253,6 +276,16 @@ class TestVerifyCommand:
         assert checks["perturbation_gap"]["pass"]
         assert len(checks) == 7
         assert payload["perturbation"]["crosscheck"]["p"] == -0.01
+
+    @pytest.mark.parametrize("p", ["nan", "0.01+nanj"])
+    def test_non_finite_nome_is_domain_error(self, capsys, p):
+        """A NaN nome is refused as a domain error, not run through the
+        theta series until it gives up."""
+        code, payload, _ = run_cli(
+            capsys, "verify", "--N", "2", "--l", "1", "--lambda", "1,-1",
+            "--p", p)
+        assert code == 2
+        assert payload["error"]["code"] == "DOMAIN"
 
     def test_missing_lambda_refused(self, capsys):
         code, payload, _ = run_cli(
@@ -312,10 +345,54 @@ class TestVerifySharedChain:
         sigma, trig = critical.find_admissible_critical_point(xi, rs, idx)
         xi_s = Weight([xi.exact[i] for i in sigma])
         path = critical.continue_nome(trig, xi_s, rs, idx, 0.01,
-                                      eigenvalue_mode="partial")
+                                      eigenvalues=True)
         expected = path.endpoint.eigenvalue.real
         e_ba = payload["perturbation"]["crosscheck"]["E_BA"]
         assert abs(e_ba - expected) <= 1e-12 * abs(expected)
+
+
+    def test_one_eigenvalue_evaluation(self, capsys, monkeypatch):
+        """The state's eigenvalue is evaluated once and is the one the
+        perturbation gap reads."""
+        calls = []
+        fn = master.eigenvalue_elliptic
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("mode"))
+            return fn(*args, **kwargs)
+
+        for mod in (cli, master, states, perturb, critical):
+            if hasattr(mod, "eigenvalue_elliptic"):
+                monkeypatch.setattr(mod, "eigenvalue_elliptic", counted)
+        code, payload, _ = run_cli(
+            capsys, "verify", "--N", "2", "--l", "1", "--lambda", "1,-1",
+            "--p", "0.01")
+        assert code == 0
+        assert len(calls) == 1, calls
+        e_ba = payload["perturbation"]["crosscheck"]["E_BA"]
+        assert e_ba == payload["eigenvalue"][0]
+
+
+class TestReferenceGuard:
+    """cm verify reproduces the benchmark references (read, never written)
+    on four ladder levels: the eigenvalue to 1e-9 relative and the same set
+    of failed checks."""
+
+    REFERENCES = Path(__file__).resolve().parents[1] / "bench" / "references.json"
+
+    @pytest.mark.parametrize("N,l,lam", [
+        (2, 1, "1,-1"), (2, 16, "1,-1"), (3, 1, "1,0,-1"), (3, 1, "4,0,-4")])
+    def test_verify_matches_reference(self, capsys, N, l, lam):
+        ref = json.loads(self.REFERENCES.read_text())["verify-ladder"][
+            f"N{N}-l{l}-lam{lam}"]
+        code, payload, _ = run_cli(
+            capsys, "verify", "--N", str(N), "--l", str(l), "--lambda", lam)
+        assert code == 0
+        ev, ref_ev = complex(*payload["eigenvalue"]), complex(*ref["eigenvalue"])
+        assert abs(ev - ref_ev) <= 1e-9 * abs(ref_ev), f"{ev} vs {ref_ev}"
+        failed = sorted(c["name"] for c in payload["checks"] if not c["pass"])
+        assert failed == sorted(ref["failed"])
+        assert payload["verdict"] == ref["verdict"]
 
 
 class TestDeterminism:

@@ -33,7 +33,7 @@ from cmbethe.critical import (
     n3_closed_form_displays,
     sigma_closed_form,
 )
-from cmbethe import critical
+from cmbethe import critical, master
 from cmbethe.elliptic import Nome
 from cmbethe.errors import (
     ConvergenceError,
@@ -366,11 +366,38 @@ class TestContinueNome:
 
     def test_eigenvalue_mode_partial(self):
         path = continue_nome(self.seed(), XI_3L1, RS21, IDX21, 1e-4,
-                             steps=6, eigenvalue_mode="partial")
+                             steps=6, eigenvalues=True)
         for step in path.steps:
             assert step.eigenvalue is not None
         # at p=0 the eigenvalue is the unperturbed 2 pi^2 (xi, xi) = 9 pi^2
         assert abs(path.steps[0].eigenvalue - 9 * math.pi ** 2) < 1e-9
+
+    def test_accepted_step_reuses_report_hessian(self, monkeypatch):
+        """The degeneracy test of the seed and of each accepted step reads
+        the report's own Hessian: no hessian_tau call beyond one per report."""
+        calls = {"hessian": 0, "report": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        hess = counted("hessian", master.hessian_tau)
+        for mod in (master, critical):
+            if hasattr(mod, "hessian_tau"):
+                monkeypatch.setattr(mod, "hessian_tau", hess)
+            if hasattr(mod, "make_report"):
+                monkeypatch.setattr(mod, "make_report",
+                                    counted("report", master.make_report))
+        seed = self.seed()
+        path = continue_nome(seed, XI_3L1, RS21, IDX21, 1e-2, steps=6)
+        assert len(path.steps) > 2
+        assert calls["hessian"] <= calls["report"], calls
+        for step in path.steps:
+            H, det = master.hessian_tau(step.point, XI_3L1, RS21, IDX21)
+            assert np.array_equal(step.report.hessian, H)
+            assert step.report.hessian_det == det
 
     def test_eigenvalue_default_off(self):
         path = continue_nome(self.seed(), XI_3L1, RS21, IDX21, 1e-4, steps=6)
@@ -378,7 +405,7 @@ class TestContinueNome:
 
     def test_jsonl_format(self):
         path = continue_nome(self.seed(), XI_3L1, RS21, IDX21, 1e-4,
-                             steps=4, eigenvalue_mode="partial")
+                             steps=4, eigenvalues=True)
         lines = path.to_jsonl().splitlines()
         assert len(lines) == len(path.steps)
         for line, step in zip(lines, path.steps):
@@ -431,9 +458,9 @@ class TestPermutationRobustness:
         xi_a = Weight([3, 0, -3])
         xi_b = Weight([-3, 0, 3])
         path_a = continue_nome(rep_a, xi_a, RS31, IDX31, 1e-3, steps=6,
-                               eigenvalue_mode="partial")
+                               eigenvalues=True)
         path_b = continue_nome(rep_b, xi_b, RS31, IDX31, 1e-3, steps=6,
-                               eigenvalue_mode="partial")
+                               eigenvalues=True)
         e_a = path_a.endpoint.eigenvalue
         e_b = path_b.endpoint.eigenvalue
         assert abs(e_a - e_b) < 1e-9 * max(1.0, abs(e_a)), (

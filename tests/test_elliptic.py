@@ -20,6 +20,7 @@ from cmbethe.elliptic import (
     log_theta_d1,
     log_theta_d2,
     log_theta_dtau,
+    log_theta_jet,
     sigma_lambda,
     theta,
     theta1,
@@ -49,6 +50,15 @@ class TestNome:
             Nome(tau=0.3)
         with pytest.raises(DomainError):
             Nome(tau=0.3 - 0.2j)
+
+    def test_non_finite_nome_refused(self):
+        nan, inf = float("nan"), float("inf")
+        for p in (nan, complex(0.01, nan), complex(nan, 0.0)):
+            with pytest.raises(DomainError):
+                Nome(p=p)
+        for tau in (complex(0.0, nan), complex(nan, 0.5), complex(0.1, inf)):
+            with pytest.raises(DomainError):
+                Nome(tau=tau)
 
     def test_p_tau_roundtrip(self):
         nm = Nome(tau=0.37j)
@@ -211,6 +221,17 @@ class TestLogDerivatives:
             val = log_theta_d2(x, nm)
             expected = -math.pi ** 2 / math.sin(math.pi * x) ** 2
             assert abs(val - expected) < 1e-10, f"(log theta)''({x}) = {val}"
+
+    def test_jet_value_is_normalized_theta(self):
+        x = np.array([0.13, 0.31 - 0.2j, 0.77 + 0.4j])
+        for p in (0.0, 0.1, 0.2 + 0.1j):
+            nm = Nome(p=p)
+            value, d1, d2 = log_theta_jet(x, nm)
+            assert np.array_equal(value, theta(x, nm).value)
+            assert np.allclose(d1, theta(x, nm).d_x / theta(x, nm).value,
+                               rtol=1e-13, atol=0)
+        with pytest.raises(PoleError):
+            log_theta_jet(np.array([0.3, 1.0]), Nome(p=0.1))
 
     def test_log_theta_d1_is_odd_and_periodic(self):
         nm = Nome(p=0.1)

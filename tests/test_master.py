@@ -17,13 +17,15 @@ import math
 import numpy as np
 import pytest
 
-from cmbethe.elliptic import Nome
+from cmbethe import elliptic
+from cmbethe.elliptic import Nome, log_theta_dtau
 from cmbethe.errors import (ConvergenceError, DegeneracyError, DomainError,
                             MembershipError)
 from cmbethe.master import (
     CriticalReport,
     EllipticPoint,
     S_dtau,
+    _S_partial_dtau,
     eigenvalue_elliptic,
     hessian_tau,
     log_phi_tau_grad,
@@ -31,8 +33,11 @@ from cmbethe.master import (
     membership_F,
     newton_polish_tau,
 )
-from cmbethe.critical import hess_closed_form_n2
-from cmbethe.weights import build_indexing, root_system, weight_from_lambda_coords
+from cmbethe.critical import (continue_nome, find_admissible_critical_point,
+                              hess_closed_form_n2)
+from cmbethe.weights import (Weight, build_indexing, lambda_to_xi, root_system,
+                             weight_from_lambda_coords)
+from total_convention import S_dtau_total, eigenvalue_total
 
 RS21 = root_system(2, 1)
 IDX21 = build_indexing(2, 1)
@@ -314,6 +319,33 @@ class TestNewtonPolish:
             newton_polish_tau(np.array([0.45 + 0.0j]), XI_3L1, RS21, IDX21,
                               Nome(p=0.1))
 
+    def test_iterate_makes_one_kernel_call(self, monkeypatch):
+        """Each Newton iterate at p = 0.01 evaluates the gradient, the
+        Hessian and membership from one theta-series call."""
+        nm = Nome(p=0.01)
+        elliptic.theta(0.1, nm)             # the per-nome zero data, cached
+        counts = {"kernel": 0, "solve": 0}
+        kernel, solve = elliptic._theta_hat, np.linalg.solve
+
+        def counted_kernel(*args):
+            counts["kernel"] += 1
+            return kernel(*args)
+
+        def counted_solve(*args):
+            counts["solve"] += 1
+            return solve(*args)
+
+        monkeypatch.setattr(elliptic, "_theta_hat", counted_kernel)
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        t_half = cmath.log(2) / (2j * math.pi)
+        newton_polish_tau(np.array([t_half]), XI_3L1, RS21, IDX21, nm)
+        with pytest.raises(ConvergenceError):
+            newton_polish_tau(np.array([0.3 - 0.2j, 0.5 - 0.3j, 0.4 - 0.1j]),
+                              XI_33, RS31, IDX31, nm, tol=1e-300, max_iter=3)
+        assert counts["solve"] > 3
+        # one call per iterate: each run evaluates one iterate past its steps
+        assert counts["kernel"] == counts["solve"] + 2
+
     def test_unreachable_tolerance_raises(self):
         nm = Nome(p=0.1)
         bad_seed = np.array([0.45 + 0.0j])   # real t: no critical point nearby
@@ -321,8 +353,22 @@ class TestNewtonPolish:
             newton_polish_tau(bad_seed, XI_3L1, RS21, IDX21, nm, max_iter=3)
 
 
+def _S_partial_dtau_loop(t, nome, rs, idx):
+    """Reference dS/dtau at fixed t: one scalar log_theta_dtau per factor."""
+    K = idx.pair_coupling
+    total = 0j
+    for i in range(idx.m):
+        for j in range(i + 1, idx.m):
+            if K[i, j] != 0:
+                total += K[i, j] * log_theta_dtau(t[i] - t[j], nome)
+    for i in (k for k, c in enumerate(idx.c) if c == 1):
+        total -= rs.l * rs.N * log_theta_dtau(t[i], nome)
+    return complex(total)
+
+
 class TestSdtauAndEigenvalue:
-    """The eigenvalue functional and its two derivative modes."""
+    """The eigenvalue functional, with the rejected total derivative
+    (``total_convention``) as the measured alternative."""
 
     def _critical_at(self, p):
         t_half = cmath.log(2) / (2j * math.pi)
@@ -336,32 +382,36 @@ class TestSdtauAndEigenvalue:
             S_dtau(EllipticPoint([0.3 - 0.2j], nm), XI_3L1, RS21, IDX21)
 
     def test_invalid_mode_rejected(self):
+        """The library has one derivative convention: a mode is refused."""
         pt = self._critical_at(1e-3)
-        with pytest.raises(DomainError):
-            S_dtau(pt, XI_3L1, RS21, IDX21, mode="sideways")
+        with pytest.raises(TypeError):
+            S_dtau(pt, XI_3L1, RS21, IDX21, mode="partial")
+        with pytest.raises(TypeError):
+            eigenvalue_elliptic(pt, XI_3L1, RS21, IDX21, mode="total")
 
     def test_zero_at_p_zero(self):
         t_half = cmath.log(2) / (2j * math.pi)
         pt = EllipticPoint([t_half], Nome(p=0.0))
-        assert S_dtau(pt, XI_3L1, RS21, IDX21, "partial") == 0
-        assert S_dtau(pt, XI_3L1, RS21, IDX21, "total") == 0
+        assert S_dtau(pt, XI_3L1, RS21, IDX21) == 0
+        assert S_dtau_total(pt, XI_3L1, RS21, IDX21) == 0
 
     def test_partial_mode_scales_linearly_in_p(self):
-        s6 = S_dtau(self._critical_at(1e-6), XI_3L1, RS21, IDX21, "partial")
-        s8 = S_dtau(self._critical_at(1e-8), XI_3L1, RS21, IDX21, "partial")
+        s6 = S_dtau(self._critical_at(1e-6), XI_3L1, RS21, IDX21)
+        s8 = S_dtau(self._critical_at(1e-8), XI_3L1, RS21, IDX21)
         ratio = abs(s6) / abs(s8)
         assert abs(ratio - 100.0) < 5.0, f"|S_dtau| ratio across decades: {ratio}"
 
     def test_eigenvalue_assembly_near_trig_limit(self):
         pt = self._critical_at(1e-6)
-        E = eigenvalue_elliptic(pt, XI_3L1, RS21, IDX21, "partial")
+        E = eigenvalue_elliptic(pt, XI_3L1, RS21, IDX21)
         target = 9 * math.pi ** 2
         assert abs(E - target) < 1e-3 * target, f"E = {E} vs 9 pi^2 = {target}"
 
     def test_eigenvalue_real_for_admissible_weight(self):
         pt = self._critical_at(1e-3)
-        for mode in ("partial", "total"):
-            E = eigenvalue_elliptic(pt, XI_3L1, RS21, IDX21, mode)
+        for mode, fn in (("partial", eigenvalue_elliptic),
+                         ("total", eigenvalue_total)):
+            E = fn(pt, XI_3L1, RS21, IDX21)
             assert abs(E.imag) < 1e-6 * abs(E), f"Im E in {mode} mode: {E}"
 
     def test_mode_discrepancy_identity(self):
@@ -369,8 +419,8 @@ class TestSdtauAndEigenvalue:
         dS/dt_i = -2 pi i (xi, alpha_c(i)) at a critical point."""
         pt = self._critical_at(1e-3)
         nm, t = pt.nome, pt.t
-        sp = S_dtau(pt, XI_3L1, RS21, IDX21, "partial")
-        st = S_dtau(pt, XI_3L1, RS21, IDX21, "total")
+        sp = S_dtau(pt, XI_3L1, RS21, IDX21)
+        st = S_dtau_total(pt, XI_3L1, RS21, IDX21)
         tau = nm.tau
         d = 1e-4 * abs(tau)
         u = tau / abs(tau)
@@ -382,9 +432,22 @@ class TestSdtauAndEigenvalue:
             f"discrepancy {st - sp} vs predicted {predicted}"
 
     def test_modes_differ_at_order_p(self):
-        sp = S_dtau(self._critical_at(1e-2), XI_3L1, RS21, IDX21, "partial")
-        st = S_dtau(self._critical_at(1e-2), XI_3L1, RS21, IDX21, "total")
+        sp = S_dtau(self._critical_at(1e-2), XI_3L1, RS21, IDX21)
+        st = S_dtau_total(self._critical_at(1e-2), XI_3L1, RS21, IDX21)
         assert abs(sp - st) > 1e-4, "modes indistinguishable at p=1e-2"
+
+    @pytest.mark.parametrize("N,l,lam", [(2, 3, (1, -1)), (3, 1, (1, 0, -1))])
+    @pytest.mark.parametrize("p", [0.01, 0.3])
+    def test_partial_dtau_matches_scalar_loop(self, N, l, lam, p):
+        """The one-call dS/dtau equals the per-factor scalar loop."""
+        rs, idx = root_system(N, l), build_indexing(N, l)
+        xi = lambda_to_xi(Weight(list(lam)), rs)
+        sigma, seed = find_admissible_critical_point(xi, rs, idx)
+        xi_s = Weight([xi.exact[i] for i in sigma])
+        pt = continue_nome(seed, xi_s, rs, idx, p).endpoint.point
+        ref = _S_partial_dtau_loop(pt.t, pt.nome, rs, idx)
+        val = _S_partial_dtau(pt.t, pt.nome, rs, idx)
+        assert abs(val - ref) <= 1e-15 * abs(ref), f"{val} vs {ref}"
 
 
 class TestMembershipAndReport:
@@ -406,6 +469,32 @@ class TestMembershipAndReport:
         assert rep.grad_norm == 0.0
         assert abs(t_to_T_det(rep.hessian_det, [0.5]) - (-16.0)) < 1e-12
         assert rep.in_F
+
+    @pytest.mark.parametrize("point,xi,rs,idx", [
+        (trig_point([0.5]), XI_3L1, RS21, IDX21),
+        (trig_point([1.0]), XI_3L1, RS21, IDX21),
+        (EllipticPoint([1.0], P0), XI_3L1, RS21, IDX21),
+        (EllipticPoint([1e-11], P0), XI_3L1, RS21, IDX21),
+        (trig_point(n3_closed_point(3, 3)), XI_33, RS31, IDX31),
+        (trig_point([0.4, 0.4, 0.7]), XI_33, RS31, IDX31),
+        (EllipticPoint([0.3 - 0.2j], Nome(p=0.05)), XI_3L1, RS21, IDX21),
+        (EllipticPoint([0.0], Nome(p=0.05)), XI_3L1, RS21, IDX21),
+    ], ids=["T=1/2", "T=1", "t=1", "t=1e-11", "N3-closed-form", "T1=T2",
+            "p=0.05", "p=0.05-t=0"])
+    def test_report_reads_one_evaluation(self, point, xi, rs, idx):
+        """The report's membership and Hessian are those of membership_F and
+        hessian_tau; a factor on the theta zero lattice is outside F and
+        has no report."""
+        in_f = membership_F(point, xi, rs, idx)
+        try:
+            rep = make_report(point, xi, rs, idx)
+        except MembershipError:
+            assert not in_f
+            return
+        assert rep.in_F == in_f
+        H, det = hessian_tau(point, xi, rs, idx)
+        assert np.array_equal(rep.hessian, H)
+        assert rep.hessian_det == det
 
     def test_report_elliptic(self):
         t_half = cmath.log(2) / (2j * math.pi)

@@ -32,6 +32,7 @@ from cmbethe.perturb import (
     unperturbed_energy,
 )
 from cmbethe.weights import Weight, build_indexing, lambda_to_xi, root_system
+from total_convention import eigenvalue_total
 
 H = Fraction(1, 2)
 LAM_N2 = (H, -H)                      # the N=2, l=1 fundamental state
@@ -359,19 +360,26 @@ class TestCrossValidation:
     def test_endpoint_eigenvalue_matches_every_step_path(self, lam, N, mode):
         # reference: the continuation that evaluates the eigenvalue at every
         # accepted step, read at its endpoint; the crosscheck evaluates it
-        # at the endpoint only and must agree bit for bit
+        # at the endpoint only and must agree bit for bit.  The "total"
+        # case also measures the rejected convention (test-local) at the
+        # same endpoint: the series arbitrates, it misses by far more.
         l, p = 1, 1e-2
         series = rs_series(lam, N, l, 1)
         rs, idx = root_system(N, l), build_indexing(N, l)
         xi = lambda_to_xi(Weight(list(lam)), rs)
         sigma, trig = find_admissible_critical_point(xi, rs, idx)
         xi_s = Weight([xi.exact[i] for i in sigma])
-        path = continue_nome(trig, xi_s, rs, idx, p, eigenvalue_mode=mode)
-        e_ba = path.endpoint.eigenvalue.real \
-            + 2.0 * math.pi ** 2 * float(sum(series.lam)) ** 2 / N
-        rec = bethe_crosscheck(series, p, mode=mode)
+        path = continue_nome(trig, xi_s, rs, idx, p, eigenvalues=True)
+        com = 2.0 * math.pi ** 2 * float(sum(series.lam)) ** 2 / N
+        e_ba = path.endpoint.eigenvalue.real + com
+        rec = bethe_crosscheck(series, p)
         assert rec["E_BA"] == e_ba
         assert rec["gap"] == abs(e_ba - series.partial_sum(p))
+        if mode == "total":
+            e_total = eigenvalue_total(path.endpoint.point, xi_s, rs,
+                                       idx).real + com
+            gap_total = abs(e_total - series.partial_sum(p))
+            assert gap_total > 10.0 * rec["gap"], (gap_total, rec["gap"])
 
     def test_center_of_mass_consistency(self):
         # a non-traceless label: the continuation sees only the traceless
