@@ -25,20 +25,24 @@ e^{2 pi i xi_i x_i}).  Fixed constant conventions of this module:
     raw (un-normalized) forms so its reported constant is convention-fixed.
 
 Physical states are Sym^(l) omega: the plain sum over S_N for odd l, the
-sign-weighted sum for even l.  For the elliptic omega every sigma factor
-depends only on an ordered pair (x_a, x_b) and on one of the distinct
-u = t_k - t_{f(k)}, so Sym^(l) omega is evaluated from one table of
-sigma_{x_a - x_b}(u) per row block of points (a single ``sigma_lambda``
-call): each permutation relabels the pair columns it gathers and contributes
-its own prefactor, and no theta series runs per permutation or per slot.
-``residual_check`` applies the Hamiltonian
+sign-weighted sum for even l.  The numerator X^xi acc of omega_tri is a
+finite Laurent polynomial, expanded once per p = 0 point; Delta^l is
+symmetric for even l and antisymmetric for odd l, so Delta^l Sym^(l) omega_tri
+is its antisymmetrization Alt(X^xi acc) over S_N.  The non-vanishing test and
+the Jack certificate (Alt(X^xi acc) = c J_lambda Delta^{2l+1}) read Alt
+coefficient by coefficient and sample no points.  For the elliptic omega
+every sigma factor depends only on an ordered pair (x_a, x_b) and on one of
+the distinct u = t_k - t_{f(k)}, so Sym^(l) omega is evaluated from one
+table of sigma_{x_a - x_b}(u) per row block of points (a single
+``sigma_lambda`` call): each permutation relabels the pair columns it
+gathers and contributes its own prefactor, and no theta series runs per
+permutation or per slot.  ``residual_check`` applies the Hamiltonian
 
     H = -(1/2) Sum_i d^2/dx_i^2 + l(l+1) Sum_{i<j} (wp(x_i-x_j) + 2 eta)
 
 by centered finite differences and returns the Rayleigh quotient and relative
 residual; ``l2_estimate`` gives midpoint-rule estimates of the squared norm
-over [0,1]^N; ``jack_proportionality`` certifies the trigonometric limit
-against J^{(1/(l+1))}_lambda(X) * Delta(X)^(l+1).
+over [0,1]^N.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -66,6 +70,8 @@ _BLOCK_ENTRIES = 1 << 12
 #: the draws it tests per block.
 _SAMPLE_DRAWS = 200000
 _SAMPLE_CHUNK = 4096
+#: Least ratio of the largest coefficients of Alt(X^xi acc) and X^xi acc.
+_NONVANISHING_TOL = 1e-8
 
 Evaluator = Callable[[np.ndarray], complex]
 
@@ -137,58 +143,82 @@ def _pair_diff_guard(x: np.ndarray, N: int) -> None:
                     f"the unsymmetrized state")
 
 
-def _omega_tri_raw(point: EllipticPoint, xi: Weight, rs: RootSystemData,
-                   idx: BetheIndexing) -> Evaluator:
-    """omega_tri as a function of x, without base-point normalization."""
-    if point.nome.p != 0:
-        raise DomainError("omega_tri needs a p = 0 point")
-    if not membership_F(point, xi, rs, idx):
-        raise MembershipError("T is outside F (a factor of Phi_tri vanishes)")
-    T = point.to_T()
-    N, l, m = rs.N, rs.l, idx.m
-    xi_f = np.asarray(xi.coords, dtype=float)
-    c = idx.c
+def _merge(keys: np.ndarray, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of the integer matrix ``keys`` and the summed
+    coefficients of each."""
+    uniq, inv = np.unique(keys, axis=0, return_inverse=True)
+    inv = inv.ravel()
+    return uniq, (np.bincount(inv, coef.real, len(uniq))
+                  + 1j * np.bincount(inv, coef.imag, len(uniq)))
 
-    terms = []
-    for w_flat, f_tuple in zip(idx.W_maps, idx.Fw_maps):
-        for f_flat in f_tuple:
-            slots = []
-            const = 1.0 + 0j
-            for kk in range(m):
-                i0 = c[kk] - 1           # 0-based index of X_{c(k)}
-                j0 = w_flat[kk]          # 0-based index of X_{w(k)+1}
-                Tf = 1.0 + 0j if f_flat[kk] == 0 else complex(T[f_flat[kk] - 1])
-                if c[kk] != 1:
-                    den = complex(T[kk]) - Tf
-                    if abs(den) < 1e-13:
-                        raise PoleError(
-                            f"paired collision T_{kk + 1} = T_{f_flat[kk]}: "
-                            f"zero denominator in omega_tri")
-                    const /= den
-                slots.append((i0, j0, complex(T[kk]), Tf))
-            terms.append((const, slots))
 
-    def evaluator(x) -> complex:
+class _TrigOmega:
+    """omega_tri = X^xi Sum_r coef_r X^{rows_r} / Delta(X)^l, unnormalized.
+    The (w, f) sum of Prod_k (X_{c(k)} T_k - X_{w(k)+1} T_{f(k)}) /
+    (T_k - T_{f(k)}) is expanded deepest slot first: terms that share their
+    first k slot choices share the expanded product of the slots after them."""
+
+    def __init__(self, point: EllipticPoint, xi: Weight, rs: RootSystemData,
+                 idx: BetheIndexing):
+        if point.nome.p != 0:
+            raise DomainError("omega_tri needs a p = 0 point")
+        if not membership_F(point, xi, rs, idx):
+            raise MembershipError("T is outside F (a factor of Phi_tri vanishes)")
+        N, m = rs.N, idx.m
+        self.N, self.l, self.xi, self.in_P = N, rs.l, xi.coords, xi.in_P
+        T = np.concatenate([[1.0 + 0j], point.to_T()])      # T[0] = T_0 = 1
+        w, f = np.array([(w_flat, f_flat) for w_flat, f_tuple
+                         in zip(idx.W_maps, idx.Fw_maps)
+                         for f_flat in f_tuple]).reshape(-1, 2, m).transpose(1, 0, 2)
+        den = np.where(np.asarray(idx.c) == 1, 1.0 + 0j, T[1:] - T[f])
+        if np.any(np.abs(den) < 1e-13):
+            raise PoleError("paired collision T_k = T_{f(k)}: zero denominator "
+                            "in omega_tri")
+        # first[k][t]: the first term with the same first k choices as term t
+        first = [np.zeros(len(w), dtype=np.int64)]
+        for kk in range(m):
+            code = first[-1] * (N * (m + 1)) + w[:, kk] * (m + 1) + f[:, kk]
+            _, head, inv = np.unique(code, return_index=True, return_inverse=True)
+            first.append(head[inv])
+        # rows: (representative term, exponent vector)
+        keys = np.column_stack([first[m], np.zeros((len(w), N), dtype=np.int64)])
+        coef = np.ones(len(w), dtype=complex)
+        for kk in reversed(range(m)):
+            term = keys[:, 0]
+            scaled = coef / den[term, kk]
+            own, other = keys.copy(), keys.copy()
+            own[:, 0] = other[:, 0] = first[kk][term]
+            own[:, idx.c[kk]] += 1
+            other[np.arange(len(term)), 1 + w[term, kk]] += 1
+            keys, coef = _merge(np.concatenate([own, other]),
+                                np.concatenate([scaled * T[kk + 1],
+                                                -scaled * T[f[term, kk]]]))
+        self.rows, self.coef = keys[:, 1:], coef
+
+    def __call__(self, x):
         xb, single = _as_batch(x)
-        if xb.shape[-1] != N:
-            raise DomainError(f"expected {N} coordinates, got {xb.shape[-1]}")
-        _pair_diff_guard(xb, N)
+        if xb.shape[-1] != self.N:
+            raise DomainError(f"expected {self.N} coordinates, got {xb.shape[-1]}")
+        _pair_diff_guard(xb, self.N)
         X = np.exp(TWO_PI_I * xb)
-        pref = np.exp(TWO_PI_I * (xb @ xi_f))
-        delta = np.ones(xb.shape[0], dtype=complex)
-        for i in range(N):
-            for j in range(i + 1, N):
-                delta *= X[:, i] - X[:, j]
-        acc = np.zeros(xb.shape[0], dtype=complex)
-        for const, slots in terms:
-            prod = np.full(xb.shape[0], const, dtype=complex)
-            for i0, j0, Tk, Tf in slots:
-                prod *= X[:, i0] * Tk - X[:, j0] * Tf
-            acc += prod
-        val = pref * acc / delta ** l
+        delta = np.prod([X[:, i] - X[:, j]
+                         for i, j in combinations(range(self.N), 2)], axis=0)
+        step = max(1, _BLOCK_ENTRIES // self.coef.size)
+        acc = np.concatenate([np.exp(TWO_PI_I * (blk @ self.rows.T)) @ self.coef
+                              for blk in np.split(xb, range(step, len(xb), step))])
+        val = np.exp(TWO_PI_I * (xb @ self.xi)) * acc / delta ** self.l
         return complex(val[0]) if single else val
 
-    return evaluator
+    def alt(self) -> tuple[np.ndarray, np.ndarray]:
+        """Alt(X^xi acc) = Delta^l Sym^(l) omega_tri, the antisymmetrization
+        of the numerator over S_N, as (rows, coef) relative to X^xi."""
+        if not self.in_P:
+            raise DomainError("antisymmetrizing omega_tri needs xi in P")
+        invs = [np.argsort(p) for p in permutations(range(self.N))]
+        return _merge(
+            np.concatenate([self.rows[:, q] + np.round(self.xi[q] - self.xi)
+                            .astype(np.int64) for q in invs]),
+            np.concatenate([_perm_sign(q) * self.coef for q in invs]))
 
 
 class _EllipticOmega:
@@ -286,7 +316,7 @@ def omega_tri(point: EllipticPoint, xi: Weight, rs: RootSystemData,
     a paired slot raises PoleError, x_i = x_j (mod 1) at evaluation raises
     PoleError.
     """
-    return _normalized(_omega_tri_raw(point, xi, rs, idx), rs.N)
+    return _normalized(_TrigOmega(point, xi, rs, idx), rs.N)
 
 
 def omega_elliptic(point: EllipticPoint, xi: Weight, rs: RootSystemData,
@@ -327,23 +357,13 @@ def symmetrize(evaluator: Evaluator, N: int, l: int) -> Evaluator:
 
 
 def sym_omega_tri_nonvanishing(point: EllipticPoint, xi: Weight,
-                               rs: RootSystemData, idx: BetheIndexing,
-                               n_samples: int = 6,
-                               threshold: float = 1e-8) -> bool:
-    """Whether Sym^(l) omega_tri is a non-zero function.
-
-    Compares max |Sym omega_tri| against max |omega_tri| over deterministic
-    traceless sample points; a ratio above ``threshold`` certifies
-    non-vanishing (exact symmetric cancellation would give ~1e-16).
-    """
-    raw = _omega_tri_raw(point, xi, rs, idx)
-    sym = symmetrize(raw, rs.N, rs.l)
-    xs = sample_torus_points(rs.N, n_samples, margin=0.12, seed=7,
-                             traceless=True)
-    ref = max(float(np.max(np.abs(np.atleast_1d(raw(xs[:, list(p)])))))
-              for p in permutations(range(rs.N)))
-    best = float(np.max(np.abs(np.atleast_1d(sym(xs)))))
-    return best > threshold * max(ref, 1e-300)
+                               rs: RootSystemData, idx: BetheIndexing) -> bool:
+    """Whether Sym^(l) omega_tri is a non-zero function: the largest
+    coefficient of Alt(X^xi acc) exceeds ``_NONVANISHING_TOL`` times that of
+    X^xi acc (exact cancellation would leave ~1e-16)."""
+    omega = _TrigOmega(point, xi, rs, idx)
+    return bool(np.max(np.abs(omega.alt()[1]))
+                > _NONVANISHING_TOL * np.max(np.abs(omega.coef)))
 
 
 @dataclass
@@ -356,10 +376,6 @@ class BetheState:
     nome: Optional[Nome]            # None marks the trigonometric limit
     evaluator: Evaluator
     eigenvalue: Optional[complex]
-
-    @property
-    def is_trig(self) -> bool:
-        return self.nome is None or self.nome.p == 0
 
 
 def bethe_state_tri(point: EllipticPoint, xi: Weight, rs: RootSystemData,
@@ -384,37 +400,26 @@ def bethe_state_elliptic(point: EllipticPoint, xi: Weight, rs: RootSystemData,
                       eigenvalue=eigenvalue)
 
 
-def _dominant(xi: Weight) -> Weight:
-    if xi.exact is not None:
-        return Weight(sorted(xi.exact, reverse=True))
-    return Weight(tuple(sorted(xi.coords, reverse=True)))
-
-
-def jack_proportionality(state: BetheState, jack, l: int,
-                         n_samples: int = 10, seed: int = 11
+def jack_proportionality(state: BetheState, jack, l: int
                          ) -> tuple[complex, float]:
-    """Certify Sym^(l) omega_tri = const * J_lambda^{(1/(l+1))}(X) Delta(X)^{l+1}.
+    """Certify Sym^(l) omega_tri = c * J_lambda^{(1/(l+1))}(X) Delta(X)^{l+1}.
 
-    Evaluates the ratio at deterministic traceless torus points (resampling
-    any point where the denominator is near zero) and returns (mean ratio,
-    relative spread); spread < 1e-9 certifies proportionality.  Uses the raw
-    (un-normalized) omega_tri so the constant is convention-fixed: for N=2,
-    l=1, xi = 3 Lambda_1 it equals 1/2 exactly.
+    Times Delta^l this is Alt(X^xi acc) = c J_lambda Delta^{2l+1}, compared
+    on the traceless torus (exponents modulo (1, ..., 1)).  Returns c and the
+    relative coefficient residual |Alt - c target| / |c target| of the
+    least-squares fit; a residual < 1e-9 certifies proportionality.  The raw
+    omega_tri and jack_expand's normalization fix c: for N=2, l=1,
+    xi = 3 Lambda_1 it equals 1/2 exactly.
     """
-    if not state.is_trig:
-        raise DomainError("proportionality test requires a trigonometric state")
     N = len(state.xi.coords)
-    rs = root_system(N, l)
-    idx = build_indexing(N, l)
+    rs, idx = root_system(N, l), build_indexing(N, l)
     if not admissible(state.xi, rs):
         raise DomainError(
             f"weight {state.xi!r} fails the admissibility gate; the "
             f"proportionality statement assumes it")
-    dom = _dominant(state.xi)
-    dom_coords = dom.exact if dom.exact is not None else dom.coords
-    lam_expected = tuple(
-        Fraction(cd) - (l + 1) * Fraction(N + 1 - 2 * (i + 1), 2)
-        for i, cd in enumerate(dom_coords))
+    dom = sorted(state.xi.exact or state.xi.coords, reverse=True)
+    lam_expected = tuple(Fraction(d) - (l + 1) * r
+                         for d, r in zip(dom, rs.rho_bar.exact))
     jack_lam = tuple(Fraction(v) for v in jack.lam)
     if jack_lam != lam_expected:
         raise DomainError(
@@ -425,34 +430,28 @@ def jack_proportionality(state: BetheState, jack, l: int,
             f"Jack parameter alpha = {jack.alpha}, expected 1/(l+1) = "
             f"{Fraction(1, l + 1)}")
 
-    raw = _omega_tri_raw(state.point, state.xi, rs, idx)
-    sym = symmetrize(raw, N, l)
+    # deferred: perturb imports jack, which imports this module
+    from .perturb import _delta_power, _laurent_state
 
-    ratios: list[complex] = []
-    attempt = 0
-    while len(ratios) < n_samples and attempt < 50 * n_samples:
-        xs = sample_torus_points(N, n_samples, margin=0.1,
-                                 seed=seed + attempt, traceless=True)
-        for x in xs:
-            X = np.exp(TWO_PI_I * x)
-            delta = 1.0 + 0j
-            for i in range(N):
-                for j in range(i + 1, N):
-                    delta *= X[i] - X[j]
-            den = complex(jack.evaluate(x)) * delta ** (l + 1)
-            if abs(den) < 1e-8:
-                continue                      # resample near a denominator zero
-            ratios.append(complex(sym(x)) / den)
-            if len(ratios) == n_samples:
-                break
-        attempt += 1
-    if len(ratios) < n_samples:
-        raise ResourceError("could not collect enough sample points away "
-                            "from denominator zeros")
-    arr = np.array(ratios)
-    mean = complex(arr.mean())
-    spread = float(np.max(np.abs(arr - mean)) / max(abs(mean), 1e-300))
-    return mean, spread
+    # both sides keyed by their exponents' differences to the last one
+    rows, coef = _TrigOmega(state.point, state.xi, rs, idx).alt()
+    diffs = rows - rows[:, -1:] + np.round(
+        state.xi.coords - state.xi.coords[-1]).astype(np.int64)
+    alt = dict(zip(map(tuple, diffs[:, :-1].tolist()), coef))
+    target: dict = {}
+    delta = _delta_power(N, l).items()
+    for e, a in _laurent_state(jack.lam, l, jack.lam[-1]).items():
+        for d, b in delta:
+            key = tuple(u + v - e[-1] - d[-1] for u, v in zip(e[:-1], d[:-1]))
+            target[key] = target.get(key, 0) + a * b
+    keys = target.keys() | alt.keys()
+    t = np.array([float(target.get(k, 0)) for k in keys])
+    a = np.array([alt.get(k, 0) for k in keys])
+    c = complex(t @ a / (t @ t))
+    fit = abs(c) * float(np.linalg.norm(t))
+    residual = float(np.linalg.norm(a - c * t)) / fit if fit else math.inf
+    scale = math.lcm(*(q.denominator for q in jack.coeffs.values()))
+    return c * scale, residual
 
 
 def residual_check(state: BetheState, grid_n: int = 64, fd_h: float = 1e-3,

@@ -54,6 +54,7 @@ from cmbethe import (
     target_eigenvalue,
     weight_from_lambda_coords,
 )
+from pointwise_jack import pointwise_jack_ratio
 from total_convention import eigenvalue_total
 
 HALF = Fraction(1, 2)
@@ -161,11 +162,22 @@ def test_criterion_2_n3_closed_forms():
 
 def test_criterion_3_jack_proportionality():
     """Sym^(l) omega_tri is proportional to J_lambda * Delta^{l+1} at 20
-    random torus points, for five N=2 labels per l and three N=3 labels;
-    the N=2, l=1, lambda=(1/2,-1/2) constant equals 1/2."""
-    worst = 0.0
+    random torus points and coefficient by coefficient, for five N=2 labels
+    per l and three N=3 labels; the N=2, l=1, lambda=(1/2,-1/2) constant
+    equals 1/2."""
+    worst = worst_res = 0.0
     cases = 0
     ratio_gap = math.inf
+
+    def certify(state, jack, l):
+        nonlocal worst, worst_res, cases
+        _, spread = pointwise_jack_ratio(state, jack, l, n_samples=20)
+        c, residual = jack_proportionality(state, jack, l)
+        worst = max(worst, spread)
+        worst_res = max(worst_res, residual)
+        cases += 1
+        return c
+
     for l in (1, 2, 3):
         rs, idx = root_system(2, l), build_indexing(2, l)
         for k in range(1, 6):
@@ -175,11 +187,9 @@ def test_criterion_3_jack_proportionality():
             state = bethe_state_tri(point, xi, rs, idx)
             jack = jack_expand((Fraction(k, 2), Fraction(-k, 2)),
                                Fraction(1, l + 1))
-            mean, spread = jack_proportionality(state, jack, l, n_samples=20)
-            worst = max(worst, spread)
-            cases += 1
+            c = certify(state, jack, l)
             if l == 1 and k == 1:
-                ratio_gap = abs(mean - 0.5)
+                ratio_gap = abs(c - 0.5)
     rs31, idx31 = root_system(3, 1), build_indexing(3, 1)
     n3_cases = [((3, 3), (1, 0, -1)),
                 ((2, 2), (0, 0, 0)),
@@ -188,16 +198,14 @@ def test_criterion_3_jack_proportionality():
         xi = weight_from_lambda_coords([m1, m2], 3)
         point, _ = closed_form_n3_l1(m1, m2)[0]
         state = bethe_state_tri(point, xi, rs31, idx31)
-        mean, spread = jack_proportionality(
-            state, jack_expand(lam, HALF), 1, n_samples=20)
-        worst = max(worst, spread)
-        cases += 1
-    ok = worst < 1e-9 and ratio_gap < 1e-9
+        certify(state, jack_expand(lam, HALF), 1)
+    ok = worst < 1e-9 and worst_res < 1e-12 and ratio_gap < 1e-9
     _gate(3, ok,
           f"proportionality over 20 torus points x {cases} labels "
           f"(N=2 l=1..3 five lambda each; N=3 l=1 three lambda): worst "
-          f"spread {worst:.2e} (tol 1e-9); N=2 l=1 lambda=(1/2,-1/2) "
-          f"ratio vs 1/2: {ratio_gap:.2e} (tol 1e-9)")
+          f"spread {worst:.2e} (tol 1e-9); coefficient residual worst "
+          f"{worst_res:.2e} (tol 1e-12); N=2 l=1 lambda=(1/2,-1/2) "
+          f"constant vs 1/2: {ratio_gap:.2e} (tol 1e-9)")
 
 
 def test_criterion_4_continuation_paths():

@@ -304,15 +304,18 @@ class TestVerifyCommand:
         assert payload["verdict"] == "PASS"
         assert all(c["pass"] for c in payload["checks"])
 
-    def test_large_l_jack_spread_canary(self, capsys):
-        """N=2 l=12 lambda=(1,-1) is the largest ladder level whose Jack
-        spread meets the unchanged 1e-9 tolerance."""
+    @pytest.mark.parametrize("l", [12, 16])
+    def test_large_l_jack_check_passes(self, capsys, l):
+        """The coefficient-space Jack certificate meets the unchanged 1e-9
+        tolerance at the N=2 ladder levels where the pointwise ratio spread
+        failed (l=16) or passed only by rounding (l=12)."""
         code, payload, _ = run_cli(
-            capsys, "verify", "--N", "2", "--l", "12", "--lambda", "1,-1")
+            capsys, "verify", "--N", "2", "--l", str(l), "--lambda", "1,-1")
         assert code == 0
         check = {c["name"]: c for c in payload["checks"]}["jack_ratio_spread"]
         assert check["tolerance"] == 1e-9
         assert check["pass"], check
+        assert payload["verdict"] == "PASS"
 
 
 class TestVerifySharedChain:
@@ -376,7 +379,7 @@ class TestVerifySharedChain:
 class TestReferenceGuard:
     """cm verify reproduces the benchmark references (read, never written)
     on four ladder levels: the eigenvalue to 1e-9 relative and the same set
-    of failed checks."""
+    of failed checks, less the mended Jack check."""
 
     REFERENCES = Path(__file__).resolve().parents[1] / "bench" / "references.json"
 
@@ -390,9 +393,13 @@ class TestReferenceGuard:
         assert code == 0
         ev, ref_ev = complex(*payload["eigenvalue"]), complex(*ref["eigenvalue"])
         assert abs(ev - ref_ev) <= 1e-9 * abs(ref_ev), f"{ev} vs {ref_ev}"
+        # the references record the pointwise Jack spread failing at
+        # N=2 l >= 12; the coefficient certificate passes there, and every
+        # other check keeps its recorded outcome
         failed = sorted(c["name"] for c in payload["checks"] if not c["pass"])
-        assert failed == sorted(ref["failed"])
-        assert payload["verdict"] == ref["verdict"]
+        expected = sorted(n for n in ref["failed"] if n != "jack_ratio_spread")
+        assert failed == expected
+        assert payload["verdict"] == ("FAIL" if expected else "PASS")
 
 
 class TestDeterminism:

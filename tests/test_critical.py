@@ -13,6 +13,7 @@ root).
 
 import cmath
 import dataclasses
+import functools
 import json
 import math
 from fractions import Fraction
@@ -42,7 +43,9 @@ from cmbethe.errors import (
     MembershipError,
 )
 from cmbethe.master import EllipticPoint, hessian_tau, newton_polish_tau
-from cmbethe.states import sym_omega_tri_nonvanishing
+from cmbethe.jack import jack_expand
+from cmbethe.states import (bethe_state_tri, jack_proportionality,
+                            sym_omega_tri_nonvanishing)
 from cmbethe.weights import (
     Weight,
     build_indexing,
@@ -61,6 +64,10 @@ XI_33 = weight_from_lambda_coords([3, 3], 3)
 
 T0_M3 = cmath.log(2) / (2j * cmath.pi)  # elliptic coordinate of T = 1/2 at p=0
 P0 = Nome(p=0.0)
+
+#: Levels with no closed-form root: (N, l, lambda).
+BEYOND_CLOSED_FORMS = [(3, 2, (1, 0, -1)), (3, 3, (0, 0, 0)),
+                       (4, 1, (1, 0, 0, -1))]
 
 
 def t_of(T):
@@ -83,6 +90,16 @@ def det_T(report):
 def n2_xi(m1):
     """The N=2 weight with lambda-coordinate m1."""
     return weight_from_lambda_coords([m1], 2)
+
+
+@functools.lru_cache(maxsize=None)
+def searched_root(N, l, lam):
+    """(rs, idx, permuted weight, report) of the search at lambda, run once
+    per level and shared by the tests that read it."""
+    rs, idx = root_system(N, l), build_indexing(N, l)
+    xi = lambda_to_xi(Weight(list(lam)), rs)
+    sigma, report = find_admissible_critical_point(xi, rs, idx)
+    return rs, idx, Weight([xi.exact[i] for i in sigma]), report
 
 
 def elementary_symmetric(roots):
@@ -299,16 +316,12 @@ class TestFindAdmissible:
         assert abs(report.hessian_det) > 1e-9
         assert report.in_F
 
-    @pytest.mark.parametrize("N,l,lam", [
-        (3, 2, (1, 0, -1)), (3, 3, (0, 0, 0)), (4, 1, (1, 0, 0, -1))])
+    @pytest.mark.parametrize("N,l,lam", BEYOND_CLOSED_FORMS)
     def test_search_seeds_beyond_closed_forms(self, N, l, lam):
         """Levels without a closed form: the search returns a p = 0 root in
         F with a non-degenerate Hessian and non-vanishing Sym omega_tri
         (the T-coordinate search raised ConvergenceError here)."""
-        rs, idx = root_system(N, l), build_indexing(N, l)
-        xi = lambda_to_xi(Weight(list(lam)), rs)
-        sigma, report = find_admissible_critical_point(xi, rs, idx)
-        xi_s = Weight([xi.exact[i] for i in sigma])
+        rs, idx, xi_s, report = searched_root(N, l, lam)
         assert report.point.nome.p == 0
         assert report.grad_norm < NEWTON_TOL
         assert report.in_F
@@ -316,6 +329,19 @@ class TestFindAdmissible:
         scale = max(1.0, float(np.abs(np.diag(H)).prod()))
         assert abs(report.hessian_det) > critical.HESS_DEGENERACY_TOL * scale
         assert sym_omega_tri_nonvanishing(report.point, xi_s, rs, idx)
+
+    @pytest.mark.parametrize("N,l,lam", BEYOND_CLOSED_FORMS)
+    def test_jack_constant_is_rational(self, N, l, lam):
+        """At the searched roots Sym omega_tri is c J_lambda Delta^{l+1}
+        coefficient by coefficient, and c is a small-denominator rational."""
+        rs, idx, xi_s, report = searched_root(N, l, lam)
+        state = bethe_state_tri(report.point, xi_s, rs, idx)
+        c, residual = jack_proportionality(
+            state, jack_expand(lam, Fraction(1, l + 1)), l)
+        assert residual < 1e-12, f"residual {residual}"
+        exact = Fraction(c.real).limit_denominator(1000)
+        assert abs(c.real - exact) < 1e-12, f"c = {c} vs {exact}"
+        assert abs(c.imag) < 1e-12, f"c = {c}"
 
     def test_exhaustion_quotes_seed_failures(self, monkeypatch):
         monkeypatch.setattr(critical, "SEARCH_MAX_ITER", 1)

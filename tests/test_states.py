@@ -39,8 +39,9 @@ from cmbethe.states import (
     sym_omega_tri_nonvanishing,
     symmetrize,
 )
-from cmbethe.weights import (Weight, build_indexing, root_system,
-                             weight_from_lambda_coords)
+from cmbethe.weights import (Weight, build_indexing, lambda_to_xi,
+                             root_system, weight_from_lambda_coords)
+from pointwise_jack import pointwise_jack_ratio
 from total_convention import eigenvalue_total
 
 RS21 = root_system(2, 1)
@@ -73,6 +74,17 @@ def elliptic_point(p, steps=8):
     """The continued N=2, m1=3 Bethe root at nome p."""
     return continue_nome(TRIG_SEED, XI_3L1, RS21, IDX21, p,
                          steps=steps).endpoint.point
+
+
+def searched_state(N, l, lam):
+    """The trigonometric state at the root the search seeds for lambda, and
+    the Jack expansion J_lambda^{(1/(l+1))}."""
+    rs, idx = root_system(N, l), build_indexing(N, l)
+    xi = lambda_to_xi(Weight(list(lam)), rs)
+    sigma, report = find_admissible_critical_point(xi, rs, idx)
+    xi_s = Weight([xi.exact[i] for i in sigma])
+    return (bethe_state_tri(report.point, xi_s, rs, idx),
+            jack_expand(lam, Fraction(1, l + 1)))
 
 
 def ratio_spread(ratios):
@@ -324,6 +336,43 @@ class TestJackProportionality:
         with pytest.raises(DomainError):
             jack_proportionality(st, jack, 1)
 
+    @pytest.mark.parametrize("l,lam", [
+        (12, (1, -1)), (16, (1, -1)), (20, (1, -1)), (24, (1, -1)),
+        (16, (0, 0))])
+    def test_large_l_residual(self, l, lam):
+        """At N=2 l >= 12 the pointwise ratio spread exceeds 1e-9 from
+        rounding alone; the coefficient residual stays at rounding level."""
+        state, jack = searched_state(2, l, lam)
+        _, residual = jack_proportionality(state, jack, l)
+        assert residual < 1e-9, f"residual {residual}"
+
+    @pytest.mark.parametrize("N,l,lam", [
+        (2, l, lam) for l in (1, 2, 3, 4)
+        for lam in ((0, 0), (Fraction(1, 2), Fraction(-1, 2)), (1, -1))] + [
+        (3, 1, lam) for lam in ((0, 0, 0), (1, 0, -1), (2, 0, -2), (1, 1, -2),
+                                (2, -1, -1), (3, 0, -3), (2, 1, -3),
+                                (4, 0, -4))])
+    def test_constant_matches_pointwise_mean(self, N, l, lam):
+        """The projected constant is the mean of the rejected pointwise
+        ratio wherever that ratio is accurate (the N=2 l <= 4 and N=3 l=1
+        benchmark ladder levels)."""
+        state, jack = searched_state(N, l, lam)
+        c, _ = jack_proportionality(state, jack, l)
+        mean, _ = pointwise_jack_ratio(state, jack, l)
+        assert abs(c - mean) < 1e-12, f"{c} vs pointwise mean {mean}"
+
+    @pytest.mark.parametrize("knob", [{"n_samples": 20}, {"seed": 3},
+                                      {"threshold": 1e-8}])
+    def test_sampling_knobs_refused(self, knob):
+        """Both coefficient certificates sample nothing: the sampling knobs
+        of the pointwise versions are refused."""
+        jack = jack_expand((Fraction(1, 2), Fraction(-1, 2)), Fraction(1, 2))
+        with pytest.raises(TypeError):
+            jack_proportionality(TRI_STATE, jack, 1, **knob)
+        with pytest.raises(TypeError):
+            sym_omega_tri_nonvanishing(trig_point([0.5]), XI_3L1, RS21,
+                                       IDX21, **knob)
+
 
 class TestResidualCheck:
     """Direct application of the Hamiltonian by finite differences."""
@@ -477,6 +526,14 @@ class TestNonvanishing:
     def test_n3_nonvanishing(self):
         point, _ = closed_form_n3_l1(3, 3)[0]
         assert sym_omega_tri_nonvanishing(point, XI_33, RS31, IDX31)
+
+    @pytest.mark.parametrize("T,expected", [(-1.0, False), (-0.5, True)])
+    def test_n2_xi_zero(self, T, expected):
+        """At N=2 l=1 and xi = 0, Alt(T X_1 - X_2) = (T + 1)(X_1 - X_2):
+        zero at T = -1 only."""
+        xi0 = Weight([0, 0])
+        assert sym_omega_tri_nonvanishing(trig_point([T]), xi0, RS21,
+                                          IDX21) is expected
 
 
 class TestSampling:
