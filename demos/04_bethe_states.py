@@ -50,7 +50,7 @@ sigma, seed = find_admissible_critical_point(xi, rs, idx)
 
 tri = bethe_state_tri(seed.point, xi, rs, idx)
 jack = jack_expand((Fraction(1, 2), Fraction(-1, 2)), Fraction(1, 2))
-c, residual = jack_proportionality(tri, jack, 1)
+c, residual = jack_proportionality(seed.point, xi, jack, 1)
 print(f"Sym omega = c J Delta^2 coefficientwise: c = {c.real:.15f}")
 print(f"relative coefficient residual          : {residual:.2e}")
 print(f"trigonometric eigenvalue 2 pi^2 (xi,xi): {tri.eigenvalue.real:.9f}")

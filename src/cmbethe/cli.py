@@ -42,8 +42,8 @@ from .jack import jack_expand, partition
 from .perturb import _crosscheck_record, bethe_crosscheck, rs_series
 from .states import (base_point, bethe_state_elliptic, bethe_state_tri,
                      jack_proportionality, l2_estimate, residual_check)
-from .weights import (Weight, build_indexing, lambda_to_xi, root_system,
-                      weight_from_lambda_coords)
+from .weights import (Weight, build_indexing, lambda_to_xi, permute_weight,
+                      root_system, weight_from_lambda_coords)
 
 SCHEMA = 1
 _EXIT_CODES = {"DOMAIN": 2, "CONVERGENCE": 3, "DEGENERACY": 4,
@@ -150,12 +150,6 @@ def _resolve_xi(args, rs) -> Weight:
     return lambda_to_xi(_parse_weight(args.lam, rs.N), rs)
 
 
-def _permute_weight(xi: Weight, sigma: Sequence[int]) -> Weight:
-    if xi.exact is not None:
-        return Weight([xi.exact[i] for i in sigma])
-    return Weight([float(xi.coords[i]) for i in sigma])
-
-
 def _weight_floats(xi: Weight) -> List[float]:
     return [float(c) for c in xi.coords]
 
@@ -237,7 +231,7 @@ def cmd_continue(args) -> Dict:
     xi = _resolve_xi(args, rs)
     target = _parse_p(args.p)
     sigma, trig = find_admissible_critical_point(xi, rs, idx, seed=args.seed)
-    xi_s = _permute_weight(xi, sigma)
+    xi_s = permute_weight(xi, sigma)
     path = continue_nome(trig, xi_s, rs, idx, target, steps=args.steps,
                          newton_tol=args.tol,
                          eigenvalues=args.mode == "partial")
@@ -275,7 +269,7 @@ def _build_state(args):
     xi = _resolve_xi(args, rs)
     target = _parse_p(args.p)
     sigma, trig = find_admissible_critical_point(xi, rs, idx, seed=args.seed)
-    xi_s = _permute_weight(xi, sigma)
+    xi_s = permute_weight(xi, sigma)
     info: Dict = {"xi": xi, "xi_s": xi_s, "sigma": sigma, "rs": rs,
                   "idx": idx, "trig": trig, "target": target, "path": None}
     if abs(target) == 0:
@@ -386,11 +380,8 @@ def cmd_verify(args) -> Dict:
     check("eigenvalue_vs_rayleigh", abs(e_ba - e_ray) / scale, args.tol)
 
     # trigonometric limit: Sym omega_tri proportional to Jack * Delta^{l+1}
-    alpha = Fraction(1, args.l + 1)
-    jack = jack_expand(lam, alpha)
-    trig_state = bethe_state_tri(trig.point, info["xi_s"], info["rs"],
-                                 info["idx"])
-    _, spread = jack_proportionality(trig_state, jack, args.l)
+    jack = jack_expand(lam, Fraction(1, args.l + 1))
+    _, spread = jack_proportionality(trig.point, info["xi_s"], jack, args.l)
     check("jack_ratio_spread", spread, 1e-9)
 
     # perturbation crosscheck at the target nome, on the continued root

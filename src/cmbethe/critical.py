@@ -30,7 +30,7 @@ Continuation: from a non-degenerate p = 0 point, the nome is
 advanced along a geometric-then-linear schedule (first step 1e-6, x10 per
 step until within a decade of the target, then ``steps`` linear steps),
 Newton-correcting the elliptic Bethe root at every step and halving the
-step on failure down to ``min_step``.
+step on failure down to ``MIN_STEP``.
 """
 
 from __future__ import annotations
@@ -50,7 +50,8 @@ from .errors import (ConvergenceError, DegeneracyError, DomainError,
 from .master import (CriticalReport, EllipticPoint, _polish,
                      eigenvalue_elliptic)
 from .weights import (BetheIndexing, RootSystemData, Weight, admissible,
-                      lambda_coords, root_system, build_indexing)
+                      lambda_coords, permute_weight, root_system,
+                      build_indexing)
 
 NEWTON_TOL = 1e-12
 P_MAX = 0.3
@@ -245,7 +246,7 @@ def find_admissible_critical_point(
     rng = np.random.default_rng(seed)
     failures: list[str] = []
     for sigma in _search_permutations(N):
-        xi_s = Weight(np.asarray(xi_dominant.coords)[list(sigma)])
+        xi_s = permute_weight(xi_dominant, sigma)
         candidates: list[CriticalReport] = []
         ms = lambda_coords(xi_s)
         if N == 2 or (N == 3 and l == 1):
@@ -309,14 +310,10 @@ class PathStep:
 @dataclass
 class ContinuationPath:
     """A continuation record: accepted (p_k, point, report) triples from the
-    trigonometric seed (p=0) to the target nome, plus the step policy."""
+    trigonometric seed (p=0) to the target nome."""
 
     steps: list[PathStep]
     target_p: complex
-    first_step: float = FIRST_STEP
-    linear_steps: int = 10
-    min_step: float = MIN_STEP
-    newton_tol: float = NEWTON_TOL
 
     @property
     def endpoint(self) -> PathStep:
@@ -344,15 +341,15 @@ class ContinuationPath:
         return "\n".join(lines) + "\n"
 
 
-def _schedule(target: complex, first_step: float, linear_steps: int) -> list[complex]:
-    """Geometric magnitudes from first_step by x10 until within one decade of
+def _schedule(target: complex, linear_steps: int) -> list[complex]:
+    """Geometric magnitudes from FIRST_STEP by x10 until within one decade of
     |target|, then linear_steps equal steps to the target, along its ray."""
     mag = abs(target)
     if mag == 0:
         return []
     ray = target / mag
     mags: list[float] = []
-    s = first_step
+    s = FIRST_STEP
     while s < (mag / 10.0) * (1 + 1e-9):
         mags.append(s)
         s *= 10.0
@@ -364,14 +361,13 @@ def _schedule(target: complex, first_step: float, linear_steps: int) -> list[com
 
 def continue_nome(trig: CriticalReport, xi: Weight, rs: RootSystemData,
                   idx: BetheIndexing, target_p: complex, steps: int = 10,
-                  *, p_max: float = P_MAX, first_step: float = FIRST_STEP,
-                  min_step: float = MIN_STEP, newton_tol: float = NEWTON_TOL,
+                  *, newton_tol: float = NEWTON_TOL,
                   eigenvalues: bool = False) -> ContinuationPath:
     """Continue a non-degenerate p = 0 critical point to target_p.
 
     The seed report (a point at ``Nome(p=0)``, as the search returns it) is
     the first path step.  Each advance Newton-corrects the elliptic Bethe
-    root; on failure the step is halved down to min_step; a degenerate
+    root; on failure the step is halved down to MIN_STEP; a degenerate
     Hessian (the search's scaled test) raises DegeneracyError; every
     accepted point satisfies grad_norm < newton_tol and membership in F.
     With ``eigenvalues`` each step also carries ``eigenvalue_elliptic``.
@@ -380,8 +376,8 @@ def continue_nome(trig: CriticalReport, xi: Weight, rs: RootSystemData,
         raise DomainError("continuation starts from a p = 0 report")
     if steps < 1:
         raise DomainError(f"need steps >= 1, got {steps}")
-    if abs(target_p) > p_max:
-        raise DomainError(f"|target_p| = {abs(target_p)} exceeds p_max = {p_max}")
+    if abs(target_p) > P_MAX:
+        raise DomainError(f"|target_p| = {abs(target_p)} exceeds p_max = {P_MAX}")
     if not trig.in_F:
         raise DomainError("trigonometric seed is outside F")
     if _degenerate(trig):
@@ -394,20 +390,18 @@ def continue_nome(trig: CriticalReport, xi: Weight, rs: RootSystemData,
     pt0 = trig.point
     ev0 = eigenvalue_elliptic(pt0, xi, rs, idx) if eigenvalues else None
     path = ContinuationPath(steps=[PathStep(0j, pt0, trig, ev0)],
-                            target_p=complex(target_p), first_step=first_step,
-                            linear_steps=steps, min_step=min_step,
-                            newton_tol=newton_tol)
-    pending = _schedule(complex(target_p), first_step, steps)
+                            target_p=complex(target_p))
+    pending = _schedule(complex(target_p), steps)
     t_prev: Optional[np.ndarray] = None
     p_prev = 0j
     t_good = pt0.t
     p_good = 0j
     while pending:
         p_try = pending[0]
-        if abs(p_try - p_good) < min_step:
+        if abs(p_try - p_good) < MIN_STEP:
             err = ConvergenceError(
                 f"continuation stalled at p = {p_good} (step below "
-                f"min_step = {min_step}); last good point retained in path")
+                f"MIN_STEP = {MIN_STEP}); last good point retained in path")
             err.path = path
             raise err
         # linear predictor from the two previous accepted points

@@ -24,8 +24,11 @@ d = a_i - a_j > 0,
 
 The spectral identity: with beta = l+1 = 1/alpha, the eigenfunctions of
 H_CS = -(1/2) Sum d^2/dx_i^2 + l(l+1) pi^2 Sum_{i<j} 1/sin^2(pi(x_i-x_j))
-are Delta(X)^{l+1} J_lam with eigenvalues e0 + 2 pi^2 E_lam^{[1/(l+1)]};
-``cs_quotient`` verifies this by finite differences.
+are Delta(X)^{l+1} J_lam with eigenvalues e0 + 2 pi^2 E_lam^{[1/(l+1)]}.
+H_CS is the elliptic Hamiltonian at p = 0 (wp_shifted is pi^2/sin^2 there),
+so ``cs_apply`` and ``cs_quotient`` are the finite-difference stencil of
+``states.residual_check`` at Nome(p=0), applied to Delta_s^{l+1} f, and
+``cs_quotient`` verifies the identity with it.
 """
 
 from __future__ import annotations
@@ -39,8 +42,9 @@ from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
+from .elliptic import Nome
 from .errors import DegeneracyError, DomainError
-from .states import sample_torus_points
+from .states import _fd_hamiltonian, _rayleigh, sample_torus_points
 from .weights import e0 as rs_e0
 from .weights import jack_energy
 
@@ -270,7 +274,8 @@ def inner_product(f: Callable, g: Callable, alpha, N: int, quad_n: int) -> compl
 def cs_apply(f: Callable, l: int, N: int, *, fd_h: float = 1e-3) -> Callable:
     """The evaluator x -> (H_CS psi)(x) with psi = f * Delta_s^{l+1}, where
     H_CS = -(1/2) Sum_i d^2/dx_i^2 + l(l+1) pi^2 Sum_{i<j} 1/sin^2(pi(x_i-x_j))
-    and the Laplacian is applied by centered finite differences (step fd_h).
+    is the elliptic Hamiltonian at Nome(p=0), applied by the finite-difference
+    stencil of ``states.residual_check`` (step fd_h).  ``.psi`` evaluates psi.
 
     Delta_s = Prod_{i<j} sin(pi(x_i - x_j)) is the translation-invariant form
     of the Vandermonde: Prod_{i<j}(X_i - X_j) equals (2i)^{N(N-1)/2} Delta_s
@@ -291,26 +296,8 @@ def cs_apply(f: Callable, l: int, N: int, *, fd_h: float = 1e-3) -> Callable:
 
     def h_psi(x):
         xb = np.asarray(x, dtype=float)
-        single = xb.ndim == 1
-        xb = np.atleast_2d(xb)
-        M = xb.shape[0]
-        batch = [xb]
-        for i in range(N):
-            e = np.zeros(N)
-            e[i] = fd_h
-            batch.append(xb + e)
-            batch.append(xb - e)
-        vals = psi(np.concatenate(batch, axis=0)).reshape(2 * N + 1, M)
-        center = vals[0]
-        lap = np.zeros(M, dtype=complex)
-        for i in range(N):
-            lap += (vals[1 + 2 * i] - 2 * center + vals[2 + 2 * i]) / fd_h ** 2
-        pot = np.zeros(M, dtype=float)
-        for i in range(N):
-            for j in range(i + 1, N):
-                pot += 1.0 / np.sin(math.pi * (xb[:, i] - xb[:, j])) ** 2
-        out = -0.5 * lap + l * (l + 1) * math.pi ** 2 * pot * center
-        return complex(out[0]) if single else out
+        out = _fd_hamiltonian(psi, np.atleast_2d(xb), Nome(p=0.0), l, fd_h)[1]
+        return complex(out[0]) if xb.ndim == 1 else out
 
     h_psi.psi = psi
     return h_psi
@@ -323,14 +310,9 @@ def cs_quotient(f: Callable, l: int, N: int, *, grid_n: int = 48,
     over interior sample points with pairwise margin; equals
     e0 + 2 pi^2 E_lam^{[1/(l+1)]} (to FD accuracy) when f = J_lam^{(1/(l+1))}.
     """
-    op = cs_apply(f, l, N, fd_h=fd_h)
     pts = sample_torus_points(N, grid_n, margin=margin, seed=seed)
-    hv = np.atleast_1d(op(pts))
-    pv = np.atleast_1d(op.psi(pts))
-    norm2 = float(np.vdot(pv, pv).real)
-    if norm2 == 0:
-        raise DomainError("psi vanishes on the sample grid")
-    return complex(np.vdot(pv, hv) / norm2)
+    return _rayleigh(*_fd_hamiltonian(cs_apply(f, l, N).psi, pts,
+                                      Nome(p=0.0), l, fd_h))[0]
 
 
 def e0(N: int, l: int) -> float:

@@ -50,6 +50,7 @@ from .weights import BetheIndexing, RootSystemData, Weight, pairing
 
 _TWO_PI_I = 2j * math.pi
 _MEMBERSHIP_TOL = 1e-9    # factor-magnitude threshold of the F predicate
+_CRIT_TOL = 1e-8          # largest |grad| at which S_dtau accepts a root
 _MAX_STEP = 0.1           # Newton step cap, max-abs over the t coordinates
 _RUNOFF_IM_T = 3.0        # max |Im t| (|T| within about e^{+-19}) of an iterate
 
@@ -131,12 +132,11 @@ def _on_pairs(values: np.ndarray, sel: np.ndarray) -> np.ndarray:
 
 
 def _master(pt: EllipticPoint, xi: Weight, rs: RootSystemData,
-            idx: BetheIndexing, threshold: float = _MEMBERSHIP_TOL
-            ) -> tuple[np.ndarray, np.ndarray, bool]:
+            idx: BetheIndexing) -> tuple[np.ndarray, np.ndarray, bool]:
     """(gradient of log Phi_tau, Hessian of -log Phi_tau, membership in F)
     at a point, from one theta-jet call on every factor argument.
 
-    Membership means every theta-factor magnitude exceeds ``threshold``.
+    Membership means every theta-factor magnitude exceeds ``_MEMBERSHIP_TOL``.
     MembershipError if a factor argument lies on the theta zero lattice.
     """
     _check_sizes(pt.m, xi, rs, idx)
@@ -156,7 +156,7 @@ def _master(pt: EllipticPoint, xi: Weight, rs: RootSystemData,
     diag = -H.sum(axis=1)
     diag[mask1] += lN * d2[n:]
     H[np.arange(idx.m), np.arange(idx.m)] = diag
-    return grad, H, bool(np.all(np.abs(th) > threshold))
+    return grad, H, bool(np.all(np.abs(th) > _MEMBERSHIP_TOL))
 
 
 def log_phi_tau_grad(pt: EllipticPoint, xi: Weight, rs: RootSystemData,
@@ -237,17 +237,17 @@ def _S_partial_dtau(t: np.ndarray, nome: Nome, rs: RootSystemData,
     return complex(pairs - rs.l * rs.N * np.sum(vals[n:]))
 
 
-def S_dtau(pt: EllipticPoint, xi: Weight, rs: RootSystemData, idx: BetheIndexing,
-           *, crit_tol: float = 1e-8) -> complex:
+def S_dtau(pt: EllipticPoint, xi: Weight, rs: RootSystemData,
+           idx: BetheIndexing) -> complex:
     """dS/dtau at an elliptic Bethe root, at fixed t (term-wise theta
     tau-derivatives).  The point must satisfy the Bethe equations to
-    ``crit_tol``.
+    ``_CRIT_TOL``.
     """
     gnorm = float(np.linalg.norm(log_phi_tau_grad(pt, xi, rs, idx)))
-    if gnorm > crit_tol:
+    if gnorm > _CRIT_TOL:
         raise DomainError(
             f"S_dtau requires a Bethe critical point: |grad| = {gnorm:.3e} "
-            f"> {crit_tol:.1e}")
+            f"> {_CRIT_TOL:.1e}")
     if pt.nome.p == 0:
         return 0j
     return _S_partial_dtau(pt.t, pt.nome, rs, idx)
@@ -265,11 +265,11 @@ def eigenvalue_elliptic(pt: EllipticPoint, xi: Weight, rs: RootSystemData,
 
 
 def membership_F(point: EllipticPoint, xi: Weight, rs: RootSystemData,
-                 idx: BetheIndexing, threshold: float = _MEMBERSHIP_TOL) -> bool:
+                 idx: BetheIndexing) -> bool:
     """True iff every factor of Phi is finite and non-zero at the point
-    (all theta-factor magnitudes above ``threshold``)."""
+    (all theta-factor magnitudes above ``_MEMBERSHIP_TOL``)."""
     try:
-        return _master(point, xi, rs, idx, threshold)[2]
+        return _master(point, xi, rs, idx)[2]
     except MembershipError:
         return False
 

@@ -63,7 +63,7 @@ from .errors import DegeneracyError, DomainError
 from .jack import PartitionT, _distinct_perms, jack_expand, partition
 from .master import eigenvalue_elliptic
 from .weights import (Weight, build_indexing, e0, jack_energy, lambda_to_xi,
-                      root_system)
+                      permute_weight, root_system)
 
 TWO_PI = 2.0 * math.pi
 
@@ -228,17 +228,20 @@ def _delta_power(N: int, w: int) -> LaurentT:
     return poly
 
 
-def _laurent_state(mu: PartitionT, l: int, shift: Fraction) -> LaurentT:
-    """A positive integer multiple of psi_mu = Delta^{l+1} J_mu^{(1/(l+1))}
-    with every exponent lowered by ``shift`` (a member of mu's periodicity
-    class), so that all exponents are integers.
+def _laurent_state(mu: PartitionT, l: int, shift: Fraction,
+                   power: int) -> LaurentT:
+    """Delta^power J_mu^{(1/(l+1))} times the lcm of the Jack coefficients'
+    denominators, with every exponent lowered by ``shift`` (a member of mu's
+    periodicity class), so that all exponents and coefficients are integers.
 
-    The normalized pairings below are invariant under both the scale and a
-    common shift, so states built with the same shift pair correctly.
+    power = l+1 gives a positive integer multiple of the unperturbed state
+    psi_mu; the normalized pairings below are invariant under both the scale
+    and a common shift, so states built with the same shift pair correctly.
+    ``states.jack_proportionality`` takes power = 2l+1.
     """
     jack = jack_expand(mu, Fraction(1, l + 1))
     scale = math.lcm(*(c.denominator for c in jack.coeffs.values()))
-    delta = _delta_power(len(mu), l + 1)
+    delta = _delta_power(len(mu), power)
     psi: LaurentT = {}
     for nu, c in jack.coeffs.items():
         c_int = int(c * scale)
@@ -314,8 +317,8 @@ def matrix_element(mu, lam, k: int, l: int) -> float:
                 "mu and lam lie in different periodicity classes "
                 f"({a} - {b} is not an integer); the pairing is undefined")
     shift = lam_t[-1]
-    psi_mu = _laurent_state(mu_t, l, shift)
-    psi_lam = _laurent_state(lam_t, l, shift)
+    psi_mu = _laurent_state(mu_t, l, shift, l + 1)
+    psi_lam = _laurent_state(lam_t, l, shift, l + 1)
     images = {d: _harmonic(psi_lam, d) for d in _divisors(k)}
     return _element(psi_mu, images, _pairing(psi_mu, psi_mu),
                     _pairing(psi_lam, psi_lam), k, l)
@@ -396,14 +399,13 @@ def reachable_partitions(lam, budget: int) -> List[PartitionT]:
     return found
 
 
-def rs_series(lam, N: int, l: int, K: int, *,
-              degeneracy_tol: float = DEGENERACY_TOL) -> EnergySeries:
+def rs_series(lam, N: int, l: int, K: int) -> EnergySeries:
     """Non-degenerate Rayleigh-Schrodinger expansion to order K.
 
     E^(0) = e0 + 2 pi^2 E_lam; higher orders use the exact matrix elements
     of the closed-form V_1..V_K over the band-reachable basis, each basis
     state built once.  A second unperturbed level within
-    degeneracy_tol * scale of E^(0) inside that basis raises
+    DEGENERACY_TOL * scale of E^(0) inside that basis raises
     DegeneracyError (degenerate RS is out of scope).
     """
     lam_t = partition(lam)
@@ -420,13 +422,13 @@ def rs_series(lam, N: int, l: int, K: int, *,
     levels = np.array([unperturbed_energy(mu, N, l) for mu in basis])
     scale = max(1.0, abs(level0))
     for a, mu in enumerate(basis):
-        if a != i_lam and abs(levels[a] - level0) <= degeneracy_tol * scale:
+        if a != i_lam and abs(levels[a] - level0) <= DEGENERACY_TOL * scale:
             raise DegeneracyError(
                 f"unperturbed level of {mu} coincides with that of "
-                f"{lam_t} within {degeneracy_tol:.1e} (relative); "
+                f"{lam_t} within {DEGENERACY_TOL:.1e} (relative); "
                 "degenerate perturbation theory is out of scope")
 
-    psi = [_laurent_state(mu, l, lam_t[-1]) for mu in basis]
+    psi = [_laurent_state(mu, l, lam_t[-1], l + 1) for mu in basis]
     norms = [_pairing(f, f) for f in psi]
     images = [{d: _harmonic(f, d) for d in range(1, K + 1)} for f in psi]
     m = len(basis)
@@ -479,10 +481,7 @@ def bethe_crosscheck(series: EnergySeries, p: float, *,
     lam_w = Weight(list(series.lam))
     xi = lambda_to_xi(lam_w, rs)
     sigma, rep = find_admissible_critical_point(xi, rs, idx)
-    if xi.exact is not None:
-        xi_s = Weight([xi.exact[i] for i in sigma])
-    else:
-        xi_s = Weight([float(xi.coords[i]) for i in sigma])
+    xi_s = permute_weight(xi, sigma)
     path = continue_nome(rep, xi_s, rs, idx, p, steps=steps)
     eigenvalue = eigenvalue_elliptic(path.endpoint.point, xi_s, rs, idx)
     return _crosscheck_record(series, p, eigenvalue)

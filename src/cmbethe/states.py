@@ -41,8 +41,10 @@ permutation or per slot.  ``residual_check`` applies the Hamiltonian
     H = -(1/2) Sum_i d^2/dx_i^2 + l(l+1) Sum_{i<j} (wp(x_i-x_j) + 2 eta)
 
 by centered finite differences and returns the Rayleigh quotient and relative
-residual; ``l2_estimate`` gives midpoint-rule estimates of the squared norm
-over [0,1]^N.
+residual; the same stencil at Nome(p=0), where the pair potential is
+pi^2/sin^2, is the Calogero-Sutherland operator of ``jack.cs_apply``.
+``l2_estimate`` gives midpoint-rule estimates of the squared norm over
+[0,1]^N.
 """
 
 from __future__ import annotations
@@ -63,8 +65,7 @@ from .weights import (BetheIndexing, RootSystemData, Weight, admissible,
 
 TWO_PI_I = 2j * math.pi
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-#: Cap on the complex entries of one row block of the elliptic sigma table,
-#: and of the factors one permutation gathers from it.
+#: Cap on the complex entries of one row block of the elliptic sigma table.
 _BLOCK_ENTRIES = 1 << 12
 #: Most uniform draws ``sample_torus_points`` makes before giving up, and
 #: the draws it tests per block.
@@ -232,8 +233,8 @@ class _EllipticOmega:
     call; omega(x o pi) for any x-permutation pi is then a gather-product
     over relabeled pair columns times the prefactor e^{2 pi i (xi, x o pi)},
     with no further theta series.  Row blocks hold at most
-    ``_BLOCK_ENTRIES`` table entries and gathered factors, so scratch memory
-    does not grow with the batch.
+    ``_BLOCK_ENTRIES`` table entries, so the table does not grow with the
+    batch.
     """
 
     def __init__(self, point: EllipticPoint, xi: Weight, rs: RootSystemData,
@@ -259,8 +260,7 @@ class _EllipticOmega:
         self._pair_a, self._pair_b = np.nonzero(~np.eye(N, dtype=bool))
         self._pair_id = np.full((N, N), -1)
         self._pair_id[self._pair_a, self._pair_b] = np.arange(N * (N - 1))
-        width = max(self._pair_a.size * self.u.size, self._a.size)
-        self._rows = max(1, _BLOCK_ENTRIES // width)
+        self._rows = max(1, _BLOCK_ENTRIES // (self._pair_a.size * self.u.size))
 
     def __call__(self, x):
         return self.perm_sum(x, [(tuple(range(self.N)), 1)])
@@ -373,7 +373,6 @@ class BetheState:
 
     xi: Weight
     point: EllipticPoint
-    nome: Optional[Nome]            # None marks the trigonometric limit
     evaluator: Evaluator
     eigenvalue: Optional[complex]
 
@@ -384,7 +383,7 @@ def bethe_state_tri(point: EllipticPoint, xi: Weight, rs: RootSystemData,
     value 2 pi^2 (xi, xi)."""
     ev = symmetrize(omega_tri(point, xi, rs, idx), rs.N, rs.l)
     xi_f = np.asarray(xi.coords, dtype=float)
-    return BetheState(xi=xi, point=point, nome=None, evaluator=ev,
+    return BetheState(xi=xi, point=point, evaluator=ev,
                       eigenvalue=complex(2.0 * math.pi ** 2 * xi_f @ xi_f))
 
 
@@ -396,13 +395,13 @@ def bethe_state_elliptic(point: EllipticPoint, xi: Weight, rs: RootSystemData,
     ev = symmetrize(omega_elliptic(point, xi, rs, idx), rs.N, rs.l)
     eigenvalue = eigenvalue_elliptic(point, xi, rs, idx) \
         if compute_eigenvalue else None
-    return BetheState(xi=xi, point=point, nome=point.nome, evaluator=ev,
-                      eigenvalue=eigenvalue)
+    return BetheState(xi=xi, point=point, evaluator=ev, eigenvalue=eigenvalue)
 
 
-def jack_proportionality(state: BetheState, jack, l: int
+def jack_proportionality(point: EllipticPoint, xi: Weight, jack, l: int
                          ) -> tuple[complex, float]:
-    """Certify Sym^(l) omega_tri = c * J_lambda^{(1/(l+1))}(X) Delta(X)^{l+1}.
+    """Certify Sym^(l) omega_tri = c * J_lambda^{(1/(l+1))}(X) Delta(X)^{l+1}
+    at the p = 0 point.
 
     Times Delta^l this is Alt(X^xi acc) = c J_lambda Delta^{2l+1}, compared
     on the traceless torus (exponents modulo (1, ..., 1)).  Returns c and the
@@ -411,13 +410,13 @@ def jack_proportionality(state: BetheState, jack, l: int
     omega_tri and jack_expand's normalization fix c: for N=2, l=1,
     xi = 3 Lambda_1 it equals 1/2 exactly.
     """
-    N = len(state.xi.coords)
+    N = len(xi.coords)
     rs, idx = root_system(N, l), build_indexing(N, l)
-    if not admissible(state.xi, rs):
+    if not admissible(xi, rs):
         raise DomainError(
-            f"weight {state.xi!r} fails the admissibility gate; the "
+            f"weight {xi!r} fails the admissibility gate; the "
             f"proportionality statement assumes it")
-    dom = sorted(state.xi.exact or state.xi.coords, reverse=True)
+    dom = sorted(xi.exact or xi.coords, reverse=True)
     lam_expected = tuple(Fraction(d) - (l + 1) * r
                          for d, r in zip(dom, rs.rho_bar.exact))
     jack_lam = tuple(Fraction(v) for v in jack.lam)
@@ -431,19 +430,15 @@ def jack_proportionality(state: BetheState, jack, l: int
             f"{Fraction(1, l + 1)}")
 
     # deferred: perturb imports jack, which imports this module
-    from .perturb import _delta_power, _laurent_state
+    from .perturb import _laurent_state
 
     # both sides keyed by their exponents' differences to the last one
-    rows, coef = _TrigOmega(state.point, state.xi, rs, idx).alt()
+    rows, coef = _TrigOmega(point, xi, rs, idx).alt()
     diffs = rows - rows[:, -1:] + np.round(
-        state.xi.coords - state.xi.coords[-1]).astype(np.int64)
+        xi.coords - xi.coords[-1]).astype(np.int64)
     alt = dict(zip(map(tuple, diffs[:, :-1].tolist()), coef))
-    target: dict = {}
-    delta = _delta_power(N, l).items()
-    for e, a in _laurent_state(jack.lam, l, jack.lam[-1]).items():
-        for d, b in delta:
-            key = tuple(u + v - e[-1] - d[-1] for u, v in zip(e[:-1], d[:-1]))
-            target[key] = target.get(key, 0) + a * b
+    target = {tuple(u - e[-1] for u in e[:-1]): b for e, b in
+              _laurent_state(jack.lam, l, jack.lam[-1], 2 * l + 1).items()}
     keys = target.keys() | alt.keys()
     t = np.array([float(target.get(k, 0)) for k in keys])
     a = np.array([alt.get(k, 0) for k in keys])
@@ -454,51 +449,56 @@ def jack_proportionality(state: BetheState, jack, l: int
     return c * scale, residual
 
 
-def residual_check(state: BetheState, grid_n: int = 64, fd_h: float = 1e-3,
-                   *, margin: float = 0.1, seed: int = 5
-                   ) -> tuple[complex, float]:
-    """Apply H = -(1/2) Sum d^2/dx_i^2 + l(l+1) Sum_{i<j} wp_shifted(x_i-x_j)
-    to the state by centered finite differences on ``grid_n`` interior sample
-    points (pairwise periodic separation > margin) and return the Rayleigh
-    quotient and the relative residual ||H psi - E psi|| / ||E psi||.
-    """
-    N = len(state.xi.coords)
-    m_pairs = N * (N - 1) // 2
-    lval = _infer_l(state)
-    nome = state.nome if state.nome is not None else Nome(p=0.0)
-    pts = sample_torus_points(N, grid_n, margin=margin, seed=seed)
-
+def _fd_hamiltonian(psi: Evaluator, pts: np.ndarray, nome: Nome, l: int,
+                    fd_h: float) -> tuple[np.ndarray, np.ndarray]:
+    """(psi, H psi) on the points ``pts`` for
+    H = -(1/2) Sum d^2/dx_i^2 + l(l+1) Sum_{i<j} wp_shifted(x_i - x_j) at
+    ``nome``, the Laplacian by centered differences of step fd_h.  At
+    Nome(p=0) the pair potential is pi^2/sin^2(pi(x_i - x_j))."""
+    M, N = pts.shape
     stencil = [pts]
     for i in range(N):
         e = np.zeros(N)
         e[i] = fd_h
-        stencil.append(pts + e)
-        stencil.append(pts - e)
-    batch = np.concatenate(stencil, axis=0)
-    vals = np.atleast_1d(state.evaluator(batch)).reshape(2 * N + 1, grid_n)
-    if not np.all(np.isfinite(vals)):
-        raise PoleError("non-finite state values on the verification grid "
-                        "(inadmissible weight or continuation fault)")
-    psi = vals[0]
-    lap = np.zeros(grid_n, dtype=complex)
-    for i in range(N):
-        lap += (vals[1 + 2 * i] - 2.0 * psi + vals[2 + 2 * i]) / fd_h ** 2
+        stencil += [pts + e, pts - e]
+    vals = np.atleast_1d(psi(np.concatenate(stencil))).reshape(2 * N + 1, M)
+    center = vals[0]
+    lap = sum((vals[1 + 2 * i] - 2.0 * center + vals[2 + 2 * i]) / fd_h ** 2
+              for i in range(N))
+    pot = sum(wp_shifted(pts[:, i] - pts[:, j], nome)
+              for i, j in combinations(range(N), 2))
+    return center, -0.5 * lap + l * (l + 1) * pot * center
 
-    pot = np.zeros(grid_n, dtype=complex)
-    for i in range(N):
-        for j in range(i + 1, N):
-            pot += wp_shifted(pts[:, i] - pts[:, j], nome)
-    h_psi = -0.5 * lap + lval * (lval + 1) * pot * psi
-    if not np.all(np.isfinite(h_psi)):
-        raise PoleError("non-finite H psi values on the verification grid")
 
+def _rayleigh(psi: np.ndarray, h_psi: np.ndarray) -> tuple[complex, float]:
+    """The Rayleigh quotient <psi, H psi>/<psi, psi> on the sample points
+    and the relative residual ||H psi - E psi|| / ||E psi||."""
     norm2 = float(np.vdot(psi, psi).real)
     if norm2 == 0:
-        raise DomainError("state vanishes identically on the grid")
+        raise DomainError("psi vanishes identically on the sample points")
     e_rayleigh = complex(np.vdot(psi, h_psi) / norm2)
     res = h_psi - e_rayleigh * psi
-    rel = float(np.linalg.norm(res) / np.linalg.norm(e_rayleigh * psi))
-    return e_rayleigh, rel
+    return e_rayleigh, float(np.linalg.norm(res)
+                             / np.linalg.norm(e_rayleigh * psi))
+
+
+def residual_check(state: BetheState, grid_n: int = 64, fd_h: float = 1e-3,
+                   *, margin: float = 0.1, seed: int = 5
+                   ) -> tuple[complex, float]:
+    """Apply H = -(1/2) Sum d^2/dx_i^2 + l(l+1) Sum_{i<j} wp_shifted(x_i-x_j)
+    at the state's nome to the state by centered finite differences on
+    ``grid_n`` interior sample points (pairwise periodic separation > margin)
+    and return the Rayleigh quotient and the relative residual
+    ||H psi - E psi|| / ||E psi||.
+    """
+    pts = sample_torus_points(len(state.xi.coords), grid_n, margin=margin,
+                              seed=seed)
+    psi, h_psi = _fd_hamiltonian(state.evaluator, pts, state.point.nome,
+                                 _infer_l(state), fd_h)
+    if not np.all(np.isfinite(h_psi)):
+        raise PoleError("non-finite H psi values on the verification grid "
+                        "(inadmissible weight or continuation fault)")
+    return _rayleigh(psi, h_psi)
 
 
 def _infer_l(state: BetheState) -> int:

@@ -169,6 +169,14 @@ def weight_from_lambda_coords(ms: Sequence, N: int) -> Weight:
     return Weight(coords)
 
 
+def permute_weight(xi: Weight, sigma: Sequence[int]) -> Weight:
+    """The weight with coordinates (xi_{sigma(1)}, ..., xi_{sigma(N)}),
+    exact when xi is."""
+    if xi.exact is not None:
+        return Weight([xi.exact[i] for i in sigma])
+    return Weight(xi.coords[list(sigma)])
+
+
 def lambda_coords(xi: Weight) -> np.ndarray:
     """Fundamental (Lambda) coordinates m_i = (xi, alpha_i) of a weight."""
     return -np.diff(xi.coords)

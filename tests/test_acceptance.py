@@ -172,7 +172,7 @@ def test_criterion_3_jack_proportionality():
     def certify(state, jack, l):
         nonlocal worst, worst_res, cases
         _, spread = pointwise_jack_ratio(state, jack, l, n_samples=20)
-        c, residual = jack_proportionality(state, jack, l)
+        c, residual = jack_proportionality(state.point, state.xi, jack, l)
         worst = max(worst, spread)
         worst_res = max(worst_res, residual)
         cases += 1

@@ -375,6 +375,25 @@ class TestVerifySharedChain:
         e_ba = payload["perturbation"]["crosscheck"]["E_BA"]
         assert e_ba == payload["eigenvalue"][0]
 
+    @pytest.mark.parametrize("p,expected", [("0.01", 2), ("0", 3)])
+    def test_p0_polynomial_expansions(self, capsys, monkeypatch, p, expected):
+        """The p = 0 polynomial is expanded by the search's non-vanishing
+        test, by the Jack certificate, and at p = 0 by the state itself;
+        the certificate builds no trigonometric state of its own."""
+        calls = []
+        init = states._TrigOmega.__init__
+
+        def counted(self, *args):
+            calls.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(states._TrigOmega, "__init__", counted)
+        code, payload, _ = run_cli(
+            capsys, "verify", "--N", "3", "--l", "1", "--lambda", "1,0,-1",
+            "--p", p)
+        assert code == 0 and payload["verdict"] == "PASS"
+        assert len(calls) == expected
+
 
 class TestReferenceGuard:
     """cm verify reproduces the benchmark references (read, never written)

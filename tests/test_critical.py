@@ -44,8 +44,8 @@ from cmbethe.errors import (
 )
 from cmbethe.master import EllipticPoint, hessian_tau, newton_polish_tau
 from cmbethe.jack import jack_expand
-from cmbethe.states import (bethe_state_tri, jack_proportionality,
-                            sym_omega_tri_nonvanishing)
+from cmbethe.perturb import rs_series
+from cmbethe.states import jack_proportionality, sym_omega_tri_nonvanishing
 from cmbethe.weights import (
     Weight,
     build_indexing,
@@ -335,9 +335,8 @@ class TestFindAdmissible:
         """At the searched roots Sym omega_tri is c J_lambda Delta^{l+1}
         coefficient by coefficient, and c is a small-denominator rational."""
         rs, idx, xi_s, report = searched_root(N, l, lam)
-        state = bethe_state_tri(report.point, xi_s, rs, idx)
         c, residual = jack_proportionality(
-            state, jack_expand(lam, Fraction(1, l + 1)), l)
+            report.point, xi_s, jack_expand(lam, Fraction(1, l + 1)), l)
         assert residual < 1e-12, f"residual {residual}"
         exact = Fraction(c.real).limit_denominator(1000)
         assert abs(c.real - exact) < 1e-12, f"c = {c} vs {exact}"
@@ -452,6 +451,24 @@ class TestContinueNome:
         with pytest.raises(DomainError):
             continue_nome(self.seed(), XI_3L1, RS21, IDX21, 0.5)
         assert P_MAX == 0.3
+
+    def test_unset_knobs_refused(self):
+        """The step policy, the membership threshold, the critical-point
+        tolerance of S_dtau and the RS degeneracy tolerance are module
+        constants, not keywords or path fields."""
+        seed = self.seed()
+        for knob in ({"p_max": 0.5}, {"first_step": 1e-5}, {"min_step": 1e-9}):
+            with pytest.raises(TypeError):
+                continue_nome(seed, XI_3L1, RS21, IDX21, 1e-3, **knob)
+        for field in ("first_step", "linear_steps", "min_step", "newton_tol"):
+            with pytest.raises(TypeError):
+                critical.ContinuationPath(steps=[], target_p=0j, **{field: 1})
+        with pytest.raises(TypeError):
+            master.S_dtau(seed.point, XI_3L1, RS21, IDX21, crit_tol=1.0)
+        with pytest.raises(TypeError):
+            master.membership_F(seed.point, XI_3L1, RS21, IDX21, threshold=0.1)
+        with pytest.raises(TypeError):
+            rs_series((1, -1), 2, 1, 2, degeneracy_tol=1e-3)
 
     def test_too_few_steps_refused(self):
         with pytest.raises(DomainError):

@@ -24,6 +24,7 @@ from cmbethe.jack import (
     jack_expand,
     partition,
 )
+from cmbethe.states import sample_torus_points
 from cmbethe.weights import jack_energy
 
 HALF = Fraction(1, 2)
@@ -207,6 +208,28 @@ class TestCsApply:
                - 3.0 * np.atleast_1d(cs_apply(g, 1, 2)(pts)))
         assert np.max(np.abs(lhs - rhs)) < 1e-9 * np.max(np.abs(rhs)), (
             f"linearity violated: {lhs} vs {rhs}")
+
+    def test_matches_sine_stencil(self):
+        """cs_apply is the elliptic stencil at p = 0; a stencil written with
+        pi^2/sin^2 directly gives the same H psi to rounding."""
+        N, l, h = 3, 2, 1e-3
+        f = jack_expand((2, 1, 0), Fraction(1, 3)).evaluate
+        op = cs_apply(f, l, N, fd_h=h)
+        pts = sample_torus_points(N, 16, seed=3)
+        center = op.psi(pts)
+        ref = l * (l + 1) * math.pi ** 2 * center * sum(
+            1.0 / np.sin(math.pi * (pts[:, i] - pts[:, j])) ** 2
+            for i in range(N) for j in range(i + 1, N))
+        for i in range(N):
+            e = np.zeros(N)
+            e[i] = h
+            ref -= 0.5 * (op.psi(pts + e) - 2 * center
+                          + op.psi(pts - e)) / h ** 2
+        hv = op(pts)
+        assert np.max(np.abs(hv - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert abs(op(pts[0]) - hv[0]) <= 1e-12 * abs(hv[0])
+        q = complex(np.vdot(center, ref) / np.vdot(center, center).real)
+        assert abs(cs_quotient(f, l, N, grid_n=16, seed=3) - q) <= 1e-12 * abs(q)
 
     def test_eigen_relation_exhaustive(self):
         # quotient = e0 + 2 pi^2 E_lam for all |lam| <= 4, N <= 3, l <= 2

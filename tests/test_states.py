@@ -304,37 +304,33 @@ class TestJackProportionality:
 
     def test_n2_mean_half_spread_tiny(self):
         jack = jack_expand((Fraction(1, 2), Fraction(-1, 2)), Fraction(1, 2))
-        mean, spread = jack_proportionality(TRI_STATE, jack, 1)
+        mean, spread = jack_proportionality(TRIG_SEED.point, XI_3L1, jack, 1)
         assert spread < 1e-10, f"spread {spread}"
         assert abs(mean - 0.5) < 1e-12, f"mean {mean} vs 1/2"
 
     def test_n3_proportional(self):
         point, _ = closed_form_n3_l1(3, 3)[0]
-        st = bethe_state_tri(point, XI_33, RS31, IDX31)
         jack = jack_expand((1, 0, -1), Fraction(1, 2))
-        mean, spread = jack_proportionality(st, jack, 1)
+        mean, spread = jack_proportionality(point, XI_33, jack, 1)
         assert spread < 1e-9, f"spread {spread}"
         assert abs(mean - (-5.0 / 7.0)) < 1e-12, f"mean {mean} vs -5/7"
 
     def test_inadmissible_weight_refused(self):
         # the admissibility gate fires before any Jack-label comparison
         xi1 = weight_from_lambda_coords([1], 2)
-        st = bethe_state_tri(trig_point([0.5]), xi1, RS21, IDX21)
         jack = jack_expand((Fraction(1, 2), Fraction(-1, 2)), Fraction(1, 2))
         with pytest.raises(DomainError):
-            jack_proportionality(st, jack, 1)
+            jack_proportionality(trig_point([0.5]), xi1, jack, 1)
 
     def test_wrong_jack_label_refused(self):
         jack = jack_expand((Fraction(3, 2), Fraction(-3, 2)), Fraction(1, 2))
         with pytest.raises(DomainError):
-            jack_proportionality(TRI_STATE, jack, 1)
+            jack_proportionality(TRIG_SEED.point, XI_3L1, jack, 1)
 
     def test_elliptic_state_refused(self):
-        st = bethe_state_elliptic(elliptic_point(0.01), XI_3L1, RS21, IDX21,
-                                  compute_eigenvalue=False)
         jack = jack_expand((Fraction(1, 2), Fraction(-1, 2)), Fraction(1, 2))
         with pytest.raises(DomainError):
-            jack_proportionality(st, jack, 1)
+            jack_proportionality(elliptic_point(0.01), XI_3L1, jack, 1)
 
     @pytest.mark.parametrize("l,lam", [
         (12, (1, -1)), (16, (1, -1)), (20, (1, -1)), (24, (1, -1)),
@@ -343,7 +339,7 @@ class TestJackProportionality:
         """At N=2 l >= 12 the pointwise ratio spread exceeds 1e-9 from
         rounding alone; the coefficient residual stays at rounding level."""
         state, jack = searched_state(2, l, lam)
-        _, residual = jack_proportionality(state, jack, l)
+        _, residual = jack_proportionality(state.point, state.xi, jack, l)
         assert residual < 1e-9, f"residual {residual}"
 
     @pytest.mark.parametrize("N,l,lam", [
@@ -357,7 +353,7 @@ class TestJackProportionality:
         ratio wherever that ratio is accurate (the N=2 l <= 4 and N=3 l=1
         benchmark ladder levels)."""
         state, jack = searched_state(N, l, lam)
-        c, _ = jack_proportionality(state, jack, l)
+        c, _ = jack_proportionality(state.point, state.xi, jack, l)
         mean, _ = pointwise_jack_ratio(state, jack, l)
         assert abs(c - mean) < 1e-12, f"{c} vs pointwise mean {mean}"
 
@@ -368,7 +364,7 @@ class TestJackProportionality:
         of the pointwise versions are refused."""
         jack = jack_expand((Fraction(1, 2), Fraction(-1, 2)), Fraction(1, 2))
         with pytest.raises(TypeError):
-            jack_proportionality(TRI_STATE, jack, 1, **knob)
+            jack_proportionality(TRIG_SEED.point, XI_3L1, jack, 1, **knob)
         with pytest.raises(TypeError):
             sym_omega_tri_nonvanishing(trig_point([0.5]), XI_3L1, RS21,
                                        IDX21, **knob)
@@ -471,6 +467,28 @@ class TestSigmaTableEvaluator:
         st.evaluator(sample_torus_points(3, 64, seed=2))
         assert len(calls) == 1
 
+    def test_row_blocks_sized_by_table(self, monkeypatch):
+        """A row block holds as many points as the sigma table allows: at
+        N=5 l=1 (20 pair columns, 24 distinct u) that is 8 points, so the
+        528 stencil points of a grid-48 residual take 66 calls, not one call
+        per point."""
+        rs, idx = root_system(5, 1), build_indexing(5, 1)
+        xi = lambda_to_xi(Weight([0] * 5), rs)
+        rng = np.random.default_rng(4)
+        t = rng.random(idx.m) + 0.1j * rng.standard_normal(idx.m)
+        st = bethe_state_elliptic(EllipticPoint(t, Nome(p=0.01)), xi, rs, idx,
+                                  compute_eigenvalue=False)
+        calls = []
+        kernel = states.sigma_lambda
+
+        def counting(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(states, "sigma_lambda", counting)
+        residual_check(st, grid_n=48)
+        assert len(calls) <= 70, len(calls)
+
 
 class TestLimitChain:
     """As p -> 0 the normalized elliptic state approaches the normalized
@@ -504,8 +522,8 @@ class TestL2Estimate:
         def zero(x):
             return np.zeros(np.atleast_2d(x).shape[0], dtype=complex)
 
-        st = BetheState(xi=XI_3L1, point=trig_point([0.5]), nome=None,
-                        evaluator=zero, eigenvalue=None)
+        st = BetheState(xi=XI_3L1, point=trig_point([0.5]), evaluator=zero,
+                        eigenvalue=None)
         assert l2_estimate(st) == [0.0, 0.0, 0.0]
 
     def test_non_lattice_weight_refused(self):
