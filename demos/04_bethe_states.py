@@ -20,7 +20,6 @@ import numpy as np
 from cmbethe import (
     Weight,
     bethe_state_elliptic,
-    bethe_state_tri,
     build_indexing,
     continue_nome,
     eigenvalue_elliptic,
@@ -46,9 +45,11 @@ sigma, seed = find_admissible_critical_point(xi, rs, idx)
 # J_lambda^{(1/(l+1))}(X) Delta(X)^{l+1} with lambda = xi - (l+1) rho_bar.
 # Times Delta^l both sides are finite Laurent polynomials, so the identity is
 # checked coefficient by coefficient; the constant is 1/2 for this level
-# under the fixed normalizations.
+# under the fixed normalizations.  The same constructor builds the state at
+# every nome: at the p = 0 root it evaluates the antisymmetrized numerator
+# over Delta^l, and its eigenvalue formula reduces to 2 pi^2 (xi, xi).
 
-tri = bethe_state_tri(seed.point, xi, rs, idx)
+tri = bethe_state_elliptic(seed.point, xi, rs, idx)
 jack = jack_expand((Fraction(1, 2), Fraction(-1, 2)), Fraction(1, 2))
 c, residual = jack_proportionality(seed.point, xi, jack, 1)
 print(f"Sym omega = c J Delta^2 coefficientwise: c = {c.real:.15f}")

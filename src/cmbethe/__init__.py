@@ -86,11 +86,9 @@ from .states import (
     BetheState,
     base_point,
     bethe_state_elliptic,
-    bethe_state_tri,
     jack_proportionality,
     l2_estimate,
     omega_elliptic,
-    omega_tri,
     residual_check,
     sample_torus_points,
     sym_omega_tri_nonvanishing,
@@ -137,10 +135,9 @@ __all__ = [
     "continue_nome", "delta_closed_form_n2", "delta_direct",
     "find_admissible_critical_point", "hess_closed_form_n2",
     "n3_closed_form_displays", "sigma_closed_form",
-    "BetheState", "base_point", "bethe_state_elliptic", "bethe_state_tri",
-    "jack_proportionality", "l2_estimate", "omega_elliptic", "omega_tri",
-    "residual_check", "sample_torus_points", "sym_omega_tri_nonvanishing",
-    "symmetrize",
+    "BetheState", "base_point", "bethe_state_elliptic",
+    "jack_proportionality", "l2_estimate", "omega_elliptic", "residual_check",
+    "sample_torus_points", "sym_omega_tri_nonvanishing", "symmetrize",
     "JackExpansion", "cs_apply", "cs_quotient", "dominance_leq",
     "inner_product", "jack_expand", "partition",
     "EnergySeries", "PotentialSeries", "band_distance", "bethe_crosscheck",

@@ -4,7 +4,9 @@ Subcommands
     theta      theta-function values on a grid (JSON, or CSV via --out)
     critical   admissible trigonometric Bethe root for one weight
     continue   homotopy continuation of the root in the nome (JSONL path)
-    state      eigenstate construction + spectral residual certificate
+    state      eigenstate construction + spectral residual certificate (one
+               state constructor for every nome; --p 0 skips the
+               continuation and reads the antisymmetrized p = 0 numerator)
     jack       Jack polynomial expansion in monomial symmetric functions
     perturb    Rayleigh-Schrodinger energy series (+ Bethe crosscheck)
     verify     full verification chain for one lambda, single JSON verdict
@@ -40,8 +42,8 @@ from .elliptic import Nome, theta
 from .errors import CmError, DomainError
 from .jack import jack_expand, partition
 from .perturb import _crosscheck_record, bethe_crosscheck, rs_series
-from .states import (base_point, bethe_state_elliptic, bethe_state_tri,
-                     jack_proportionality, l2_estimate, residual_check)
+from .states import (base_point, bethe_state_elliptic, jack_proportionality,
+                     l2_estimate, residual_check)
 from .weights import (Weight, build_indexing, lambda_to_xi, permute_weight,
                       root_system, weight_from_lambda_coords)
 
@@ -262,8 +264,8 @@ def cmd_continue(args) -> Dict:
 
 
 def _build_state(args):
-    """Common chain for state/verify: critical point, continuation to p,
-    elliptic (or trigonometric) state with its eigenvalue, Rayleigh data."""
+    """Common chain for state/verify: critical point, continuation to p
+    (skipped at p = 0), the Bethe state with its eigenvalue, Rayleigh data."""
     rs = root_system(args.N, args.l)
     idx = build_indexing(args.N, args.l)
     xi = _resolve_xi(args, rs)
@@ -272,12 +274,12 @@ def _build_state(args):
     xi_s = permute_weight(xi, sigma)
     info: Dict = {"xi": xi, "xi_s": xi_s, "sigma": sigma, "rs": rs,
                   "idx": idx, "trig": trig, "target": target, "path": None}
-    if abs(target) == 0:
-        state = bethe_state_tri(trig.point, xi_s, rs, idx)
-    else:
+    point = trig.point
+    if abs(target) != 0:
         path = continue_nome(trig, xi_s, rs, idx, target, steps=args.steps)
         info["path"] = path
-        state = bethe_state_elliptic(path.endpoint.point, xi_s, rs, idx)
+        point = path.endpoint.point
+    state = bethe_state_elliptic(point, xi_s, rs, idx)
     e_ray, rel = residual_check(state, grid_n=args.grid, fd_h=args.fd_h)
     info["E_rayleigh"] = e_ray
     info["rel_residual"] = rel

@@ -45,7 +45,6 @@ import numpy as np
 from .elliptic import Nome
 from .errors import DegeneracyError, DomainError
 from .states import _fd_hamiltonian, _rayleigh, sample_torus_points
-from .weights import e0 as rs_e0
 from .weights import jack_energy
 
 TWO_PI_I = 2j * math.pi
@@ -313,8 +312,3 @@ def cs_quotient(f: Callable, l: int, N: int, *, grid_n: int = 48,
     pts = sample_torus_points(N, grid_n, margin=margin, seed=seed)
     return _rayleigh(*_fd_hamiltonian(cs_apply(f, l, N).psi, pts,
                                       Nome(p=0.0), l, fd_h))[0]
-
-
-def e0(N: int, l: int) -> float:
-    """The CS ground-state eigenvalue pi^2 (l+1)^2 N (N^2-1)/6."""
-    return rs_e0(N, l)

@@ -25,14 +25,17 @@ e^{2 pi i xi_i x_i}).  Fixed constant conventions of this module:
     raw (un-normalized) forms so its reported constant is convention-fixed.
 
 Physical states are Sym^(l) omega: the plain sum over S_N for odd l, the
-sign-weighted sum for even l.  The numerator X^xi acc of omega_tri is a
-finite Laurent polynomial, expanded once per p = 0 point; Delta^l is
+sign-weighted sum for even l.  There is one pointwise omega, the elliptic
+one; at p = 0 it is omega_tri times the constant
+(2 pi i)^m / Prod_{c(k)=1} (T_k - 1).  The numerator X^xi acc of omega_tri is
+a finite Laurent polynomial, expanded once per p = 0 point; Delta^l is
 symmetric for even l and antisymmetric for odd l, so Delta^l Sym^(l) omega_tri
 is its antisymmetrization Alt(X^xi acc) over S_N.  The non-vanishing test and
 the Jack certificate (Alt(X^xi acc) = c J_lambda Delta^{2l+1}) read Alt
-coefficient by coefficient and sample no points.  For the elliptic omega
-every sigma factor depends only on an ordered pair (x_a, x_b) and on one of
-the distinct u = t_k - t_{f(k)}, so Sym^(l) omega is evaluated from one
+coefficient by coefficient and sample no points, and at a p = 0 point
+``bethe_state_elliptic`` evaluates the state as X^xi Alt / Delta^l.  At
+p > 0 every sigma factor depends only on an ordered pair (x_a, x_b) and on
+one of the distinct u = t_k - t_{f(k)}, so Sym^(l) omega is evaluated from one
 table of sigma_{x_a - x_b}(u) per row block of points (a single
 ``sigma_lambda`` call): each permutation relabels the pair columns it
 gathers and contributes its own prefactor, and no theta series runs per
@@ -118,8 +121,11 @@ def sample_torus_points(N: int, n: int, *, margin: float = 0.1, seed: int = 0,
     return out
 
 
-def _as_batch(x) -> tuple[np.ndarray, bool]:
+def _as_batch(x, N: int) -> tuple[np.ndarray, bool]:
+    """x as an (M, N) complex batch, and whether it was a single point."""
     arr = np.asarray(x, dtype=complex)
+    if arr.shape[-1] != N:
+        raise DomainError(f"expected {N} coordinates, got {arr.shape[-1]}")
     if arr.ndim == 1:
         return arr[None, :], True
     return arr, False
@@ -132,16 +138,6 @@ def _perm_sign(perm: Sequence[int]) -> int:
             if perm[a] > perm[b]:
                 inv += 1
     return -1 if inv % 2 else 1
-
-
-def _pair_diff_guard(x: np.ndarray, N: int) -> None:
-    for i in range(N):
-        for j in range(i + 1, N):
-            d = x[:, i] - x[:, j]
-            if np.any(np.abs(d - np.round(d.real)) < 1e-12):
-                raise PoleError(
-                    f"x_{i + 1} = x_{j + 1} (mod 1): evaluation at a pole of "
-                    f"the unsymmetrized state")
 
 
 def _merge(keys: np.ndarray, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -166,7 +162,7 @@ class _TrigOmega:
         if not membership_F(point, xi, rs, idx):
             raise MembershipError("T is outside F (a factor of Phi_tri vanishes)")
         N, m = rs.N, idx.m
-        self.N, self.l, self.xi, self.in_P = N, rs.l, xi.coords, xi.in_P
+        self.N, self.xi, self.in_P = N, xi.coords, xi.in_P
         T = np.concatenate([[1.0 + 0j], point.to_T()])      # T[0] = T_0 = 1
         w, f = np.array([(w_flat, f_flat) for w_flat, f_tuple
                          in zip(idx.W_maps, idx.Fw_maps)
@@ -195,20 +191,6 @@ class _TrigOmega:
                                 np.concatenate([scaled * T[kk + 1],
                                                 -scaled * T[f[term, kk]]]))
         self.rows, self.coef = keys[:, 1:], coef
-
-    def __call__(self, x):
-        xb, single = _as_batch(x)
-        if xb.shape[-1] != self.N:
-            raise DomainError(f"expected {self.N} coordinates, got {xb.shape[-1]}")
-        _pair_diff_guard(xb, self.N)
-        X = np.exp(TWO_PI_I * xb)
-        delta = np.prod([X[:, i] - X[:, j]
-                         for i, j in combinations(range(self.N), 2)], axis=0)
-        step = max(1, _BLOCK_ENTRIES // self.coef.size)
-        acc = np.concatenate([np.exp(TWO_PI_I * (blk @ self.rows.T)) @ self.coef
-                              for blk in np.split(xb, range(step, len(xb), step))])
-        val = np.exp(TWO_PI_I * (xb @ self.xi)) * acc / delta ** self.l
-        return complex(val[0]) if single else val
 
     def alt(self) -> tuple[np.ndarray, np.ndarray]:
         """Alt(X^xi acc) = Delta^l Sym^(l) omega_tri, the antisymmetrization
@@ -267,9 +249,7 @@ class _EllipticOmega:
 
     def perm_sum(self, x, perms: Sequence[tuple[Sequence[int], int]]):
         """Sum of sign * omega(x o perm) over the (perm, sign) pairs."""
-        xb, single = _as_batch(x)
-        if xb.shape[-1] != self.N:
-            raise DomainError(f"expected {self.N} coordinates, got {xb.shape[-1]}")
+        xb, single = _as_batch(x, self.N)
         n_u = self.u.size
         gathers = []
         for perm, sign in perms:
@@ -290,33 +270,14 @@ class _EllipticOmega:
         return complex(acc[0]) if single else acc
 
 
-def _normalized(raw: Evaluator, N: int) -> Evaluator:
-    """raw / raw(x*), keeping raw's permutation-sum hook if it has one."""
-    ref = raw(base_point(N))
+def _base_value(ref: complex) -> complex:
+    """The value of an unnormalized omega at x*, refused if it is zero or
+    not finite."""
     if ref == 0 or not np.isfinite(ref):
         raise DomainError(
             "evaluator vanishes (or is singular) at the normalization base "
             "point; cannot normalize")
-
-    def evaluator(x):
-        return raw(x) / ref
-
-    if hasattr(raw, "perm_sum"):
-        evaluator.perm_sum = lambda x, perms: raw.perm_sum(x, perms) / ref
-    return evaluator
-
-
-def omega_tri(point: EllipticPoint, xi: Weight, rs: RootSystemData,
-              idx: BetheIndexing) -> Evaluator:
-    """The trigonometric Bethe vector omega_tri, normalized to 1 at x*.
-
-    ``point`` is a p = 0 point, read in T = exp(-2 pi i t).  Takes
-    x = (x_1, ..., x_N) (shape (N,) or batched (M, N)); the X variables
-    are e^{2 pi i x_i}.  Requires T in F_{N,l}; a collision T_k = T_{f(k)} in
-    a paired slot raises PoleError, x_i = x_j (mod 1) at evaluation raises
-    PoleError.
-    """
-    return _normalized(_TrigOmega(point, xi, rs, idx), rs.N)
+    return ref
 
 
 def omega_elliptic(point: EllipticPoint, xi: Weight, rs: RootSystemData,
@@ -325,35 +286,67 @@ def omega_elliptic(point: EllipticPoint, xi: Weight, rs: RootSystemData,
 
     Sum over (w, f) of products of sigma_{x_i - x_{w(k)+1}}(t_k - t_{f(k)})
     with the prefactor e^{2 pi i (xi, x)}; requires t in F^tau_{N,l};
-    x_i = x_j (mod lattice) raises PoleError.
+    x_i = x_j (mod lattice) raises PoleError.  At p = 0 it is omega_tri
+    times the constant (2 pi i)^m / Prod_{c(k)=1} (T_k - 1), so after
+    normalization it is the same function.  The returned evaluator carries
+    ``perm_sum(x, perms)`` for ``symmetrize``.
     """
-    return _normalized(_EllipticOmega(point, xi, rs, idx), rs.N)
+    raw = _EllipticOmega(point, xi, rs, idx)
+    ref = _base_value(raw(base_point(rs.N)))
+
+    def evaluator(x):
+        return raw(x) / ref
+
+    evaluator.perm_sum = lambda x, perms: raw.perm_sum(x, perms) / ref
+    return evaluator
 
 
-def symmetrize(evaluator: Evaluator, N: int, l: int) -> Evaluator:
-    """Sym^(l): plain sum over S_N for odd l, sign-weighted sum for even l.
-
-    An evaluator with a ``perm_sum(x, perms)`` method (the elliptic omega)
-    receives the signed permutation list in one call; any other callable is
-    evaluated once per permutation of the x-coordinates.
-    """
+def symmetrize(omega: Evaluator, N: int, l: int) -> Evaluator:
+    """Sym^(l) of ``omega`` (as ``omega_elliptic`` returns it): the plain sum
+    over S_N for odd l, the sign-weighted sum for even l, taken in one
+    ``omega.perm_sum(x, perms)`` call."""
     perms = [(p, 1 if l % 2 == 1 else _perm_sign(p))
              for p in permutations(range(N))]
-    perm_sum = getattr(evaluator, "perm_sum", None)
-    if perm_sum is not None:
-        def sym(x):
-            return perm_sum(x, perms)
-
-        return sym
 
     def sym(x):
-        xb, single = _as_batch(x)
-        acc = np.zeros(xb.shape[0], dtype=complex)
-        for perm, sign in perms:
-            acc = acc + sign * np.atleast_1d(evaluator(xb[:, list(perm)]))
-        return complex(acc[0]) if single else acc
+        return omega.perm_sum(x, perms)
 
     return sym
+
+
+def _laurent_over_delta(x: np.ndarray, xi: np.ndarray, rows: np.ndarray,
+                        coef: np.ndarray, l: int) -> np.ndarray:
+    """X^xi Sum_r coef_r X^{rows_r} / Delta(X)^l on the (M, N) batch x, in
+    row blocks of at most ``_BLOCK_ENTRIES`` exponentials.  x_i = x_j
+    (mod 1) raises PoleError, as it does in the elliptic evaluator."""
+    iu, ju = np.triu_indices(x.shape[1], 1)
+    d = x[:, iu] - x[:, ju]
+    if np.any(np.abs(d - np.round(d.real)) < 1e-12):
+        raise PoleError("x_i = x_j (mod 1): Delta(X) vanishes")
+    X = np.exp(TWO_PI_I * x)
+    step = max(1, _BLOCK_ENTRIES // coef.size)
+    acc = np.concatenate([np.exp(TWO_PI_I * (blk @ rows.T)) @ coef
+                          for blk in np.split(x, range(step, len(x), step))])
+    delta = np.prod(X[:, iu] - X[:, ju], axis=1)
+    return np.exp(TWO_PI_I * (x @ xi)) * acc / delta ** l
+
+
+def _alt_evaluator(point: EllipticPoint, xi: Weight, rs: RootSystemData,
+                   idx: BetheIndexing) -> Evaluator:
+    """Sym^(l) omega_tri = X^xi Alt(X^xi acc) / Delta^l at a p = 0 point,
+    divided by the raw omega_tri(x*) = X*^xi acc(X*) / Delta(X*)^l: the
+    normalization of the p > 0 state.  Requires xi in P."""
+    omega = _TrigOmega(point, xi, rs, idx)
+    rows, coef = omega.alt()
+    ref = _base_value(complex(_laurent_over_delta(
+        base_point(rs.N)[None], omega.xi, omega.rows, omega.coef, rs.l)[0]))
+
+    def evaluator(x):
+        xb, single = _as_batch(x, rs.N)
+        val = _laurent_over_delta(xb, omega.xi, rows, coef, rs.l) / ref
+        return complex(val[0]) if single else val
+
+    return evaluator
 
 
 def sym_omega_tri_nonvanishing(point: EllipticPoint, xi: Weight,
@@ -377,22 +370,19 @@ class BetheState:
     eigenvalue: Optional[complex]
 
 
-def bethe_state_tri(point: EllipticPoint, xi: Weight, rs: RootSystemData,
-                    idx: BetheIndexing) -> BetheState:
-    """The trigonometric state at a p = 0 point; its eigenvalue is the limit
-    value 2 pi^2 (xi, xi)."""
-    ev = symmetrize(omega_tri(point, xi, rs, idx), rs.N, rs.l)
-    xi_f = np.asarray(xi.coords, dtype=float)
-    return BetheState(xi=xi, point=point, evaluator=ev,
-                      eigenvalue=complex(2.0 * math.pi ** 2 * xi_f @ xi_f))
-
-
 def bethe_state_elliptic(point: EllipticPoint, xi: Weight, rs: RootSystemData,
                          idx: BetheIndexing,
                          compute_eigenvalue: bool = True) -> BetheState:
-    """The elliptic state; the eigenvalue comes from the critical-value
-    formula 2 pi^2 (xi, xi) - 2 pi i dS/dtau (requires a polished root)."""
-    ev = symmetrize(omega_elliptic(point, xi, rs, idx), rs.N, rs.l)
+    """The Bethe state at a point of any nome.  At p > 0 the evaluator is
+    Sym^(l) of the sigma-table omega; at p = 0 it reads the antisymmetrized
+    numerator Alt(X^xi acc) (xi must be in P).  Both are normalized by the
+    unsymmetrized omega at x*.  The eigenvalue comes from the critical-value
+    formula 2 pi^2 (xi, xi) - 2 pi i dS/dtau (requires a polished root; at
+    p = 0 it is 2 pi^2 (xi, xi))."""
+    if point.nome.p == 0:
+        ev = _alt_evaluator(point, xi, rs, idx)
+    else:
+        ev = symmetrize(omega_elliptic(point, xi, rs, idx), rs.N, rs.l)
     eigenvalue = eigenvalue_elliptic(point, xi, rs, idx) \
         if compute_eigenvalue else None
     return BetheState(xi=xi, point=point, evaluator=ev, eigenvalue=eigenvalue)
@@ -454,8 +444,15 @@ def _fd_hamiltonian(psi: Evaluator, pts: np.ndarray, nome: Nome, l: int,
     """(psi, H psi) on the points ``pts`` for
     H = -(1/2) Sum d^2/dx_i^2 + l(l+1) Sum_{i<j} wp_shifted(x_i - x_j) at
     ``nome``, the Laplacian by centered differences of step fd_h.  At
-    Nome(p=0) the pair potential is pi^2/sin^2(pi(x_i - x_j))."""
+    Nome(p=0) the pair potential is pi^2/sin^2(pi(x_i - x_j)).  An empty
+    batch and a step that is not positive and finite raise DomainError."""
     M, N = pts.shape
+    if M == 0:
+        raise DomainError("empty point batch (a sample grid of 0 points): "
+                          "nothing to apply H to")
+    if not (math.isfinite(fd_h) and fd_h > 0):
+        raise DomainError(f"finite-difference step fd_h = {fd_h!r} must be "
+                          f"positive and finite")
     stencil = [pts]
     for i in range(N):
         e = np.zeros(N)

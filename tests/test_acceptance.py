@@ -28,7 +28,6 @@ from cmbethe import (
     admissible,
     bethe_crosscheck,
     bethe_state_elliptic,
-    bethe_state_tri,
     build_indexing,
     closed_form_n2,
     closed_form_n3_l1,
@@ -184,7 +183,7 @@ def test_criterion_3_jack_proportionality():
             m1 = l + 1 + k
             xi = weight_from_lambda_coords([m1], 2)
             point, _ = closed_form_n2(m1, l)
-            state = bethe_state_tri(point, xi, rs, idx)
+            state = bethe_state_elliptic(point, xi, rs, idx)
             jack = jack_expand((Fraction(k, 2), Fraction(-k, 2)),
                                Fraction(1, l + 1))
             c = certify(state, jack, l)
@@ -197,7 +196,7 @@ def test_criterion_3_jack_proportionality():
     for (m1, m2), lam in n3_cases:
         xi = weight_from_lambda_coords([m1, m2], 3)
         point, _ = closed_form_n3_l1(m1, m2)[0]
-        state = bethe_state_tri(point, xi, rs31, idx31)
+        state = bethe_state_elliptic(point, xi, rs31, idx31)
         certify(state, jack_expand(lam, HALF), 1)
     ok = worst < 1e-9 and worst_res < 1e-12 and ratio_gap < 1e-9
     _gate(3, ok,

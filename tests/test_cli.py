@@ -287,6 +287,20 @@ class TestVerifyCommand:
         assert code == 2
         assert payload["error"]["code"] == "DOMAIN"
 
+    @pytest.mark.parametrize("flag,value,named", [
+        ("--fd-h", "0", "fd_h"), ("--fd-h", "-0.001", "fd_h"),
+        ("--fd-h", "inf", "fd_h"), ("--grid", "0", "grid")])
+    def test_degenerate_stencil_is_domain_error(self, capsys, flag, value,
+                                                named):
+        """A finite-difference step that is not positive and finite, or an
+        empty sample grid, is refused by name before H is applied."""
+        code, payload, _ = run_cli(
+            capsys, "verify", "--N", "2", "--l", "1", "--lambda", "1,-1",
+            flag, value)
+        assert code == 2
+        assert payload["error"]["code"] == "DOMAIN"
+        assert named in payload["error"]["message"]
+
     def test_missing_lambda_refused(self, capsys):
         code, payload, _ = run_cli(
             capsys, "verify", "--N", "2", "--l", "1", "--xi", "3",

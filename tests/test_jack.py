@@ -19,13 +19,12 @@ from cmbethe.jack import (
     cs_apply,
     cs_quotient,
     dominance_leq,
-    e0,
     inner_product,
     jack_expand,
     partition,
 )
 from cmbethe.states import sample_torus_points
-from cmbethe.weights import jack_energy
+from cmbethe.weights import e0, jack_energy
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)

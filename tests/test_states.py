@@ -29,19 +29,16 @@ from cmbethe.states import (
     BetheState,
     base_point,
     bethe_state_elliptic,
-    bethe_state_tri,
     jack_proportionality,
     l2_estimate,
     omega_elliptic,
-    omega_tri,
     residual_check,
     sample_torus_points,
     sym_omega_tri_nonvanishing,
-    symmetrize,
 )
 from cmbethe.weights import (Weight, build_indexing, lambda_to_xi,
                              root_system, weight_from_lambda_coords)
-from pointwise_jack import pointwise_jack_ratio
+from pointwise_jack import omega_tri_values, pointwise_jack_ratio, sym_pointwise
 from total_convention import eigenvalue_total
 
 RS21 = root_system(2, 1)
@@ -61,7 +58,7 @@ def trig_point(T):
 
 
 TRIG_SEED = find_admissible_critical_point(XI_3L1, RS21, IDX21)[1]
-TRI_STATE = bethe_state_tri(TRIG_SEED.point, XI_3L1, RS21, IDX21)
+TRI_STATE = bethe_state_elliptic(TRIG_SEED.point, XI_3L1, RS21, IDX21)
 
 
 def theta_val(u, nome):
@@ -76,15 +73,24 @@ def elliptic_point(p, steps=8):
                          steps=steps).endpoint.point
 
 
-def searched_state(N, l, lam):
-    """The trigonometric state at the root the search seeds for lambda, and
-    the Jack expansion J_lambda^{(1/(l+1))}."""
+def searched_root(N, l, lam):
+    """(point, xi, rs, idx) of the p = 0 root the search seeds for lambda."""
     rs, idx = root_system(N, l), build_indexing(N, l)
     xi = lambda_to_xi(Weight(list(lam)), rs)
     sigma, report = find_admissible_critical_point(xi, rs, idx)
-    xi_s = Weight([xi.exact[i] for i in sigma])
-    return (bethe_state_tri(report.point, xi_s, rs, idx),
+    return report.point, Weight([xi.exact[i] for i in sigma]), rs, idx
+
+
+def searched_state(N, l, lam):
+    """The trigonometric state at the root the search seeds for lambda, and
+    the Jack expansion J_lambda^{(1/(l+1))}."""
+    return (bethe_state_elliptic(*searched_root(N, l, lam)),
             jack_expand(lam, Fraction(1, l + 1)))
+
+
+#: One (N, l, lambda) per level the p = 0 evaluator tests cover.
+P0_LEVELS = [(2, 1, (1, -1)), (2, 2, (1, -1)), (2, 3, (1, -1)),
+             (3, 1, (1, 0, -1)), (3, 2, (1, 0, -1)), (4, 1, (1, 0, 0, -1))]
 
 
 def ratio_spread(ratios):
@@ -94,11 +100,12 @@ def ratio_spread(ratios):
 
 
 class TestOmegaTri:
-    """The trigonometric Bethe vector against its closed-form displays."""
+    """The Bethe vector at p = 0 against the trigonometric closed-form
+    displays."""
 
     def test_n2_display_ratio_constant(self):
         # const * X1^{3/2} X2^{-3/2} (X1 T - X2)/(X1 - X2), T = 1/2
-        ev = omega_tri(trig_point([0.5]), XI_3L1, RS21, IDX21)
+        ev = omega_elliptic(trig_point([0.5]), XI_3L1, RS21, IDX21)
         ratios = []
         for x in sample_torus_points(2, 10, margin=0.1, seed=2):
             X = np.exp(2j * np.pi * x)
@@ -111,7 +118,7 @@ class TestOmegaTri:
         point, _ = closed_form_n2(4, 2)
         rs, idx = root_system(2, 2), build_indexing(2, 2)
         xi = weight_from_lambda_coords([4], 2)
-        ev = omega_tri(point, xi, rs, idx)
+        ev = omega_elliptic(point, xi, rs, idx)
         ratios = []
         for x in sample_torus_points(2, 10, margin=0.1, seed=3):
             X = np.exp(2j * np.pi * x)
@@ -128,7 +135,7 @@ class TestOmegaTri:
         # over the full Vandermonde denominator.
         point, _ = closed_form_n3_l1(3, 3)[0]
         T = point.to_T()
-        ev = omega_tri(point, XI_33, RS31, IDX31)
+        ev = omega_elliptic(point, XI_33, RS31, IDX31)
         ratios = []
         for x in sample_torus_points(3, 10, margin=0.1, seed=4):
             X = np.exp(2j * np.pi * x)
@@ -142,14 +149,33 @@ class TestOmegaTri:
         assert ratio_spread(ratios) < 1e-10, f"spread {ratio_spread(ratios)}"
 
     def test_torus_modulus_invariant_for_lattice_weight(self):
-        ev = omega_tri(trig_point([0.5]), XI_3L1, RS21, IDX21)
+        ev = omega_elliptic(trig_point([0.5]), XI_3L1, RS21, IDX21)
         x = np.array([0.23, 0.61])
         a, b = complex(ev(x)), complex(ev(x + np.array([1.0, 0.0])))
         assert abs(abs(b / a) - 1.0) < 1e-12
 
     def test_elliptic_point_refused(self):
+        """The p = 0 expansion, which the non-vanishing test reads, refuses
+        a p > 0 point."""
         with pytest.raises(DomainError):
-            omega_tri(elliptic_point(0.01), XI_3L1, RS21, IDX21)
+            sym_omega_tri_nonvanishing(elliptic_point(0.01), XI_3L1, RS21,
+                                       IDX21)
+
+    @pytest.mark.parametrize("N,l,lam", [
+        lev for lev in P0_LEVELS if lev[:2] != (2, 3)])
+    def test_elliptic_omega_at_p0_is_omega_tri(self, N, l, lam):
+        """At Nome(p=0) the sigma-table omega is (2 pi i)^m /
+        Prod_{c(k)=1} (T_k - 1) times the raw omega_tri, evaluated here from
+        the expansion's rows and coefficients."""
+        point, xi, rs, idx = searched_root(N, l, lam)
+        T = point.to_T()
+        const = (2j * math.pi) ** idx.m / np.prod(
+            [T[k] - 1 for k in range(idx.m) if idx.c[k] == 1])
+        xs = sample_torus_points(N, 64, seed=8)
+        ref = const * omega_tri_values(states._TrigOmega(point, xi, rs, idx),
+                                       xs, l)
+        got = states._EllipticOmega(point, xi, rs, idx)(xs)
+        assert float(np.max(np.abs(got - ref) / np.abs(ref))) <= 1e-12
 
     def test_paired_collision_refused(self):
         # N=3: T3 paired with T1/T2; a collision there is a pole of the slot
@@ -158,8 +184,9 @@ class TestOmegaTri:
         T = point.to_T()
         bad = trig_point([T[0], T[1], T[0]])
         with pytest.raises((PoleError, MembershipError)):
-            ev = omega_tri(bad, XI_33, RS31, IDX31)
-            ev(np.array([0.1, 0.4, 0.8]))
+            st = bethe_state_elliptic(bad, XI_33, RS31, IDX31,
+                                      compute_eigenvalue=False)
+            st.evaluator(np.array([0.1, 0.4, 0.8]))
 
 
 class TestOmegaElliptic:
@@ -207,7 +234,8 @@ class TestOmegaElliptic:
     def test_trig_limit_ratio_constant(self):
         point = elliptic_point(1e-8, steps=6)
         ev_ell = omega_elliptic(point, XI_3L1, RS21, IDX21)
-        ev_tri = omega_tri(EllipticPoint(point.t, P0), XI_3L1, RS21, IDX21)
+        ev_tri = omega_elliptic(EllipticPoint(point.t, P0), XI_3L1, RS21,
+                                IDX21)
         ratios = [complex(ev_ell(x)) / complex(ev_tri(x))
                   for x in sample_torus_points(2, 10, margin=0.1, seed=5)]
         assert ratio_spread(ratios) < 1e-7, f"spread {ratio_spread(ratios)}"
@@ -225,8 +253,8 @@ class TestSymmetrize:
     def test_n2_symbolic_factorization(self):
         # Sym of the m1=3, T=1/2 vector is proportional to
         # (X1 X2)^{-3/2} (X1 + X2) (X1 - X2)^2 / 2.
-        sym = symmetrize(omega_tri(trig_point([0.5]), XI_3L1, RS21, IDX21),
-                         2, 1)
+        sym = bethe_state_elliptic(trig_point([0.5]), XI_3L1, RS21, IDX21,
+                                   compute_eigenvalue=False).evaluator
         ratios = []
         for x in sample_torus_points(2, 10, margin=0.1, seed=6):
             X = np.exp(2j * np.pi * x)
@@ -234,24 +262,6 @@ class TestSymmetrize:
                    * (X[0] + X[1]) * (X[0] - X[1]) ** 2 / 2.0)
             ratios.append(complex(sym(x)) / ref)
         assert ratio_spread(ratios) < 1e-12, f"spread {ratio_spread(ratios)}"
-
-    def test_symmetric_input_odd_l_times_factorial(self):
-        def g(x):
-            xb = np.atleast_2d(x)
-            return np.cos(2 * np.pi * xb.sum(axis=1))
-
-        x2, x3 = np.array([0.21, 0.55]), np.array([0.21, 0.55, 0.83])
-        assert abs(complex(symmetrize(g, 2, 1)(x2))
-                   - 2 * complex(g(x2)[0])) < 1e-14
-        assert abs(complex(symmetrize(g, 3, 1)(x3))
-                   - 6 * complex(g(x3)[0])) < 1e-14
-
-    def test_symmetric_input_even_l_cancels(self):
-        def g(x):
-            xb = np.atleast_2d(x)
-            return np.cos(2 * np.pi * xb.sum(axis=1))
-
-        assert abs(complex(symmetrize(g, 2, 2)(np.array([0.21, 0.55])))) == 0.0
 
     def test_parity_odd_l(self):
         x = np.array([0.17, 0.62])
@@ -264,11 +274,38 @@ class TestSymmetrize:
         point, _ = closed_form_n2(4, 2)
         rs, idx = root_system(2, 2), build_indexing(2, 2)
         xi = weight_from_lambda_coords([4], 2)
-        sym = symmetrize(omega_tri(point, xi, rs, idx), 2, 2)
+        sym = bethe_state_elliptic(point, xi, rs, idx).evaluator
         x = np.array([0.17, 0.62])
         a = complex(sym(x))
         b = complex(sym(x[::-1].copy()))
         assert abs(a + b) < 1e-12 * max(1.0, abs(a)), f"{a} vs {b}"
+
+
+class TestAltState:
+    """The p = 0 state X^xi Alt(X^xi acc) / Delta^l agrees with the pointwise
+    Sym^(l) of the raw expansion, normalized by omega_tri(x*)."""
+
+    @pytest.mark.parametrize("N,l,lam", P0_LEVELS)
+    def test_matches_pointwise_sym(self, N, l, lam):
+        point, xi, rs, idx = searched_root(N, l, lam)
+        raw = states._TrigOmega(point, xi, rs, idx)
+        sym = sym_pointwise(lambda x: omega_tri_values(raw, x, l), N, l)
+        xs = sample_torus_points(N, 64, seed=10)
+        ref = sym(xs) / omega_tri_values(raw, base_point(N)[None], l)[0]
+        got = bethe_state_elliptic(point, xi, rs, idx,
+                                   compute_eigenvalue=False).evaluator(xs)
+        assert float(np.max(np.abs(got - ref))) <= 1e-12 * float(
+            np.max(np.abs(ref)))
+
+    def test_non_lattice_weight_refused(self):
+        xi = weight_from_lambda_coords([2.5], 2)
+        point, _ = closed_form_n2(2.5, 1)
+        with pytest.raises(DomainError):
+            bethe_state_elliptic(point, xi, RS21, IDX21)
+
+    def test_pole_at_coincident_coordinates(self):
+        with pytest.raises(PoleError):
+            TRI_STATE.evaluator(np.array([0.3, 1.3]))
 
 
 class TestStatePeriodicity:
@@ -284,7 +321,7 @@ class TestStatePeriodicity:
     def test_integer_weight_factor_one(self):
         xi4 = weight_from_lambda_coords([4], 2)
         point, _ = closed_form_n2(4, 1)
-        st = bethe_state_tri(point, xi4, RS21, IDX21)
+        st = bethe_state_elliptic(point, xi4, RS21, IDX21)
         x = np.array([0.23, 0.61])
         f = (complex(st.evaluator(x + np.array([1.0, 0.0])))
              / complex(st.evaluator(x)))
@@ -434,8 +471,7 @@ class TestSigmaTableEvaluator:
         point, xi, rs, idx = continued_state_parts(lam, N, l, p)
         fused = bethe_state_elliptic(point, xi, rs, idx,
                                      compute_eigenvalue=False).evaluator
-        omega = omega_elliptic(point, xi, rs, idx)
-        plain = symmetrize(lambda x: omega(x), N, l)
+        plain = sym_pointwise(omega_elliptic(point, xi, rs, idx), N, l)
         # every table row has at least two entries, so this spans two blocks
         xs = sample_torus_points(N, states._BLOCK_ENTRIES // 2 + 1, seed=12)
         ref = plain(xs)
@@ -528,8 +564,11 @@ class TestL2Estimate:
 
     def test_non_lattice_weight_refused(self):
         xi = weight_from_lambda_coords([2.5], 2)
-        point, _ = closed_form_n2(2.5, 1)
-        st = bethe_state_tri(point, xi, RS21, IDX21)
+        _, report = closed_form_n2(2.5, 1)
+        point = continue_nome(report, xi, RS21, IDX21, 0.01,
+                              steps=4).endpoint.point
+        st = bethe_state_elliptic(point, xi, RS21, IDX21,
+                                  compute_eigenvalue=False)
         with pytest.raises(DomainError):
             l2_estimate(st)
 
