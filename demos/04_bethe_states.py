@@ -45,9 +45,9 @@ sigma, seed = find_admissible_critical_point(xi, rs, idx)
 # J_lambda^{(1/(l+1))}(X) Delta(X)^{l+1} with lambda = xi - (l+1) rho_bar.
 # Times Delta^l both sides are finite Laurent polynomials, so the identity is
 # checked coefficient by coefficient; the constant is 1/2 for this level
-# under the fixed normalizations.  The same constructor builds the state at
-# every nome: at the p = 0 root it evaluates the antisymmetrized numerator
-# over Delta^l, and its eigenvalue formula reduces to 2 pi^2 (xi, xi).
+# under the fixed normalizations.  The same constructor and the same sigma
+# table build the state at every nome, the p = 0 root included, and there
+# its eigenvalue formula reduces to 2 pi^2 (xi, xi).
 
 tri = bethe_state_elliptic(seed.point, xi, rs, idx)
 jack = jack_expand((Fraction(1, 2), Fraction(-1, 2)), Fraction(1, 2))

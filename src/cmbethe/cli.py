@@ -6,7 +6,7 @@ Subcommands
     continue   homotopy continuation of the root in the nome (JSONL path)
     state      eigenstate construction + spectral residual certificate (one
                state constructor for every nome; --p 0 skips the
-               continuation and reads the antisymmetrized p = 0 numerator)
+               continuation)
     jack       Jack polynomial expansion in monomial symmetric functions
     perturb    Rayleigh-Schrodinger energy series (+ Bethe crosscheck)
     verify     full verification chain for one lambda, single JSON verdict
@@ -253,13 +253,13 @@ def cmd_continue(args) -> Dict:
     if end.eigenvalue is not None:
         payload["endpoint"]["eigenvalue"] = _complex_pair(end.eigenvalue)
         payload["eigenvalue_mode"] = args.mode
+    records = path.records()
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(path.to_jsonl())
+            fh.writelines(_to_json(rec) + "\n" for rec in records)
         payload["jsonl"] = args.out
     else:
-        payload["path"] = [json.loads(line)
-                           for line in path.to_jsonl().splitlines()]
+        payload["path"] = records
     return payload
 
 

@@ -49,6 +49,7 @@ from .errors import (ConvergenceError, DegeneracyError, DomainError,
                      MembershipError)
 from .master import (CriticalReport, EllipticPoint, _polish,
                      eigenvalue_elliptic)
+from .states import sym_omega_tri_nonvanishing
 from .weights import (BetheIndexing, RootSystemData, Weight, admissible,
                       lambda_coords, permute_weight, root_system,
                       build_indexing)
@@ -59,10 +60,6 @@ MIN_STEP = 1e-12
 FIRST_STEP = 1e-6
 HESS_DEGENERACY_TOL = 1e-9
 SEARCH_MAX_ITER = 200
-
-
-def _fmt17(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +237,6 @@ def find_admissible_critical_point(
     """
     if not admissible(xi_dominant, rs):
         raise DomainError(f"weight {xi_dominant!r} fails the admissibility gate")
-    from .states import sym_omega_tri_nonvanishing   # deferred: states imports master
-
     N, l = rs.N, rs.l
     rng = np.random.default_rng(seed)
     failures: list[str] = []
@@ -319,26 +314,18 @@ class ContinuationPath:
     def endpoint(self) -> PathStep:
         return self.steps[-1]
 
-    def to_jsonl(self) -> str:
-        """One JSON object per accepted step:
-        {p, t, grad_norm, hess_det, eigenvalue?} (17 significant digits)."""
-        lines = []
+    def records(self) -> list[dict]:
+        """One record per accepted step, {p, t, grad_norm, hess_det,
+        eigenvalue?}, with complex values as complex numbers."""
+        out = []
         for s in self.steps:
-            t_list = ", ".join(
-                f"[{_fmt17(z.real)}, {_fmt17(z.imag)}]" for z in s.point.t)
-            parts = [
-                f'"p": [{_fmt17(s.p.real)}, {_fmt17(s.p.imag)}]',
-                f'"t": [{t_list}]',
-                f'"grad_norm": {_fmt17(s.report.grad_norm)}',
-                f'"hess_det": [{_fmt17(s.report.hessian_det.real)}, '
-                f'{_fmt17(s.report.hessian_det.imag)}]',
-            ]
+            rec = {"p": s.p, "t": list(s.point.t),
+                   "grad_norm": s.report.grad_norm,
+                   "hess_det": s.report.hessian_det}
             if s.eigenvalue is not None:
-                parts.append(
-                    f'"eigenvalue": [{_fmt17(s.eigenvalue.real)}, '
-                    f'{_fmt17(s.eigenvalue.imag)}]')
-            lines.append("{" + ", ".join(parts) + "}")
-        return "\n".join(lines) + "\n"
+                rec["eigenvalue"] = s.eigenvalue
+            out.append(rec)
+        return out
 
 
 def _schedule(target: complex, linear_steps: int) -> list[complex]:

@@ -5,16 +5,19 @@ Conventions, fixed once here and used by the whole package:
     theta1(x) = 2 Sum_{n>=1} (-1)^(n-1) exp(tau*pi*i*(n-1/2)^2) sin((2n-1)*pi*x)
     theta(x)  = theta1(x) / theta1'(0)        ->  sin(pi*x)/pi    as p -> 0
     sigma_lam(x) = theta'(0) theta(x-lam) / (theta(x) theta(lam))
-    wp(x)     = -(log theta1)''(x) + (1/3) theta1'''(0)/theta1'(0)
-    eta       = pi^2 (1/6 - 4 Sum_{n>=1} n p^n/(1-p^n))   (lattice quasi-period)
+    eta       = -(1/6) theta1'''(0)/theta1'(0)        (lattice quasi-period)
+              = pi^2 (1/6 - 4 Sum_{n>=1} n p^n/(1-p^n))
+    wp(x)     = -(log theta1)''(x) - 2 eta
 
 where p = exp(2*pi*i*tau) is the nome, |p| < 1. The constant in wp makes the
 Laurent expansion constant-free, wp(x) = 1/x^2 + O(x^2), so the p -> 0 limit
-is pi^2/sin^2(pi*x) - pi^2/3.  eta equals -(1/6) theta1'''(0)/theta1'(0)
-identically and makes wp(x) + 2*eta -> pi^2/sin^2(pi*x) exactly; it is the
-eta the spectral residual tests certify (the unweighted series
-Sum p^n/(1-p^n), which agrees with it at O(p) only, lives on as test
-evidence).
+is pi^2/sin^2(pi*x) - pi^2/3.  The pair potential of the Hamiltonian is
+wp(x) + 2*eta = -(log theta)''(x) (theta and theta1 differ by a constant
+factor), which tends to pi^2/sin^2(pi*x) exactly; this is the eta the
+spectral residual tests certify (the unweighted series Sum p^n/(1-p^n),
+which agrees with it at O(p) only, lives on as test evidence).  eta is read
+from the cached theta derivatives at 0, and wp_shifted is the third output
+of ``log_theta_jet``, so neither has a series of its own.
 
 Internally every theta quantity is computed from the reduced series
 
@@ -341,56 +344,35 @@ def sigma_lambda(lam: ArrayLike, x: ArrayLike, nome: Nome | complex) -> ArrayLik
 def wp(x: ArrayLike, nome: Nome | complex) -> ArrayLike:
     """Weierstrass wp with periods (1, tau), constant-free Laurent expansion.
 
-    wp(x) = -(log theta1)''(x) + (1/3) theta1'''(0)/theta1'(0)
+    wp(x) = wp_shifted(x) - 2 eta
+          = -(log theta1)''(x) + (1/3) theta1'''(0)/theta1'(0)
           = 1/x^2 + O(x^2) near 0;  p = 0 limit: pi^2/sin^2(pi*x) - pi^2/3.
     """
     nome = _as_nome(nome)
-    x_arr = np.asarray(x, dtype=complex)
-    scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr)
-    _check_off_lattice(x_arr, nome, "x")
-    s0, s1, s2 = _theta_hat(x_arr, nome, ("s0", "s1", "s2"))
-    d1_0, d3_0, _ = _zero_data(nome)
-    r1 = s1 / s0
-    log_dd = s2 / s0 - r1 * r1
-    value = -log_dd + d3_0 / d1_0 / 3.0
-    return _maybe_scalar(value, scalar)
+    return wp_shifted(x, nome) - 2.0 * eta_const(nome)
 
 
 def eta_const(nome: Nome | complex) -> complex:
-    """The eta constant pi^2 (1/6 - 4 Sum n p^n/(1-p^n)).
+    """The eta constant -(1/6) theta1'''(0)/theta1'(0), from the cached
+    derivatives of theta at 0 (``_zero_data``).
 
-    The first-period quasi-period of the (1, tau) lattice, which equals
-    -(1/6) theta1'''(0)/theta1'(0) identically; the shifted potential uses it
+    The first-period quasi-period of the (1, tau) lattice, equal to
+    pi^2 (1/6 - 4 Sum n p^n/(1-p^n)); the shifted potential is wp + 2 eta
     (see ``wp_shifted``).  Real for real p in [0, 1).
     """
     nome = _as_nome(nome)
-    p = nome.p
-    tol = nome.series_tolerance
-    total = 0j
-    p_n = 1.0 + 0j
-    for n in range(1, 100000):
-        p_n *= p
-        if p_n == 0:
-            break
-        term = n * p_n / (1.0 - p_n)
-        total += term
-        if abs(term) <= tol * max(1.0, abs(total)):
-            break
-    else:
-        raise AccuracyError(f"eta series not converged for |p|={abs(p)}")
-    value = math.pi ** 2 * (1.0 / 6.0 - 4.0 * total)
-    if p.imag == 0 and p.real >= 0:
+    d1_0, d3_0, _ = _zero_data(nome)
+    value = -d3_0 / d1_0 / 6.0
+    if nome.p.imag == 0 and nome.p.real >= 0:
         return value.real
     return value
 
 
 def wp_shifted(x: ArrayLike, nome: Nome | complex) -> ArrayLike:
-    """wp(x) + 2*eta.
+    """wp(x) + 2*eta = -(log theta)''(x), from one ``log_theta_jet`` call.
 
     With the quasi-period eta the p -> 0 limit is exactly pi^2/sin^2(pi*x)
     and the Bethe eigenvalue formula is an exact eigenvalue of the shifted
     Hamiltonian (the spectral residual tests certify this choice).
     """
-    nome = _as_nome(nome)
-    return wp(x, nome) + 2.0 * eta_const(nome)
+    return -log_theta_jet(x, nome)[2]

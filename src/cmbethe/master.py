@@ -240,16 +240,14 @@ def _S_partial_dtau(t: np.ndarray, nome: Nome, rs: RootSystemData,
 def S_dtau(pt: EllipticPoint, xi: Weight, rs: RootSystemData,
            idx: BetheIndexing) -> complex:
     """dS/dtau at an elliptic Bethe root, at fixed t (term-wise theta
-    tau-derivatives).  The point must satisfy the Bethe equations to
-    ``_CRIT_TOL``.
+    tau-derivatives; exactly 0 at p = 0, where d_tau log theta is).  The
+    point must satisfy the Bethe equations to ``_CRIT_TOL``.
     """
     gnorm = float(np.linalg.norm(log_phi_tau_grad(pt, xi, rs, idx)))
     if gnorm > _CRIT_TOL:
         raise DomainError(
             f"S_dtau requires a Bethe critical point: |grad| = {gnorm:.3e} "
             f"> {_CRIT_TOL:.1e}")
-    if pt.nome.p == 0:
-        return 0j
     return _S_partial_dtau(pt.t, pt.nome, rs, idx)
 
 

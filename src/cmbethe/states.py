@@ -25,21 +25,22 @@ e^{2 pi i xi_i x_i}).  Fixed constant conventions of this module:
     raw (un-normalized) forms so its reported constant is convention-fixed.
 
 Physical states are Sym^(l) omega: the plain sum over S_N for odd l, the
-sign-weighted sum for even l.  There is one pointwise omega, the elliptic
-one; at p = 0 it is omega_tri times the constant
-(2 pi i)^m / Prod_{c(k)=1} (T_k - 1).  The numerator X^xi acc of omega_tri is
-a finite Laurent polynomial, expanded once per p = 0 point; Delta^l is
-symmetric for even l and antisymmetric for odd l, so Delta^l Sym^(l) omega_tri
-is its antisymmetrization Alt(X^xi acc) over S_N.  The non-vanishing test and
-the Jack certificate (Alt(X^xi acc) = c J_lambda Delta^{2l+1}) read Alt
-coefficient by coefficient and sample no points, and at a p = 0 point
-``bethe_state_elliptic`` evaluates the state as X^xi Alt / Delta^l.  At
-p > 0 every sigma factor depends only on an ordered pair (x_a, x_b) and on
-one of the distinct u = t_k - t_{f(k)}, so Sym^(l) omega is evaluated from one
-table of sigma_{x_a - x_b}(u) per row block of points (a single
-``sigma_lambda`` call): each permutation relabels the pair columns it
-gathers and contributes its own prefactor, and no theta series runs per
-permutation or per slot.  ``residual_check`` applies the Hamiltonian
+sign-weighted sum for even l.  There is one pointwise omega and one state
+evaluator, the elliptic ones, at every nome; at p = 0 omega is omega_tri
+times the constant (2 pi i)^m / Prod_{c(k)=1} (T_k - 1).  Every sigma factor
+depends only on an ordered pair (x_a, x_b) and on one of the distinct
+u = t_k - t_{f(k)}, so Sym^(l) omega is evaluated from one table of
+sigma_{x_a - x_b}(u) per row block of points (a single ``sigma_lambda``
+call): each permutation relabels the pair columns it gathers and contributes
+its own prefactor, and no theta series runs per permutation or per slot.
+The numerator X^xi acc of omega_tri is a finite Laurent polynomial, expanded
+once per p = 0 point; Delta^l is symmetric for even l and antisymmetric for
+odd l, so Delta^l Sym^(l) omega_tri is its antisymmetrization Alt(X^xi acc)
+over S_N.  The two p = 0 certificates, the non-vanishing test and the Jack
+certificate (Alt(X^xi acc) = c J_lambda Delta^{2l+1}), read Alt coefficient
+by coefficient and sample no points.
+
+``residual_check`` applies the Hamiltonian
 
     H = -(1/2) Sum_i d^2/dx_i^2 + l(l+1) Sum_{i<j} (wp(x_i-x_j) + 2 eta)
 
@@ -270,16 +271,6 @@ class _EllipticOmega:
         return complex(acc[0]) if single else acc
 
 
-def _base_value(ref: complex) -> complex:
-    """The value of an unnormalized omega at x*, refused if it is zero or
-    not finite."""
-    if ref == 0 or not np.isfinite(ref):
-        raise DomainError(
-            "evaluator vanishes (or is singular) at the normalization base "
-            "point; cannot normalize")
-    return ref
-
-
 def omega_elliptic(point: EllipticPoint, xi: Weight, rs: RootSystemData,
                    idx: BetheIndexing) -> Evaluator:
     """The elliptic Bethe vector omega, normalized to 1 at x*.
@@ -292,7 +283,11 @@ def omega_elliptic(point: EllipticPoint, xi: Weight, rs: RootSystemData,
     ``perm_sum(x, perms)`` for ``symmetrize``.
     """
     raw = _EllipticOmega(point, xi, rs, idx)
-    ref = _base_value(raw(base_point(rs.N)))
+    ref = raw(base_point(rs.N))
+    if ref == 0 or not np.isfinite(ref):
+        raise DomainError(
+            "evaluator vanishes (or is singular) at the normalization base "
+            "point; cannot normalize")
 
     def evaluator(x):
         return raw(x) / ref
@@ -312,41 +307,6 @@ def symmetrize(omega: Evaluator, N: int, l: int) -> Evaluator:
         return omega.perm_sum(x, perms)
 
     return sym
-
-
-def _laurent_over_delta(x: np.ndarray, xi: np.ndarray, rows: np.ndarray,
-                        coef: np.ndarray, l: int) -> np.ndarray:
-    """X^xi Sum_r coef_r X^{rows_r} / Delta(X)^l on the (M, N) batch x, in
-    row blocks of at most ``_BLOCK_ENTRIES`` exponentials.  x_i = x_j
-    (mod 1) raises PoleError, as it does in the elliptic evaluator."""
-    iu, ju = np.triu_indices(x.shape[1], 1)
-    d = x[:, iu] - x[:, ju]
-    if np.any(np.abs(d - np.round(d.real)) < 1e-12):
-        raise PoleError("x_i = x_j (mod 1): Delta(X) vanishes")
-    X = np.exp(TWO_PI_I * x)
-    step = max(1, _BLOCK_ENTRIES // coef.size)
-    acc = np.concatenate([np.exp(TWO_PI_I * (blk @ rows.T)) @ coef
-                          for blk in np.split(x, range(step, len(x), step))])
-    delta = np.prod(X[:, iu] - X[:, ju], axis=1)
-    return np.exp(TWO_PI_I * (x @ xi)) * acc / delta ** l
-
-
-def _alt_evaluator(point: EllipticPoint, xi: Weight, rs: RootSystemData,
-                   idx: BetheIndexing) -> Evaluator:
-    """Sym^(l) omega_tri = X^xi Alt(X^xi acc) / Delta^l at a p = 0 point,
-    divided by the raw omega_tri(x*) = X*^xi acc(X*) / Delta(X*)^l: the
-    normalization of the p > 0 state.  Requires xi in P."""
-    omega = _TrigOmega(point, xi, rs, idx)
-    rows, coef = omega.alt()
-    ref = _base_value(complex(_laurent_over_delta(
-        base_point(rs.N)[None], omega.xi, omega.rows, omega.coef, rs.l)[0]))
-
-    def evaluator(x):
-        xb, single = _as_batch(x, rs.N)
-        val = _laurent_over_delta(xb, omega.xi, rows, coef, rs.l) / ref
-        return complex(val[0]) if single else val
-
-    return evaluator
 
 
 def sym_omega_tri_nonvanishing(point: EllipticPoint, xi: Weight,
@@ -373,16 +333,12 @@ class BetheState:
 def bethe_state_elliptic(point: EllipticPoint, xi: Weight, rs: RootSystemData,
                          idx: BetheIndexing,
                          compute_eigenvalue: bool = True) -> BetheState:
-    """The Bethe state at a point of any nome.  At p > 0 the evaluator is
-    Sym^(l) of the sigma-table omega; at p = 0 it reads the antisymmetrized
-    numerator Alt(X^xi acc) (xi must be in P).  Both are normalized by the
-    unsymmetrized omega at x*.  The eigenvalue comes from the critical-value
-    formula 2 pi^2 (xi, xi) - 2 pi i dS/dtau (requires a polished root; at
-    p = 0 it is 2 pi^2 (xi, xi))."""
-    if point.nome.p == 0:
-        ev = _alt_evaluator(point, xi, rs, idx)
-    else:
-        ev = symmetrize(omega_elliptic(point, xi, rs, idx), rs.N, rs.l)
+    """The Bethe state at a point of any nome, p = 0 included: Sym^(l) of
+    the sigma-table omega, normalized by the unsymmetrized omega at x*.
+    The eigenvalue comes from the critical-value formula
+    2 pi^2 (xi, xi) - 2 pi i dS/dtau (requires a polished root; at p = 0 it
+    is 2 pi^2 (xi, xi))."""
+    ev = symmetrize(omega_elliptic(point, xi, rs, idx), rs.N, rs.l)
     eigenvalue = eigenvalue_elliptic(point, xi, rs, idx) \
         if compute_eigenvalue else None
     return BetheState(xi=xi, point=point, evaluator=ev, eigenvalue=eigenvalue)

@@ -1,9 +1,9 @@
 """The rejected pointwise p = 0 evaluation and Jack certificate, kept as test
 evidence.
 
-The library evaluates the p = 0 state from the antisymmetrized numerator
-Alt(X^xi acc) and certifies Sym^(l) omega_tri = c J_lambda Delta^{l+1} in
-coefficient space (``cmbethe.states.jack_proportionality``).  The rejected
+The library evaluates the p = 0 state as Sym^(l) of the sigma-table omega,
+as at every nome, and certifies Sym^(l) omega_tri = c J_lambda Delta^{l+1}
+in coefficient space (``cmbethe.states.jack_proportionality``).  The rejected
 variant evaluates the unsymmetrized omega_tri = X^xi Sum_r coef_r X^{rows_r}
 / Delta^l of the expansion point by point, sums it over S_N by a plain loop
 over x-permutations, and samples the ratio Sym^(l) omega_tri /

@@ -116,9 +116,19 @@ class TestContinueCommand:
         assert payload["endpoint"]["p"] == [1e-4, 0.0]
         lines = out.read_text().splitlines()
         assert len(lines) == payload["steps_accepted"]
-        for line in lines:
-            rec = json.loads(line)
-            assert {"p", "t", "grad_norm", "hess_det"} <= set(rec)
+        records = [json.loads(line) for line in lines]
+        for rec in records:
+            assert set(rec) == {"p", "t", "grad_norm", "hess_det",
+                                "eigenvalue"}
+            assert len(rec["t"]) == 1 and len(rec["t"][0]) == 2
+        assert records[0]["p"] == [0, 0]
+        assert records[-1]["p"] == payload["endpoint"]["p"]
+        assert records[-1]["t"] == payload["endpoint"]["t"]
+        # the file holds the records the inline path prints
+        _, inline, _ = run_cli(
+            capsys, "continue", "--N", "2", "--l", "1", "--m", "3",
+            "--p", "1e-4")
+        assert inline["path"] == records
 
     def test_inline_path_and_modes(self, capsys):
         code, payload, _ = run_cli(
@@ -328,6 +338,18 @@ class TestVerifyCommand:
         assert code == 0
         check = {c["name"]: c for c in payload["checks"]}["jack_ratio_spread"]
         assert check["tolerance"] == 1e-9
+
+    def test_p0_large_l_residual_passes(self, capsys):
+        """At p = 0 and l = 20 the state is Sym^(l) of the sigma-table omega,
+        as at p > 0, and meets the residual tolerance, which the pointwise
+        X^xi Alt / Delta^l form of the same state misses (6.97e-4)."""
+        code, payload, _ = run_cli(
+            capsys, "verify", "--N", "2", "--l", "20", "--lambda", "1,-1",
+            "--p", "0")
+        assert code == 0
+        assert payload["verdict"] == "PASS"
+        check = {c["name"]: c for c in payload["checks"]}["rel_residual"]
+        assert check["value"] < 1e-4
         assert check["pass"], check
         assert payload["verdict"] == "PASS"
 
@@ -389,11 +411,11 @@ class TestVerifySharedChain:
         e_ba = payload["perturbation"]["crosscheck"]["E_BA"]
         assert e_ba == payload["eigenvalue"][0]
 
-    @pytest.mark.parametrize("p,expected", [("0.01", 2), ("0", 3)])
+    @pytest.mark.parametrize("p,expected", [("0.01", 2), ("0", 2)])
     def test_p0_polynomial_expansions(self, capsys, monkeypatch, p, expected):
         """The p = 0 polynomial is expanded by the search's non-vanishing
-        test, by the Jack certificate, and at p = 0 by the state itself;
-        the certificate builds no trigonometric state of its own."""
+        test and by the Jack certificate only: the state is the sigma-table
+        one at every nome, and the certificate builds no state."""
         calls = []
         init = states._TrigOmega.__init__
 

@@ -14,7 +14,6 @@ root).
 import cmath
 import dataclasses
 import functools
-import json
 import math
 from fractions import Fraction
 
@@ -427,18 +426,6 @@ class TestContinueNome:
     def test_eigenvalue_default_off(self):
         path = continue_nome(self.seed(), XI_3L1, RS21, IDX21, 1e-4, steps=6)
         assert all(step.eigenvalue is None for step in path.steps)
-
-    def test_jsonl_format(self):
-        path = continue_nome(self.seed(), XI_3L1, RS21, IDX21, 1e-4,
-                             steps=4, eigenvalues=True)
-        lines = path.to_jsonl().splitlines()
-        assert len(lines) == len(path.steps)
-        for line, step in zip(lines, path.steps):
-            rec = json.loads(line)
-            assert set(rec) == {"p", "t", "grad_norm", "hess_det",
-                                "eigenvalue"}
-            assert rec["p"] == [step.p.real, step.p.imag]
-            assert len(rec["t"]) == 1 and len(rec["t"][0]) == 2
 
     def test_complex_target(self):
         target = 1e-4 * cmath.exp(1j * math.pi / 3)

@@ -282,8 +282,8 @@ class TestSymmetrize:
 
 
 class TestAltState:
-    """The p = 0 state X^xi Alt(X^xi acc) / Delta^l agrees with the pointwise
-    Sym^(l) of the raw expansion, normalized by omega_tri(x*)."""
+    """The p = 0 state, Sym^(l) of the sigma-table omega, agrees with the
+    pointwise Sym^(l) of the raw expansion, normalized by omega_tri(x*)."""
 
     @pytest.mark.parametrize("N,l,lam", P0_LEVELS)
     def test_matches_pointwise_sym(self, N, l, lam):
@@ -298,10 +298,14 @@ class TestAltState:
             np.max(np.abs(ref)))
 
     def test_non_lattice_weight_refused(self):
+        """As at p > 0, the state builds for a weight outside P, and the
+        torus integral refuses it."""
         xi = weight_from_lambda_coords([2.5], 2)
         point, _ = closed_form_n2(2.5, 1)
+        st = bethe_state_elliptic(point, xi, RS21, IDX21)
+        assert np.isfinite(st.evaluator(np.array([0.23, 0.61])))
         with pytest.raises(DomainError):
-            bethe_state_elliptic(point, xi, RS21, IDX21)
+            l2_estimate(st)
 
     def test_pole_at_coincident_coordinates(self):
         with pytest.raises(PoleError):
