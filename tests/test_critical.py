@@ -14,6 +14,7 @@ root).
 import cmath
 import dataclasses
 import functools
+import json
 import math
 from fractions import Fraction
 
@@ -34,6 +35,7 @@ from cmbethe.critical import (
     sigma_closed_form,
 )
 from cmbethe import critical, master
+from cmbethe.cli import _to_json
 from cmbethe.elliptic import Nome
 from cmbethe.errors import (
     ConvergenceError,
@@ -426,6 +428,19 @@ class TestContinueNome:
     def test_eigenvalue_default_off(self):
         path = continue_nome(self.seed(), XI_3L1, RS21, IDX21, 1e-4, steps=6)
         assert all(step.eigenvalue is None for step in path.steps)
+
+    def test_jsonl_format(self):
+        """The records written one per line by `cm continue --out`."""
+        path = continue_nome(self.seed(), XI_3L1, RS21, IDX21, 1e-4,
+                             steps=4, eigenvalues=True)
+        lines = [_to_json(rec) for rec in path.records()]
+        assert len(lines) == len(path.steps)
+        for line, step in zip(lines, path.steps):
+            rec = json.loads(line)
+            assert set(rec) == {"p", "t", "grad_norm", "hess_det",
+                                "eigenvalue"}
+            assert rec["p"] == [step.p.real, step.p.imag]
+            assert len(rec["t"]) == 1 and len(rec["t"][0]) == 2
 
     def test_complex_target(self):
         target = 1e-4 * cmath.exp(1j * math.pi / 3)
