@@ -328,29 +328,24 @@ class TestVerifyCommand:
         assert payload["verdict"] == "PASS"
         assert all(c["pass"] for c in payload["checks"])
 
-    @pytest.mark.parametrize("l", [12, 16])
-    def test_large_l_jack_check_passes(self, capsys, l):
+    @pytest.mark.parametrize("l,p", [(12, "0.01"), (16, "0.01"), (20, "0")],
+                             ids=["12", "16", "20-p0"])
+    def test_large_l_jack_check_passes(self, capsys, l, p):
         """The coefficient-space Jack certificate meets the unchanged 1e-9
         tolerance at the N=2 ladder levels where the pointwise ratio spread
-        failed (l=16) or passed only by rounding (l=12)."""
+        failed (l=16) or passed only by rounding (l=12). At p = 0 and l = 20
+        the state is Sym^(l) of the sigma-table omega, as at p > 0, and meets
+        the residual tolerance that the pointwise X^xi Alt / Delta^l form of
+        the same state missed (6.97e-4)."""
         code, payload, _ = run_cli(
-            capsys, "verify", "--N", "2", "--l", str(l), "--lambda", "1,-1")
+            capsys, "verify", "--N", "2", "--l", str(l), "--lambda", "1,-1",
+            "--p", p)
         assert code == 0
-        check = {c["name"]: c for c in payload["checks"]}["jack_ratio_spread"]
+        checks = {c["name"]: c for c in payload["checks"]}
+        check = checks["jack_ratio_spread"]
         assert check["tolerance"] == 1e-9
-
-    def test_p0_large_l_residual_passes(self, capsys):
-        """At p = 0 and l = 20 the state is Sym^(l) of the sigma-table omega,
-        as at p > 0, and meets the residual tolerance, which the pointwise
-        X^xi Alt / Delta^l form of the same state misses (6.97e-4)."""
-        code, payload, _ = run_cli(
-            capsys, "verify", "--N", "2", "--l", "20", "--lambda", "1,-1",
-            "--p", "0")
-        assert code == 0
-        assert payload["verdict"] == "PASS"
-        check = {c["name"]: c for c in payload["checks"]}["rel_residual"]
-        assert check["value"] < 1e-4
         assert check["pass"], check
+        assert checks["rel_residual"]["value"] < 1e-4
         assert payload["verdict"] == "PASS"
 
 

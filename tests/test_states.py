@@ -485,6 +485,25 @@ class TestSigmaTableEvaluator:
         assert isinstance(one, complex)
         assert abs(one - ref[3]) <= 1e-13 * scale
 
+    def test_suffix_levels_factor_the_sum(self):
+        """The levels give Sum_r Prod_k f(words[r, k]) for words with
+        repeated rows, shared prefixes and suffixes and a slot every word
+        shares, with fewer factors than the words have labels."""
+        rng = np.random.default_rng(7)
+        words = rng.integers(0, 3, size=(40, 6))
+        words[:, 2] = 1
+        words = np.concatenate([words, words[:5]])
+        f = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        leaf, levels = states._suffix_levels(words)
+        value = leaf.astype(complex)
+        for label, child, starts, _ in levels:
+            value = np.add.reduceat(f[label].prod(axis=1) * value[child],
+                                    starts)
+        terms = f[words].prod(axis=1)
+        assert value.shape == (1,)
+        assert abs(value[0] - terms.sum()) <= 1e-13 * np.abs(terms).sum()
+        assert sum(label.size for label, *_ in levels) < words.size
+
     def test_pole_at_coincident_coordinates(self):
         point, xi, rs, idx = continued_state_parts([3, 3], 3, 1, 0.05)
         st = bethe_state_elliptic(point, xi, rs, idx, compute_eigenvalue=False)
