@@ -54,7 +54,7 @@ class MembershipError(CmError):
 
 
 class ResourceError(CmError):
-    """A combinatorial guard (e.g. |W| <= 10^6) was exceeded."""
+    """A combinatorial guard (e.g. (w, f) words <= 10^6) was exceeded."""
 
     code = "RESOURCE"
 

@@ -22,6 +22,10 @@ d = a_i - a_j > 0,
     (X_i+X_j)/(X_i-X_j)(X_i d_i - X_j d_j) [X^a + X^(swap_ij a)]
         = d [X^a + 2 Sum_{q=1}^{d-1} X^(a - q e_i + q e_j) + X^(swap_ij a)].
 
+The column of D on m_nu is built from these rows over the orbit of nu as one
+integer exponent matrix (``laurent``), merged, and read at the
+non-increasing monomials.
+
 The spectral identity: with beta = l+1 = 1/alpha, the eigenfunctions of
 H_CS = -(1/2) Sum d^2/dx_i^2 + l(l+1) pi^2 Sum_{i<j} 1/sin^2(pi(x_i-x_j))
 are Delta(X)^{l+1} J_lam with eigenvalues e0 + 2 pi^2 E_lam^{[1/(l+1)]}.
@@ -37,13 +41,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import accumulate, combinations
 from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
 from .elliptic import Nome
 from .errors import DegeneracyError, DomainError
+from .laurent import merge, orbit
 from .states import _fd_hamiltonian, _rayleigh, sample_torus_points
 from .weights import jack_energy
 
@@ -105,38 +110,29 @@ def _pad(nu: Tuple[int, ...], N: int) -> Tuple[int, ...]:
     return nu + (0,) * (N - len(nu))
 
 
-def _distinct_perms(v: Tuple) -> list:
-    return sorted(set(permutations(v)))
-
-
-def _apply_d(poly: Dict[Tuple[int, ...], Fraction], inv_alpha: Fraction,
-             N: int) -> Dict[Tuple[int, ...], Fraction]:
-    """D(alpha) on an exactly-represented symmetric Laurent polynomial
-    {exponent vector -> coefficient}."""
-    out: Dict[Tuple[int, ...], Fraction] = {}
-
-    def add(key, val):
-        out[key] = out.get(key, Fraction(0)) + val
-
-    for a, coef in poly.items():
-        diag = Fraction(sum(ai * ai for ai in a))
-        add(a, coef * diag)
-        for i in range(N):
-            for j in range(i + 1, N):
-                d = a[i] - a[j]
-                if d <= 0:
-                    continue          # the partner monomial owns this pair
-                dF = Fraction(d)
-                add(a, coef * inv_alpha * dF)
-                swapped = list(a)
-                swapped[i], swapped[j] = a[j], a[i]
-                add(tuple(swapped), coef * inv_alpha * dF)
-                for q in range(1, d):
-                    mid = list(a)
-                    mid[i] -= q
-                    mid[j] += q
-                    add(tuple(mid), coef * inv_alpha * 2 * dF)
-    return {k: v for k, v in out.items() if v != 0}
+def _d_column(nu: Tuple[int, ...], inv_alpha: Fraction
+              ) -> Dict[Tuple[int, ...], Fraction]:
+    """The column of D(alpha) on m_nu in the m-basis, {kappa: coefficient
+    of X^kappa in D(alpha) m_nu}: each pair i < j and monomial X^a of m_nu
+    with d = a_i - a_j > 0 gives d X^(a - q e) + d X^(a - (q+1) e),
+    e = e_i - e_j, for q = 0..d-1 (the pair terms of the module docstring),
+    scaled by 1/alpha; Sum nu_i^2 is the diagonal."""
+    a, eye = orbit(nu), np.eye(len(nu), dtype=np.int64)
+    rows, weights = [eye[:0]], [np.zeros(0, dtype=np.int64)]
+    for i, j in combinations(range(len(nu)), 2):
+        pos = a[a[:, i] > a[:, j]]
+        d = pos[:, i] - pos[:, j]
+        rep = np.repeat(np.arange(len(pos)), d)
+        q = np.arange(len(rep)) - (np.cumsum(d) - d)[rep]     # 0..d-1 per row
+        r = pos[rep] - np.outer(q, eye[i] - eye[j])
+        rows += [r, r - eye[i] + eye[j]]
+        weights += [d[rep]] * 2
+    rows, weight = merge(np.concatenate(rows), np.concatenate(weights))
+    ordered = np.all(rows[:, :-1] >= rows[:, 1:], axis=1)
+    col = {tuple(r): inv_alpha * w for r, w in
+           zip(rows[ordered].tolist(), weight[ordered].tolist())}
+    col[nu] = col.get(nu, Fraction(0)) + sum(p * p for p in nu)
+    return col
 
 
 @dataclass(frozen=True)
@@ -161,13 +157,11 @@ class JackExpansion:
         if xb.shape[-1] != len(self.lead):
             raise DomainError(
                 f"expected {len(self.lead)} coordinates, got {xb.shape[-1]}")
+        shift = self.lead[-1]
         acc = np.zeros(xb.shape[0], dtype=complex)
         for mu, coef in self.coeffs.items():
-            mono = np.zeros(xb.shape[0], dtype=complex)
-            for perm in _distinct_perms(mu):
-                expo = np.array([float(p) for p in perm])
-                mono += np.exp(TWO_PI_I * (xb @ expo))
-            acc += float(coef) * mono
+            expo = orbit([int(p - shift) for p in mu]) + float(shift)
+            acc += float(coef) * sum(np.exp(TWO_PI_I * (xb @ e)) for e in expo)
         return complex(acc[0]) if single else acc
 
 
@@ -197,31 +191,14 @@ def _jack_expand_cached(mu_int: Tuple[int, ...], shift: Fraction,
     ideal = [_pad(nu, N) for nu in _integer_partitions(total, N)
              if len(nu) <= N and dominance_leq(_pad(nu, N), mu_int)]
     # Dominance-compatible total order: descending lexicographic prefix sums.
-    def prefix(nu):
-        acc, out = 0, []
-        for p in nu:
-            acc += p
-            out.append(acc)
-        return tuple(out)
-    ideal.sort(key=prefix, reverse=True)
+    ideal.sort(key=lambda nu: tuple(accumulate(nu)), reverse=True)
     assert ideal[0] == mu_int
 
     energies = {nu: jack_energy([Fraction(p) for p in nu], alpha_f, N)
                 for nu in ideal}
     e_lead = energies[mu_int]
 
-    # Column action of D on each m_nu, recorded in the m-basis: the
-    # coefficient of m_kappa is the coefficient of the sorted monomial kappa.
-    action: Dict[Tuple[int, ...], Dict[Tuple[int, ...], Fraction]] = {}
-    for nu in ideal:
-        poly = {perm: Fraction(1) for perm in _distinct_perms(nu)}
-        image = _apply_d(poly, inv_alpha, N)
-        col: Dict[Tuple[int, ...], Fraction] = {}
-        for mono, coef in image.items():
-            key = tuple(sorted(mono, reverse=True))
-            if mono == key:
-                col[key] = coef
-        action[nu] = col
+    action = {nu: _d_column(nu, inv_alpha) for nu in ideal}
 
     coeffs: Dict[Tuple[int, ...], Fraction] = {mu_int: Fraction(1)}
     for nu in ideal[1:]:

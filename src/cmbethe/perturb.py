@@ -26,8 +26,10 @@ finite Laurent polynomials in X_i = e^{2 pi i x_i} with rational
 coefficients, and Sum_{i<j} cos 2 pi d (x_i - x_j) acts on them by the
 exponent shifts +-d (e_i - e_j) with weight 1/2.  ``matrix_element`` and
 ``rs_series`` therefore compute <psi_mu, V_k psi_lam>/(|psi_mu| |psi_lam|)
-as an exact integer pairing of coefficient dictionaries (the torus inner
-product is the coefficient dot product), rounded to float once.
+as an exact integer pairing, rounded to float once: the states are integer
+exponent matrices with Python-int coefficients (``laurent``) over one shared
+row index, the torus inner product is the coefficient dot product, and each
+shift is an index map on that row index.
 ``rs_series`` runs the standard non-degenerate Rayleigh-Schrodinger recursion
 to order K over the finite set of partitions reachable within the total band
 (never an ad-hoc cutoff): a state mu can enter at order K only if it can be
@@ -50,17 +52,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations
-from operator import add
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .critical import continue_nome, find_admissible_critical_point
 from .elliptic import Nome, wp_shifted
 from .errors import DegeneracyError, DomainError
-from .jack import PartitionT, _distinct_perms, jack_expand, partition
+from .jack import PartitionT, jack_expand, partition
+from .laurent import Laurent, find, stack, symmetric_times_delta
 from .master import eigenvalue_elliptic
 from .weights import (Weight, build_indexing, e0, jack_energy, lambda_to_xi,
                       permute_weight, root_system)
@@ -71,9 +71,6 @@ TWO_PI = 2.0 * math.pi
 K_MAX = 8
 #: Unperturbed-level gaps below this (relative) are treated as degenerate.
 DEGENERACY_TOL = 1e-8
-
-#: An exact Laurent polynomial {integer exponent vector -> integer coefficient}.
-LaurentT = Dict[Tuple[int, ...], int]
 
 
 # ---------------------------------------------------------------------------
@@ -211,87 +208,36 @@ def band_distance(mu, lam) -> int:
     return int(total / 2)
 
 
-@lru_cache(maxsize=None)
-def _delta_power(N: int, w: int) -> LaurentT:
-    """Delta^w = Prod_{i<j} (X_i - X_j)^w, one binomial factor at a time."""
-    poly: LaurentT = {(0,) * N: 1}
-    for i, j in combinations(range(N), 2):
-        for _ in range(w):
-            nxt: LaurentT = {}
-            for e, c in poly.items():
-                for slot, term in ((i, c), (j, -c)):
-                    f = list(e)
-                    f[slot] += 1
-                    f = tuple(f)
-                    nxt[f] = nxt.get(f, 0) + term
-            poly = {e: c for e, c in nxt.items() if c}
-    return poly
+def _laurent_state(mu: PartitionT, l: int, shift: Fraction) -> Laurent:
+    """An integer multiple of psi_mu, every exponent lowered by ``shift``;
+    the normalized pairings are invariant under both scale and shift."""
+    return symmetric_times_delta(jack_expand(mu, Fraction(1, l + 1)).coeffs,
+                                 shift, l + 1)
 
 
-def _laurent_state(mu: PartitionT, l: int, shift: Fraction,
-                   power: int) -> LaurentT:
-    """Delta^power J_mu^{(1/(l+1))} times the lcm of the Jack coefficients'
-    denominators, with every exponent lowered by ``shift`` (a member of mu's
-    periodicity class), so that all exponents and coefficients are integers.
-
-    power = l+1 gives a positive integer multiple of the unperturbed state
-    psi_mu; the normalized pairings below are invariant under both the scale
-    and a common shift, so states built with the same shift pair correctly.
-    ``states.jack_proportionality`` takes power = 2l+1.
-    """
-    jack = jack_expand(mu, Fraction(1, l + 1))
-    scale = math.lcm(*(c.denominator for c in jack.coeffs.values()))
-    delta = _delta_power(len(mu), power)
-    psi: LaurentT = {}
-    for nu, c in jack.coeffs.items():
-        c_int = int(c * scale)
-        for perm in _distinct_perms(tuple(int(a - shift) for a in nu)):
-            for e, dc in delta.items():
-                key = tuple(map(add, perm, e))
-                psi[key] = psi.get(key, 0) + c_int * dc
-    return {e: c for e, c in psi.items() if c}
-
-
-def _harmonic(psi: LaurentT, d: int) -> LaurentT:
-    """2 Sum_{i<j} cos 2 pi d (x_i - x_j) applied to psi: the sum over
-    ordered pairs i != j of the exponent shift d (e_i - e_j)."""
-    N = len(next(iter(psi)))
-    shifts = []
-    for i in range(N):
-        for j in range(N):
-            if i != j:
-                s = [0] * N
-                s[i], s[j] = d, -d
-                shifts.append(tuple(s))
-    out: LaurentT = {}
-    for e, c in psi.items():
-        for s in shifts:
-            key = tuple(map(add, e, s))
-            out[key] = out.get(key, 0) + c
-    return out
-
-
-def _pairing(a: LaurentT, b: LaurentT) -> int:
-    """The torus inner product of two real Laurent polynomials: the dot
-    product of their coefficients."""
-    if len(a) > len(b):
-        a, b = b, a
-    get = b.get
-    return sum(c * get(e, 0) for e, c in a.items())
+def _pairings(states: Sequence[Laurent], ds: Iterable[int]
+              ) -> Tuple[np.ndarray, Dict[int, np.ndarray]]:
+    """The squared norms of integer Laurent polynomials, and for each d in
+    ``ds`` the matrix of <psi_a, 2 Sum_{i<j} cos 2 pi d (x_i - x_j) psi_c>,
+    the sum over the N(N-1) shifts d (e_i - e_j), i != j.  The states are
+    all symmetric or all antisymmetric (Delta^{l+1} J at one l), so every
+    shift pairs them alike: the pairings of one d are N(N-1) times one
+    product over the shift d (e_1 - e_2), an index map on the shared rows."""
+    rows, psi = stack(states)
+    N = rows.shape[1]
+    step = np.eye(N, dtype=np.int64)[0] - np.eye(N, dtype=np.int64)[1]
+    pairings = {}
+    for d in ds:
+        at = find(rows, rows - d * step)
+        hit = np.flatnonzero(at >= 0)
+        pairings[d] = N * (N - 1) * (psi[hit].T @ psi[at[hit]])
+    return (psi * psi).sum(axis=0), pairings
 
 
 def _normalized(raw: int, norm_a: int, norm_b: int) -> float:
     """raw / (2 sqrt(norm_a norm_b)), rounded once from the exact integers
-    (the 1/2 undoes the doubled cosine of ``_harmonic``)."""
+    (the 1/2 undoes the doubled cosine of ``_pairings``)."""
     return math.copysign(math.sqrt(raw * raw / (4 * norm_a * norm_b)), raw)
-
-
-def _element(psi_a: LaurentT, images: Dict[int, LaurentT], norm_a: int,
-             norm_b: int, k: int, l: int) -> float:
-    """<psi_a, V_k psi_b>/(|psi_a| |psi_b|) from the harmonic images of
-    psi_b (``images[d]`` = ``_harmonic(psi_b, d)`` for every d | k)."""
-    raw = sum(d * _pairing(psi_a, images[d]) for d in _divisors(k))
-    return _coupling(l) * _normalized(raw, norm_a, norm_b)
 
 
 def matrix_element(mu, lam, k: int, l: int) -> float:
@@ -317,11 +263,11 @@ def matrix_element(mu, lam, k: int, l: int) -> float:
                 "mu and lam lie in different periodicity classes "
                 f"({a} - {b} is not an integer); the pairing is undefined")
     shift = lam_t[-1]
-    psi_mu = _laurent_state(mu_t, l, shift, l + 1)
-    psi_lam = _laurent_state(lam_t, l, shift, l + 1)
-    images = {d: _harmonic(psi_lam, d) for d in _divisors(k)}
-    return _element(psi_mu, images, _pairing(psi_mu, psi_mu),
-                    _pairing(psi_lam, psi_lam), k, l)
+    norms, pairings = _pairings([_laurent_state(mu_t, l, shift),
+                                 _laurent_state(lam_t, l, shift)],
+                                _divisors(k))
+    raw = sum(d * pairings[d][0, 1] for d in _divisors(k))
+    return _coupling(l) * _normalized(raw, norms[0], norms[1])
 
 
 # ---------------------------------------------------------------------------
@@ -428,19 +374,15 @@ def rs_series(lam, N: int, l: int, K: int) -> EnergySeries:
                 f"{lam_t} within {DEGENERACY_TOL:.1e} (relative); "
                 "degenerate perturbation theory is out of scope")
 
-    psi = [_laurent_state(mu, l, lam_t[-1], l + 1) for mu in basis]
-    norms = [_pairing(f, f) for f in psi]
-    images = [{d: _harmonic(f, d) for d in range(1, K + 1)} for f in psi]
+    norms, pairings = _pairings(
+        [_laurent_state(mu, l, lam_t[-1]) for mu in basis], range(1, K + 1))
     m = len(basis)
     elements = {}
     for k in range(1, K + 1):
-        mat = np.empty((m, m))
-        for a in range(m):
-            for c in range(a, m):
-                val = _element(psi[a], images[c], norms[a], norms[c], k, l)
-                mat[a, c] = val
-                mat[c, a] = val
-        elements[k] = mat
+        raw = sum(d * pairings[d] for d in _divisors(k))
+        elements[k] = _coupling(l) * np.array(
+            [[_normalized(raw[a, c], norms[a], norms[c]) for c in range(m)]
+             for a in range(m)])
 
     coeffs = [level0]
     vectors = [np.eye(m)[i_lam]]

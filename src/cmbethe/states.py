@@ -38,9 +38,10 @@ per slot.
 The numerator X^xi acc of omega_tri is a finite Laurent polynomial, expanded
 once per p = 0 point; Delta^l is symmetric for even l and antisymmetric for
 odd l, so Delta^l Sym^(l) omega_tri is its antisymmetrization Alt(X^xi acc)
-over S_N.  The two p = 0 certificates, the non-vanishing test and the Jack
-certificate (Alt(X^xi acc) = c J_lambda Delta^{2l+1}), read Alt coefficient
-by coefficient and sample no points.
+over S_N, stored by its chamber (``laurent.chamber``), not as N! copies.
+The two p = 0 certificates, the non-vanishing test and the Jack certificate
+(Alt(X^xi acc) = c J_lambda Delta^{2l+1}, the chamber of
+X^(N-1, ..., 0) Delta^{2l} J_lambda), read chambers and sample no points.
 
 ``residual_check`` applies the Hamiltonian
 
@@ -65,6 +66,7 @@ import numpy as np
 
 from .elliptic import Nome, PoleError, sigma_lambda, wp_shifted
 from .errors import DomainError, MembershipError, ResourceError
+from .laurent import chamber, merge, parity, stack, symmetric_times_delta
 from .master import EllipticPoint, eigenvalue_elliptic, membership_F
 from .weights import (BetheIndexing, RootSystemData, Weight, admissible,
                       build_indexing, root_system)
@@ -134,22 +136,11 @@ def _as_batch(x, N: int) -> tuple[np.ndarray, bool]:
     return arr, False
 
 
-def _perm_sign(perm: Sequence[int]) -> int:
-    inv = 0
-    for a in range(len(perm)):
-        for b in range(a + 1, len(perm)):
-            if perm[a] > perm[b]:
-                inv += 1
-    return -1 if inv % 2 else 1
-
-
-def _merge(keys: np.ndarray, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of the integer matrix ``keys`` and the summed
-    coefficients of each."""
-    uniq, inv = np.unique(keys, axis=0, return_inverse=True)
-    inv = inv.ravel()
-    return uniq, (np.bincount(inv, coef.real, len(uniq))
-                  + 1j * np.bincount(inv, coef.imag, len(uniq)))
+def _words(idx: BetheIndexing) -> np.ndarray:
+    """The (w, f) terms as one (terms, 2, m) array of flat w and f."""
+    return np.array([(w_flat, f_flat) for w_flat, f_tuple
+                     in zip(idx.W_maps, idx.Fw_maps) for f_flat in f_tuple],
+                    dtype=np.int64).reshape(-1, 2, idx.m)
 
 
 class _TrigOmega:
@@ -167,9 +158,7 @@ class _TrigOmega:
         N, m = rs.N, idx.m
         self.N, self.xi, self.in_P = N, xi.coords, xi.in_P
         T = np.concatenate([[1.0 + 0j], point.to_T()])      # T[0] = T_0 = 1
-        w, f = np.array([(w_flat, f_flat) for w_flat, f_tuple
-                         in zip(idx.W_maps, idx.Fw_maps)
-                         for f_flat in f_tuple]).reshape(-1, 2, m).transpose(1, 0, 2)
+        w, f = _words(idx).transpose(1, 0, 2)
         den = np.where(np.asarray(idx.c) == 1, 1.0 + 0j, T[1:] - T[f])
         if np.any(np.abs(den) < 1e-13):
             raise PoleError("paired collision T_k = T_{f(k)}: zero denominator "
@@ -190,21 +179,18 @@ class _TrigOmega:
             own[:, 0] = other[:, 0] = first[kk][term]
             own[:, idx.c[kk]] += 1
             other[np.arange(len(term)), 1 + w[term, kk]] += 1
-            keys, coef = _merge(np.concatenate([own, other]),
-                                np.concatenate([scaled * T[kk + 1],
-                                                -scaled * T[f[term, kk]]]))
+            keys, coef = merge(np.concatenate([own, other]),
+                               np.concatenate([scaled * T[kk + 1],
+                                               -scaled * T[f[term, kk]]]))
         self.rows, self.coef = keys[:, 1:], coef
 
     def alt(self) -> tuple[np.ndarray, np.ndarray]:
-        """Alt(X^xi acc) = Delta^l Sym^(l) omega_tri, the antisymmetrization
-        of the numerator over S_N, as (rows, coef) relative to X^xi."""
+        """Alt(X^xi acc) = Delta^l Sym^(l) omega_tri by its chamber, the
+        rows those of X^{xi - xi_N} acc (integers for xi in P)."""
         if not self.in_P:
             raise DomainError("antisymmetrizing omega_tri needs xi in P")
-        invs = [np.argsort(p) for p in permutations(range(self.N))]
-        return _merge(
-            np.concatenate([self.rows[:, q] + np.round(self.xi[q] - self.xi)
-                            .astype(np.int64) for q in invs]),
-            np.concatenate([_perm_sign(q) * self.coef for q in invs]))
+        return chamber(self.rows + np.round(self.xi - self.xi[-1])
+                       .astype(np.int64), self.coef)
 
 
 def _suffix_levels(labels: np.ndarray) -> tuple[np.ndarray, list]:
@@ -272,22 +258,21 @@ class _EllipticOmega:
         self.nome = point.nome
         self.N = N = rs.N
         self.xi = np.asarray(xi.coords, dtype=float)
-        u_index: dict = {}
-        slots = []
-        for w_flat, f_tuple in zip(idx.W_maps, idx.Fw_maps):
-            for f_flat in f_tuple:
-                for kk in range(idx.m):
-                    u_k = u_index.setdefault((kk, f_flat[kk]), len(u_index))
-                    # 0-based x indices: c(k) and w(k)+1
-                    slots.append((idx.c[kk] - 1, w_flat[kk], u_k))
-        self.u = np.array([t[kk] - (0j if f == 0 else t[f - 1])
-                           for kk, f in u_index], dtype=complex)
+        w, f = _words(idx).transpose(1, 0, 2)
+        # the distinct (k, f(k)), numbered in order of first appearance
+        code, first, u = np.unique(np.arange(idx.m) * (idx.m + 1) + f,
+                                   return_index=True, return_inverse=True)
+        rank = np.argsort(np.argsort(first))
+        kk, fk = np.divmod(code[np.argsort(first)], idx.m + 1)
+        self.u = t[kk] - np.where(fk == 0, 0j, t[fk - 1])
         self._pair_a, self._pair_b = np.nonzero(~np.eye(N, dtype=bool))
         self._pair_id = np.full((N, N), -1)
         self._pair_id[self._pair_a, self._pair_b] = np.arange(N * (N - 1))
         self._rows = max(1, _BLOCK_ENTRIES // (self._pair_a.size * self.u.size))
-        a, b, u = np.moveaxis(np.array(slots).reshape(-1, idx.m, 3), -1, 0)
-        self._leaf, levels = _suffix_levels(self._pair_id[a, b] * self.u.size + u)
+        # slot k pairs the 0-based x indices c(k) - 1 and w(k)
+        pair = self._pair_id[np.asarray(idx.c) - 1, w]
+        self._leaf, levels = _suffix_levels(
+            pair * self.u.size + rank[u.reshape(f.shape)])
         self._levels = [(self._pair_a[label // self.u.size],
                          self._pair_b[label // self.u.size],
                          label % self.u.size, child, starts, below)
@@ -353,11 +338,11 @@ def omega_elliptic(point: EllipticPoint, xi: Weight, rs: RootSystemData,
 
 
 def symmetrize(omega: Evaluator, N: int, l: int) -> Evaluator:
-    """Sym^(l) of ``omega`` (as ``omega_elliptic`` returns it): the plain sum
-    over S_N for odd l, the sign-weighted sum for even l, taken in one
-    ``omega.perm_sum(x, perms)`` call."""
-    perms = [(p, 1 if l % 2 == 1 else _perm_sign(p))
-             for p in permutations(range(N))]
+    """Sym^(l) of ``omega`` (as ``omega_elliptic`` returns it): the sum over
+    S_N weighted by sgn^(l+1), plain for odd l and sign-weighted for even l,
+    taken in one ``omega.perm_sum(x, perms)`` call."""
+    perms = list(permutations(range(N)))
+    perms = list(zip(perms, parity(np.array(perms)) ** (l + 1)))
 
     def sym(x):
         return omega.perm_sum(x, perms)
@@ -371,7 +356,7 @@ def sym_omega_tri_nonvanishing(point: EllipticPoint, xi: Weight,
     coefficient of Alt(X^xi acc) exceeds ``_NONVANISHING_TOL`` times that of
     X^xi acc (exact cancellation would leave ~1e-16)."""
     omega = _TrigOmega(point, xi, rs, idx)
-    return bool(np.max(np.abs(omega.alt()[1]))
+    return bool(np.max(np.abs(omega.alt()[1]), initial=0.0)
                 > _NONVANISHING_TOL * np.max(np.abs(omega.coef)))
 
 
@@ -431,19 +416,13 @@ def jack_proportionality(point: EllipticPoint, xi: Weight, jack, l: int
             f"Jack parameter alpha = {jack.alpha}, expected 1/(l+1) = "
             f"{Fraction(1, l + 1)}")
 
-    # deferred: perturb imports jack, which imports this module
-    from .perturb import _laurent_state
-
-    # both sides keyed by their exponents' differences to the last one
-    rows, coef = _TrigOmega(point, xi, rs, idx).alt()
-    diffs = rows - rows[:, -1:] + np.round(
-        xi.coords - xi.coords[-1]).astype(np.int64)
-    alt = dict(zip(map(tuple, diffs[:, :-1].tolist()), coef))
-    target = {tuple(u - e[-1] for u in e[:-1]): b for e, b in
-              _laurent_state(jack.lam, l, jack.lam[-1], 2 * l + 1).items()}
-    keys = target.keys() | alt.keys()
-    t = np.array([float(target.get(k, 0)) for k in keys])
-    a = np.array([alt.get(k, 0) for k in keys])
+    # J Delta^{2l+1} = Alt(X^delta Delta^{2l} J), delta = (N-1, ..., 0);
+    # both chambers keyed by their exponents' differences to the last one
+    rows, coef = symmetric_times_delta(jack.coeffs, jack.lam[-1], 2 * l)
+    sides = [_TrigOmega(point, xi, rs, idx).alt(),
+             chamber(rows + np.arange(N - 1, -1, -1), coef)]
+    _, both = stack([(r - r[:, -1:], c) for r, c in sides])
+    a, t = both[:, 0].astype(complex), both[:, 1].astype(float)
     c = complex(t @ a / (t @ t))
     fit = abs(c) * float(np.linalg.norm(t))
     residual = float(np.linalg.norm(a - c * t)) / fit if fit else math.inf

@@ -19,10 +19,11 @@ The index sets entering the Bethe vector, for m = l*N*(N-1)/2 variables:
     F_w : tuples f = (f_1,...,f_{N-2}), f_i : V_{i+1} -> V_i injective with
         w_{i+1}(x) = w_i(f_i(x)).
 
-Both W and F_w are enumerated explicitly (guarded by |W| <= 10^6).  A map w
-is stored flat as a length-m tuple (w[k-1] = w_i(k) for k in V_i); a map f is
-stored flat with f[k-1] = f_{i-1}(k) for k in V_i, i >= 2, and f[k-1] = 0 for
-k in V_1, folding in the convention t_0 = 0 (T_0 = 1) for the first block.
+Both W and F_w are enumerated explicitly, guarded by the number of (w, f)
+words, |W| (l!)^{(N-1)(N-2)/2} <= 10^6.  A map w is stored flat as a
+length-m tuple (w[k-1] = w_i(k) for k in V_i); a map f is stored flat with
+f[k-1] = f_{i-1}(k) for k in V_i, i >= 2, and f[k-1] = 0 for k in V_1,
+folding in the convention t_0 = 0 (T_0 = 1) for the first block.
 """
 
 from __future__ import annotations
@@ -36,9 +37,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, ResourceError
+from .laurent import orbit
 
 _INT_TOL = 1e-9
-_W_GUARD = 10 ** 6
+_WORD_GUARD = 10 ** 6
 
 
 def _to_fraction(x) -> Fraction | None:
@@ -311,81 +313,48 @@ def w_count(N: int, l: int) -> int:
     return total
 
 
-def _multiset_assignments(block: range, labels: list[int], l: int) -> list[tuple[int, ...]]:
-    """All maps block -> labels with each label hit exactly l times, as tuples
-    over the block in order (distinct permutations of the label multiset)."""
-    out: list[tuple[int, ...]] = []
-    n = len(block)
-    counts = {lab: l for lab in labels}
-    cur: list[int] = []
-
-    def rec() -> None:
-        if len(cur) == n:
-            out.append(tuple(cur))
-            return
-        for lab in labels:
-            if counts[lab] > 0:
-                counts[lab] -= 1
-                cur.append(lab)
-                rec()
-                cur.pop()
-                counts[lab] += 1
-
-    rec()
-    return out
+def word_count(N: int, l: int) -> int:
+    """The number of (w, f) words, |W| (l!)^{(N-1)(N-2)/2}: l! bijections
+    per label of V_{i+1} (N-1-i of them) for each f_i, i = 1..N-2."""
+    return w_count(N, l) * math.factorial(l) ** ((N - 1) * (N - 2) // 2)
 
 
 def build_indexing(N: int, l: int) -> BetheIndexing:
-    """Enumerate c, V_i, W and F_w for (N, l); guarded by |W| <= 10^6."""
+    """Enumerate c, V_i, W and F_w for (N, l); refused before enumerating
+    unless the (w, f) words are at most 10^6 (``word_count``)."""
     if N < 2 or l < 1:
         raise DomainError(f"need N >= 2 and l >= 1, got N={N}, l={l}")
-    count = w_count(N, l)
-    if count > _W_GUARD:
-        raise ResourceError(f"|W| = {count} exceeds the enumeration guard {_W_GUARD}")
+    words = word_count(N, l)
+    if words > _WORD_GUARD:
+        raise ResourceError(f"the {words} (w, f) words of N={N}, l={l} "
+                            f"exceed the enumeration guard {_WORD_GUARD}")
     m = l * N * (N - 1) // 2
     p_bounds = tuple(i * (2 * N - i - 1) * l // 2 for i in range(N))
     V = tuple(range(p_bounds[i - 1] + 1, p_bounds[i] + 1) for i in range(1, N))
     c = tuple(i for i in range(1, N) for _ in V[i - 1])
 
-    per_block = [
-        _multiset_assignments(V[i - 1], list(range(i, N)), l)
-        for i in range(1, N)
-    ]
+    # w_i: the distinct arrangements of l copies of each label i..N-1
+    per_block = [list(map(tuple, orbit(np.repeat(np.arange(i, N), l))
+                          .tolist())) for i in range(1, N)]
     W_maps = tuple(tuple(x for blk in combo for x in blk)
                    for combo in product(*per_block))
-    assert len(W_maps) == count
+    assert len(W_maps) == w_count(N, l)
 
     Fw_all: list[tuple[tuple[int, ...], ...]] = []
     for w in W_maps:
-        # fibers[i][j] = ordered positions k in V_i with w_i(k) = j
-        fibers: list[dict[int, list[int]]] = []
-        for i in range(1, N):
-            fib: dict[int, list[int]] = {}
-            for k in V[i - 1]:
-                fib.setdefault(w[k - 1], []).append(k)
-            fibers.append(fib)
-        # for each i in 1..N-2, f_i maps fibers of V_{i+1} bijectively into
-        # the same-label fibers of V_i; enumerate label-wise bijections
-        choices_per_i: list[list[dict[int, int]]] = []
-        for i in range(1, N - 1):
-            src, dst = fibers[i], fibers[i - 1]
-            label_maps: list[list[dict[int, int]]] = []
-            for lab, src_positions in sorted(src.items()):
-                maps_lab = [dict(zip(src_positions, perm))
-                            for perm in permutations(dst[lab])]
-                label_maps.append(maps_lab)
-            combined = []
-            for combo in product(*label_maps):
-                merged: dict[int, int] = {}
-                for d in combo:
-                    merged.update(d)
-                combined.append(merged)
-            choices_per_i.append(combined)
+        # fibers[i-1][j] = ordered positions k in V_i with w_i(k) = j
+        fibers: list[dict[int, list[int]]] = [{} for _ in V]
+        for k in range(1, m + 1):
+            fibers[c[k - 1] - 1].setdefault(w[k - 1], []).append(k)
+        # f_i maps each label's fiber of V_{i+1} bijectively onto the same
+        # label's fiber of V_i: one permutation per (i, label), i = 1..N-2
+        blocks = [(src, fibers[i - 1][lab]) for i in range(1, N - 1)
+                  for lab, src in sorted(fibers[i].items())]
         f_list: list[tuple[int, ...]] = []
-        for combo in product(*choices_per_i):
+        for combo in product(*(permutations(dst) for _, dst in blocks)):
             flat = [0] * m
-            for d in combo:
-                for k, target in d.items():
+            for (src, _), image in zip(blocks, combo):
+                for k, target in zip(src, image):
                     flat[k - 1] = target
             f_list.append(tuple(flat))
         Fw_all.append(tuple(f_list))

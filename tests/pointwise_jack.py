@@ -19,7 +19,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from cmbethe.errors import ResourceError
-from cmbethe.states import _perm_sign, _TrigOmega, sample_torus_points
+from cmbethe.states import _TrigOmega, sample_torus_points
 from cmbethe.weights import build_indexing, root_system
 
 TWO_PI_I = 2j * math.pi
@@ -36,10 +36,17 @@ def omega_tri_values(raw, x, l):
     return np.exp(TWO_PI_I * (xb @ raw.xi)) * acc / delta ** l
 
 
+def perm_sign(perm):
+    """The sign of a permutation of 0..N-1, by counting inversions."""
+    inv = sum(perm[a] > perm[b] for a in range(len(perm))
+              for b in range(a + 1, len(perm)))
+    return -1 if inv % 2 else 1
+
+
 def sym_pointwise(f, N, l):
     """Sym^(l) f by the plain loop over x-permutations: the plain sum for
     odd l, the sign-weighted sum for even l.  ``f`` takes an (M, N) batch."""
-    perms = [(p, 1 if l % 2 == 1 else _perm_sign(p))
+    perms = [(p, 1 if l % 2 == 1 else perm_sign(p))
              for p in permutations(range(N))]
 
     def sym(x):

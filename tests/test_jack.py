@@ -25,6 +25,7 @@ from cmbethe.jack import (
 )
 from cmbethe.states import sample_torus_points
 from cmbethe.weights import e0, jack_energy
+from laurent_dicts import jack_coefficients
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -121,6 +122,17 @@ class TestJackExpand:
                             assert sum(mu_i) == total
                             assert dominance_leq(mu_i, lam), (
                                 f"{mu_i} not below {lam} in J_{lam}")
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+    def test_matches_dict_columns(self, N):
+        """The D(alpha) columns built as integer exponent matrices give the
+        same exact coefficients as the rejected dict action on every
+        monomial of the orbit, for every partition of at most 8 boxes."""
+        for alpha in (HALF, Fraction(2, 3), Fraction(1, 5)):
+            for total in range(0, 9):
+                for lam in partitions_of(total, N):
+                    assert jack_expand(lam, alpha).coeffs == \
+                        jack_coefficients(lam, alpha), f"{lam} at {alpha}"
 
     def test_nonpositive_alpha_refused(self):
         with pytest.raises(DomainError):

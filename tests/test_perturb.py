@@ -32,6 +32,8 @@ from cmbethe.perturb import (
     unperturbed_energy,
 )
 from cmbethe.weights import Weight, build_indexing, lambda_to_xi, root_system
+from laurent_dicts import matrix_element as dict_matrix_element
+from laurent_dicts import rs_coefficients as dict_rs_coefficients
 from total_convention import eigenvalue_total
 
 H = Fraction(1, 2)
@@ -228,6 +230,22 @@ class TestMatrixElement:
                         assert abs(v) < 1e-10, (
                             f"k={k}: {mu},{lam} beyond band: {v}")
 
+    def test_matches_dict_pairings(self):
+        """Bit-identical to the rejected dict pairings on the cases above:
+        the N=2 pool at k = 1..3, the N=3 band-2 pool at l = 1, 2 and the
+        beyond-band N=2 pair."""
+        cases = [(mu, lam, k, 1) for k in (1, 2, 3) for mu in n2_pool()
+                 for lam in n2_pool() if sum(mu) == sum(lam)]
+        pool = reachable_partitions((1, 0, -1), 2)
+        cases += [(mu, lam, k, l) for l in (1, 2) for k in (1, 2, 3)
+                  for a, mu in enumerate(pool) for lam in pool[a:]]
+        cases.append(((Fraction(9, 2), -Fraction(9, 2)), LAM_N2, 1, 1))
+        for mu, lam, k, l in cases:
+            mu_t = tuple(Fraction(v) for v in mu)
+            lam_t = tuple(Fraction(v) for v in lam)
+            assert matrix_element(mu, lam, k, l) == dict_matrix_element(
+                mu_t, lam_t, k, l), f"l={l} k={k} {mu},{lam}"
+
 
 class TestReachable:
     """The coupled basis from the band structure."""
@@ -275,6 +293,16 @@ class TestRsSeries:
         hand = diag2 - off ** 2 / (16 * math.pi ** 2)
         assert abs(series.coefficients[2] - hand) < 1e-8 * abs(hand), (
             f"{series.coefficients[2]} vs {hand}")
+
+    @pytest.mark.parametrize("lam,N,l,K", [
+        ((1, 0, -1), 3, 1, 5), ((1, 0, -1), 3, 2, 4), ((0, 0, 0, 0), 4, 1, 2),
+        ((1, 0, 0, -1), 4, 1, 2)])
+    def test_matches_dict_pairings(self, lam, N, l, K):
+        """The stacked basis gives coefficients bit-identical to the
+        rejected dict pairings on the rs-series benchmark items."""
+        lam_t = tuple(Fraction(v) for v in lam)
+        assert rs_series(lam, N, l, K).coefficients == \
+            dict_rs_coefficients(lam_t, N, l, K)
 
     def test_coefficients_real_floats(self):
         series = rs_series(LAM_N2, 2, 1, 2)

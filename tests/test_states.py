@@ -24,6 +24,7 @@ from cmbethe.elliptic import Nome, theta
 from cmbethe.errors import DomainError, MembershipError, PoleError, ResourceError
 from cmbethe.jack import jack_expand
 from cmbethe import states
+from cmbethe.laurent import symmetric_times_delta
 from cmbethe.master import EllipticPoint
 from cmbethe.states import (
     BetheState,
@@ -38,6 +39,7 @@ from cmbethe.states import (
 )
 from cmbethe.weights import (Weight, build_indexing, lambda_to_xi,
                              root_system, weight_from_lambda_coords)
+from laurent_dicts import alt_all_permutations, elliptic_slots
 from pointwise_jack import omega_tri_values, pointwise_jack_ratio, sym_pointwise
 from total_convention import eigenvalue_total
 
@@ -398,6 +400,18 @@ class TestJackProportionality:
         mean, _ = pointwise_jack_ratio(state, jack, l)
         assert abs(c - mean) < 1e-12, f"{c} vs pointwise mean {mean}"
 
+    def test_exact_coefficients_past_int64(self):
+        """At N=2 l=32 lambda=(1,-1) the target's exact coefficients sum
+        past 2^63, so the certificate needs arbitrary-precision integers; a
+        fixed-width port would wrap them and lose the certificate."""
+        l, jack = 32, jack_expand((1, -1), Fraction(1, 33))
+        _, coef = symmetric_times_delta(jack.coeffs, jack.lam[-1], 2 * l)
+        assert sum(abs(c) for c in coef) > 2 ** 63
+        point, _ = closed_form_n2(35, l)
+        xi = weight_from_lambda_coords([35], 2)
+        _, residual = jack_proportionality(point, xi, jack, l)
+        assert residual <= 1e-12, f"residual {residual}"
+
     @pytest.mark.parametrize("knob", [{"n_samples": 20}, {"seed": 3},
                                       {"threshold": 1e-8}])
     def test_sampling_knobs_refused(self, knob):
@@ -504,6 +518,25 @@ class TestSigmaTableEvaluator:
         assert abs(value[0] - terms.sum()) <= 1e-13 * np.abs(terms).sum()
         assert sum(label.size for label, *_ in levels) < words.size
 
+    @pytest.mark.parametrize("N,l", [(3, 2), (4, 2)])
+    def test_slots_match_triple_loop(self, N, l):
+        """The slots derived from the word array with array operations
+        equal the rejected per-slot Python loop: the same u values in the
+        same first-appearance order and the same levels, so omega is
+        bit-identical."""
+        point, xi, rs, idx = searched_root(N, l, (0,) * N)
+        raw = states._EllipticOmega(point, xi, rs, idx)
+        u, a, b, k = elliptic_slots(np.asarray(point.t, dtype=complex), idx)
+        assert np.array_equal(raw.u, u)
+        leaf, levels = states._suffix_levels(
+            raw._pair_id[a, b] * u.size + k)
+        assert np.array_equal(raw._leaf, leaf)
+        assert len(raw._levels) == len(levels)
+        for got, (label, child, starts, below) in zip(raw._levels, levels):
+            ref = (raw._pair_a[label // u.size], raw._pair_b[label // u.size],
+                   label % u.size, child, starts, below)
+            assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+
     def test_pole_at_coincident_coordinates(self):
         point, xi, rs, idx = continued_state_parts([3, 3], 3, 1, 0.05)
         st = bethe_state_elliptic(point, xi, rs, idx, compute_eigenvalue=False)
@@ -606,6 +639,25 @@ class TestNonvanishing:
     def test_n3_nonvanishing(self):
         point, _ = closed_form_n3_l1(3, 3)[0]
         assert sym_omega_tri_nonvanishing(point, XI_33, RS31, IDX31)
+
+    @pytest.mark.parametrize("N,lam", [(3, (1, 0, -1)), (4, (1, 0, 0, -1))])
+    def test_chamber_is_full_antisymmetrization(self, N, lam):
+        """The chamber of X^xi acc is the sum of its N! signed column
+        permutations, read on the strictly decreasing rows."""
+        point, xi, rs, idx = searched_root(N, 1, lam)
+        raw = states._TrigOmega(point, xi, rs, idx)
+        rows, coef = raw.alt()
+        full_rows, full_coef = alt_all_permutations(raw)
+        full_rows = full_rows + np.round(xi.coords - xi.coords[-1]).astype(int)
+        strict = np.all(full_rows[:, :-1] > full_rows[:, 1:], axis=1)
+        full = dict(zip(map(tuple, full_rows[strict].tolist()),
+                        full_coef[strict]))
+        got = dict(zip(map(tuple, rows.tolist()), coef))
+        assert np.all(rows[:, :-1] > rows[:, 1:])
+        scale = float(np.max(np.abs(full_coef)))
+        for key in full.keys() | got.keys():
+            assert abs(got.get(key, 0) - full.get(key, 0)) <= 1e-13 * scale
+        assert len(full_coef) >= math.factorial(N) * len(coef)
 
     @pytest.mark.parametrize("T,expected", [(-1.0, False), (-0.5, True)])
     def test_n2_xi_zero(self, T, expected):

@@ -3,10 +3,12 @@
 Covers exact-rational weight construction, lattice membership, the
 admissibility gate, the lambda -> xi shift, Jack-type energies, the two
 eigenvalue-limit candidates, and the combinatorial invariants of the
-index data (block structure, |W| multinomial, fiber sizes, |F_w|).
+index data (block structure, |W| multinomial, fiber sizes, |F_w|, the
+(w, f) word count the enumeration guard reads).
 """
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +29,7 @@ from cmbethe.weights import (
     target_eigenvalue,
     w_count,
     weight_from_lambda_coords,
+    word_count,
 )
 
 
@@ -228,9 +231,14 @@ class TestIndexing:
                 assert len(blk) == (N - i) * l, f"|V_{i}| for N={N}, l={l}"
 
     def test_w_count_formula_matches_enumeration(self):
-        for N, l in ((2, 1), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2)):
+        for N, l in ((2, 1), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2),
+                     (5, 1)):
             bi = build_indexing(N, l)
             assert len(bi.W_maps) == w_count(N, l), f"|W| for N={N}, l={l}"
+            words = sum(len(f_list) for f_list in bi.Fw_maps)
+            assert words == word_count(N, l), f"words for N={N}, l={l}"
+            assert words == w_count(N, l) * math.factorial(l) ** (
+                (N - 1) * (N - 2) // 2)
 
     def test_w_maps_have_exact_fibers(self):
         bi = build_indexing(3, 2)
@@ -279,6 +287,18 @@ class TestIndexing:
         assert w_count(5, 3) > 10 ** 6
         with pytest.raises(ResourceError):
             build_indexing(5, 3)
+
+    @pytest.mark.parametrize("N,l,words", [(4, 3, 7257600),
+                                           (3, 7, 17297280)])
+    def test_word_guard_refuses_before_enumerating(self, N, l, words):
+        """|W| passes the guard here (33 600 and 3432), but the (w, f)
+        words that enumeration would allocate do not; the refusal names
+        their count and comes before any enumeration."""
+        assert w_count(N, l) <= 10 ** 6 < word_count(N, l) == words
+        start = time.perf_counter()
+        with pytest.raises(ResourceError, match=str(words)):
+            build_indexing(N, l)
+        assert time.perf_counter() - start < 1.0
 
 
 if __name__ == "__main__":
