@@ -24,10 +24,12 @@ Internally every theta quantity is computed from the reduced series
     theta_hat(x) = Sum_{n>=1} (-1)^(n-1) g^(n(n-1)) sin((2n-1)*pi*x),
 
 with g = exp(pi*i*tau) (g^2 = p), so that the overall factor 2*g^(1/4) of
-theta1 cancels in all normalized ratios; at p = 0 the reduced series is
-exactly sin(pi*x).  Truncation is adaptive on a rigorous per-term bound
-(Gaussian decay of g^(n(n-1)) against the exponential growth of sin on
-complex arguments); the default relative tolerance is 1e-16.
+theta1 cancels in all normalized ratios; at p = 0 it is exactly sin(pi*x).
+The term count is fixed before any array work, on a rigorous per-term bound
+(Gaussian decay of g^(n(n-1)) against the growth of sin on complex
+arguments; relative tolerance 1e-16 by default).  The kept terms are summed
+by Clenshaw's recurrence in y = 2 cos(2*pi*x), as sin(pi*x) times a
+polynomial in y, from one sin and one cos per point (``_theta_hat``).
 
 All functions are pure; x arguments may be complex scalars or numpy arrays.
 """
@@ -116,36 +118,36 @@ def _as_nome(nome: Nome | complex) -> Nome:
     return nome if isinstance(nome, Nome) else Nome(p=nome)
 
 
-#: Names of the reduced-series outputs of ``_theta_hat``, in kernel order.
+#: Names of the reduced-series outputs of ``_theta_hat``, in kernel order;
+#: the even positions are sine series, the odd ones cosine series.
 _SERIES = ("s0", "s1", "s2", "s3", "st", "st1")
+_N = np.arange(1, _MAX_TERMS + 1)
+_K, _DT = (2 * _N - 1) * math.pi, 1j * math.pi * _N * (_N - 1)
+#: Row n-1: the factor of c_n in each of _SERIES (k = (2n-1) pi).
+_FACTORS = np.stack([_K ** 0, _K, -_K ** 2, -_K ** 3, _DT, _DT * _K], axis=1)
 
 
 def _theta_hat(x: np.ndarray, nome: Nome,
                series: tuple[str, ...]) -> tuple[np.ndarray, ...]:
     """Reduced theta series and derivatives at complex points x.
 
-    Returns the requested ``series``, in the requested order, from
-    s0, s1, s2, s3 (the series value and its x-derivatives up to third
-    order), st (the tau-derivative) and st1 (the tau-derivative of the first
-    x-derivative); only those are accumulated.  Term n carries g^(n(n-1));
-    its tau-derivative multiplies it by pi*i*n(n-1) (the remaining pi*i/4 of
-    the full theta1 exponent lives in the prefactor 2*g^(1/4), handled by
-    the callers).  Truncation and the overflow guard do not depend on the
-    request, so each series is the same whichever others are asked for.
+    Returns the requested ``series``, in the requested order, from s0, s1,
+    s2, s3 (the series and its x-derivatives up to third order), st (the
+    tau-derivative) and st1 (the tau-derivative of s1).  Term n has weight
+    c_n = (-1)^(n-1) g^(n(n-1)), times pi*i*n(n-1) in st and st1 (the rest of
+    the tau-derivative lives in the prefactor 2*g^(1/4) of theta1).  The term
+    count K depends on g, the tolerance and max |Im x| alone, so no series
+    depends on the others asked for.  With y = 2 cos(2 pi x), the ratios
+    sin((2n-1) pi x)/sin(pi x) and cos((2n-1) pi x)/cos(pi x) both obey
+    phi_(n+1) = y phi_n - phi_(n-1), phi_1 = 1.  So Clenshaw's recurrence
+    b_n = a_n + y b_(n+1) - b_(n+2) sums a sine series as sin(pi x) (b_1 + b_2)
+    and a cosine one as cos(pi x) (b_1 - b_2); the outside factors keep the
+    relative accuracy near their zeros.  At p = 0 (K = 1) s0 is sin(pi x).
     """
     g = nome.g
-    tol = nome.series_tolerance
-    im_max = float(np.max(np.abs(x.imag))) if x.size else 0.0
+    im_max = float(np.abs(x.imag).max()) if x.size else 0.0
 
-    acc = {name: np.zeros_like(x) for name in series}
-    s0, s1, s2, s3, st, st1 = (acc.get(name) for name in _SERIES)
-    want_sin = s0 is not None or s2 is not None or st is not None
-    want_cos = s1 is not None or s3 is not None or st1 is not None
-    ang = np.empty_like(x)
-    s = np.empty_like(x) if want_sin else None
-    c = np.empty_like(x) if want_cos else None
-    tmp = np.empty_like(x)
-
+    coefs = []           # c_n for the kept terms
     q_n = 1.0 + 0j       # g^(n(n-1)) by cumulative product
     bound_max = 0.0
     small_count = 0
@@ -156,30 +158,10 @@ def _theta_hat(x: np.ndarray, nome: Nome,
             raise AccuracyError(
                 f"theta series term {n} overflows the float range at "
                 f"max |Im x| = {im_max} (|g|={abs(g)})")
-        sign = 1.0 if n % 2 == 1 else -1.0
-        coef = sign * q_n
-        np.multiply(k, x, out=ang)
-        if want_sin:
-            np.sin(ang, out=s)
-        if want_cos:
-            np.cos(ang, out=c)
-        if s0 is not None:
-            s0 += np.multiply(coef, s, out=tmp)
-        if s1 is not None:
-            s1 += np.multiply(coef * k, c, out=tmp)
-        if s2 is not None:
-            s2 -= np.multiply(coef * k * k, s, out=tmp)
-        if s3 is not None:
-            s3 -= np.multiply(coef * k ** 3, c, out=tmp)
-        dt = 1j * math.pi * n * (n - 1)
-        if st is not None:
-            st += np.multiply(coef * dt, s, out=tmp)
-        if st1 is not None:
-            st1 += np.multiply(coef * dt * k, c, out=tmp)
-
+        coefs.append(q_n if n % 2 == 1 else -q_n)
         bound = abs(q_n) * (1.0 + k ** 3) * math.exp(growth)
         bound_max = max(bound_max, bound)
-        if bound <= tol * bound_max:
+        if bound <= nome.series_tolerance * bound_max:
             small_count += 1
             if small_count >= 2:
                 break
@@ -192,7 +174,29 @@ def _theta_hat(x: np.ndarray, nome: Nome,
         raise AccuracyError(
             f"theta series not converged in {_MAX_TERMS} terms (|g|={abs(g)}, "
             f"max |Im x|={im_max})")
-    return tuple(acc[name] for name in series)
+
+    cols = [_SERIES.index(name) for name in series]
+    sine = [col % 2 == 0 for col in cols]
+    sin = np.sin(math.pi * x)
+    cos = np.cos(math.pi * x) if not all(sine) else None
+    if len(coefs) == 1:
+        return tuple((sin if o else cos) * _FACTORS[0, col] if col else sin
+                     for col, o in zip(cols, sine))
+
+    a = (_FACTORS[:len(coefs)].take(cols, axis=1) * np.array(coefs)[:, None]
+         ).reshape((len(coefs), len(cols)) + (1,) * x.ndim)
+    b2 = np.zeros((len(cols),) + x.shape, dtype=complex)
+    # Complex products only of equal shapes, never in place: numpy rounds a
+    # broadcast or in-place one differently for one point than for many.
+    y = b2 + (2.0 - 4.0 * sin * sin)
+    b1, free = a[-1] + b2, np.empty_like(b2)
+    for a_n in a[-2::-1]:
+        np.multiply(y, b1, out=free)
+        free -= b2
+        free += a_n
+        b1, b2, free = free, b1, b2
+    return tuple(sin * (b1[r] + b2[r]) if o else cos * (b1[r] - b2[r])
+                 for r, o in enumerate(sine))
 
 
 @lru_cache(maxsize=64)
@@ -227,8 +231,16 @@ def _check_off_lattice(x: np.ndarray, nome: Nome, what: str) -> None:
         raise PoleError(f"{what} lies on the theta zero lattice (distance < {_LATTICE_TOL})")
 
 
-def _maybe_scalar(value: np.ndarray, scalar: bool) -> ArrayLike:
-    return value.item() if scalar else value
+def _points(x: ArrayLike, nome: Nome | complex
+            ) -> tuple[np.ndarray, Nome, bool]:
+    """x as an at least 1-d complex array, the Nome, and whether x is a
+    scalar."""
+    x_arr = np.asarray(x, dtype=complex)
+    return np.atleast_1d(x_arr), _as_nome(nome), x_arr.ndim == 0
+
+
+def _maybe_scalar(scalar: bool, *values: np.ndarray) -> tuple[ArrayLike, ...]:
+    return tuple(v.item() for v in values) if scalar else values
 
 
 def theta1(x: ArrayLike, nome: Nome | complex) -> ThetaValue:
@@ -239,20 +251,15 @@ def theta1(x: ArrayLike, nome: Nome | complex) -> ThetaValue:
     its derivatives) vanish identically because of the exp(tau*pi*i/4)
     prefactor; use ``theta`` for the normalized ratio with a finite limit.
     """
-    nome = _as_nome(nome)
-    x_arr = np.asarray(x, dtype=complex)
-    scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr)
+    x_arr, nome, scalar = _points(x, nome)
     s0, s1, st = _theta_hat(x_arr, nome, ("s0", "s1", "st"))
     if nome.tau is None:
         pref = 0j
     else:
         pref = 2 * cmath.exp(1j * math.pi * nome.tau / 4)
-    value = pref * s0
-    d_x = pref * s1
+    value, d_x = pref * s0, pref * s1
     d_tau = pref * (0.25j * math.pi * s0 + st)
-    return ThetaValue(_maybe_scalar(value, scalar), _maybe_scalar(d_x, scalar),
-                      _maybe_scalar(d_tau, scalar))
+    return ThetaValue(*_maybe_scalar(scalar, value, d_x, d_tau))
 
 
 def theta(x: ArrayLike, nome: Nome | complex) -> ThetaValue:
@@ -261,10 +268,7 @@ def theta(x: ArrayLike, nome: Nome | complex) -> ThetaValue:
     Computed from the reduced series so the limit p -> 0 is exactly
     sin(pi*x)/pi.  d_tau is the tau-derivative of the normalized ratio.
     """
-    nome = _as_nome(nome)
-    x_arr = np.asarray(x, dtype=complex)
-    scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr)
+    x_arr, nome, scalar = _points(x, nome)
     s0, s1, st = _theta_hat(x_arr, nome, ("s0", "s1", "st"))
     d1_0, _, st1_0 = _zero_data(nome)
     value = s0 / d1_0
@@ -272,24 +276,19 @@ def theta(x: ArrayLike, nome: Nome | complex) -> ThetaValue:
     # The pi*i/4 prefactor contributions cancel between numerator and
     # denominator of the ratio.
     d_tau = (st * d1_0 - s0 * st1_0) / d1_0 ** 2
-    return ThetaValue(_maybe_scalar(value, scalar), _maybe_scalar(d_x, scalar),
-                      _maybe_scalar(d_tau, scalar))
+    return ThetaValue(*_maybe_scalar(scalar, value, d_x, d_tau))
 
 
 def log_theta_jet(x: ArrayLike, nome: Nome | complex
                   ) -> tuple[ArrayLike, ArrayLike, ArrayLike]:
     """(theta(x), theta'/theta, (log theta)'') from one lattice check and one
     series evaluation; the first entry is bit-identical to ``theta(x).value``."""
-    nome = _as_nome(nome)
-    x_arr = np.asarray(x, dtype=complex)
-    scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr)
+    x_arr, nome, scalar = _points(x, nome)
     _check_off_lattice(x_arr, nome, "x")
     s0, s1, s2 = _theta_hat(x_arr, nome, ("s0", "s1", "s2"))
     d1_0, _, _ = _zero_data(nome)
     r1 = s1 / s0
-    return (_maybe_scalar(s0 / d1_0, scalar), _maybe_scalar(r1, scalar),
-            _maybe_scalar(s2 / s0 - r1 * r1, scalar))
+    return _maybe_scalar(scalar, s0 / d1_0, r1, s2 / s0 - r1 * r1)
 
 
 def log_theta_d1(x: ArrayLike, nome: Nome | complex) -> ArrayLike:
@@ -302,16 +301,20 @@ def log_theta_d2(x: ArrayLike, nome: Nome | complex) -> ArrayLike:
     return log_theta_jet(x, nome)[2]
 
 
+def log_theta_d1_dtau(x: ArrayLike, nome: Nome | complex
+                      ) -> tuple[ArrayLike, ArrayLike]:
+    """(theta'/theta, d/dtau log theta at fixed x) from one lattice check and
+    one series evaluation; d_tau log theta vanishes identically at p = 0."""
+    x_arr, nome, scalar = _points(x, nome)
+    _check_off_lattice(x_arr, nome, "x")
+    s0, s1, st = _theta_hat(x_arr, nome, ("s0", "s1", "st"))
+    d1_0, _, st1_0 = _zero_data(nome)
+    return _maybe_scalar(scalar, s1 / s0, st / s0 - st1_0 / d1_0)
+
+
 def log_theta_dtau(x: ArrayLike, nome: Nome | complex) -> ArrayLike:
     """d/dtau log theta(x) at fixed x (zero identically at p = 0)."""
-    nome = _as_nome(nome)
-    x_arr = np.asarray(x, dtype=complex)
-    scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr)
-    _check_off_lattice(x_arr, nome, "x")
-    s0, st = _theta_hat(x_arr, nome, ("s0", "st"))
-    d1_0, _, st1_0 = _zero_data(nome)
-    return _maybe_scalar(st / s0 - st1_0 / d1_0, scalar)
+    return log_theta_d1_dtau(x, nome)[1]
 
 
 def sigma_lambda(lam: ArrayLike, x: ArrayLike, nome: Nome | complex) -> ArrayLike:
@@ -323,11 +326,8 @@ def sigma_lambda(lam: ArrayLike, x: ArrayLike, nome: Nome | complex) -> ArrayLik
     evaluated (and checked against the lattice) on their own shapes, and
     only theta(x - lam) and the quotient take the broadcast shape.
     """
-    nome = _as_nome(nome)
-    lam_arr = np.asarray(lam, dtype=complex)
-    x_arr = np.asarray(x, dtype=complex)
-    scalar = lam_arr.ndim == 0 and x_arr.ndim == 0
-    lam_arr, x_arr = np.atleast_1d(lam_arr), np.atleast_1d(x_arr)
+    lam_arr, nome, lam_scalar = _points(lam, nome)
+    x_arr, _, x_scalar = _points(x, nome)
     _check_off_lattice(x_arr, nome, "x")
     _check_off_lattice(lam_arr, nome, "lambda")
     s0_num, = _theta_hat(x_arr - lam_arr, nome, ("s0",))
@@ -338,7 +338,7 @@ def sigma_lambda(lam: ArrayLike, x: ArrayLike, nome: Nome | complex) -> ArrayLik
     # the 2 g^(1/4) prefactors cancel between the single numerator theta and
     # one denominator theta; theta'(0) = 1 contributes d1_0 to restore scale.
     value = d1_0 * s0_num / (s0_x * s0_l)
-    return _maybe_scalar(value, scalar)
+    return _maybe_scalar(lam_scalar and x_scalar, value)[0]
 
 
 def wp(x: ArrayLike, nome: Nome | complex) -> ArrayLike:

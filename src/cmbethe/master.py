@@ -23,7 +23,8 @@ det H_t = Prod_k (-2 pi i T_k)^2 det H_T.  Only log-derivatives are ever
 evaluated, so no branch of log is needed.  The gradient, the Hessian and the
 membership predicate of F all come from one theta-jet call on the factor
 arguments (``_master``), so a Newton iterate or a report costs one kernel
-call.
+call; so does an eigenvalue, whose root check reuses the call that gives
+dS/dtau (``S_dtau``).
 
 The eigenvalue functional at an elliptic Bethe root:
 
@@ -43,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elliptic import Nome, log_theta_dtau, log_theta_jet
+from .elliptic import Nome, log_theta_d1_dtau, log_theta_jet
 from .errors import (ConvergenceError, DegeneracyError, DomainError,
                      MembershipError, PoleError)
 from .weights import BetheIndexing, RootSystemData, Weight, pairing
@@ -131,6 +132,32 @@ def _on_pairs(values: np.ndarray, sel: np.ndarray) -> np.ndarray:
     return out
 
 
+def _on_factors(jet, pt: EllipticPoint, xi: Weight, rs: RootSystemData,
+                idx: BetheIndexing) -> tuple:
+    """(coupling matrix K, pair mask, first-colour mask, jet(x)) for one
+    call of the elliptic function ``jet`` on the factor arguments x of Phi
+    at a point.  MembershipError if one lies on the theta zero lattice."""
+    _check_sizes(pt.m, xi, rs, idx)
+    K = idx.pair_coupling
+    mask1 = _first_color_mask(idx)
+    sel, x = _factor_points(pt.t, K, mask1)
+    try:
+        return K, sel, mask1, jet(x, pt.nome)
+    except PoleError as exc:
+        raise MembershipError(f"theta factor vanishes: {exc}") from exc
+
+
+def _gradient(d1: np.ndarray, K: np.ndarray, sel: np.ndarray,
+              mask1: np.ndarray, xi: Weight, rs: RootSystemData,
+              idx: BetheIndexing) -> np.ndarray:
+    """The gradient of log Phi_tau from theta'/theta on the factor arguments."""
+    n = int(sel.sum())
+    grad = _TWO_PI_I * _per_index_exponents(xi, idx) \
+        + (K * _on_pairs(d1[:n], sel)).sum(axis=1)
+    grad[mask1] -= rs.l * rs.N * d1[n:]
+    return grad
+
+
 def _master(pt: EllipticPoint, xi: Weight, rs: RootSystemData,
             idx: BetheIndexing) -> tuple[np.ndarray, np.ndarray, bool]:
     """(gradient of log Phi_tau, Hessian of -log Phi_tau, membership in F)
@@ -139,22 +166,12 @@ def _master(pt: EllipticPoint, xi: Weight, rs: RootSystemData,
     Membership means every theta-factor magnitude exceeds ``_MEMBERSHIP_TOL``.
     MembershipError if a factor argument lies on the theta zero lattice.
     """
-    _check_sizes(pt.m, xi, rs, idx)
-    K = idx.pair_coupling
-    mask1 = _first_color_mask(idx)
-    sel, x = _factor_points(pt.t, K, mask1)
-    try:
-        th, d1, d2 = log_theta_jet(x, pt.nome)
-    except PoleError as exc:
-        raise MembershipError(f"theta factor vanishes: {exc}") from exc
+    K, sel, mask1, (th, d1, d2) = _on_factors(log_theta_jet, pt, xi, rs, idx)
+    grad = _gradient(d1, K, sel, mask1, xi, rs, idx)
     n = int(sel.sum())
-    lN = rs.l * rs.N
-    grad = _TWO_PI_I * _per_index_exponents(xi, idx) \
-        + (K * _on_pairs(d1[:n], sel)).sum(axis=1)
-    grad[mask1] -= lN * d1[n:]
     H = K * _on_pairs(d2[:n], sel)         # off-diagonal of -log Phi_tau
     diag = -H.sum(axis=1)
-    diag[mask1] += lN * d2[n:]
+    diag[mask1] += rs.l * rs.N * d2[n:]
     H[np.arange(idx.m), np.arange(idx.m)] = diag
     return grad, H, bool(np.all(np.abs(th) > _MEMBERSHIP_TOL))
 
@@ -225,30 +242,24 @@ def newton_polish_tau(t: np.ndarray, xi: Weight, rs: RootSystemData,
     return _polish(t, xi, rs, idx, nome, tol, max_iter).point.t
 
 
-def _S_partial_dtau(t: np.ndarray, nome: Nome, rs: RootSystemData,
-                    idx: BetheIndexing) -> complex:
-    """dS/dtau at fixed t, from one log_theta_dtau call on every factor
-    argument.  d_tau log theta is even in x, so each coupled pair, present
-    in both orders, is counted with weight 1/2."""
-    sel, x = _factor_points(t, idx.pair_coupling, _first_color_mask(idx))
-    vals = log_theta_dtau(x, nome)
-    n = int(sel.sum())
-    pairs = 0.5 * np.sum(idx.pair_coupling[sel] * vals[:n])
-    return complex(pairs - rs.l * rs.N * np.sum(vals[n:]))
-
-
 def S_dtau(pt: EllipticPoint, xi: Weight, rs: RootSystemData,
            idx: BetheIndexing) -> complex:
     """dS/dtau at an elliptic Bethe root, at fixed t (term-wise theta
     tau-derivatives; exactly 0 at p = 0, where d_tau log theta is).  The
-    point must satisfy the Bethe equations to ``_CRIT_TOL``.
+    point must satisfy the Bethe equations to ``_CRIT_TOL``; the gradient
+    that checks it and dS/dtau come from one ``log_theta_d1_dtau`` call on
+    every factor argument.  d_tau log theta is even in x, so each coupled
+    pair, present in both orders, is counted with weight 1/2.
     """
-    gnorm = float(np.linalg.norm(log_phi_tau_grad(pt, xi, rs, idx)))
+    K, sel, mask1, (d1, dtau) = _on_factors(log_theta_d1_dtau, pt, xi, rs, idx)
+    gnorm = float(np.linalg.norm(_gradient(d1, K, sel, mask1, xi, rs, idx)))
     if gnorm > _CRIT_TOL:
         raise DomainError(
             f"S_dtau requires a Bethe critical point: |grad| = {gnorm:.3e} "
             f"> {_CRIT_TOL:.1e}")
-    return _S_partial_dtau(pt.t, pt.nome, rs, idx)
+    n = int(sel.sum())
+    pairs = 0.5 * np.sum(K[sel] * dtau[:n])
+    return complex(pairs - rs.l * rs.N * np.sum(dtau[n:]))
 
 
 def eigenvalue_elliptic(pt: EllipticPoint, xi: Weight, rs: RootSystemData,

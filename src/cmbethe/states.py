@@ -59,7 +59,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import permutations
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -453,8 +453,8 @@ def _fd_hamiltonian(psi: Evaluator, pts: np.ndarray, nome: Nome, l: int,
     center = vals[0]
     lap = sum((vals[1 + 2 * i] - 2.0 * center + vals[2 + 2 * i]) / fd_h ** 2
               for i in range(N))
-    pot = sum(wp_shifted(pts[:, i] - pts[:, j], nome)
-              for i, j in combinations(range(N), 2))
+    i, j = np.triu_indices(N, 1)
+    pot = sum(wp_shifted(pts[:, i] - pts[:, j], nome).T)   # pairs in order
     return center, -0.5 * lap + l * (l + 1) * pot * center
 
 

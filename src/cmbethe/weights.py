@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations, product
 from typing import Sequence
 
@@ -319,9 +320,11 @@ def word_count(N: int, l: int) -> int:
     return w_count(N, l) * math.factorial(l) ** ((N - 1) * (N - 2) // 2)
 
 
+@lru_cache(maxsize=4)
 def build_indexing(N: int, l: int) -> BetheIndexing:
     """Enumerate c, V_i, W and F_w for (N, l); refused before enumerating
-    unless the (w, f) words are at most 10^6 (``word_count``)."""
+    unless the (w, f) words are at most 10^6 (``word_count``).  Cached, so
+    the callers of one (N, l) share one enumeration."""
     if N < 2 or l < 1:
         raise DomainError(f"need N >= 2 and l >= 1, got N={N}, l={l}")
     words = word_count(N, l)

@@ -406,6 +406,16 @@ class TestVerifySharedChain:
         e_ba = payload["perturbation"]["crosscheck"]["E_BA"]
         assert e_ba == payload["eigenvalue"][0]
 
+    def test_one_index_enumeration(self, capsys):
+        """The search's closed form and the Jack certificate reuse the index
+        sets that cm verify enumerates."""
+        build_indexing.cache_clear()
+        code, _, _ = run_cli(
+            capsys, "verify", "--N", "2", "--l", "1", "--lambda", "1,-1")
+        assert code == 0
+        info = build_indexing.cache_info()
+        assert info.misses == 1 and info.hits >= 2, info
+
     @pytest.mark.parametrize("p,expected", [("0.01", 2), ("0", 2)])
     def test_p0_polynomial_expansions(self, capsys, monkeypatch, p, expected):
         """The p = 0 polynomial is expanded by the search's non-vanishing

@@ -3,7 +3,9 @@
 Covers the series conventions (trig limits at p = 0, quasi-periodicity),
 x- and tau-derivatives against finite differences, the constant-free Laurent
 normalization of wp, an independent lattice-sum oracle for wp, and the two
-eta constants against independent divisor-sum series.
+eta constants against independent divisor-sum series.  The Clenshaw
+kernel is checked series by series against the direct per-term sum it
+replaced (``direct_theta``).
 """
 
 import cmath
@@ -13,7 +15,9 @@ import numpy as np
 import pytest
 
 from cmbethe.elliptic import (
+    _SERIES,
     Nome,
+    _theta_hat,
     ThetaValue,
     eta_const,
     lattice_distance,
@@ -28,6 +32,7 @@ from cmbethe.elliptic import (
     wp_shifted,
 )
 from cmbethe.errors import AccuracyError, DomainError, PoleError
+from direct_theta import theta_hat_direct
 
 
 class TestNome:
@@ -495,11 +500,70 @@ class TestLatticeDistance:
         assert abs(lattice_distance(-0.4, nm) - 0.4) < 1e-15
 
 
+class TestClenshawKernel:
+    """``_theta_hat`` (one sin and one cos per point, Clenshaw's recurrence
+    over the terms) against the direct per-term sum, all six series."""
+
+    @staticmethod
+    def _points(seed):
+        rng = np.random.default_rng(seed)
+        near = rng.uniform(-1e-3, 1e-3, size=12)
+        return np.concatenate([
+            rng.uniform(-1.0, 1.0, size=40) + 1j * rng.uniform(-0.6, 0.6, size=40),
+            near[:6] + 0j, 0.5 + near[6:] + 0j])
+
+    @staticmethod
+    def _max_gap(p, x):
+        nm = Nome(p=p)
+        fast = _theta_hat(x, nm, _SERIES)
+        direct = theta_hat_direct(x, nm, _SERIES)
+        return {name: float(np.max(np.abs(f - d) / np.abs(d)))
+                for name, f, d in zip(_SERIES, fast, direct)}
+
+    @pytest.mark.parametrize("p", [0.01, 0.05, 0.3, -0.25, 0.2 + 0.1j])
+    def test_matches_direct_sum(self, p):
+        gaps = self._max_gap(p, self._points(11))
+        assert max(gaps.values()) <= 1e-11, gaps
+
+    def test_matches_direct_sum_at_large_nome(self):
+        # at p = 0.6 the direct sum is the less accurate of the two
+        gaps = self._max_gap(0.6, self._points(12))
+        assert max(gaps.values()) <= 1e-10, gaps
+
+    def test_series_do_not_depend_on_the_request(self):
+        x, nm = self._points(13), Nome(p=0.3)
+        every = _theta_hat(x, nm, _SERIES)
+        for i, name in enumerate(_SERIES):
+            alone, = _theta_hat(x, nm, (name,))
+            assert np.array_equal(alone, every[i]), name
+
+    def test_trig_limit_is_sin_bit_for_bit(self):
+        x = np.concatenate([self._points(14), [0j, -0.0 + 0j, 0.5 + 0j]])
+        s0, = _theta_hat(x, Nome(p=0.0), ("s0",))
+        assert s0.tobytes() == np.sin(np.pi * x).tobytes()
+
+
 class TestSeriesConvergenceGuard:
     def test_nome_too_close_to_one_raises(self):
         nm = Nome(p=0.999999)
         with pytest.raises(AccuracyError):
             theta(0.3, nm)
+
+    @pytest.mark.parametrize("p,x,message", [
+        (0.999999, [0.3], "theta series not converged in 200 terms"),
+        (0.05, [80j], "theta series term 2 overflows the float range at "
+                      "max |Im x| = 80.0"),
+        (0.0, [0.3, 0.2 + 300j], "theta series term 1 overflows the float "
+                                 "range at max |Im x| = 300.0")])
+    def test_errors_match_direct_sum(self, p, x, message):
+        """The kernel raises where the direct sum raises, with its message."""
+        x, nm = np.array(x, dtype=complex), Nome(p=p)
+        with pytest.raises(AccuracyError) as fast:
+            _theta_hat(x, nm, _SERIES)
+        with pytest.raises(AccuracyError) as direct:
+            theta_hat_direct(x, nm, _SERIES)
+        assert str(fast.value) == str(direct.value)
+        assert str(fast.value).startswith(message)
 
     def test_large_imaginary_part_is_accuracy_error(self):
         # far from the real axis the truncation bound exp((2n-1) pi |Im x|)

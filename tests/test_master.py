@@ -25,7 +25,6 @@ from cmbethe.master import (
     CriticalReport,
     EllipticPoint,
     S_dtau,
-    _S_partial_dtau,
     eigenvalue_elliptic,
     hessian_tau,
     log_phi_tau_grad,
@@ -381,6 +380,24 @@ class TestSdtauAndEigenvalue:
         with pytest.raises(DomainError):
             S_dtau(EllipticPoint([0.3 - 0.2j], nm), XI_3L1, RS21, IDX21)
 
+    def test_eigenvalue_makes_one_kernel_call(self, monkeypatch):
+        """The gradient check and dS/dtau share one theta-series call."""
+        pt = self._critical_at(0.01)
+        elliptic.theta(0.1, pt.nome)        # the per-nome zero data, cached
+        ref = 9 * math.pi ** 2 - 2j * math.pi * _S_partial_dtau_loop(
+            pt.t, pt.nome, RS21, IDX21)
+        calls = []
+        kernel = elliptic._theta_hat
+
+        def counted_kernel(*args):
+            calls.append(args[2])
+            return kernel(*args)
+
+        monkeypatch.setattr(elliptic, "_theta_hat", counted_kernel)
+        E = eigenvalue_elliptic(pt, XI_3L1, RS21, IDX21)
+        assert calls == [("s0", "s1", "st")]
+        assert abs(E - ref) <= 1e-14 * abs(ref), f"{E} vs {ref}"
+
     def test_invalid_mode_rejected(self):
         """The library has one derivative convention: a mode is refused."""
         pt = self._critical_at(1e-3)
@@ -446,7 +463,7 @@ class TestSdtauAndEigenvalue:
         xi_s = Weight([xi.exact[i] for i in sigma])
         pt = continue_nome(seed, xi_s, rs, idx, p).endpoint.point
         ref = _S_partial_dtau_loop(pt.t, pt.nome, rs, idx)
-        val = _S_partial_dtau(pt.t, pt.nome, rs, idx)
+        val = S_dtau(pt, xi_s, rs, idx)
         assert abs(val - ref) <= 1e-15 * abs(ref), f"{val} vs {ref}"
 
 

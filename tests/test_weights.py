@@ -300,6 +300,16 @@ class TestIndexing:
             build_indexing(N, l)
         assert time.perf_counter() - start < 1.0
 
+    def test_enumeration_cached_refusal_not(self):
+        """One (N, l) is enumerated once; a refused one raises every time."""
+        build_indexing.cache_clear()
+        assert build_indexing(3, 2) is build_indexing(3, 2)
+        for _ in range(2):
+            with pytest.raises(ResourceError, match="7257600"):
+                build_indexing(4, 3)
+        info = build_indexing.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 3, 1)
+
 
 if __name__ == "__main__":
     pytest.main([__file__, "-v"])
