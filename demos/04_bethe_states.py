@@ -91,7 +91,7 @@ print(f"state factor, diagonal + tau : {f_diag:.12f}")
 # partial derivative; differentiating along the moving roots misses the
 # Rayleigh quotient by about 1 %).
 
-e_ray, rel = residual_check(ell, grid_n=48, fd_h=1e-3)
+e_ray, rel = residual_check(ell, grid_n=48)
 print(f"\nRayleigh quotient at p = 0.05 : {e_ray.real:.9f}")
 print(f"relative residual             : {rel:.2e}")
 ev = eigenvalue_elliptic(pt, xi, rs, idx)

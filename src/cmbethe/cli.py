@@ -39,7 +39,7 @@ import numpy as np
 from .critical import (NEWTON_TOL, closed_form_n3_l1, continue_nome,
                        find_admissible_critical_point, sigma_closed_form)
 from .elliptic import Nome, theta
-from .errors import CmError, DomainError
+from .errors import CmError, DomainError, ResourceError
 from .jack import jack_expand, partition
 from .perturb import _crosscheck_record, bethe_crosscheck, rs_series
 from .states import (base_point, bethe_state_elliptic, jack_proportionality,
@@ -280,7 +280,7 @@ def _build_state(args):
         info["path"] = path
         point = path.endpoint.point
     state = bethe_state_elliptic(point, xi_s, rs, idx)
-    e_ray, rel = residual_check(state, grid_n=args.grid, fd_h=args.fd_h)
+    e_ray, rel = residual_check(state, grid_n=args.grid)
     info["E_rayleigh"] = e_ray
     info["rel_residual"] = rel
     return state, info
@@ -290,7 +290,7 @@ def cmd_state(args) -> Dict:
     state, info = _build_state(args)
     try:
         l2 = [float(v) for v in l2_estimate(state)]
-    except DomainError:
+    except (DomainError, ResourceError):
         l2 = None
     payload: Dict = {
         "schema": SCHEMA, "command": "state", "N": args.N, "l": args.l,
@@ -467,15 +467,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None, help="write the JSONL path here")
     sp.set_defaults(func=cmd_continue)
 
-    sp = sub.add_parser("state", help="eigenstate + residual certificate")
+    sp = sub.add_parser(
+        "state", help="eigenstate + residual certificate",
+        description="The Bethe state at nome --p, its residual under H and "
+        "its L2 estimates on grids of 16, 32 and 64 points per axis; \"l2\" "
+        "is null for xi outside P or for a grid past 2^20 points.")
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--l", type=int, required=True)
     _add_weight_flags(sp)
     sp.add_argument("--p", default="0.01", help="nome (0 = trigonometric)")
     sp.add_argument("--steps", type=int, default=10)
     sp.add_argument("--grid", type=int, default=64,
-                    help="residual sample count / CSV slice resolution")
-    sp.add_argument("--fd-h", dest="fd_h", type=float, default=1e-3)
+                    help="residual sample count (H by centered differences "
+                    "of fixed step 1e-3) / CSV slice resolution")
     sp.add_argument("--seed", type=int, default=1234)
     sp.add_argument("--out", default=None, help="write a CSV slice of psi")
     sp.set_defaults(func=cmd_state)
@@ -505,8 +509,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_weight_flags(sp)
     sp.add_argument("--p", default="0.01")
     sp.add_argument("--steps", type=int, default=10)
-    sp.add_argument("--grid", type=int, default=64)
-    sp.add_argument("--fd-h", dest="fd_h", type=float, default=1e-3)
+    sp.add_argument("--grid", type=int, default=64,
+                    help="residual sample count (H by centered differences "
+                    "of fixed step 1e-3)")
     sp.add_argument("--order", type=int, default=2)
     sp.add_argument("--tol", type=float, default=1e-4,
                     help="residual / eigenvalue-agreement tolerance")

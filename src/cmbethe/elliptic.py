@@ -27,8 +27,8 @@ with g = exp(pi*i*tau) (g^2 = p), so that the overall factor 2*g^(1/4) of
 theta1 cancels in all normalized ratios; at p = 0 it is exactly sin(pi*x).
 The term count is fixed before any array work, on a rigorous per-term bound
 (Gaussian decay of g^(n(n-1)) against the growth of sin on complex
-arguments; relative tolerance 1e-16 by default).  The kept terms are summed
-by Clenshaw's recurrence in y = 2 cos(2*pi*x), as sin(pi*x) times a
+arguments; relative tolerance _SERIES_TOL = 1e-16).  The kept terms are
+summed by Clenshaw's recurrence in y = 2 cos(2*pi*x), as sin(pi*x) times a
 polynomial in y, from one sin and one cos per point (``_theta_hat``).
 
 All functions are pure; x arguments may be complex scalars or numpy arrays.
@@ -51,6 +51,8 @@ ArrayLike = Union[complex, float, np.ndarray]
 
 _TWO_PI_I = 2j * math.pi
 _MAX_TERMS = 200
+#: Relative truncation threshold of every theta series.
+_SERIES_TOL = 1e-16
 _LATTICE_TOL = 1e-12
 #: Largest exponent whose exp is a finite float.
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -61,16 +63,12 @@ class Nome:
 
     Construct with either ``p`` (|p| < 1; p = 0 is the trigonometric limit) or
     ``tau`` (Im tau > 0). The other representation is derived with principal
-    branches. ``series_tolerance`` is the relative truncation threshold used
-    by all series evaluations.
+    branches.
     """
 
-    __slots__ = ("p", "tau", "g", "series_tolerance")
+    __slots__ = ("p", "tau", "g")
 
-    def __init__(self, p: complex | None = None, tau: complex | None = None,
-                 series_tolerance: float = 1e-16):
-        if series_tolerance <= 0:
-            raise DomainError("series_tolerance must be positive")
+    def __init__(self, p: complex | None = None, tau: complex | None = None):
         if (p is None) == (tau is None):
             raise DomainError("specify exactly one of p or tau")
         if tau is not None:
@@ -91,17 +89,15 @@ class Nome:
         self.tau = tau
         # Half-period nome g = exp(pi*i*tau), the principal square root of p.
         self.g = cmath.exp(1j * math.pi * tau) if tau is not None else 0j
-        self.series_tolerance = float(series_tolerance)
 
     def __repr__(self) -> str:
         return f"Nome(p={self.p!r})"
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Nome) and self.p == other.p \
-            and self.series_tolerance == other.series_tolerance
+        return isinstance(other, Nome) and self.p == other.p
 
     def __hash__(self) -> int:
-        return hash((self.p, self.series_tolerance))
+        return hash(self.p)
 
 
 @dataclass(frozen=True)
@@ -161,7 +157,7 @@ def _theta_hat(x: np.ndarray, nome: Nome,
         coefs.append(q_n if n % 2 == 1 else -q_n)
         bound = abs(q_n) * (1.0 + k ** 3) * math.exp(growth)
         bound_max = max(bound_max, bound)
-        if bound <= nome.series_tolerance * bound_max:
+        if bound <= _SERIES_TOL * bound_max:
             small_count += 1
             if small_count >= 2:
                 break

@@ -247,11 +247,11 @@ def inner_product(f: Callable, g: Callable, alpha, N: int, quad_n: int) -> compl
     return complex(np.vdot(wf, wg) / pts.shape[0] / math.factorial(N))
 
 
-def cs_apply(f: Callable, l: int, N: int, *, fd_h: float = 1e-3) -> Callable:
+def cs_apply(f: Callable, l: int, N: int) -> Callable:
     """The evaluator x -> (H_CS psi)(x) with psi = f * Delta_s^{l+1}, where
     H_CS = -(1/2) Sum_i d^2/dx_i^2 + l(l+1) pi^2 Sum_{i<j} 1/sin^2(pi(x_i-x_j))
     is the elliptic Hamiltonian at Nome(p=0), applied by the finite-difference
-    stencil of ``states.residual_check`` (step fd_h).  ``.psi`` evaluates psi.
+    stencil of ``states.residual_check``.  ``.psi`` evaluates psi.
 
     Delta_s = Prod_{i<j} sin(pi(x_i - x_j)) is the translation-invariant form
     of the Vandermonde: Prod_{i<j}(X_i - X_j) equals (2i)^{N(N-1)/2} Delta_s
@@ -272,7 +272,7 @@ def cs_apply(f: Callable, l: int, N: int, *, fd_h: float = 1e-3) -> Callable:
 
     def h_psi(x):
         xb = np.asarray(x, dtype=float)
-        out = _fd_hamiltonian(psi, np.atleast_2d(xb), Nome(p=0.0), l, fd_h)[1]
+        out = _fd_hamiltonian(psi, np.atleast_2d(xb), Nome(p=0.0), l)[1]
         return complex(out[0]) if xb.ndim == 1 else out
 
     h_psi.psi = psi
@@ -280,12 +280,11 @@ def cs_apply(f: Callable, l: int, N: int, *, fd_h: float = 1e-3) -> Callable:
 
 
 def cs_quotient(f: Callable, l: int, N: int, *, grid_n: int = 48,
-                fd_h: float = 1e-3, margin: float = 0.1,
-                seed: int = 23) -> complex:
+                margin: float = 0.1, seed: int = 23) -> complex:
     """Rayleigh quotient <psi, H_CS psi>/<psi, psi> with psi = f Delta^{l+1},
     over interior sample points with pairwise margin; equals
     e0 + 2 pi^2 E_lam^{[1/(l+1)]} (to FD accuracy) when f = J_lam^{(1/(l+1))}.
     """
     pts = sample_torus_points(N, grid_n, margin=margin, seed=seed)
     return _rayleigh(*_fd_hamiltonian(cs_apply(f, l, N).psi, pts,
-                                      Nome(p=0.0), l, fd_h))[0]
+                                      Nome(p=0.0), l))[0]

@@ -36,9 +36,9 @@ suffixes, each permutation relabels the pair columns of every level and
 contributes its own prefactor, and no theta series runs per permutation or
 per slot.
 The numerator X^xi acc of omega_tri is a finite Laurent polynomial, expanded
-once per p = 0 point; Delta^l is symmetric for even l and antisymmetric for
-odd l, so Delta^l Sym^(l) omega_tri is its antisymmetrization Alt(X^xi acc)
-over S_N, stored by its chamber (``laurent.chamber``), not as N! copies.
+on the same levels, each sigma factor replaced by its linear slot factor;
+Delta^l is symmetric for even l and antisymmetric for odd l, so Delta^l
+Sym^(l) omega_tri is Alt(X^xi acc), stored by its chamber (laurent.chamber).
 The two p = 0 certificates, the non-vanishing test and the Jack certificate
 (Alt(X^xi acc) = c J_lambda Delta^{2l+1}, the chamber of
 X^(N-1, ..., 0) Delta^{2l} J_lambda), read chambers and sample no points.
@@ -66,7 +66,8 @@ import numpy as np
 
 from .elliptic import Nome, PoleError, sigma_lambda, wp_shifted
 from .errors import DomainError, MembershipError, ResourceError
-from .laurent import chamber, merge, parity, stack, symmetric_times_delta
+from .laurent import (Laurent, chamber, merge, parity, stack,
+                      symmetric_times_delta)
 from .master import EllipticPoint, eigenvalue_elliptic, membership_F
 from .weights import (BetheIndexing, RootSystemData, Weight, admissible,
                       build_indexing, root_system)
@@ -81,6 +82,10 @@ _SAMPLE_DRAWS = 200000
 _SAMPLE_CHUNK = 4096
 #: Least ratio of the largest coefficients of Alt(X^xi acc) and X^xi acc.
 _NONVANISHING_TOL = 1e-8
+#: Step of the centered finite-difference Laplacian.
+_FD_STEP = 1e-3
+#: Most points of one ``l2_estimate`` grid.
+_L2_POINTS = 1 << 20
 
 Evaluator = Callable[[np.ndarray], complex]
 
@@ -97,10 +102,10 @@ def base_point(N: int) -> np.ndarray:
     return np.array(vals[:N])
 
 
-def sample_torus_points(N: int, n: int, *, margin: float = 0.1, seed: int = 0,
-                        traceless: bool = False) -> np.ndarray:
+def sample_torus_points(N: int, n: int, *, margin: float = 0.1, seed: int = 0
+                        ) -> np.ndarray:
     """n deterministic points in [0,1)^N with pairwise periodic separation
-    min_{i<j} dist(x_i - x_j, Z) > margin; optionally shifted to sum_i x_i = 0.
+    min_{i<j} dist(x_i - x_j, Z) > margin.
 
     Points are the first n accepted of at most ``_SAMPLE_DRAWS`` successive
     uniform draws from the seeded generator, tested in blocks.
@@ -120,10 +125,7 @@ def sample_torus_points(N: int, n: int, *, margin: float = 0.1, seed: int = 0,
     if count < n:
         raise ResourceError(
             f"could not draw {n} points with pairwise margin {margin} in [0,1)^{N}")
-    out = np.concatenate(accepted)
-    if traceless:
-        out = out - out.mean(axis=1, keepdims=True)
-    return out
+    return np.concatenate(accepted)
 
 
 def _as_batch(x, N: int) -> tuple[np.ndarray, bool]:
@@ -134,63 +136,6 @@ def _as_batch(x, N: int) -> tuple[np.ndarray, bool]:
     if arr.ndim == 1:
         return arr[None, :], True
     return arr, False
-
-
-def _words(idx: BetheIndexing) -> np.ndarray:
-    """The (w, f) terms as one (terms, 2, m) array of flat w and f."""
-    return np.array([(w_flat, f_flat) for w_flat, f_tuple
-                     in zip(idx.W_maps, idx.Fw_maps) for f_flat in f_tuple],
-                    dtype=np.int64).reshape(-1, 2, idx.m)
-
-
-class _TrigOmega:
-    """omega_tri = X^xi Sum_r coef_r X^{rows_r} / Delta(X)^l, unnormalized.
-    The (w, f) sum of Prod_k (X_{c(k)} T_k - X_{w(k)+1} T_{f(k)}) /
-    (T_k - T_{f(k)}) is expanded deepest slot first: terms that share their
-    first k slot choices share the expanded product of the slots after them."""
-
-    def __init__(self, point: EllipticPoint, xi: Weight, rs: RootSystemData,
-                 idx: BetheIndexing):
-        if point.nome.p != 0:
-            raise DomainError("omega_tri needs a p = 0 point")
-        if not membership_F(point, xi, rs, idx):
-            raise MembershipError("T is outside F (a factor of Phi_tri vanishes)")
-        N, m = rs.N, idx.m
-        self.N, self.xi, self.in_P = N, xi.coords, xi.in_P
-        T = np.concatenate([[1.0 + 0j], point.to_T()])      # T[0] = T_0 = 1
-        w, f = _words(idx).transpose(1, 0, 2)
-        den = np.where(np.asarray(idx.c) == 1, 1.0 + 0j, T[1:] - T[f])
-        if np.any(np.abs(den) < 1e-13):
-            raise PoleError("paired collision T_k = T_{f(k)}: zero denominator "
-                            "in omega_tri")
-        # first[k][t]: the first term with the same first k choices as term t
-        first = [np.zeros(len(w), dtype=np.int64)]
-        for kk in range(m):
-            code = first[-1] * (N * (m + 1)) + w[:, kk] * (m + 1) + f[:, kk]
-            _, head, inv = np.unique(code, return_index=True, return_inverse=True)
-            first.append(head[inv])
-        # rows: (representative term, exponent vector)
-        keys = np.column_stack([first[m], np.zeros((len(w), N), dtype=np.int64)])
-        coef = np.ones(len(w), dtype=complex)
-        for kk in reversed(range(m)):
-            term = keys[:, 0]
-            scaled = coef / den[term, kk]
-            own, other = keys.copy(), keys.copy()
-            own[:, 0] = other[:, 0] = first[kk][term]
-            own[:, idx.c[kk]] += 1
-            other[np.arange(len(term)), 1 + w[term, kk]] += 1
-            keys, coef = merge(np.concatenate([own, other]),
-                               np.concatenate([scaled * T[kk + 1],
-                                               -scaled * T[f[term, kk]]]))
-        self.rows, self.coef = keys[:, 1:], coef
-
-    def alt(self) -> tuple[np.ndarray, np.ndarray]:
-        """Alt(X^xi acc) = Delta^l Sym^(l) omega_tri by its chamber, the
-        rows those of X^{xi - xi_N} acc (integers for xi in P)."""
-        if not self.in_P:
-            raise DomainError("antisymmetrizing omega_tri needs xi in P")
-        return chamber(self.rows + np.round(self.xi - self.xi[-1])
-                       .astype(np.int64), self.coef)
 
 
 def _suffix_levels(labels: np.ndarray) -> tuple[np.ndarray, list]:
@@ -254,17 +199,17 @@ class _EllipticOmega:
                  idx: BetheIndexing):
         if not membership_F(point, xi, rs, idx):
             raise MembershipError("t is outside F^tau (a factor of Phi_tau vanishes)")
-        t = np.asarray(point.t, dtype=complex)
         self.nome = point.nome
         self.N = N = rs.N
         self.xi = np.asarray(xi.coords, dtype=float)
-        w, f = _words(idx).transpose(1, 0, 2)
+        w, f = idx.words.transpose(1, 0, 2)
         # the distinct (k, f(k)), numbered in order of first appearance
         code, first, u = np.unique(np.arange(idx.m) * (idx.m + 1) + f,
                                    return_index=True, return_inverse=True)
         rank = np.argsort(np.argsort(first))
-        kk, fk = np.divmod(code[np.argsort(first)], idx.m + 1)
-        self.u = t[kk] - np.where(fk == 0, 0j, t[fk - 1])
+        self._k, self._f = np.divmod(code[np.argsort(first)], idx.m + 1)
+        self._t = np.concatenate([[0j], point.t])       # t_0 = 0
+        self.u = self._t[self._k + 1] - self._t[self._f]
         self._pair_a, self._pair_b = np.nonzero(~np.eye(N, dtype=bool))
         self._pair_id = np.full((N, N), -1)
         self._pair_id[self._pair_a, self._pair_b] = np.arange(N * (N - 1))
@@ -280,6 +225,42 @@ class _EllipticOmega:
 
     def __call__(self, x):
         return self.perm_sum(x, [(tuple(range(self.N)), 1)])
+
+    def tri_expansion(self) -> tuple[np.ndarray, np.ndarray]:
+        """acc of omega_tri = X^xi acc / Delta^l as (rows, coef), walked over
+        the sigma table's levels: label (pair (a, b), u = t_k - t_{f(k)}) is
+        the factor (T_k X_a - T_{f(k)} X_b) / (T_k - T_{f(k)}), T_0 = 1, with
+        no denominator where f(k) = 0.  Each child polynomial is copied onto
+        every edge to it, and terms merge after every factor."""
+        T = np.exp(-TWO_PI_I * self._t)
+        T_k, T_f = T[self._k + 1], T[self._f]
+        den = np.where(self._f == 0, 1.0 + 0j, T_k - T_f)
+        if np.any(np.abs(den) < 1e-13):
+            raise PoleError("paired collision T_k = T_{f(k)}: zero "
+                            "denominator in omega_tri")
+        own, other = T_k / den, -T_f / den
+        # rows: (node, exponent vector), grouped by node
+        keys = np.column_stack([np.arange(len(self._leaf)), np.zeros(
+            (len(self._leaf), self.N), dtype=np.int64)])
+        coef = self._leaf.astype(complex)
+        for a, b, u, child, starts, _ in self._levels:
+            lo = np.searchsorted(keys[:, 0], child)
+            count = np.searchsorted(keys[:, 0], child, side="right") - lo
+            take = np.repeat(lo - np.cumsum(count) + count, count) \
+                + np.arange(count.sum())
+            keys, coef = keys[take], coef[take]
+            keys[:, 0] = np.repeat(np.arange(len(child)), count)
+            for j in reversed(range(a.shape[1])):
+                edge, at = keys[:, 0], np.arange(len(keys))
+                mine, theirs = keys.copy(), keys.copy()
+                mine[at, 1 + a[edge, j]] += 1
+                theirs[at, 1 + b[edge, j]] += 1
+                keys, coef = merge(np.concatenate([mine, theirs]),
+                                   np.concatenate([coef * own[u[edge, j]],
+                                                   coef * other[u[edge, j]]]))
+            keys[:, 0] = np.searchsorted(starts, keys[:, 0], side="right") - 1
+            keys, coef = merge(keys, coef)
+        return keys[:, 1:], coef
 
     def perm_sum(self, x, perms: Sequence[tuple[Sequence[int], int]]):
         """Sum of sign * omega(x o perm) over the (perm, sign) pairs."""
@@ -350,14 +331,28 @@ def symmetrize(omega: Evaluator, N: int, l: int) -> Evaluator:
     return sym
 
 
+def _omega_tri(point: EllipticPoint, xi: Weight, rs: RootSystemData,
+               idx: BetheIndexing) -> tuple[Laurent, Laurent]:
+    """At a p = 0 point, acc (``_EllipticOmega.tri_expansion``) and
+    Alt(X^xi acc) = Delta^l Sym^(l) omega_tri by its chamber, the rows
+    those of X^{xi - xi_N} acc (integers for xi in P)."""
+    if point.nome.p != 0:
+        raise DomainError("omega_tri needs a p = 0 point")
+    rows, coef = _EllipticOmega(point, xi, rs, idx).tri_expansion()
+    if not xi.in_P:
+        raise DomainError("antisymmetrizing omega_tri needs xi in P")
+    shift = np.round(xi.coords - xi.coords[-1]).astype(np.int64)
+    return (rows, coef), chamber(rows + shift, coef)
+
+
 def sym_omega_tri_nonvanishing(point: EllipticPoint, xi: Weight,
                                rs: RootSystemData, idx: BetheIndexing) -> bool:
     """Whether Sym^(l) omega_tri is a non-zero function: the largest
     coefficient of Alt(X^xi acc) exceeds ``_NONVANISHING_TOL`` times that of
     X^xi acc (exact cancellation would leave ~1e-16)."""
-    omega = _TrigOmega(point, xi, rs, idx)
-    return bool(np.max(np.abs(omega.alt()[1]), initial=0.0)
-                > _NONVANISHING_TOL * np.max(np.abs(omega.coef)))
+    (_, coef), (_, alt) = _omega_tri(point, xi, rs, idx)
+    return bool(np.max(np.abs(alt), initial=0.0)
+                > _NONVANISHING_TOL * np.max(np.abs(coef)))
 
 
 @dataclass
@@ -419,7 +414,7 @@ def jack_proportionality(point: EllipticPoint, xi: Weight, jack, l: int
     # J Delta^{2l+1} = Alt(X^delta Delta^{2l} J), delta = (N-1, ..., 0);
     # both chambers keyed by their exponents' differences to the last one
     rows, coef = symmetric_times_delta(jack.coeffs, jack.lam[-1], 2 * l)
-    sides = [_TrigOmega(point, xi, rs, idx).alt(),
+    sides = [_omega_tri(point, xi, rs, idx)[1],
              chamber(rows + np.arange(N - 1, -1, -1), coef)]
     _, both = stack([(r - r[:, -1:], c) for r, c in sides])
     a, t = both[:, 0].astype(complex), both[:, 1].astype(float)
@@ -430,29 +425,26 @@ def jack_proportionality(point: EllipticPoint, xi: Weight, jack, l: int
     return c * scale, residual
 
 
-def _fd_hamiltonian(psi: Evaluator, pts: np.ndarray, nome: Nome, l: int,
-                    fd_h: float) -> tuple[np.ndarray, np.ndarray]:
+def _fd_hamiltonian(psi: Evaluator, pts: np.ndarray, nome: Nome, l: int
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """(psi, H psi) on the points ``pts`` for
     H = -(1/2) Sum d^2/dx_i^2 + l(l+1) Sum_{i<j} wp_shifted(x_i - x_j) at
-    ``nome``, the Laplacian by centered differences of step fd_h.  At
-    Nome(p=0) the pair potential is pi^2/sin^2(pi(x_i - x_j)).  An empty
-    batch and a step that is not positive and finite raise DomainError."""
+    ``nome``, the Laplacian by centered differences of step ``_FD_STEP``.
+    At Nome(p=0) the pair potential is pi^2/sin^2(pi(x_i - x_j)).  An empty
+    batch raises DomainError."""
     M, N = pts.shape
     if M == 0:
         raise DomainError("empty point batch (a sample grid of 0 points): "
                           "nothing to apply H to")
-    if not (math.isfinite(fd_h) and fd_h > 0):
-        raise DomainError(f"finite-difference step fd_h = {fd_h!r} must be "
-                          f"positive and finite")
     stencil = [pts]
     for i in range(N):
         e = np.zeros(N)
-        e[i] = fd_h
+        e[i] = _FD_STEP
         stencil += [pts + e, pts - e]
     vals = np.atleast_1d(psi(np.concatenate(stencil))).reshape(2 * N + 1, M)
     center = vals[0]
-    lap = sum((vals[1 + 2 * i] - 2.0 * center + vals[2 + 2 * i]) / fd_h ** 2
-              for i in range(N))
+    lap = sum((vals[1 + 2 * i] - 2.0 * center + vals[2 + 2 * i])
+              / _FD_STEP ** 2 for i in range(N))
     i, j = np.triu_indices(N, 1)
     pot = sum(wp_shifted(pts[:, i] - pts[:, j], nome).T)   # pairs in order
     return center, -0.5 * lap + l * (l + 1) * pot * center
@@ -470,19 +462,19 @@ def _rayleigh(psi: np.ndarray, h_psi: np.ndarray) -> tuple[complex, float]:
                              / np.linalg.norm(e_rayleigh * psi))
 
 
-def residual_check(state: BetheState, grid_n: int = 64, fd_h: float = 1e-3,
-                   *, margin: float = 0.1, seed: int = 5
+def residual_check(state: BetheState, grid_n: int = 64, *,
+                   margin: float = 0.1, seed: int = 5
                    ) -> tuple[complex, float]:
     """Apply H = -(1/2) Sum d^2/dx_i^2 + l(l+1) Sum_{i<j} wp_shifted(x_i-x_j)
-    at the state's nome to the state by centered finite differences on
-    ``grid_n`` interior sample points (pairwise periodic separation > margin)
-    and return the Rayleigh quotient and the relative residual
-    ||H psi - E psi|| / ||E psi||.
+    at the state's nome to the state by centered finite differences of step
+    ``_FD_STEP`` on ``grid_n`` interior sample points (pairwise periodic
+    separation > margin) and return the Rayleigh quotient and the relative
+    residual ||H psi - E psi|| / ||E psi||.
     """
     pts = sample_torus_points(len(state.xi.coords), grid_n, margin=margin,
                               seed=seed)
     psi, h_psi = _fd_hamiltonian(state.evaluator, pts, state.point.nome,
-                                 _infer_l(state), fd_h)
+                                 _infer_l(state))
     if not np.all(np.isfinite(h_psi)):
         raise PoleError("non-finite H psi values on the verification grid "
                         "(inadmissible weight or continuation fault)")
@@ -510,12 +502,18 @@ def l2_estimate(state: BetheState, levels: Sequence[int] = (16, 32, 64)
     grid point lands exactly on a diagonal x_i = x_j, where the individual
     permutation terms have poles (the symmetrized sum is bounded there).
     Offset rectangle rules retain spectral accuracy for periodic integrands.
+    A level whose n^N grid points exceed ``_L2_POINTS`` raises
+    ResourceError before any grid is allocated.
     """
     if not state.xi.in_P:
         raise DomainError(
             f"weight {state.xi!r} is not in the weight lattice P: the "
             f"integrand is not 1-periodic, refusing the torus integral")
     N = len(state.xi.coords)
+    for n in levels:
+        if n ** N > _L2_POINTS:
+            raise ResourceError(f"the {n}^{N} = {n ** N} points of the L2 "
+                                f"grid exceed the cap {_L2_POINTS}")
     out = []
     for n in levels:
         axes = [((np.arange(n) + 0.5 + (i * _GOLDEN) % 1.0) / n) % 1.0

@@ -19,20 +19,21 @@ The index sets entering the Bethe vector, for m = l*N*(N-1)/2 variables:
     F_w : tuples f = (f_1,...,f_{N-2}), f_i : V_{i+1} -> V_i injective with
         w_{i+1}(x) = w_i(f_i(x)).
 
-Both W and F_w are enumerated explicitly, guarded by the number of (w, f)
-words, |W| (l!)^{(N-1)(N-2)/2} <= 10^6.  A map w is stored flat as a
-length-m tuple (w[k-1] = w_i(k) for k in V_i); a map f is stored flat with
-f[k-1] = f_{i-1}(k) for k in V_i, i >= 2, and f[k-1] = 0 for k in V_1,
-folding in the convention t_0 = 0 (T_0 = 1) for the first block.
+The (w, f) words are enumerated once, by array operations, into one
+read-only int64 array of shape (words, 2, m), guarded by their number
+|W| (l!)^{(N-1)(N-2)/2} <= 10^6.  Row 0 of a word is w flat
+(w[k-1] = w_i(k) for k in V_i); row 1 is f flat, f[k-1] = f_{i-1}(k) for
+k in V_i, i >= 2, and f[k-1] = 0 for k in V_1, folding in the convention
+t_0 = 0 (T_0 = 1) for the first block.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import permutations
 from typing import Sequence
 
 import numpy as np
@@ -281,8 +282,10 @@ class BetheIndexing:
 
     ``c`` is 1-based color values as a length-m tuple; ``p_bounds`` the block
     boundaries (p_0=0, ..., p_{N-1}=m); ``V`` the blocks as ranges;
-    ``W_maps`` all flat w tuples; ``Fw_maps[w_index]`` all flat f tuples
-    compatible with that w (f[k-1] = 0 marks the t_0 = 0 convention).
+    ``words`` the read-only (words, 2, m) int64 array of flat (w, f), w
+    slowest (f[k-1] = 0 marks the t_0 = 0 convention).  ``words`` is shared
+    by every caller of the cached ``build_indexing`` and takes no part in
+    equality.
     """
 
     N: int
@@ -291,8 +294,7 @@ class BetheIndexing:
     c: tuple[int, ...]
     p_bounds: tuple[int, ...]
     V: tuple[range, ...]
-    W_maps: tuple[tuple[int, ...], ...]
-    Fw_maps: tuple[tuple[tuple[int, ...], ...], ...]
+    words: np.ndarray = field(repr=False, compare=False)
 
     @property
     def pair_coupling(self) -> np.ndarray:
@@ -322,45 +324,44 @@ def word_count(N: int, l: int) -> int:
 
 @lru_cache(maxsize=4)
 def build_indexing(N: int, l: int) -> BetheIndexing:
-    """Enumerate c, V_i, W and F_w for (N, l); refused before enumerating
-    unless the (w, f) words are at most 10^6 (``word_count``).  Cached, so
-    the callers of one (N, l) share one enumeration."""
+    """Enumerate c, V_i and the (w, f) words for (N, l), refused before
+    anything is allocated unless the words are at most 10^6; cached.  w is
+    the Cartesian product of the blocks' ``orbit``s, first block slowest;
+    a stable argsort of each block of w gives its fibres; each (i, label)
+    block of f permutes a fibre of V_i by a row of one l! permutation
+    table, the rows counted first block slowest."""
     if N < 2 or l < 1:
         raise DomainError(f"need N >= 2 and l >= 1, got N={N}, l={l}")
-    words = word_count(N, l)
-    if words > _WORD_GUARD:
-        raise ResourceError(f"the {words} (w, f) words of N={N}, l={l} "
+    count = word_count(N, l)
+    if count > _WORD_GUARD:
+        raise ResourceError(f"the {count} (w, f) words of N={N}, l={l} "
                             f"exceed the enumeration guard {_WORD_GUARD}")
     m = l * N * (N - 1) // 2
     p_bounds = tuple(i * (2 * N - i - 1) * l // 2 for i in range(N))
     V = tuple(range(p_bounds[i - 1] + 1, p_bounds[i] + 1) for i in range(1, N))
     c = tuple(i for i in range(1, N) for _ in V[i - 1])
 
-    # w_i: the distinct arrangements of l copies of each label i..N-1
-    per_block = [list(map(tuple, orbit(np.repeat(np.arange(i, N), l))
-                          .tolist())) for i in range(1, N)]
-    W_maps = tuple(tuple(x for blk in combo for x in blk)
-                   for combo in product(*per_block))
-    assert len(W_maps) == w_count(N, l)
-
-    Fw_all: list[tuple[tuple[int, ...], ...]] = []
-    for w in W_maps:
-        # fibers[i-1][j] = ordered positions k in V_i with w_i(k) = j
-        fibers: list[dict[int, list[int]]] = [{} for _ in V]
-        for k in range(1, m + 1):
-            fibers[c[k - 1] - 1].setdefault(w[k - 1], []).append(k)
-        # f_i maps each label's fiber of V_{i+1} bijectively onto the same
-        # label's fiber of V_i: one permutation per (i, label), i = 1..N-2
-        blocks = [(src, fibers[i - 1][lab]) for i in range(1, N - 1)
-                  for lab, src in sorted(fibers[i].items())]
-        f_list: list[tuple[int, ...]] = []
-        for combo in product(*(permutations(dst) for _, dst in blocks)):
-            flat = [0] * m
-            for (src, _), image in zip(blocks, combo):
-                for k, target in zip(src, image):
-                    flat[k - 1] = target
-            f_list.append(tuple(flat))
-        Fw_all.append(tuple(f_list))
-
+    w = np.zeros((1, 0), dtype=np.int64)
+    for i in range(1, N):
+        blk = orbit(np.repeat(np.arange(i, N), l))
+        w = np.column_stack([np.repeat(w, len(blk), axis=0),
+                             np.tile(blk, (len(w), 1))])
+    # fibres[i-1][r, j]: the positions k in V_i with w_i(k) = i + j
+    fibres = [np.argsort(w[:, p_bounds[i - 1]:p_bounds[i]], axis=1,
+                         kind="stable").reshape(len(w), N - i, l)
+              + p_bounds[i - 1] + 1 for i in range(1, N)]
+    f = np.zeros((len(w), count // len(w), m), dtype=np.int64)
+    if N >= 3:
+        perms = np.array(list(permutations(range(l))))
+        blocks = [(i, j) for i in range(1, N - 1) for j in range(N - 1 - i)]
+        choice = np.unravel_index(np.arange(f.shape[1]),
+                                  (len(perms),) * len(blocks))
+        for (i, j), digit in zip(blocks, choice):
+            # label i + 1 + j: its fibre in V_{i+1} onto its fibre in V_i
+            np.put_along_axis(f, fibres[i][:, None, j] - 1,
+                              fibres[i - 1][:, j + 1][:, perms[digit]], axis=2)
+    words = np.stack([np.broadcast_to(w[:, None], f.shape), f],
+                     axis=2).reshape(-1, 2, m)
+    words.setflags(write=False)
     return BetheIndexing(N=N, l=l, m=m, c=c, p_bounds=p_bounds, V=V,
-                         W_maps=W_maps, Fw_maps=tuple(Fw_all))
+                         words=words)

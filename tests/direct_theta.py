@@ -11,7 +11,8 @@ import math
 
 import numpy as np
 
-from cmbethe.elliptic import _LOG_FLOAT_MAX, _MAX_TERMS, _SERIES, Nome
+from cmbethe.elliptic import (_LOG_FLOAT_MAX, _MAX_TERMS, _SERIES,
+                              _SERIES_TOL, Nome)
 from cmbethe.errors import AccuracyError
 
 
@@ -20,7 +21,6 @@ def theta_hat_direct(x: np.ndarray, nome: Nome,
     """The requested reduced series (names of ``_SERIES``) at x, term by
     term."""
     g = nome.g
-    tol = nome.series_tolerance
     im_max = float(np.max(np.abs(x.imag))) if x.size else 0.0
 
     acc = {name: np.zeros_like(x) for name in series}
@@ -53,7 +53,7 @@ def theta_hat_direct(x: np.ndarray, nome: Nome,
 
         bound = abs(q_n) * (1.0 + k ** 3) * math.exp(growth)
         bound_max = max(bound_max, bound)
-        if bound <= tol * bound_max:
+        if bound <= _SERIES_TOL * bound_max:
             small_count += 1
             if small_count >= 2:
                 break

@@ -195,14 +195,16 @@ def jack_coefficients(lam, alpha):
     return coeffs
 
 
-def alt_all_permutations(raw):
-    """Alt(X^xi acc) of a ``_TrigOmega`` as the sum of its N! signed column
-    permutations, relative to X^xi, merged over all rows (those with a
-    repeated entry included)."""
-    invs = [np.argsort(p) for p in permutations(range(raw.N))]
-    rows = np.concatenate([raw.rows[:, q] + np.round(raw.xi[q] - raw.xi)
+def alt_all_permutations(acc, xi):
+    """Alt(X^xi acc) of the p = 0 expansion acc = (rows, coef) as the sum of
+    its N! signed column permutations, relative to X^xi (xi the weight's
+    coordinates), merged over all rows (those with a repeated entry
+    included)."""
+    acc_rows, acc_coef = acc
+    invs = [np.argsort(p) for p in permutations(range(len(xi)))]
+    rows = np.concatenate([acc_rows[:, q] + np.round(xi[q] - xi)
                            .astype(np.int64) for q in invs])
-    coef = np.concatenate([perm_sign(q) * raw.coef for q in invs])
+    coef = np.concatenate([perm_sign(q) * acc_coef for q in invs])
     uniq, inv = np.unique(rows, axis=0, return_inverse=True)
     inv = inv.ravel()
     return uniq, (np.bincount(inv, coef.real, len(uniq))
@@ -215,11 +217,10 @@ def elliptic_slots(t, idx):
     (a, b, u) index arrays of shape (words, m)."""
     u_index = {}
     slots = []
-    for w_flat, f_tuple in zip(idx.W_maps, idx.Fw_maps):
-        for f_flat in f_tuple:
-            for kk in range(idx.m):
-                u_k = u_index.setdefault((kk, f_flat[kk]), len(u_index))
-                slots.append((idx.c[kk] - 1, w_flat[kk], u_k))
+    for w_flat, f_flat in idx.words.tolist():
+        for kk in range(idx.m):
+            u_k = u_index.setdefault((kk, f_flat[kk]), len(u_index))
+            slots.append((idx.c[kk] - 1, w_flat[kk], u_k))
     u = np.array([t[kk] - (0j if f == 0 else t[f - 1])
                   for kk, f in u_index], dtype=complex)
     a, b, k = np.moveaxis(np.array(slots).reshape(-1, idx.m, 3), -1, 0)

@@ -5,10 +5,11 @@ The library evaluates the p = 0 state as Sym^(l) of the sigma-table omega,
 as at every nome, and certifies Sym^(l) omega_tri = c J_lambda Delta^{l+1}
 in coefficient space (``cmbethe.states.jack_proportionality``).  The rejected
 variant evaluates the unsymmetrized omega_tri = X^xi Sum_r coef_r X^{rows_r}
-/ Delta^l of the expansion point by point, sums it over S_N by a plain loop
-over x-permutations, and samples the ratio Sym^(l) omega_tri /
-(J_lambda Delta^{l+1}) at deterministic traceless torus points, reporting
-the mean ratio and its relative spread.  The permutation terms are of size
+/ Delta^l of the p = 0 expansion acc point by point, sums it over S_N by a
+plain loop over x-permutations, and samples the ratio Sym^(l) omega_tri /
+(J_lambda Delta^{l+1}) at deterministic traceless torus points (the sampled
+points shifted to sum_i x_i = 0), reporting the mean ratio and its
+relative spread.  The permutation terms are of size
 ~|Delta|^{-l} and cancel in the sum, so at N=2 and l >= 12 the spread
 exceeds 1e-9 from rounding alone.
 """
@@ -19,21 +20,22 @@ from itertools import combinations, permutations
 import numpy as np
 
 from cmbethe.errors import ResourceError
-from cmbethe.states import _TrigOmega, sample_torus_points
+from cmbethe.states import _omega_tri, sample_torus_points
 from cmbethe.weights import build_indexing, root_system
 
 TWO_PI_I = 2j * math.pi
 
 
-def omega_tri_values(raw, x, l):
-    """The unnormalized omega_tri of the expansion ``raw`` (a ``_TrigOmega``)
-    on the (M, N) batch x."""
+def omega_tri_values(acc, xi, x, l):
+    """The unnormalized omega_tri of the p = 0 expansion acc = (rows, coef)
+    and the weight coordinates xi on the (M, N) batch x."""
+    rows, coef = acc
     xb = np.asarray(x, dtype=complex)
     X = np.exp(TWO_PI_I * xb)
     delta = np.prod([X[:, i] - X[:, j]
-                     for i, j in combinations(range(raw.N), 2)], axis=0)
-    acc = np.exp(TWO_PI_I * (xb @ raw.rows.T)) @ raw.coef
-    return np.exp(TWO_PI_I * (xb @ raw.xi)) * acc / delta ** l
+                     for i, j in combinations(range(len(xi)), 2)], axis=0)
+    poly = np.exp(TWO_PI_I * (xb @ rows.T)) @ coef
+    return np.exp(TWO_PI_I * (xb @ xi)) * poly / delta ** l
 
 
 def perm_sign(perm):
@@ -65,14 +67,16 @@ def pointwise_jack_ratio(state, jack, l, n_samples=10, seed=11):
     """(mean ratio, relative spread) over ``n_samples`` traceless points,
     resampling any point where J_lambda Delta^{l+1} is near zero."""
     N = len(state.xi.coords)
-    raw = _TrigOmega(state.point, state.xi, root_system(N, l),
-                     build_indexing(N, l))
-    sym = sym_pointwise(lambda x: omega_tri_values(raw, x, l), N, l)
+    acc, _ = _omega_tri(state.point, state.xi, root_system(N, l),
+                        build_indexing(N, l))
+    sym = sym_pointwise(
+        lambda x: omega_tri_values(acc, state.xi.coords, x, l), N, l)
     ratios = []
     attempt = 0
     while len(ratios) < n_samples and attempt < 50 * n_samples:
         xs = sample_torus_points(N, n_samples, margin=0.1,
-                                 seed=seed + attempt, traceless=True)
+                                 seed=seed + attempt)
+        xs = xs - xs.mean(axis=1, keepdims=True)
         for x in xs:
             X = np.exp(2j * math.pi * x)
             delta = 1.0 + 0j

@@ -263,7 +263,7 @@ def test_criterion_5_spectral_verification():
         pt = path.endpoint.point
         state = bethe_state_elliptic(pt, xi_s, rs, idx,
                                      compute_eigenvalue=False)
-        e_ray, rel = residual_check(state, grid_n=48, fd_h=1e-3)
+        e_ray, rel = residual_check(state, grid_n=48)
         worst_res = max(worst_res, rel)
         by_mode = {"partial": eigenvalue_elliptic(pt, xi_s, rs, idx),
                    "total": eigenvalue_total(pt, xi_s, rs, idx)}

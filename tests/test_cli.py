@@ -188,6 +188,17 @@ class TestStateCommand:
         assert payload["rel_residual"] < 1e-4
         assert "eigenvalue_modes" not in payload
 
+    def test_oversized_l2_grid_reports_null(self, capsys, monkeypatch):
+        """A grid past the point cap leaves "l2" null, as a weight outside
+        P does; the residual certificate is still reported."""
+        monkeypatch.setattr(states, "_L2_POINTS", 32 ** 2 - 1)
+        code, payload, _ = run_cli(
+            capsys, "state", "--N", "2", "--l", "1", "--m", "3",
+            "--p", "0", "--grid", "48")
+        assert code == 0
+        assert payload["l2"] is None
+        assert payload["rel_residual"] < 1e-4
+
     def test_csv_slice(self, capsys, tmp_path):
         out = tmp_path / "slice.csv"
         code, payload, _ = run_cli(
@@ -297,19 +308,26 @@ class TestVerifyCommand:
         assert code == 2
         assert payload["error"]["code"] == "DOMAIN"
 
-    @pytest.mark.parametrize("flag,value,named", [
-        ("--fd-h", "0", "fd_h"), ("--fd-h", "-0.001", "fd_h"),
-        ("--fd-h", "inf", "fd_h"), ("--grid", "0", "grid")])
+    @pytest.mark.parametrize("flag,value,named", [("--grid", "0", "grid")])
     def test_degenerate_stencil_is_domain_error(self, capsys, flag, value,
                                                 named):
-        """A finite-difference step that is not positive and finite, or an
-        empty sample grid, is refused by name before H is applied."""
+        """An empty sample grid is refused by name before H is applied."""
         code, payload, _ = run_cli(
             capsys, "verify", "--N", "2", "--l", "1", "--lambda", "1,-1",
             flag, value)
         assert code == 2
         assert payload["error"]["code"] == "DOMAIN"
         assert named in payload["error"]["message"]
+
+    @pytest.mark.parametrize("command", ["state", "verify"])
+    def test_step_flag_refused(self, capsys, command):
+        """The finite-difference step is a constant: the parser refuses the
+        --fd-h flag as an unknown argument."""
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--N", "2", "--l", "1", "--lambda", "1,-1",
+                  "--fd-h", "1e-3"])
+        assert exc.value.code == 2
+        assert "--fd-h" in capsys.readouterr().err
 
     def test_missing_lambda_refused(self, capsys):
         code, payload, _ = run_cli(
@@ -422,13 +440,13 @@ class TestVerifySharedChain:
         test and by the Jack certificate only: the state is the sigma-table
         one at every nome, and the certificate builds no state."""
         calls = []
-        init = states._TrigOmega.__init__
+        expand = states._EllipticOmega.tri_expansion
 
-        def counted(self, *args):
-            calls.append(args)
-            init(self, *args)
+        def counted(self):
+            calls.append(self)
+            return expand(self)
 
-        monkeypatch.setattr(states._TrigOmega, "__init__", counted)
+        monkeypatch.setattr(states._EllipticOmega, "tri_expansion", counted)
         code, payload, _ = run_cli(
             capsys, "verify", "--N", "3", "--l", "1", "--lambda", "1,0,-1",
             "--p", p)

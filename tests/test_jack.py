@@ -23,7 +23,7 @@ from cmbethe.jack import (
     jack_expand,
     partition,
 )
-from cmbethe.states import sample_torus_points
+from cmbethe.states import _FD_STEP, sample_torus_points
 from cmbethe.weights import e0, jack_energy
 from laurent_dicts import jack_coefficients
 
@@ -223,9 +223,9 @@ class TestCsApply:
     def test_matches_sine_stencil(self):
         """cs_apply is the elliptic stencil at p = 0; a stencil written with
         pi^2/sin^2 directly gives the same H psi to rounding."""
-        N, l, h = 3, 2, 1e-3
+        N, l, h = 3, 2, _FD_STEP
         f = jack_expand((2, 1, 0), Fraction(1, 3)).evaluate
-        op = cs_apply(f, l, N, fd_h=h)
+        op = cs_apply(f, l, N)
         pts = sample_torus_points(N, 16, seed=3)
         center = op.psi(pts)
         ref = l * (l + 1) * math.pi ** 2 * center * sum(

@@ -42,6 +42,7 @@ from cmbethe.weights import (Weight, build_indexing, lambda_to_xi,
 from laurent_dicts import alt_all_permutations, elliptic_slots
 from pointwise_jack import omega_tri_values, pointwise_jack_ratio, sym_pointwise
 from total_convention import eigenvalue_total
+from tuple_words import PrefixOmega
 
 RS21 = root_system(2, 1)
 IDX21 = build_indexing(2, 1)
@@ -174,8 +175,8 @@ class TestOmegaTri:
         const = (2j * math.pi) ** idx.m / np.prod(
             [T[k] - 1 for k in range(idx.m) if idx.c[k] == 1])
         xs = sample_torus_points(N, 64, seed=8)
-        ref = const * omega_tri_values(states._TrigOmega(point, xi, rs, idx),
-                                       xs, l)
+        acc, _ = states._omega_tri(point, xi, rs, idx)
+        ref = const * omega_tri_values(acc, xi.coords, xs, l)
         got = states._EllipticOmega(point, xi, rs, idx)(xs)
         assert float(np.max(np.abs(got - ref) / np.abs(ref))) <= 1e-12
 
@@ -189,6 +190,55 @@ class TestOmegaTri:
             st = bethe_state_elliptic(bad, XI_33, RS31, IDX31,
                                       compute_eigenvalue=False)
             st.evaluator(np.array([0.1, 0.4, 0.8]))
+
+
+class TestTriExpansion:
+    """The p = 0 expansion X^xi acc, walked over the sigma table's suffix
+    levels, against the prefix expansion over the tuple words it replaced
+    (``tuple_words.PrefixOmega``), and its four refusals."""
+
+    @pytest.mark.parametrize("N,l,lam", P0_LEVELS + [
+        (2, 24, (1, -1)), (4, 2, (0, 0, 0, 0)), (5, 1, (0, 0, 0, 0, 0))])
+    def test_matches_prefix_expansion(self, N, l, lam):
+        """The same rows of acc and of the chamber of Alt(X^xi acc), and
+        coefficients within 1e-14 of the largest."""
+        point, xi, rs, idx = searched_root(N, l, lam)
+        acc, alt = states._omega_tri(point, xi, rs, idx)
+        ref = PrefixOmega(point, xi, rs, idx)
+        for (rows, coef), (ref_rows, ref_coef) in [
+                (acc, (ref.rows, ref.coef)), (alt, ref.alt())]:
+            assert np.array_equal(rows, ref_rows)
+            scale = float(np.max(np.abs(ref_coef)))
+            assert float(np.max(np.abs(coef - ref_coef))) <= 1e-14 * scale
+
+    def test_elliptic_point_refused_before_membership(self, monkeypatch):
+        """A p != 0 point is refused by its nome, before F is consulted."""
+        monkeypatch.setattr(states, "membership_F", None)
+        with pytest.raises(DomainError, match="p = 0"):
+            states._omega_tri(elliptic_point(0.01), XI_3L1, RS21, IDX21)
+
+    def test_weight_outside_lattice_refused(self):
+        xi = weight_from_lambda_coords([2.5], 2)
+        point, _ = closed_form_n2(2.5, 1)
+        with pytest.raises(DomainError, match="xi in P"):
+            sym_omega_tri_nonvanishing(point, xi, RS21, IDX21)
+
+    def test_outside_f_refused(self):
+        point, _ = closed_form_n3_l1(3, 3)[0]
+        T = point.to_T()
+        with pytest.raises(MembershipError):
+            sym_omega_tri_nonvanishing(trig_point([T[0], T[1], T[0]]), XI_33,
+                                       RS31, IDX31)
+
+    def test_zero_denominator_is_pole(self, monkeypatch):
+        """T_3 = T_1 zeroes the denominator T_3 - T_{f(3)} of one word; F
+        refuses such a point first, so membership is stubbed here."""
+        point, _ = closed_form_n3_l1(3, 3)[0]
+        T = point.to_T()
+        monkeypatch.setattr(states, "membership_F", lambda *args: True)
+        with pytest.raises(PoleError, match="zero denominator"):
+            sym_omega_tri_nonvanishing(trig_point([T[0], T[1], T[0]]), XI_33,
+                                       RS31, IDX31)
 
 
 class TestOmegaElliptic:
@@ -290,10 +340,12 @@ class TestAltState:
     @pytest.mark.parametrize("N,l,lam", P0_LEVELS)
     def test_matches_pointwise_sym(self, N, l, lam):
         point, xi, rs, idx = searched_root(N, l, lam)
-        raw = states._TrigOmega(point, xi, rs, idx)
-        sym = sym_pointwise(lambda x: omega_tri_values(raw, x, l), N, l)
+        acc, _ = states._omega_tri(point, xi, rs, idx)
+        sym = sym_pointwise(
+            lambda x: omega_tri_values(acc, xi.coords, x, l), N, l)
         xs = sample_torus_points(N, 64, seed=10)
-        ref = sym(xs) / omega_tri_values(raw, base_point(N)[None], l)[0]
+        ref = sym(xs) / omega_tri_values(acc, xi.coords,
+                                         base_point(N)[None], l)[0]
         got = bethe_state_elliptic(point, xi, rs, idx,
                                    compute_eigenvalue=False).evaluator(xs)
         assert float(np.max(np.abs(got - ref))) <= 1e-12 * float(
@@ -430,7 +482,7 @@ class TestResidualCheck:
 
     def test_elliptic_residual_small(self):
         st = bethe_state_elliptic(elliptic_point(0.01), XI_3L1, RS21, IDX21)
-        e_ray, rel = residual_check(st, grid_n=48, fd_h=1e-3)
+        e_ray, rel = residual_check(st, grid_n=48)
         assert rel < 1e-4, f"relative residual {rel}"
 
     def test_partial_mode_matches_rayleigh(self):
@@ -441,7 +493,7 @@ class TestResidualCheck:
         point = elliptic_point(0.01)
         st_partial = bethe_state_elliptic(point, XI_3L1, RS21, IDX21)
         e_total = eigenvalue_total(point, XI_3L1, RS21, IDX21)
-        e_ray, _ = residual_check(st_partial, grid_n=48, fd_h=1e-3)
+        e_ray, _ = residual_check(st_partial, grid_n=48)
         rel_partial = abs(st_partial.eigenvalue - e_ray) / abs(e_ray)
         rel_total = abs(e_total - e_ray) / abs(e_ray)
         assert rel_partial < 1e-4, f"partial-mode mismatch {rel_partial}"
@@ -449,7 +501,7 @@ class TestResidualCheck:
 
     def test_trig_state_gives_cs_eigenvalue(self):
         # p=0: Rayleigh quotient -> e0 + 2 pi^2 E_lambda = 2 pi^2 (xi, xi)
-        e_ray, rel = residual_check(TRI_STATE, grid_n=48, fd_h=1e-3)
+        e_ray, rel = residual_check(TRI_STATE, grid_n=48)
         target = 9 * math.pi ** 2
         assert abs(e_ray - target) < 1e-4 * target, f"{e_ray} vs {target}"
         assert rel < 1e-4
@@ -618,6 +670,23 @@ class TestL2Estimate:
                         eigenvalue=None)
         assert l2_estimate(st) == [0.0, 0.0, 0.0]
 
+    def test_oversized_grid_refused_before_allocating(self, monkeypatch):
+        """A level whose n^N points exceed the cap is refused by its point
+        count before any grid is built or the state evaluated."""
+        calls = []
+
+        def counting(x):
+            calls.append(x)
+            return np.ones(np.atleast_2d(x).shape[0], dtype=complex)
+
+        st = BetheState(xi=XI_3L1, point=trig_point([0.5]),
+                        evaluator=counting, eigenvalue=None)
+        monkeypatch.setattr(states, "_L2_POINTS", 32 ** 2 - 1)
+        with pytest.raises(ResourceError, match="32\\^2 = 1024"):
+            l2_estimate(st, levels=(16, 32))
+        assert calls == []
+        assert l2_estimate(st, levels=(16,)) == [1.0]
+
     def test_non_lattice_weight_refused(self):
         xi = weight_from_lambda_coords([2.5], 2)
         _, report = closed_form_n2(2.5, 1)
@@ -645,9 +714,8 @@ class TestNonvanishing:
         """The chamber of X^xi acc is the sum of its N! signed column
         permutations, read on the strictly decreasing rows."""
         point, xi, rs, idx = searched_root(N, 1, lam)
-        raw = states._TrigOmega(point, xi, rs, idx)
-        rows, coef = raw.alt()
-        full_rows, full_coef = alt_all_permutations(raw)
+        acc, (rows, coef) = states._omega_tri(point, xi, rs, idx)
+        full_rows, full_coef = alt_all_permutations(acc, xi.coords)
         full_rows = full_rows + np.round(xi.coords - xi.coords[-1]).astype(int)
         strict = np.all(full_rows[:, :-1] > full_rows[:, 1:], axis=1)
         full = dict(zip(map(tuple, full_rows[strict].tolist()),
@@ -685,14 +753,13 @@ class TestSampling:
                     d = min(d, 1.0 - d)
                     assert d > 0.1, f"pair ({i},{j}) too close in {x}"
 
-    def test_traceless_option(self):
-        xs = sample_torus_points(3, 10, margin=0.1, seed=1, traceless=True)
-        assert np.max(np.abs(xs.sum(axis=1))) < 1e-12
-
     @pytest.mark.parametrize("N,n,seed,traceless", [
         (3, 1024, 3, False), (2, 1024, 7, False), (3, 10, 11, True),
         (4, 48, 5, False), (9, 20, 1, True)])
     def test_matches_one_draw_at_a_time(self, N, n, seed, traceless):
+        """The block draws equal one draw at a time; with ``traceless`` the
+        caller shifts the points to sum_i x_i = 0 (as
+        ``pointwise_jack`` does), which equals shifting each draw."""
         def one_at_a_time(margin=0.1):
             rng = np.random.default_rng(seed)
             out = np.empty((n, N))
@@ -711,10 +778,10 @@ class TestSampling:
                     return out
 
         margin = 0.1 if N < 5 else 0.02
-        assert np.array_equal(
-            sample_torus_points(N, n, margin=margin, seed=seed,
-                                traceless=traceless),
-            one_at_a_time(margin))
+        got = sample_torus_points(N, n, margin=margin, seed=seed)
+        if traceless:
+            got = got - got.mean(axis=1, keepdims=True)
+        assert np.array_equal(got, one_at_a_time(margin))
 
     def test_draw_cap(self):
         # three points on the unit circle cannot all be 0.4 apart

@@ -4,7 +4,8 @@ Covers exact-rational weight construction, lattice membership, the
 admissibility gate, the lambda -> xi shift, Jack-type energies, the two
 eigenvalue-limit candidates, and the combinatorial invariants of the
 index data (block structure, |W| multinomial, fiber sizes, |F_w|, the
-(w, f) word count the enumeration guard reads).
+(w, f) word count the enumeration guard reads), and the word array against
+the tuple enumeration it replaced (``tuple_words``).
 """
 
 import math
@@ -31,6 +32,7 @@ from cmbethe.weights import (
     weight_from_lambda_coords,
     word_count,
 )
+from tuple_words import word_array
 
 
 class TestWeight:
@@ -215,7 +217,7 @@ class TestEnergies:
 
 
 class TestIndexing:
-    """The color map c, blocks V_i, and the W / F_w enumerations."""
+    """The color map c, blocks V_i, and the (w, f) word array."""
 
     def test_blocks_partition_and_color(self):
         bi = build_indexing(3, 2)
@@ -234,15 +236,16 @@ class TestIndexing:
         for N, l in ((2, 1), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2),
                      (5, 1)):
             bi = build_indexing(N, l)
-            assert len(bi.W_maps) == w_count(N, l), f"|W| for N={N}, l={l}"
-            words = sum(len(f_list) for f_list in bi.Fw_maps)
+            assert len(np.unique(bi.words[:, 0], axis=0)) == w_count(N, l), \
+                f"|W| for N={N}, l={l}"
+            words = len(bi.words)
             assert words == word_count(N, l), f"words for N={N}, l={l}"
             assert words == w_count(N, l) * math.factorial(l) ** (
                 (N - 1) * (N - 2) // 2)
 
     def test_w_maps_have_exact_fibers(self):
         bi = build_indexing(3, 2)
-        for w in bi.W_maps:
+        for w in np.unique(bi.words[:, 0], axis=0).tolist():
             for i, blk in enumerate(bi.V, start=1):
                 labels = [w[k - 1] for k in blk]
                 for j in range(i, 3):
@@ -250,16 +253,20 @@ class TestIndexing:
 
     def test_n3_l1_explicit(self):
         bi = build_indexing(3, 1)
-        assert bi.W_maps == ((1, 2, 2), (2, 1, 2))
-        assert bi.Fw_maps == (((0, 0, 2),), ((0, 0, 1),))
+        assert bi.words.tolist() == [[[1, 2, 2], [0, 0, 2]],
+                                     [[2, 1, 2], [0, 0, 1]]]
 
     def test_f_maps_color_compatible_and_injective(self):
         bi = build_indexing(4, 2)
-        for w, f_list in zip(bi.W_maps, bi.Fw_maps):
-            expected_count = math.prod(
-                math.factorial(bi.l) ** (bi.N - 1 - i) for i in range(1, bi.N - 1))
-            assert len(f_list) == expected_count
-            for f in f_list[:3]:
+        expected_count = math.prod(
+            math.factorial(bi.l) ** (bi.N - 1 - i) for i in range(1, bi.N - 1))
+        # the words run w slowest: one block of expected_count f per w
+        by_w = bi.words.reshape(-1, expected_count, 2, bi.m)
+        assert len(by_w) == w_count(4, 2)
+        assert np.all(by_w[:, :, 0] == by_w[:, :1, 0])
+        for w_f in by_w.tolist():
+            w = w_f[0][0]
+            for _, f in w_f[:3]:
                 for i in range(2, bi.N):
                     block = bi.V[i - 1]
                     images = [f[k - 1] for k in block]
@@ -273,8 +280,31 @@ class TestIndexing:
 
     def test_first_block_convention_for_n2(self):
         bi = build_indexing(2, 3)
-        assert bi.W_maps == ((1, 1, 1),)
-        assert bi.Fw_maps == (((0, 0, 0),),)
+        assert bi.words.tolist() == [[[1, 1, 1], [0, 0, 0]]]
+
+    @pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
+    def test_words_match_tuple_enumeration(self, N):
+        """The word array equals the tuple enumeration, in the same order,
+        at every l whose words number at most 10^5 (at N=2, one word at
+        every l: up to l=32, the largest l the tests run)."""
+        levels = [l for l in range(1, 33) if word_count(N, l) <= 10 ** 5]
+        assert levels
+        for l in levels:
+            words = build_indexing(N, l).words
+            assert words.dtype == np.int64
+            assert np.array_equal(words, word_array(N, l)), (N, l)
+
+    def test_words_read_only_and_not_compared(self):
+        """The cached word array refuses writes, and two enumerations of
+        one (N, l) are equal and hash alike without comparing it."""
+        bi = build_indexing(3, 2)
+        with pytest.raises(ValueError):
+            bi.words[0, 1, 0] = 7
+        build_indexing.cache_clear()
+        again = build_indexing(3, 2)
+        assert again is not bi
+        assert again == bi and hash(again) == hash(bi)
+        assert "words" not in repr(bi)
 
     def test_pair_coupling_matrix(self):
         bi = build_indexing(3, 1)

@@ -48,8 +48,8 @@ def S_dtau_total(pt, xi, rs, idx, crit_tol=1e-8, fd_scale=1e-4):
         return 0j
     tau = nome.tau
     step = fd_scale * max(1.0, abs(tau)) * (tau / abs(tau))
-    nome_plus = Nome(tau=tau + step, series_tolerance=nome.series_tolerance)
-    nome_minus = Nome(tau=tau - step, series_tolerance=nome.series_tolerance)
+    nome_plus = Nome(tau=tau + step)
+    nome_minus = Nome(tau=tau - step)
     t_plus = newton_polish_tau(t, xi, rs, idx, nome_plus)
     t_minus = newton_polish_tau(t, xi, rs, idx, nome_minus)
     dS_plus = _S_difference(t_plus, nome_plus, t, nome, rs, idx)
