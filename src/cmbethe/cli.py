@@ -320,16 +320,12 @@ def cmd_state(args) -> Dict:
 
 
 def cmd_jack(args) -> Dict:
-    try:
-        alpha = Fraction(args.alpha)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"cannot parse alpha {args.alpha!r}: {exc}")
     lam = _parse_partition(args.lam, args.N)
-    js = jack_expand(lam, alpha)
+    js = jack_expand(lam, args.alpha)
     keys = sorted(js.coeffs, reverse=True)
     payload: Dict = {
         "schema": SCHEMA, "command": "jack", "N": args.N,
-        "alpha": str(alpha), "lambda": [float(a) for a in lam],
+        "alpha": str(js.alpha), "lambda": [float(a) for a in lam],
         "coefficients": [
             {"mu": [float(a) for a in mu], "exact": str(js.coeffs[mu]),
              "value": float(js.coeffs[mu])} for mu in keys],

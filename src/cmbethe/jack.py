@@ -15,9 +15,14 @@ rational linear algebra: the conjugated CS operator
 
 acts triangularly in dominance order on monomial symmetric functions with
 diagonal E_mu = Sum mu_i^2 + (1/alpha) Sum_i (N+1-2i) mu_i, so fixing
-coeff(lam) = 1 determines the rest by back-substitution.  On a symmetric
-Laurent polynomial the pair terms act finitely: for a monomial X^a with
-d = a_i - a_j > 0,
+coeff(lam) = 1 determines the rest by back-substitution down one table per
+(N, degree, alpha): the degree's partitions in descending lexicographic
+order of prefix sums (each mu < lam comes after lam), their E_mu, and the
+D(alpha) columns, each built once and shared by every expansion of that
+degree.  A label that lam does not dominate lies below no label with a
+coefficient, so its right-hand side is exactly zero: it is skipped, and no
+dominance ideal is filtered out first.  On a symmetric Laurent polynomial
+the pair terms act finitely: for a monomial X^a with d = a_i - a_j > 0,
 
     (X_i+X_j)/(X_i-X_j)(X_i d_i - X_j d_j) [X^a + X^(swap_ij a)]
         = d [X^a + 2 Sum_{q=1}^{d-1} X^(a - q e_i + q e_j) + X^(swap_ij a)].
@@ -62,7 +67,7 @@ def partition(parts: Sequence) -> PartitionT:
     rationals with integer pairwise differences."""
     try:
         tup = tuple(Fraction(p) for p in parts)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"partition entries must be rationals: {exc}") from exc
     if not tup:
         raise DomainError("empty partition")
@@ -165,6 +170,17 @@ class JackExpansion:
         return complex(acc[0]) if single else acc
 
 
+def _alpha(alpha) -> Fraction:
+    """alpha as a positive exact rational, or DomainError."""
+    try:
+        alpha_f = Fraction(alpha)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise DomainError(f"alpha must be a rational, got {alpha!r}") from exc
+    if alpha_f <= 0:
+        raise DomainError(f"alpha must be positive, got {alpha}")
+    return alpha_f
+
+
 def jack_expand(lam: Sequence, alpha) -> JackExpansion:
     """Expand J_lam^{(alpha)} in monomial symmetric functions by the
     triangular solve described in the module docstring.
@@ -174,9 +190,7 @@ def jack_expand(lam: Sequence, alpha) -> JackExpansion:
     collision E_mu = E_lam (mu < lam) makes the triangular system singular.
     """
     lam_t = partition(lam)
-    alpha_f = Fraction(alpha)
-    if alpha_f <= 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
+    alpha_f = _alpha(alpha)
     N = len(lam_t)
     shift = lam_t[-1]
     mu_int = tuple(int(p - shift) for p in lam_t)
@@ -184,37 +198,37 @@ def jack_expand(lam: Sequence, alpha) -> JackExpansion:
     return _jack_expand_cached(mu_int, shift, alpha_f, N, total)
 
 
+@lru_cache(maxsize=64)
+def _degree_table(N: int, total: int, inv_alpha: Fraction):
+    """The degree table of the module docstring; columns fill on first use."""
+    parts = sorted((_pad(nu, N) for nu in _integer_partitions(total, N)),
+                   key=lambda nu: tuple(accumulate(nu)), reverse=True)
+    return parts, [jack_energy(nu, 1 / inv_alpha, N) for nu in parts], {}
+
+
 @lru_cache(maxsize=256)
 def _jack_expand_cached(mu_int: Tuple[int, ...], shift: Fraction,
                         alpha_f: Fraction, N: int, total: int) -> JackExpansion:
     inv_alpha = 1 / alpha_f
-    ideal = [_pad(nu, N) for nu in _integer_partitions(total, N)
-             if len(nu) <= N and dominance_leq(_pad(nu, N), mu_int)]
-    # Dominance-compatible total order: descending lexicographic prefix sums.
-    ideal.sort(key=lambda nu: tuple(accumulate(nu)), reverse=True)
-    assert ideal[0] == mu_int
-
-    energies = {nu: jack_energy([Fraction(p) for p in nu], alpha_f, N)
-                for nu in ideal}
-    e_lead = energies[mu_int]
-
-    action = {nu: _d_column(nu, inv_alpha) for nu in ideal}
-
-    coeffs: Dict[Tuple[int, ...], Fraction] = {mu_int: Fraction(1)}
-    for nu in ideal[1:]:
-        gap = e_lead - energies[nu]
-        rhs = Fraction(0)
-        for kappa, c_kappa in coeffs.items():
-            rhs += action[kappa].get(nu, Fraction(0)) * c_kappa
-        if gap == 0:
-            if rhs != 0:
-                raise DegeneracyError(
-                    f"eigenvalue collision E_{nu} = E_{mu_int} at alpha = "
-                    f"{alpha_f}: triangular system is singular")
-            continue
-        c = rhs / gap
-        if c != 0:
-            coeffs[nu] = c
+    parts, energies, columns = _degree_table(N, total, inv_alpha)
+    start = parts.index(mu_int)
+    coeffs, rhs = {}, {}
+    for nu, energy in zip(parts[start:], energies[start:]):
+        if nu == mu_int:
+            c = Fraction(1)
+        elif not rhs.get(nu):
+            continue        # nu outside the ideal of mu, or an exact zero
+        elif energy == energies[start]:
+            raise DegeneracyError(
+                f"eigenvalue collision E_{nu} = E_{mu_int} at alpha = "
+                f"{alpha_f}: triangular system is singular")
+        else:
+            c = rhs[nu] / (energies[start] - energy)
+        coeffs[nu] = c
+        if nu not in columns:
+            columns[nu] = _d_column(nu, inv_alpha)
+        for kappa, d in columns[nu].items():
+            rhs[kappa] = rhs.get(kappa, 0) + d * c
 
     shifted = {tuple(Fraction(p) + shift for p in nu): c
                for nu, c in coeffs.items()}
@@ -228,8 +242,8 @@ def inner_product(f: Callable, g: Callable, alpha, N: int, quad_n: int) -> compl
     (exact once quad_n exceeds the per-axis degree span).  Requires 1/alpha
     to be a positive integer so the weight is single-valued.
     """
-    inv_alpha = Fraction(1) / Fraction(alpha)
-    if inv_alpha.denominator != 1 or inv_alpha <= 0:
+    inv_alpha = 1 / _alpha(alpha)
+    if inv_alpha.denominator != 1:
         raise DomainError(
             f"inner product weight needs 1/alpha a positive integer, got "
             f"alpha = {alpha}")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Mapping, Sequence
 
@@ -54,14 +55,21 @@ def mul(a: Laurent, b: Laurent) -> Laurent:
 
 def orbit(nu: Sequence[int]) -> np.ndarray:
     """The distinct permutations of the integer vector nu, in lexicographic
-    order: each row grows by every value it has left, smallest first."""
-    values, counts = np.unique(np.asarray(nu, dtype=np.int64),
+    order: each row grows by every value it has left, smallest first.
+    Cached per vector; the array is read-only."""
+    return _orbit(tuple(map(int, nu)))
+
+
+@lru_cache(maxsize=1024)
+def _orbit(nu: tuple[int, ...]) -> np.ndarray:
+    values, counts = np.unique(np.array(nu, dtype=np.int64),
                                return_counts=True)
     rows, left = np.zeros((1, 0), dtype=np.int64), counts[None, :]
     for _ in range(len(nu)):
         r, v = np.nonzero(left)
         rows, left = np.column_stack([rows[r], values[v]]), left[r]
         left[np.arange(len(r)), v] -= 1
+    rows.setflags(write=False)
     return rows
 
 

@@ -8,11 +8,13 @@ the eigen-relation are verified numerically over exhaustive small sweeps.
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from cmbethe import jack
 from cmbethe.errors import DomainError
 from cmbethe.jack import (
     JackExpansion,
@@ -23,6 +25,8 @@ from cmbethe.jack import (
     jack_expand,
     partition,
 )
+from cmbethe.laurent import orbit
+from cmbethe.perturb import rs_series
 from cmbethe.states import _FD_STEP, sample_torus_points
 from cmbethe.weights import e0, jack_energy
 from laurent_dicts import jack_coefficients
@@ -60,6 +64,12 @@ class TestPartition:
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
             partition(())
+
+    @pytest.mark.parametrize("parts", [(math.inf, 0), (0, -math.inf),
+                                       (math.nan, 0)])
+    def test_rejects_non_finite(self, parts):
+        with pytest.raises(DomainError):
+            partition(parts)
 
 
 class TestDominance:
@@ -111,9 +121,11 @@ class TestJackExpand:
             assert shifted.coeffs == expect, f"shift {a}: {shifted.coeffs}"
 
     def test_triangularity_exhaustive(self):
-        for N in (2, 3):
+        """Labels that lam does not dominate read zero: the solve runs down
+        every partition of the degree, not only lam's dominance ideal."""
+        for N in (2, 3, 4):
             for alpha in (HALF, THIRD):
-                for total in range(0, 6):
+                for total in range(0, 9):
                     for lam in partitions_of(total, N):
                         jk = jack_expand(lam, alpha)
                         assert jk.coeffs[lam] == 1
@@ -139,6 +151,62 @@ class TestJackExpand:
             jack_expand((2, 0), 0)
         with pytest.raises(DomainError):
             jack_expand((2, 0), Fraction(-1, 2))
+
+    @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan, None,
+                                       "x", "1/0"])
+    def test_unparseable_alpha_refused(self, alpha):
+        with pytest.raises(DomainError):
+            jack_expand((2, 0), alpha)
+        with pytest.raises(DomainError):
+            inner_product(np.ones_like, np.ones_like, alpha, 2, 4)
+
+
+class TestDegreeTable:
+    """Expansions of one degree share one table of D(alpha) columns."""
+
+    @staticmethod
+    def _count_columns(monkeypatch):
+        jack._jack_expand_cached.cache_clear()
+        jack._degree_table.cache_clear()
+        calls = Counter()
+        column = jack._d_column
+
+        def counted(nu, inv_alpha):
+            calls[nu, inv_alpha] += 1
+            return column(nu, inv_alpha)
+
+        monkeypatch.setattr(jack, "_d_column", counted)
+        return calls
+
+    def test_each_column_once_per_degree(self, monkeypatch):
+        calls = self._count_columns(monkeypatch)
+        degree = partitions_of(8, 4)
+        for lam in degree:
+            if lam[-1] == 0:    # a positive last part shifts to a lower degree
+                jack_expand(lam, HALF)
+        assert set(calls) == {(nu, 2) for nu in degree}
+        assert max(calls.values()) == 1
+
+    def test_rs_series_computes_each_column_once(self, monkeypatch):
+        calls = self._count_columns(monkeypatch)
+        rs_series((1, 0, -1), 3, 1, 5)
+        assert calls and max(calls.values()) == 1, calls.most_common(3)
+
+
+class TestOrbit:
+    """The cached distinct permutations of an exponent vector."""
+
+    def test_read_only(self):
+        rows = orbit((2, 1, 1))
+        with pytest.raises(ValueError):
+            rows[0, 0] = 5
+
+    def test_repeated_calls_equal(self):
+        first = orbit([3, 1, 1, 0]).copy()
+        for nu in ((3, 1, 1, 0), np.array([3, 1, 1, 0]), [3, 1, 1, 0]):
+            assert np.array_equal(orbit(nu), first)
+        assert len(first) == 12
+        assert np.array_equal(first, np.unique(first, axis=0))
 
 
 class TestInnerProduct:

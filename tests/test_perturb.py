@@ -316,6 +316,10 @@ class TestRsSeries:
         series = rs_series((4, 1, 1), 3, 1, 2)
         assert len(series.coefficients) == 3
 
+    def test_non_finite_label_refused(self):
+        with pytest.raises(DomainError):
+            rs_series((math.inf, 0), 2, 1, 2)
+
     def test_series_compatibility_guard(self):
         # the series is fixed by (N, l, K): a label of another length is
         # refused
