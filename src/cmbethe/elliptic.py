@@ -27,7 +27,10 @@ with g = exp(pi*i*tau) (g^2 = p), so that the overall factor 2*g^(1/4) of
 theta1 cancels in all normalized ratios; at p = 0 it is exactly sin(pi*x).
 The term count is fixed before any array work, on a rigorous per-term bound
 (Gaussian decay of g^(n(n-1)) against the growth of sin on complex
-arguments; relative tolerance _SERIES_TOL = 1e-16).  The kept terms are
+arguments; relative tolerance _SERIES_TOL = 1e-16): the bounds are
+log-concave in n, so the series stops before the first negligible term,
+which bounds the whole tail.  The term weights of a nome, and the derivatives
+at 0 that normalize theta, are computed once per nome.  The kept terms are
 summed by Clenshaw's recurrence in y = 2 cos(2*pi*x), as sin(pi*x) times a
 polynomial in y, from one sin and one cos per point (``_theta_hat``).
 
@@ -123,6 +126,68 @@ _K, _DT = (2 * _N - 1) * math.pi, 1j * math.pi * _N * (_N - 1)
 _FACTORS = np.stack([_K ** 0, _K, -_K ** 2, -_K ** 3, _DT, _DT * _K], axis=1)
 
 
+@lru_cache(maxsize=64)
+def _nome_weights(nome: Nome) -> tuple[tuple[complex, ...], tuple[float, ...]]:
+    """The term weights c_n = (-1)^(n-1) g^(n(n-1)) of a nome (g^(n(n-1)) by
+    cumulative product), for n = 1 up to ``_MAX_TERMS`` or up to the last
+    term before g^(n(n-1)) underflows to 0, and the x-free factors
+    |c_n| (1 + k^3) of their truncation bounds (k = (2n-1) pi)."""
+    coefs, scales = [], []
+    q_n = 1.0 + 0j
+    for n in range(1, _MAX_TERMS + 1):
+        coefs.append(q_n if n % 2 == 1 else -q_n)
+        scales.append(abs(q_n) * (1.0 + ((2 * n - 1) * math.pi) ** 3))
+        q_n *= nome.g ** (2 * n)
+        if q_n == 0:
+            break
+    return tuple(coefs), tuple(scales)
+
+
+def _term_count(nome: Nome, im_max: float) -> int:
+    """The number K of kept terms at max |Im x| = im_max.  Term n is bounded
+    by |c_n| (1 + k^3) exp(k im_max), a log-concave sequence in n, so the
+    first term whose bound is at most ``_SERIES_TOL`` times the largest so
+    far bounds the whole tail: it is the first term left out."""
+    coefs, scales = _nome_weights(nome)
+    bound_max = 0.0
+    for n, scale in enumerate(scales, start=1):
+        growth = (2 * n - 1) * math.pi * im_max
+        if growth > _LOG_FLOAT_MAX:
+            raise AccuracyError(
+                f"theta series term {n} overflows the float range at "
+                f"max |Im x| = {im_max} (|g|={abs(nome.g)})")
+        bound = scale * math.exp(growth)
+        bound_max = max(bound_max, bound)
+        if bound <= _SERIES_TOL * bound_max:
+            return n - 1
+    if len(coefs) == _MAX_TERMS:
+        raise AccuracyError(
+            f"theta series not converged in {_MAX_TERMS} terms "
+            f"(|g|={abs(nome.g)}, max |Im x|={im_max})")
+    return len(coefs)
+
+
+@lru_cache(maxsize=None)
+def _columns(series: tuple[str, ...]
+             ) -> tuple[tuple[int, ...], tuple[bool, ...]]:
+    """The ``_SERIES`` positions of the requested series, and which of them
+    are sine series."""
+    cols = tuple(_SERIES.index(name) for name in series)
+    return cols, tuple(col % 2 == 0 for col in cols)
+
+
+@lru_cache(maxsize=64)
+def _clenshaw_weights(nome: Nome, K: int,
+                      series: tuple[str, ...]) -> np.ndarray:
+    """The read-only (K, len(series)) array of the kept terms' a_n: c_n times
+    each requested series' factor."""
+    cols, _ = _columns(series)
+    coefs = np.array(_nome_weights(nome)[0][:K])
+    a = _FACTORS[:K].take(cols, axis=1) * coefs[:, None]
+    a.setflags(write=False)
+    return a
+
+
 def _theta_hat(x: np.ndarray, nome: Nome,
                series: tuple[str, ...]) -> tuple[np.ndarray, ...]:
     """Reduced theta series and derivatives at complex points x.
@@ -132,55 +197,26 @@ def _theta_hat(x: np.ndarray, nome: Nome,
     tau-derivative) and st1 (the tau-derivative of s1).  Term n has weight
     c_n = (-1)^(n-1) g^(n(n-1)), times pi*i*n(n-1) in st and st1 (the rest of
     the tau-derivative lives in the prefactor 2*g^(1/4) of theta1).  The term
-    count K depends on g, the tolerance and max |Im x| alone, so no series
-    depends on the others asked for.  With y = 2 cos(2 pi x), the ratios
-    sin((2n-1) pi x)/sin(pi x) and cos((2n-1) pi x)/cos(pi x) both obey
-    phi_(n+1) = y phi_n - phi_(n-1), phi_1 = 1.  So Clenshaw's recurrence
-    b_n = a_n + y b_(n+1) - b_(n+2) sums a sine series as sin(pi x) (b_1 + b_2)
-    and a cosine one as cos(pi x) (b_1 - b_2); the outside factors keep the
-    relative accuracy near their zeros.  At p = 0 (K = 1) s0 is sin(pi x).
+    count K (``_term_count``) depends on g, the tolerance and max |Im x|
+    alone, so no series depends on the others asked for; the weights are
+    built once per nome (``_nome_weights``, ``_clenshaw_weights``).  With
+    y = 2 cos(2 pi x), the ratios sin((2n-1) pi x)/sin(pi x) and
+    cos((2n-1) pi x)/cos(pi x) both obey phi_(n+1) = y phi_n - phi_(n-1),
+    phi_1 = 1.  So Clenshaw's recurrence b_n = a_n + y b_(n+1) - b_(n+2)
+    sums a sine series as sin(pi x) (b_1 + b_2) and a cosine one as
+    cos(pi x) (b_1 - b_2); the outside factors keep the relative accuracy
+    near their zeros.  At p = 0 (K = 1) s0 is sin(pi x).
     """
-    g = nome.g
-    im_max = float(np.abs(x.imag).max()) if x.size else 0.0
-
-    coefs = []           # c_n for the kept terms
-    q_n = 1.0 + 0j       # g^(n(n-1)) by cumulative product
-    bound_max = 0.0
-    small_count = 0
-    for n in range(1, _MAX_TERMS + 1):
-        k = (2 * n - 1) * math.pi
-        growth = k * im_max
-        if growth > _LOG_FLOAT_MAX:
-            raise AccuracyError(
-                f"theta series term {n} overflows the float range at "
-                f"max |Im x| = {im_max} (|g|={abs(g)})")
-        coefs.append(q_n if n % 2 == 1 else -q_n)
-        bound = abs(q_n) * (1.0 + k ** 3) * math.exp(growth)
-        bound_max = max(bound_max, bound)
-        if bound <= _SERIES_TOL * bound_max:
-            small_count += 1
-            if small_count >= 2:
-                break
-        else:
-            small_count = 0
-        q_n *= g ** (2 * n)
-        if q_n == 0:
-            break
-    else:
-        raise AccuracyError(
-            f"theta series not converged in {_MAX_TERMS} terms (|g|={abs(g)}, "
-            f"max |Im x|={im_max})")
-
-    cols = [_SERIES.index(name) for name in series]
-    sine = [col % 2 == 0 for col in cols]
+    K = _term_count(nome, float(np.abs(x.imag).max()) if x.size else 0.0)
+    cols, sine = _columns(series)
     sin = np.sin(math.pi * x)
     cos = np.cos(math.pi * x) if not all(sine) else None
-    if len(coefs) == 1:
+    if K == 1:
         return tuple((sin if o else cos) * _FACTORS[0, col] if col else sin
                      for col, o in zip(cols, sine))
 
-    a = (_FACTORS[:len(coefs)].take(cols, axis=1) * np.array(coefs)[:, None]
-         ).reshape((len(coefs), len(cols)) + (1,) * x.ndim)
+    a = _clenshaw_weights(nome, K, series).reshape(
+        (K, len(cols)) + (1,) * x.ndim)
     b2 = np.zeros((len(cols),) + x.shape, dtype=complex)
     # Complex products only of equal shapes, never in place: numpy rounds a
     # broadcast or in-place one differently for one point than for many.
@@ -197,22 +233,24 @@ def _theta_hat(x: np.ndarray, nome: Nome,
 
 @lru_cache(maxsize=64)
 def _zero_data(nome: Nome) -> tuple[complex, complex, complex]:
-    """(theta_hat'(0), theta_hat'''(0), d_tau theta_hat'(0)) for a given nome."""
-    s1, s3, st1 = _theta_hat(np.zeros(1, dtype=complex), nome,
-                             ("s1", "s3", "st1"))
-    return complex(s1[0]), complex(s3[0]), complex(st1[0])
+    """(theta_hat'(0), theta_hat'''(0), d_tau theta_hat'(0)) for a given nome:
+    at x = 0 each term of these cosine series is c_n times its factor."""
+    K = _term_count(nome, 0.0)
+    coefs = np.array(_nome_weights(nome)[0][:K])
+    s1, s3, st1 = coefs @ _FACTORS[:K, 1::2]
+    return complex(s1), complex(s3), complex(st1)
 
 
 def _distance_to_lattice(x: ArrayLike, nome: Nome) -> np.ndarray:
     """|x - nearest point of Z + tau*Z| (of Z when p = 0), as an array."""
     x_arr = np.asarray(x, dtype=complex)
     if nome.tau is None:
-        red = x_arr - np.round(x_arr.real)
+        red = x_arr - np.rint(x_arr.real)
     else:
         tau = nome.tau
-        b = np.round(x_arr.imag / tau.imag)
+        b = np.rint(x_arr.imag / tau.imag)
         red = x_arr - b * tau
-        red = red - np.round(red.real)
+        red = red - np.rint(red.real)
     return np.abs(red)
 
 
@@ -223,7 +261,7 @@ def lattice_distance(x: ArrayLike, nome: Nome | complex) -> ArrayLike:
 
 
 def _check_off_lattice(x: np.ndarray, nome: Nome, what: str) -> None:
-    if np.any(_distance_to_lattice(x, nome) < _LATTICE_TOL):
+    if (_distance_to_lattice(x, nome) < _LATTICE_TOL).any():
         raise PoleError(f"{what} lies on the theta zero lattice (distance < {_LATTICE_TOL})")
 
 

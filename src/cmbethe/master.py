@@ -41,13 +41,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .elliptic import Nome, log_theta_d1_dtau, log_theta_jet
 from .errors import (ConvergenceError, DegeneracyError, DomainError,
                      MembershipError, PoleError)
-from .weights import BetheIndexing, RootSystemData, Weight, pairing
+from .weights import (BetheIndexing, RootSystemData, Weight, coupling_matrix,
+                      pairing)
 
 _TWO_PI_I = 2j * math.pi
 _MEMBERSHIP_TOL = 1e-9    # factor-magnitude threshold of the F predicate
@@ -65,7 +67,7 @@ class EllipticPoint:
 
     def __post_init__(self):
         self.t = np.atleast_1d(np.asarray(self.t, dtype=complex))
-        if not np.all(np.isfinite(self.t)):
+        if not np.isfinite(self.t).all():
             raise DomainError("EllipticPoint coordinates must be finite")
 
     @property
@@ -100,61 +102,71 @@ def _check_sizes(point_len: int, xi: Weight, rs: RootSystemData,
         raise DomainError(f"weight has N={xi.N}, root system has N={rs.N}")
 
 
-def _per_index_exponents(xi: Weight, idx: BetheIndexing) -> np.ndarray:
-    """b_k = (xi, alpha_c(k)); (xi, alpha_a) for the simple roots are the
-    consecutive coordinate drops."""
-    xa = -np.diff(xi.coords)
-    return np.array([xa[c - 1] for c in idx.c], dtype=complex)
+@dataclass(frozen=True)
+class _Layout:
+    """The per-(xi, indexing) constants of every master-function evaluation,
+    as read-only arrays: the coupled off-diagonal pairs (i, j) in row-major
+    order (both orders of each pair) and their couplings
+    (alpha_c(i), alpha_c(j)), the first-colour coordinates, and the linear
+    part 2 pi i (xi, alpha_c(k)) of the gradient."""
+
+    m: int
+    rows: np.ndarray
+    cols: np.ndarray
+    coupling: np.ndarray
+    first: np.ndarray
+    linear: np.ndarray
 
 
-def _first_color_mask(idx: BetheIndexing) -> np.ndarray:
-    return np.array([c == 1 for c in idx.c])
+@lru_cache(maxsize=16)
+def _layout(coords: bytes, c: tuple[int, ...]) -> _Layout:
+    """The layout of a weight, given by the bytes of its coordinates, and a
+    colouring c: a cache hit compares no arrays, and the cache holds no
+    index sets."""
+    K = coupling_matrix(c)
+    rows, cols = np.nonzero((K != 0) & ~np.eye(len(c), dtype=bool))
+    c = np.array(c)
+    # (xi, alpha_a) for the simple roots are the consecutive coordinate drops
+    linear = _TWO_PI_I * (-np.diff(np.frombuffer(coords)))[c - 1].astype(complex)
+    arrays = (rows, cols, K[rows, cols], np.flatnonzero(c == 1), linear)
+    for a in arrays:
+        a.setflags(write=False)
+    return _Layout(len(c), *arrays)
 
 
 # ---------------------------------------------------------------------------
 # elliptic side
 
 
-def _factor_points(t: np.ndarray, K: np.ndarray,
-                   mask1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The arguments of every theta factor of Phi in one array: the coupled
-    off-diagonal differences t_i - t_j (both orders, selected by the
-    returned m x m mask), then the first-colour coordinates."""
-    sel = (K != 0) & ~np.eye(len(t), dtype=bool)
-    D = t[:, None] - t[None, :]
-    return sel, np.concatenate([D[sel], t[mask1]])
-
-
-def _on_pairs(values: np.ndarray, sel: np.ndarray) -> np.ndarray:
-    """The m x m matrix holding ``values`` on the pairs ``sel``, zeros elsewhere."""
-    out = np.zeros(sel.shape, dtype=complex)
-    out[sel] = values
+def _on_pairs(values: np.ndarray, lay: _Layout) -> np.ndarray:
+    """The m x m matrix holding ``values`` on the coupled pairs, zeros
+    elsewhere."""
+    out = np.zeros((lay.m, lay.m), dtype=complex)
+    out[lay.rows, lay.cols] = values
     return out
 
 
 def _on_factors(jet, pt: EllipticPoint, xi: Weight, rs: RootSystemData,
                 idx: BetheIndexing) -> tuple:
-    """(coupling matrix K, pair mask, first-colour mask, jet(x)) for one
-    call of the elliptic function ``jet`` on the factor arguments x of Phi
-    at a point.  MembershipError if one lies on the theta zero lattice."""
+    """(layout, jet(x)) for one call of the elliptic function ``jet`` on the
+    factor arguments x of Phi at a point: the coupled differences
+    t_i - t_j, then the first-colour coordinates.  MembershipError if one
+    lies on the theta zero lattice."""
     _check_sizes(pt.m, xi, rs, idx)
-    K = idx.pair_coupling
-    mask1 = _first_color_mask(idx)
-    sel, x = _factor_points(pt.t, K, mask1)
+    lay = _layout(xi.coords.tobytes(), idx.c)
+    t = pt.t
+    x = np.concatenate([t[lay.rows] - t[lay.cols], t[lay.first]])
     try:
-        return K, sel, mask1, jet(x, pt.nome)
+        return lay, jet(x, pt.nome)
     except PoleError as exc:
         raise MembershipError(f"theta factor vanishes: {exc}") from exc
 
 
-def _gradient(d1: np.ndarray, K: np.ndarray, sel: np.ndarray,
-              mask1: np.ndarray, xi: Weight, rs: RootSystemData,
-              idx: BetheIndexing) -> np.ndarray:
+def _gradient(d1: np.ndarray, lay: _Layout, rs: RootSystemData) -> np.ndarray:
     """The gradient of log Phi_tau from theta'/theta on the factor arguments."""
-    n = int(sel.sum())
-    grad = _TWO_PI_I * _per_index_exponents(xi, idx) \
-        + (K * _on_pairs(d1[:n], sel)).sum(axis=1)
-    grad[mask1] -= rs.l * rs.N * d1[n:]
+    n = lay.rows.size
+    grad = lay.linear + _on_pairs(lay.coupling * d1[:n], lay).sum(axis=1)
+    grad[lay.first] -= rs.l * rs.N * d1[n:]
     return grad
 
 
@@ -166,14 +178,14 @@ def _master(pt: EllipticPoint, xi: Weight, rs: RootSystemData,
     Membership means every theta-factor magnitude exceeds ``_MEMBERSHIP_TOL``.
     MembershipError if a factor argument lies on the theta zero lattice.
     """
-    K, sel, mask1, (th, d1, d2) = _on_factors(log_theta_jet, pt, xi, rs, idx)
-    grad = _gradient(d1, K, sel, mask1, xi, rs, idx)
-    n = int(sel.sum())
-    H = K * _on_pairs(d2[:n], sel)         # off-diagonal of -log Phi_tau
+    lay, (th, d1, d2) = _on_factors(log_theta_jet, pt, xi, rs, idx)
+    grad = _gradient(d1, lay, rs)
+    n = lay.rows.size
+    H = _on_pairs(lay.coupling * d2[:n], lay)   # off-diagonal of -log Phi_tau
     diag = -H.sum(axis=1)
-    diag[mask1] += rs.l * rs.N * d2[n:]
-    H[np.arange(idx.m), np.arange(idx.m)] = diag
-    return grad, H, bool(np.all(np.abs(th) > _MEMBERSHIP_TOL))
+    diag[lay.first] += rs.l * rs.N * d2[n:]
+    H.ravel()[::lay.m + 1] = diag
+    return grad, H, bool((np.abs(th) > _MEMBERSHIP_TOL).all())
 
 
 def log_phi_tau_grad(pt: EllipticPoint, xi: Weight, rs: RootSystemData,
@@ -194,7 +206,7 @@ def _polish(t: np.ndarray, xi: Weight, rs: RootSystemData, idx: BetheIndexing,
     """The Newton of ``newton_polish_tau``, returning the report of the
     converged iterate (built from the evaluation that certified it)."""
     t = np.array(t, dtype=complex)
-    im_max = float(np.max(np.abs(t.imag)))
+    im_max = float(np.abs(t.imag).max())
     for it in range(max_iter + 1):
         pt = EllipticPoint(t=t, nome=nome)
         g, H, in_f = _master(pt, xi, rs, idx)
@@ -210,11 +222,11 @@ def _polish(t: np.ndarray, xi: Weight, rs: RootSystemData, idx: BetheIndexing,
             step = np.linalg.solve(-H, -g)
         except np.linalg.LinAlgError as exc:
             raise DegeneracyError(f"singular Hessian during Newton: {exc}") from exc
-        size = float(np.max(np.abs(step)))
+        size = float(np.abs(step).max())
         if size > _MAX_STEP:
             step *= _MAX_STEP / size
         t = t + step
-        im_max = max(im_max, float(np.max(np.abs(t.imag))))
+        im_max = max(im_max, float(np.abs(t.imag).max()))
         if im_max > _RUNOFF_IM_T:
             break
     where = f"(final |grad| = {gnorm:.3e}, max |Im t| = {im_max:.3g})"
@@ -251,14 +263,14 @@ def S_dtau(pt: EllipticPoint, xi: Weight, rs: RootSystemData,
     every factor argument.  d_tau log theta is even in x, so each coupled
     pair, present in both orders, is counted with weight 1/2.
     """
-    K, sel, mask1, (d1, dtau) = _on_factors(log_theta_d1_dtau, pt, xi, rs, idx)
-    gnorm = float(np.linalg.norm(_gradient(d1, K, sel, mask1, xi, rs, idx)))
+    lay, (d1, dtau) = _on_factors(log_theta_d1_dtau, pt, xi, rs, idx)
+    gnorm = float(np.linalg.norm(_gradient(d1, lay, rs)))
     if gnorm > _CRIT_TOL:
         raise DomainError(
             f"S_dtau requires a Bethe critical point: |grad| = {gnorm:.3e} "
             f"> {_CRIT_TOL:.1e}")
-    n = int(sel.sum())
-    pairs = 0.5 * np.sum(K[sel] * dtau[:n])
+    n = lay.rows.size
+    pairs = 0.5 * np.sum(lay.coupling * dtau[:n])
     return complex(pairs - rs.l * rs.N * np.sum(dtau[n:]))
 
 

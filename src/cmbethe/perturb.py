@@ -319,6 +319,8 @@ def reachable_partitions(lam, budget: int) -> List[PartitionT]:
     intermediate states satisfy band_distance <= K - 1 = budget.
     """
     lam_t = partition(lam)
+    if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)):
+        raise DomainError(f"budget must be an integer, got {budget!r}")
     if budget < 0:
         return []
     n = len(lam_t)

@@ -86,6 +86,9 @@ _NONVANISHING_TOL = 1e-8
 _FD_STEP = 1e-3
 #: Most points of one ``l2_estimate`` grid.
 _L2_POINTS = 1 << 20
+#: The last p = 0 expansion of ``_omega_tri``, keyed by the bytes of its
+#: root and weight and by (N, l).
+_TRI_MEMO: dict = {}
 
 Evaluator = Callable[[np.ndarray], complex]
 
@@ -335,14 +338,23 @@ def _omega_tri(point: EllipticPoint, xi: Weight, rs: RootSystemData,
                idx: BetheIndexing) -> tuple[Laurent, Laurent]:
     """At a p = 0 point, acc (``_EllipticOmega.tri_expansion``) and
     Alt(X^xi acc) = Delta^l Sym^(l) omega_tri by its chamber, the rows
-    those of X^{xi - xi_N} acc (integers for xi in P)."""
+    those of X^{xi - xi_N} acc (integers for xi in P), as read-only arrays.
+    The last result is kept (``_TRI_MEMO``): the search's non-vanishing
+    test and the Jack certificate of ``cm verify`` read the same root."""
     if point.nome.p != 0:
         raise DomainError("omega_tri needs a p = 0 point")
-    rows, coef = _EllipticOmega(point, xi, rs, idx).tri_expansion()
-    if not xi.in_P:
-        raise DomainError("antisymmetrizing omega_tri needs xi in P")
-    shift = np.round(xi.coords - xi.coords[-1]).astype(np.int64)
-    return (rows, coef), chamber(rows + shift, coef)
+    key = (point.t.tobytes(), xi.coords.tobytes(), xi.in_P, idx.N, idx.l)
+    if key not in _TRI_MEMO:
+        rows, coef = _EllipticOmega(point, xi, rs, idx).tri_expansion()
+        if not xi.in_P:
+            raise DomainError("antisymmetrizing omega_tri needs xi in P")
+        shift = np.round(xi.coords - xi.coords[-1]).astype(np.int64)
+        out = (rows, coef), chamber(rows + shift, coef)
+        for a in (*out[0], *out[1]):
+            a.setflags(write=False)
+        _TRI_MEMO.clear()
+        _TRI_MEMO[key] = out
+    return _TRI_MEMO[key]
 
 
 def sym_omega_tri_nonvanishing(point: EllipticPoint, xi: Weight,

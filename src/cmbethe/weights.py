@@ -51,11 +51,17 @@ def _to_fraction(x) -> Fraction | None:
         return x
     if isinstance(x, (int, np.integer)):
         return Fraction(int(x))
-    if isinstance(x, float) and x == int(x):
+    if isinstance(x, float) and math.isfinite(x) and x == int(x):
         return Fraction(int(x))
     if isinstance(x, str):
         return Fraction(x)
     return None
+
+
+def _finite(x) -> bool:
+    """Whether a number is finite (exact numbers and rational strings
+    always are)."""
+    return isinstance(x, (int, np.integer, Fraction, str)) or math.isfinite(x)
 
 
 class Weight:
@@ -80,6 +86,9 @@ class Weight:
             self.coords = np.array([float(f) for f in exact])
         else:
             arr = np.asarray(coords, dtype=float)
+            if not np.isfinite(arr).all():
+                raise DomainError(f"weight coordinates must be finite, got "
+                                  f"{tuple(arr)}")
             arr = arr - arr.mean()
             self.exact = None
             self.coords = arr
@@ -236,6 +245,10 @@ def jack_energy(lam: Weight | Sequence, alpha, N: int | None = None):
     if N is not None and N != n:
         raise DomainError(f"lambda has {n} parts, expected {N}")
     alpha_f = _to_fraction(alpha) if not isinstance(alpha, float) else None
+    a = alpha_f if alpha_f is not None else alpha
+    if not all(_finite(v) for v in parts) or not _finite(a) or a == 0:
+        raise DomainError(f"jack_energy needs finite parts and a finite "
+                          f"non-zero alpha, got {list(parts)}, {alpha!r}")
     if alpha_f is not None and not isinstance(parts, np.ndarray) \
             and all(_to_fraction(p) is not None for p in parts):
         tot = Fraction(0)
@@ -243,7 +256,7 @@ def jack_energy(lam: Weight | Sequence, alpha, N: int | None = None):
             pf = _to_fraction(pv)
             tot += pf * pf + Fraction(n + 1 - 2 * i, 1) / alpha_f * pf
         return tot
-    a = float(alpha)
+    a = float(a)
     tot = 0.0
     for i, pv in enumerate(parts, start=1):
         pf = float(pv)
@@ -298,14 +311,23 @@ class BetheIndexing:
 
     @property
     def pair_coupling(self) -> np.ndarray:
-        """Matrix (alpha_c(i), alpha_c(j)): 2 on the diagonal blocks, -1 for
-        adjacent colors, 0 otherwise."""
-        c = np.array(self.c)
-        diff = np.abs(c[:, None] - c[None, :])
-        out = np.zeros((self.m, self.m))
-        out[diff == 0] = 2.0
-        out[diff == 1] = -1.0
-        return out
+        """Read-only matrix (alpha_c(i), alpha_c(j)): 2 on the diagonal
+        blocks, -1 for adjacent colors, 0 otherwise; built once per
+        colouring (``coupling_matrix``)."""
+        return coupling_matrix(self.c)
+
+
+@lru_cache(maxsize=16)
+def coupling_matrix(c: tuple[int, ...]) -> np.ndarray:
+    """The read-only coupling matrix (alpha_c(i), alpha_c(j)) of the
+    colouring c; cached by c alone, so no cache holds the word array."""
+    c = np.array(c)
+    diff = np.abs(c[:, None] - c[None, :])
+    out = np.zeros((len(c), len(c)))
+    out[diff == 0] = 2.0
+    out[diff == 1] = -1.0
+    out.setflags(write=False)
+    return out
 
 
 def w_count(N: int, l: int) -> int:

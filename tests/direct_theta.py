@@ -3,7 +3,9 @@
 ``cmbethe.elliptic._theta_hat`` sums the reduced series by Clenshaw's
 recurrence from one sin(pi x) and one cos(pi x).  This is the direct sum it
 replaced: one complex sin and cos of (2n-1) pi x per kept term, with the
-same truncation, overflow guard and non-convergence error.  Tests compare
+same overflow guard and non-convergence error.  It keeps the kernel's
+terms and two more (it stops after two negligible terms, where the kernel
+stops before the first), so it is the more complete sum.  Tests compare
 the two series by series.
 """
 

@@ -434,11 +434,13 @@ class TestVerifySharedChain:
         info = build_indexing.cache_info()
         assert info.misses == 1 and info.hits >= 2, info
 
-    @pytest.mark.parametrize("p,expected", [("0.01", 2), ("0", 2)])
+    @pytest.mark.parametrize("p,expected", [("0.01", 1), ("0", 1)])
     def test_p0_polynomial_expansions(self, capsys, monkeypatch, p, expected):
-        """The p = 0 polynomial is expanded by the search's non-vanishing
-        test and by the Jack certificate only: the state is the sigma-table
-        one at every nome, and the certificate builds no state."""
+        """The p = 0 polynomial is expanded once, by the search's
+        non-vanishing test: the Jack certificate reads the same expansion,
+        the state is the sigma-table one at every nome, and the certificate
+        builds no state."""
+        monkeypatch.setattr(states, "_TRI_MEMO", {})
         calls = []
         expand = states._EllipticOmega.tri_expansion
 
@@ -525,6 +527,36 @@ class TestThetaCommand:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("x,theta_re,theta_im")
         assert len(lines) == 9
+
+
+class TestParserReuse:
+    """main builds its parser once per process, and successive calls parse
+    their own argument vectors."""
+
+    def test_successive_calls_parse_independently(self, capsys, monkeypatch):
+        cli._parser.cache_clear()
+        built = []
+        build = cli.build_parser
+
+        def counted():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        code, first, _ = run_cli(
+            capsys, "theta", "--p", "0.1", "--grid", "3")
+        assert code == 0
+        code, jack, _ = run_cli(
+            capsys, "jack", "--N", "2", "--alpha", "1/2", "--lambda", "2,0")
+        assert code == 0 and jack["command"] == "jack"
+        code, again, _ = run_cli(capsys, "theta")
+        assert code == 0
+        # the second theta call sees the defaults, not the first call's flags
+        assert (first["grid"], first["p"]) == (3, [0.1, 0.0])
+        assert (again["grid"], again["p"]) == (64, [0.05, 0.0])
+        assert "alpha" not in again and "lambda" not in again
+        assert built == [1]
+        cli._parser.cache_clear()
 
 
 class TestConsoleScript:

@@ -423,6 +423,48 @@ class TestContinueNome:
             assert np.array_equal(step.report.hessian, H)
             assert step.report.hessian_det == det
 
+    @pytest.mark.parametrize("N,l,lam", [(3, 1, (1, 0, -1)), (2, 1, (1, -1))])
+    def test_master_evaluations_to_p_001(self, monkeypatch, N, l, lam):
+        """To p = 0.01 on the default schedule (14 steps) the path makes at
+        most 29 master evaluations: one Newton step and the certifying
+        evaluation per step, one more on the constant-seeded first step
+        (a two-point linear predictor made 40).  Its endpoint is a Bethe
+        root to NEWTON_TOL."""
+        rs, idx = root_system(N, l), build_indexing(N, l)
+        xi = lambda_to_xi(Weight(list(lam)), rs)
+        sigma, seed = find_admissible_critical_point(xi, rs, idx)
+        xi_s = Weight([xi.exact[i] for i in sigma])
+        calls = []
+        evaluate = master._master
+
+        def counted(*args):
+            calls.append(args[0].nome.p)
+            return evaluate(*args)
+
+        monkeypatch.setattr(master, "_master", counted)
+        path = continue_nome(seed, xi_s, rs, idx, 0.01)
+        assert len(path.steps) == 15
+        assert len(calls) <= 29, len(calls)
+        assert abs(path.endpoint.p - 0.01) < 1e-15
+        assert path.endpoint.report.grad_norm < NEWTON_TOL
+
+    def test_predictor_is_exact_on_cubics(self):
+        """The predictor is the Lagrange polynomial through the last four
+        accepted points: it reproduces a cubic path, and a lone seed is
+        the constant prediction."""
+        def step(p):
+            t = np.array([0.1 + 2j * p - 3 * p ** 2 + (1 - 1j) * p ** 3,
+                          0.4 - 5 * p ** 3])
+            return critical.PathStep(p, EllipticPoint(t, Nome(p=p)), None)
+
+        ps = [0.0, 1e-3, 2e-3, 4e-3, 5e-3, 6e-3]
+        steps = [step(p) for p in ps]
+        want = step(0.0065).point.t
+        got = critical._predict(steps[-critical.PREDICTOR_POINTS:], 0.0065)
+        assert np.max(np.abs(got - want)) < 1e-15
+        assert np.array_equal(critical._predict(steps[:1], 0.01),
+                              steps[0].point.t)
+
     def test_eigenvalue_default_off(self):
         path = continue_nome(self.seed(), XI_3L1, RS21, IDX21, 1e-4, steps=6)
         assert all(step.eigenvalue is None for step in path.steps)

@@ -31,6 +31,7 @@ from cmbethe.elliptic import (
     wp,
     wp_shifted,
 )
+from cmbethe import elliptic
 from cmbethe.errors import AccuracyError, DomainError, PoleError
 from direct_theta import theta_hat_direct
 
@@ -541,6 +542,48 @@ class TestClenshawKernel:
         x = np.concatenate([self._points(14), [0j, -0.0 + 0j, 0.5 + 0j]])
         s0, = _theta_hat(x, Nome(p=0.0), ("s0",))
         assert s0.tobytes() == np.sin(np.pi * x).tobytes()
+
+
+class TestTruncation:
+    """The term count stops at the first negligible term: the per-term
+    bounds |c_n| (1 + k^3) exp(k |Im x|) are log-concave in n, so that term
+    bounds the whole tail."""
+
+    @staticmethod
+    def _bounds(p, im_max, count):
+        g = Nome(p=p).g
+        return [abs(g ** (n * (n - 1))) * (1 + ((2 * n - 1) * math.pi) ** 3)
+                * math.exp((2 * n - 1) * math.pi * im_max)
+                for n in range(1, count + 1)]
+
+    def test_five_terms_at_p_001(self):
+        """At p = 0.01 and |Im x| <= 0.3 terms 1..5 are kept; term 6 is the
+        first whose bound is below 1e-16 of the largest, term 5 is not."""
+        assert elliptic._term_count(Nome(p=0.01), 0.3) == 5
+        bounds = self._bounds(0.01, 0.3, 6)
+        assert bounds[5] <= elliptic._SERIES_TOL * max(bounds)
+        assert bounds[4] > elliptic._SERIES_TOL * max(bounds)
+
+    def test_kernel_sums_the_counted_terms(self, monkeypatch):
+        """A Newton-sized call at p = 0.01 runs Clenshaw over 5 weights."""
+        x = np.array([0.2 + 0.3j, -0.4 - 0.1j, 0.35 + 0.05j])
+        nm = Nome(p=0.01)
+        sizes = []
+        weights = elliptic._clenshaw_weights
+
+        def counted(nome, K, series):
+            sizes.append(K)
+            return weights(nome, K, series)
+
+        monkeypatch.setattr(elliptic, "_clenshaw_weights", counted)
+        s0, = _theta_hat(x, nm, ("s0",))
+        assert sizes == [5]
+        direct, = theta_hat_direct(x, nm, ("s0",))
+        assert float(np.max(np.abs(s0 - direct) / np.abs(direct))) <= 1e-15
+
+    def test_trig_limit_keeps_one_term(self):
+        assert elliptic._term_count(Nome(p=0.0), 0.3) == 1
+        assert elliptic._term_count(Nome(p=0.0), 100.0) == 1
 
 
 class TestSeriesConvergenceGuard:

@@ -264,6 +264,14 @@ class TestReachable:
             assert sum(mu) == 3
             assert band_distance(mu, (2, 1, 0)) <= 2
 
+    @pytest.mark.parametrize("budget", [math.inf, math.nan, 1.5, "2"])
+    def test_non_integer_budget_refused(self, budget):
+        with pytest.raises(DomainError, match="budget"):
+            reachable_partitions((1, 0), budget)
+
+    def test_negative_budget_is_empty(self):
+        assert reachable_partitions((1, 0), -1) == []
+
 
 class TestRsSeries:
     """The Rayleigh-Schrodinger recursion."""

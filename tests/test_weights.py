@@ -52,6 +52,12 @@ class TestWeight:
         assert w.exact is None
         assert np.allclose(w.coords, [0.3, -0.3])
 
+    @pytest.mark.parametrize("coords", [
+        [math.inf, 0], [math.nan, 0], [0.5, -math.inf]])
+    def test_non_finite_coordinates_refused(self, coords):
+        with pytest.raises(DomainError, match="finite"):
+            Weight(coords)
+
     def test_in_P_requires_integer_root_pairings(self):
         assert Weight([1, 0]).in_P            # differences are integers
         assert Weight([Fraction(3, 2), Fraction(-3, 2)]).in_P
@@ -169,10 +175,18 @@ class TestEnergies:
     def test_jack_energy_exact_fraction(self):
         val = jack_energy([2, 0], Fraction(1, 2))
         assert val == 8 and isinstance(val, Fraction)
+        assert jack_energy(["2", "0"], "1/2") == 8
 
     def test_jack_energy_float(self):
         val = jack_energy([2, 0], 0.5)
         assert abs(val - 8.0) < 1e-14
+
+    @pytest.mark.parametrize("parts,alpha", [
+        ([math.inf, 0], Fraction(1, 2)), ([math.inf, 0], 0.5),
+        ([math.nan, 0], 0.5), ([2, 0], math.inf), ([2, 0], 0)])
+    def test_jack_energy_refuses_non_finite(self, parts, alpha):
+        with pytest.raises(DomainError):
+            jack_energy(parts, alpha)
 
     def test_jack_energy_shift_identity(self):
         """E_lam^[alpha] = |lam + rho/alpha|^2 - |rho|^2/alpha^2 for traceless lam."""
