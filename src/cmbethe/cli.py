@@ -49,6 +49,10 @@ from .weights import (Weight, build_indexing, lambda_to_xi, permute_weight,
                       root_system, weight_from_lambda_coords)
 
 SCHEMA = 1
+#: Per-axis resolutions of the L2 evidence of ``cm state``: the last three
+#: whose n^N grid has at most ``_STATE_L2_POINTS`` points.
+_STATE_L2_LEVELS = (4, 8, 16, 32, 64)
+_STATE_L2_POINTS = 1 << 18
 _EXIT_CODES = {"DOMAIN": 2, "CONVERGENCE": 3, "DEGENERACY": 4,
                "MEMBERSHIP": 5, "RESOURCE": 6, "ACCURACY": 7}
 
@@ -290,7 +294,9 @@ def _build_state(args):
 def cmd_state(args) -> Dict:
     state, info = _build_state(args)
     try:
-        l2 = [float(v) for v in l2_estimate(state)]
+        levels = [n for n in _STATE_L2_LEVELS
+                  if n ** args.N <= _STATE_L2_POINTS][-3:]
+        l2 = [float(v) for v in l2_estimate(state, levels)]
     except (DomainError, ResourceError):
         l2 = None
     payload: Dict = {

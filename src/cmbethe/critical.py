@@ -336,7 +336,8 @@ class ContinuationPath:
 
 def _schedule(target: complex, linear_steps: int) -> list[complex]:
     """Geometric magnitudes from FIRST_STEP by x10 until within one decade of
-    |target|, then linear_steps equal steps to the target, along its ray."""
+    |target|, then linear_steps equal steps to the target, along its ray;
+    the last nome is the target itself, not its magnitude times its ray."""
     mag = abs(target)
     if mag == 0:
         return []
@@ -347,9 +348,9 @@ def _schedule(target: complex, linear_steps: int) -> list[complex]:
         mags.append(s)
         s *= 10.0
     last = mags[-1] if mags else 0.0
-    for k in range(1, linear_steps + 1):
+    for k in range(1, linear_steps):
         mags.append(last + (mag - last) * k / linear_steps)
-    return [m * ray for m in mags]
+    return [m * ray for m in mags] + [target]
 
 
 def _predict(last: list[PathStep], p: complex) -> np.ndarray:

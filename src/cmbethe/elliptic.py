@@ -34,7 +34,17 @@ at 0 that normalize theta, are computed once per nome.  The kept terms are
 summed by Clenshaw's recurrence in y = 2 cos(2*pi*x), as sin(pi*x) times a
 polynomial in y, from one sin and one cos per point (``_theta_hat``).
 
-All functions are pure; x arguments may be complex scalars or numpy arrays.
+The sigma table of a Bethe state, sigma_(+-lam)(u) for many real lam
+against the state's few fixed u, has its own kernel (``SigmaTable``): the
+sine addition formula applied term by term splits theta_hat(u -+ lam) into
+harmonics of lam, e^((2n-1) pi i lam) by one cumulative product, and per-u
+weights c_n sin((2n-1) pi u), c_n cos((2n-1) pi u), built once per table.
+One real matrix product then gives every theta_hat(u -+ lam) and
+theta_hat(lam), and theta_hat(u) is summed once per table, not once per
+entry.  ``sigma_lambda`` stays the pointwise form and the table's oracle.
+
+All functions are pure; x arguments may be complex scalars or numpy arrays
+(the lam of a ``SigmaTable`` call is real).
 """
 
 from __future__ import annotations
@@ -373,6 +383,80 @@ def sigma_lambda(lam: ArrayLike, x: ArrayLike, nome: Nome | complex) -> ArrayLik
     # one denominator theta; theta'(0) = 1 contributes d1_0 to restore scale.
     value = d1_0 * s0_num / (s0_x * s0_l)
     return _maybe_scalar(lam_scalar and x_scalar, value)[0]
+
+
+class SigmaTable:
+    """sigma_lam(u) and sigma_(-lam)(u) for real lam against fixed points u.
+
+    Built once per set of u (a Bethe state's distinct t_k - t_(f(k))); a call
+    on a real array lam returns the complex array of shape lam.shape + (2, U)
+    holding sigma_lam(u) and sigma_(-lam)(u) for the U points u.  With
+    k_n = (2n-1) pi, the sine addition formula applied term by term gives
+
+        theta_hat(u -+ lam) = Sum_n c_n [sin(k_n u) cos(k_n lam)
+                                         -+ cos(k_n u) sin(k_n lam)],
+
+    so one real matrix product of the harmonics (cos k_n lam, sin k_n lam)
+    against the per-u weights c_n sin(k_n u), c_n cos(k_n u), and c_n for
+    theta_hat(lam) (a u = 0 column), gives every theta_hat(u -+ lam) and
+    theta_hat(lam).  The harmonics are e^(i pi lam) e^(2 pi i lam (n-1)), one
+    cumulative product read as (cos, sin) pairs; theta_hat(u) and theta'(0)
+    enter once per table, as the per-u scale d1_0/theta_hat(u), and
+    sigma_(-lam)(u) = -d1_0 theta_hat(u+lam) / (theta_hat(u) theta_hat(lam))
+    takes the sign in its scale.  sigma is 1-periodic in u and in lam, so
+    both enter reduced to |Re| <= 1/2, which keeps the phases k_n u and
+    k_n lam small.  The term count K (``terms``) is ``_term_count`` at
+    max |Im u|, as ``sigma_lambda`` takes it for the same arguments
+    (Im lam = 0).  The weights are built, and u checked against the lattice,
+    at the first call; lam (whose lattice distance is |lam - rint(lam)|) is
+    checked at every call.
+    """
+
+    def __init__(self, u: ArrayLike, nome: Nome | complex):
+        self.u = np.array(u, dtype=complex).ravel()
+        self.u.setflags(write=False)
+        self.nome = _as_nome(nome)
+        self.terms = _term_count(self.nome, float(np.abs(self.u.imag).max())
+                                 if self.u.size else 0.0)
+        self._weights = self._scale = None
+
+    def _build(self) -> None:
+        """The read-only (2K, 2(2U+1)) float view of the complex weights,
+        rows (cos, sin) per term, columns theta_hat(u - lam),
+        theta_hat(u + lam) and theta_hat(lam), and the (2, U) scale."""
+        _check_off_lattice(self.u, self.nome, "u")
+        K, U = self.terms, self.u.size
+        u = self.u - np.rint(self.u.real)
+        c = np.array(_nome_weights(self.nome)[0][:K])[:, None]
+        ku = _K[:K, None] * u
+        s, co = c * np.sin(ku), c * np.cos(ku)
+        w = np.zeros((K, 2, 2 * U + 1), dtype=complex)
+        w[:, 0, :U] = w[:, 0, U:-1] = s
+        w[:, 1, :U], w[:, 1, U:-1], w[:, 1, -1] = -co, co, c[:, 0]
+        s0_u, = _theta_hat(u, self.nome, ("s0",))
+        scale = _zero_data(self.nome)[0] / s0_u * np.array([[1.0], [-1.0]])
+        self._weights = w.reshape(2 * K, -1).view(float)
+        self._scale = scale
+        for a in (self._weights, self._scale):
+            a.setflags(write=False)
+
+    def __call__(self, lam: ArrayLike) -> np.ndarray:
+        lam = np.asarray(lam, dtype=float)
+        lam = lam - np.rint(lam)
+        if (np.abs(lam) < _LATTICE_TOL).any():
+            raise PoleError(f"lambda lies on the theta zero lattice "
+                            f"(distance < {_LATTICE_TOL})")
+        if self._weights is None:
+            self._build()
+        h = np.empty((lam.size, self.terms), dtype=complex)
+        h[:, 0] = np.exp(1j * math.pi * lam.ravel())
+        h[:, 1:] = (h[:, 0] * h[:, 0])[:, None]
+        np.cumprod(h, axis=1, out=h)
+        out = (h.view(float) @ self._weights).view(complex)
+        U = self.u.size
+        table = out[:, :-1].reshape(-1, 2, U) * self._scale
+        table /= out[:, -1, None, None]
+        return table.reshape(lam.shape + (2, U))
 
 
 def wp(x: ArrayLike, nome: Nome | complex) -> ArrayLike:

@@ -30,11 +30,15 @@ evaluator, the elliptic ones, at every nome; at p = 0 omega is omega_tri
 times the constant (2 pi i)^m / Prod_{c(k)=1} (T_k - 1).  Every sigma factor
 depends only on an ordered pair (x_a, x_b) and on one of the distinct
 u = t_k - t_{f(k)}, so Sym^(l) omega is evaluated from one table of
-sigma_{x_a - x_b}(u) per row block of points (a single ``sigma_lambda``
-call): the sum over (w, f) terms is factored once into levels of shared
-suffixes, each permutation relabels the pair columns of every level and
-contributes its own prefactor, and no theta series runs per permutation or
-per slot.
+sigma_{x_a - x_b}(u) per row block of points: one real matrix product of the
+harmonics (cos, sin)((2n-1) pi (x_a - x_b)) of the unordered pairs against
+the state's per-u weights (``elliptic.SigmaTable``), with no theta series
+per entry.  The sum over (w, f) terms is factored once into levels of
+shared suffixes, each permutation relabels the pair columns of every level
+and contributes its own prefactor, and no theta series runs per permutation
+or per slot.  The wave function lives on the real torus: every evaluator
+takes real points, and a point with a non-zero imaginary part raises
+DomainError.
 The numerator X^xi acc of omega_tri is a finite Laurent polynomial, expanded
 on the same levels, each sigma factor replaced by its linear slot factor;
 Delta^l is symmetric for even l and antisymmetric for odd l, so Delta^l
@@ -64,7 +68,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .elliptic import Nome, PoleError, sigma_lambda, wp_shifted
+from .elliptic import Nome, PoleError, SigmaTable, wp_shifted
 from .errors import DomainError, MembershipError, ResourceError
 from .laurent import (Laurent, chamber, merge, parity, stack,
                       symmetric_times_delta)
@@ -132,8 +136,16 @@ def sample_torus_points(N: int, n: int, *, margin: float = 0.1, seed: int = 0
 
 
 def _as_batch(x, N: int) -> tuple[np.ndarray, bool]:
-    """x as an (M, N) complex batch, and whether it was a single point."""
-    arr = np.asarray(x, dtype=complex)
+    """x as an (M, N) float batch, and whether it was a single point.  The
+    wave function lives on the real torus: a point with a non-zero
+    imaginary part raises DomainError."""
+    arr = np.asarray(x)
+    if np.iscomplexobj(arr):
+        if np.any(arr.imag != 0):
+            raise DomainError("points must be real: the wave function is "
+                              "evaluated on the real torus")
+        arr = arr.real
+    arr = np.asarray(arr, dtype=float)
     if arr.shape[-1] != N:
         raise DomainError(f"expected {N} coordinates, got {arr.shape[-1]}")
     if arr.ndim == 1:
@@ -189,13 +201,16 @@ class _EllipticOmega:
     word of m labels (pair, u).  Construction factors the sum of the words'
     products into levels (``_suffix_levels``): at N=4 l=2 the 4320 words of
     12 labels become 9 levels with 1374 labels in all.  Evaluation builds,
-    per row block of x, the table of sigma over all N(N-1) ordered pair
-    differences and all u in one ``sigma_lambda`` call; omega(x o pi) for any
-    x-permutation pi relabels the pair of every label, all permutations walk
-    the levels together, and each is weighted by its prefactor
-    e^{2 pi i (xi, x o pi)}, with no further theta series.  Row blocks hold
-    at most ``_BLOCK_ENTRIES`` table entries, so the table does not grow
-    with the batch.
+    per row block of real points x, the table of sigma over all N(N-1)
+    ordered pair differences and all u by one harmonic matrix product
+    (``SigmaTable``, built with the state): the ordered pairs are numbered so
+    that (a, b) and (b, a) sit side by side, so the kernel's
+    (unordered pairs, 2, u) output is the table as it stands.  omega(x o pi)
+    for any x-permutation pi relabels the pair of every label, all
+    permutations walk the levels together, and each is weighted by its
+    prefactor e^{2 pi i (xi, x o pi)}, with no further theta series.  Row
+    blocks hold at most ``_BLOCK_ENTRIES`` entries of the table and of the
+    harmonic array, whichever is larger, so neither grows with the batch.
     """
 
     def __init__(self, point: EllipticPoint, xi: Weight, rs: RootSystemData,
@@ -213,10 +228,17 @@ class _EllipticOmega:
         self._k, self._f = np.divmod(code[np.argsort(first)], idx.m + 1)
         self._t = np.concatenate([[0j], point.t])       # t_0 = 0
         self.u = self._t[self._k + 1] - self._t[self._f]
-        self._pair_a, self._pair_b = np.nonzero(~np.eye(N, dtype=bool))
+        # ordered pairs side by side: (a, b) is 2j and (b, a) is 2j + 1 for
+        # the j-th unordered pair a < b, the order of the kernel's output
+        self._unordered = np.triu_indices(N, 1)
+        self._pair_a = np.column_stack(self._unordered).ravel()
+        self._pair_b = np.column_stack(self._unordered[::-1]).ravel()
         self._pair_id = np.full((N, N), -1)
         self._pair_id[self._pair_a, self._pair_b] = np.arange(N * (N - 1))
-        self._rows = max(1, _BLOCK_ENTRIES // (self._pair_a.size * self.u.size))
+        self._sigma = SigmaTable(self.u, self.nome)
+        self._rows = max(1, _BLOCK_ENTRIES // max(
+            self._pair_a.size * self.u.size,
+            self._unordered[0].size * self._sigma.terms))
         # slot k pairs the 0-based x indices c(k) - 1 and w(k)
         pair = self._pair_id[np.asarray(idx.c) - 1, w]
         self._leaf, levels = _suffix_levels(
@@ -281,11 +303,10 @@ class _EllipticOmega:
                          (child + below * shift).ravel(),
                          (starts + len(a) * shift).ravel()))
         acc = np.empty(xb.shape[0], dtype=complex)
+        a, b = self._unordered
         for start in range(0, xb.shape[0], self._rows):
             blk = xb[start:start + self._rows]
-            diff = blk[:, self._pair_a] - blk[:, self._pair_b]
-            table = sigma_lambda(diff[:, :, None], self.u,
-                                 self.nome).reshape(blk.shape[0], -1)
+            table = self._sigma(blk[:, a] - blk[:, b]).reshape(blk.shape[0], -1)
             value = leaf
             for cols, child, starts in walk:
                 value = np.add.reduceat(
@@ -301,8 +322,9 @@ def omega_elliptic(point: EllipticPoint, xi: Weight, rs: RootSystemData,
     """The elliptic Bethe vector omega, normalized to 1 at x*.
 
     Sum over (w, f) of products of sigma_{x_i - x_{w(k)+1}}(t_k - t_{f(k)})
-    with the prefactor e^{2 pi i (xi, x)}; requires t in F^tau_{N,l};
-    x_i = x_j (mod lattice) raises PoleError.  At p = 0 it is omega_tri
+    with the prefactor e^{2 pi i (xi, x)}; requires t in F^tau_{N,l}.  The
+    evaluator takes real points x (one, or an (M, N) batch): x_i = x_j
+    (mod 1) raises PoleError, a non-zero imaginary part DomainError.  At p = 0 it is omega_tri
     times the constant (2 pi i)^m / Prod_{c(k)=1} (T_k - 1), so after
     normalization it is the same function.  The returned evaluator carries
     ``perm_sum(x, perms)`` for ``symmetrize``.
@@ -370,7 +392,8 @@ def sym_omega_tri_nonvanishing(point: EllipticPoint, xi: Weight,
 @dataclass
 class BetheState:
     """A Bethe eigenstate: the weight, the Bethe root, and the symmetrized
-    evaluator Sym^(l) omega (built from the x*-normalized omega)."""
+    evaluator Sym^(l) omega (built from the x*-normalized omega), which
+    takes real points only."""
 
     xi: Weight
     point: EllipticPoint
@@ -481,7 +504,8 @@ def residual_check(state: BetheState, grid_n: int = 64, *,
     at the state's nome to the state by centered finite differences of step
     ``_FD_STEP`` on ``grid_n`` interior sample points (pairwise periodic
     separation > margin) and return the Rayleigh quotient and the relative
-    residual ||H psi - E psi|| / ||E psi||.
+    residual ||H psi - E psi|| / ||E psi||.  The sample points and the
+    stencil are real: the state is a function on the real torus.
     """
     pts = sample_torus_points(len(state.xi.coords), grid_n, margin=margin,
                               seed=seed)
@@ -514,6 +538,7 @@ def l2_estimate(state: BetheState, levels: Sequence[int] = (16, 32, 64)
     grid point lands exactly on a diagonal x_i = x_j, where the individual
     permutation terms have poles (the symmetrized sum is bounded there).
     Offset rectangle rules retain spectral accuracy for periodic integrands.
+    The grid is real, as every point the state evaluator accepts.
     A level whose n^N grid points exceed ``_L2_POINTS`` raises
     ResourceError before any grid is allocated.
     """

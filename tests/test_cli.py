@@ -199,6 +199,19 @@ class TestStateCommand:
         assert payload["l2"] is None
         assert payload["rel_residual"] < 1e-4
 
+    def test_n4_state_keeps_l2_evidence(self, capsys):
+        """From N = 4 the levels are the last three of (4, 8, 16, 32, 64)
+        whose n^N grid fits 2^18 points: (4, 8, 16) at N = 4, where the
+        fixed (16, 32, 64) reported null."""
+        code, payload, _ = run_cli(
+            capsys, "state", "--N", "4", "--l", "1", "--lambda", "0,0,0,0",
+            "--p", "0.01")
+        assert code == 0
+        l2 = payload["l2"]
+        assert l2 is not None and len(l2) == 3
+        assert all(v > 0 for v in l2)
+        assert abs(l2[-1] - l2[-2]) < 1e-5 * abs(l2[-1])
+
     def test_csv_slice(self, capsys, tmp_path):
         out = tmp_path / "slice.csv"
         code, payload, _ = run_cli(

@@ -365,6 +365,15 @@ class TestContinueNome:
         assert end.report.grad_norm < 1e-12
         assert abs(end.p - 1e-4) == 0.0
 
+    @pytest.mark.parametrize("target", [0.01, 0.3, 0.2 + 0.1j, 1e-4])
+    def test_endpoint_is_the_target_exactly(self, target):
+        """The schedule ends on the requested nome, not one ulp past it
+        (the last linear magnitude gave 0.010000000000000002 for 0.01)."""
+        assert critical._schedule(complex(target), 10)[-1] == target
+        if target == 0.01:
+            path = continue_nome(self.seed(), XI_3L1, RS21, IDX21, 0.01)
+            assert path.endpoint.p == 0.01
+
     def test_target_zero_returns_seed_only(self):
         path = continue_nome(self.seed(), XI_3L1, RS21, IDX21, 0.0, steps=8)
         assert len(path.steps) == 1

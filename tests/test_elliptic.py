@@ -17,6 +17,7 @@ import pytest
 from cmbethe.elliptic import (
     _SERIES,
     Nome,
+    SigmaTable,
     _theta_hat,
     ThetaValue,
     eta_const,
@@ -318,6 +319,57 @@ class TestSigma:
         for (i, j, k), val in np.ndenumerate(table):
             ref = sigma_lambda(complex(lam[i, j, 0]), complex(x[k]), nm)
             assert abs(val - ref) <= 1e-14 * abs(ref), (i, j, k, val, ref)
+
+
+class TestSigmaTable:
+    """sigma_(+-lam)(u) for real lam by one harmonic matrix product, against
+    its oracle ``sigma_lambda``, entry by entry."""
+
+    @pytest.mark.parametrize("p", [0.0, 0.05, 0.3, 0.2 + 0.1j])
+    def test_matches_sigma_lambda(self, p):
+        nm = Nome(p=p)
+        rng = np.random.default_rng(11)
+        u = rng.uniform(-1.0, 2.0, 7) + 1j * rng.uniform(-0.3, 0.3, 7)
+        near = [1e-6, -1e-6, 1e-3, 0.5, 0.5 + 1e-9, 0.5 - 1e-9, -0.5, 1.5]
+        lam = np.concatenate([rng.uniform(-1.5, 1.5, 40), near]).reshape(6, 8)
+        table = SigmaTable(u, nm)(lam)
+        assert table.shape == (6, 8, 2, 7)
+        for order, sign in enumerate((1.0, -1.0)):
+            ref = sigma_lambda(sign * lam[:, :, None], u, nm)
+            rel = np.abs(table[:, :, order] - ref) / np.abs(ref)
+            assert float(rel.max()) <= 1e-13, (order, float(rel.max()))
+
+    def test_theta_of_u_once_per_table(self, monkeypatch):
+        """theta_hat(u) and the weights are built at the first call only, as
+        read-only arrays; K is the rigorous count at max |Im u|."""
+        nm = Nome(p=0.3)
+        u = np.array([0.21 + 0.05j, 0.47 - 0.11j, 0.68 + 0.02j])
+        tab = SigmaTable(u, nm)
+        assert tab.terms == elliptic._term_count(nm, 0.11)
+        sizes = []
+        kernel = elliptic._theta_hat
+
+        def counting(arg, *rest):
+            sizes.append(arg.size)
+            return kernel(arg, *rest)
+
+        monkeypatch.setattr(elliptic, "_theta_hat", counting)
+        tab(np.array([0.1, 0.3]))
+        tab(np.array([[0.2], [0.6]]))
+        assert sizes == [3]
+        assert not tab._weights.flags.writeable
+        assert not tab.u.flags.writeable
+
+    def test_pole_guards(self):
+        """An integer lam raises at every call; a u on the lattice raises at
+        the first call, not at construction."""
+        nm = Nome(p=0.1)
+        tab = SigmaTable([0.3 + 0.1j], nm)
+        with pytest.raises(PoleError):
+            tab(np.array([0.2, 1.0]))
+        on_lattice = SigmaTable([0.3, 1.0 + nm.tau], nm)
+        with pytest.raises(PoleError):
+            on_lattice(np.array([0.2]))
 
 
 class TestWp:

@@ -20,7 +20,7 @@ from cmbethe.critical import (
     continue_nome,
     find_admissible_critical_point,
 )
-from cmbethe.elliptic import Nome, theta
+from cmbethe.elliptic import Nome, SigmaTable, sigma_lambda, theta
 from cmbethe.errors import DomainError, MembershipError, PoleError, ResourceError
 from cmbethe.jack import jack_expand
 from cmbethe import states
@@ -530,9 +530,56 @@ def continued_state_parts(lam, N, l, p):
     return point, xi_s, rs, idx
 
 
+def counting_sigma_table(monkeypatch):
+    """Record every call of the sigma-table kernel; returns the list."""
+    calls = []
+    kernel = SigmaTable.__call__
+
+    def counting(self, *args):
+        calls.append(args)
+        return kernel(self, *args)
+
+    monkeypatch.setattr(SigmaTable, "__call__", counting)
+    return calls
+
+
 class TestSigmaTableEvaluator:
     """The elliptic Sym^(l) omega from one sigma table per row block agrees
     with the plain loop over x-permutations of omega."""
+
+    def test_table_matches_sigma_lambda_at_n2_l8_root(self):
+        """The state's table, reshaped to (points, ordered pairs x u), holds
+        sigma_(x_a - x_b)(u) of the pair numbered (a, b), both orders, as
+        the oracle gives it: at an N=2 l=8 root at p = 0.3, at points whose
+        difference is near 0, near 1/2 and generic."""
+        rs, idx = root_system(2, 8), build_indexing(2, 8)
+        xi = lambda_to_xi(Weight([Fraction(1, 2), Fraction(-1, 2)]), rs)
+        sigma, seed = find_admissible_critical_point(xi, rs, idx)
+        xi = Weight([xi.exact[i] for i in sigma])
+        point = continue_nome(seed, xi, rs, idx, 0.3).endpoint.point
+        raw = states._EllipticOmega(point, xi, rs, idx)
+        x = np.array([[0.3 + 1e-4, 0.3], [0.1, 0.6 - 1e-7], [0.8, 0.3],
+                      [0.13, 0.37], [0.02, 0.91], [0.5, 0.5 + 1e-3]])
+        a, b = raw._unordered
+        table = raw._sigma(x[:, a] - x[:, b]).reshape(len(x), -1)
+        diff = x[:, raw._pair_a] - x[:, raw._pair_b]
+        ref = sigma_lambda(diff[:, :, None], raw.u, point.nome)
+        rel = np.abs(table - ref.reshape(len(x), -1)) / np.abs(table)
+        assert raw._pair_a.size == 2
+        assert float(rel.max()) <= 1e-13, float(rel.max())
+
+    def test_complex_points_refused(self):
+        """The state lives on the real torus: a point with a non-zero
+        imaginary part raises DomainError; a complex dtype with zero
+        imaginary parts is the real point."""
+        point, xi, rs, idx = continued_state_parts([3, 3], 3, 1, 0.05)
+        st = bethe_state_elliptic(point, xi, rs, idx, compute_eigenvalue=False)
+        x = np.array([0.1, 0.4, 0.8])
+        with pytest.raises(DomainError, match="real"):
+            st.evaluator(x + np.array([0.0, 1e-3j, 0.0]))
+        with pytest.raises(DomainError, match="real"):
+            st.evaluator(np.array([x, x + 0.01j]))
+        assert st.evaluator(x + 0j) == st.evaluator(x)
 
     @pytest.mark.parametrize("p", [0.05, 0.3])
     @pytest.mark.parametrize("lam,N,l", [([3], 2, 1), ([4], 2, 2),
@@ -600,20 +647,14 @@ class TestSigmaTableEvaluator:
     def test_one_sigma_call_per_row_block(self, monkeypatch):
         point, xi, rs, idx = continued_state_parts([3, 3], 3, 1, 0.05)
         st = bethe_state_elliptic(point, xi, rs, idx, compute_eigenvalue=False)
-        calls = []
-        kernel = states.sigma_lambda
-
-        def counting(*args):
-            calls.append(args)
-            return kernel(*args)
-
-        monkeypatch.setattr(states, "sigma_lambda", counting)
+        calls = counting_sigma_table(monkeypatch)
         st.evaluator(sample_torus_points(3, 64, seed=2))
         assert len(calls) == 1
 
     def test_row_blocks_sized_by_table(self, monkeypatch):
-        """A row block holds as many points as the sigma table allows: at
-        N=5 l=1 (20 pair columns, 24 distinct u) that is 8 points, so the
+        """A row block holds as many points as the sigma table and the
+        harmonics allow: at N=5 l=1 (20 pair columns, 24 distinct u; 10
+        unordered pairs of a few harmonics each) that is 8 points, so the
         528 stencil points of a grid-48 residual take 66 calls, not one call
         per point."""
         rs, idx = root_system(5, 1), build_indexing(5, 1)
@@ -622,14 +663,7 @@ class TestSigmaTableEvaluator:
         t = rng.random(idx.m) + 0.1j * rng.standard_normal(idx.m)
         st = bethe_state_elliptic(EllipticPoint(t, Nome(p=0.01)), xi, rs, idx,
                                   compute_eigenvalue=False)
-        calls = []
-        kernel = states.sigma_lambda
-
-        def counting(*args):
-            calls.append(args)
-            return kernel(*args)
-
-        monkeypatch.setattr(states, "sigma_lambda", counting)
+        calls = counting_sigma_table(monkeypatch)
         residual_check(st, grid_n=48)
         assert len(calls) <= 70, len(calls)
 
