@@ -4,9 +4,10 @@ Continuing Bethe roots from the trigonometric limit into the elliptic regime
 
 The elliptic Bethe roots are constructed by homotopy continuation in the
 nome p: start from the closed-form trigonometric critical point at p = 0,
-increase p along a schedule, predict each new root and polish it with
-Newton's method, and certify every accepted step (small gradient, root in
-the fundamental-domain cell, non-degenerate Hessian).  This script tracks a
+increase p in controlled steps (halved when Newton refuses one, doubled
+after an easy one), predict each new root and polish it with Newton's
+method, and certify every accepted step (small gradient, root in the
+fundamental-domain cell, non-degenerate Hessian).  This script tracks a
 two-particle and a three-particle level and shows the certified path data.
 """
 
@@ -26,8 +27,9 @@ from cmbethe import (
 # A certified path for N = 2, l = 1, m1 = 3
 # -----------------------------------------
 # The trigonometric root is T = 1/2, i.e. t(0) = log(2)/(2 pi i).  Continue
-# to p = 0.1 and print the accepted steps: every one carries its own
-# residual, Hessian determinant and membership certificate.
+# to p = 0.1 in steps of at most 0.1/12 and print the accepted steps: every
+# one carries its own residual, Hessian determinant and membership
+# certificate.  Refused trial steps are recorded with their reasons.
 
 rs, idx = root_system(2, 1), build_indexing(2, 1)
 xi = weight_from_lambda_coords([3], 2)
@@ -39,6 +41,7 @@ for step in path.steps:
     print(f"  {step.p.real:9.6f}   {t1.real:+.6f}{t1.imag:+.6f}i   "
           f"{step.report.grad_norm:.2e}   {step.report.hessian_det.real:9.4f}   "
           f"{step.report.in_F}")
+print(f"  refused trial steps: {path.rejected}")
 
 ###############################################################################
 # The root drifts linearly in p

@@ -53,6 +53,9 @@ SCHEMA = 1
 #: whose n^N grid has at most ``_STATE_L2_POINTS`` points.
 _STATE_L2_LEVELS = (4, 8, 16, 32, 64)
 _STATE_L2_POINTS = 1 << 18
+_STEPS_HELP = ("continuation steps of the shortest path: no step is longer "
+               "than |p|/steps; shorter steps are taken where Newton "
+               "refuses one")
 _EXIT_CODES = {"DOMAIN": 2, "CONVERGENCE": 3, "DEGENERACY": 4,
                "MEMBERSHIP": 5, "RESOURCE": 6, "ACCURACY": 7}
 
@@ -248,6 +251,9 @@ def cmd_continue(args) -> Dict:
         "xi": _weight_floats(xi), "sigma": list(sigma),
         "target_p": _complex_pair(target),
         "steps_accepted": len(path.steps),
+        "steps_rejected": len(path.rejected),
+        "rejected": [{"p": _complex_pair(p), "reason": reason}
+                     for p, reason in path.rejected],
         "endpoint": {
             "p": _complex_pair(end.p),
             "t": [_complex_pair(z) for z in end.point.t],
@@ -462,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--l", type=int, required=True)
     _add_weight_flags(sp)
     sp.add_argument("--p", required=True, help="target nome")
-    sp.add_argument("--steps", type=int, default=10)
+    sp.add_argument("--steps", type=int, default=1, help=_STEPS_HELP)
     sp.add_argument("--tol", type=float, default=NEWTON_TOL)
     sp.add_argument("--mode", choices=["partial", "none"], default="partial",
                     help="eigenvalue at every step (partial) or none")
@@ -479,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--l", type=int, required=True)
     _add_weight_flags(sp)
     sp.add_argument("--p", default="0.01", help="nome (0 = trigonometric)")
-    sp.add_argument("--steps", type=int, default=10)
+    sp.add_argument("--steps", type=int, default=1, help=_STEPS_HELP)
     sp.add_argument("--grid", type=int, default=64,
                     help="residual sample count (H by centered differences "
                     "of fixed step 1e-3) / CSV slice resolution")
@@ -502,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--order", type=int, default=2, help="expansion order K")
     sp.add_argument("--p", default=None,
                     help="real nome for the Bethe crosscheck")
-    sp.add_argument("--steps", type=int, default=10)
+    sp.add_argument("--steps", type=int, default=1, help=_STEPS_HELP)
     sp.add_argument("--out", default=None, help="also write the JSON here")
     sp.set_defaults(func=cmd_perturb)
 
@@ -511,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--l", type=int, required=True)
     _add_weight_flags(sp)
     sp.add_argument("--p", default="0.01")
-    sp.add_argument("--steps", type=int, default=10)
+    sp.add_argument("--steps", type=int, default=1, help=_STEPS_HELP)
     sp.add_argument("--grid", type=int, default=64,
                     help="residual sample count (H by centered differences "
                     "of fixed step 1e-3)")

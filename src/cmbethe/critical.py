@@ -26,23 +26,27 @@ from closed forms or randomized annulus seeds, accepting only points in
 F_{N,l} with non-degenerate Hessian and non-vanishing symmetrized Bethe
 vector.
 
-Continuation: from a non-degenerate p = 0 point, the nome is
-advanced along a geometric-then-linear schedule (first step 1e-6, x10 per
-step until within a decade of the target, then ``steps`` linear steps),
-Newton-correcting the elliptic Bethe root at every step and halving the
-step on failure down to ``MIN_STEP``.  The predictor of each step, a halved
-one included, is the Lagrange polynomial in p through the last
+Continuation: from a non-degenerate p = 0 point, the nome advances along
+the segment to the target under step-size control (Allgower-Georg;
+Deuflhard, Newton Methods for Nonlinear Problems, sec. 5).  A trial step
+is at most |target|/``steps`` long, the first one that long.  Its
+predictor is the Lagrange polynomial in p through the last
 ``PREDICTOR_POINTS`` = 4 accepted points (fewer at the start: the constant
-seed on the first step, then linear and quadratic); the root is analytic
-in p, so on the default schedule to p = 0.01 each step takes about one
-Newton step and the evaluation that certifies it.
+seed on the first step, then linear and quadratic), and one contracting
+Newton (``master._polish``) corrects it.  A trial is refused, and the step
+halved, when a correction is capped, fails to halve the one before it,
+Newton runs out of iterations, or the point leaves F; below ``MIN_STEP``
+the path stalls.  A step whose Newton is within the rounding floor after
+at most three master evaluations doubles the next, up to the longest.
+The root is analytic in p, so with ``steps`` = 1 a path to p = 0.01 is
+one step of four or five evaluations.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 from typing import Optional
@@ -52,8 +56,8 @@ import numpy as np
 from .elliptic import Nome
 from .errors import (ConvergenceError, DegeneracyError, DomainError,
                      MembershipError)
-from .master import (CriticalReport, EllipticPoint, _polish,
-                     eigenvalue_elliptic)
+from .master import (_CONTRACTION_FLOOR, CriticalReport, EllipticPoint,
+                     _polish, eigenvalue_elliptic)
 from .states import sym_omega_tri_nonvanishing
 from .weights import (BetheIndexing, RootSystemData, Weight, admissible,
                       lambda_coords, permute_weight, root_system,
@@ -62,7 +66,6 @@ from .weights import (BetheIndexing, RootSystemData, Weight, admissible,
 NEWTON_TOL = 1e-12
 P_MAX = 0.3
 MIN_STEP = 1e-12
-FIRST_STEP = 1e-6
 PREDICTOR_POINTS = 4
 HESS_DEGENERACY_TOL = 1e-9
 SEARCH_MAX_ITER = 200
@@ -311,10 +314,14 @@ class PathStep:
 @dataclass
 class ContinuationPath:
     """A continuation record: accepted (p_k, point, report) triples from the
-    trigonometric seed (p=0) to the target nome."""
+    trigonometric seed (p=0) to the target nome, and each refused trial
+    step as (p, reason), the reason one of "capped step", "no contraction",
+    "iterations", "runoff" (the Newton's own), "left F" (a converged point
+    outside F) or "membership" (an iterate on a theta zero)."""
 
     steps: list[PathStep]
     target_p: complex
+    rejected: list[tuple[complex, str]] = field(default_factory=list)
 
     @property
     def endpoint(self) -> PathStep:
@@ -334,25 +341,6 @@ class ContinuationPath:
         return out
 
 
-def _schedule(target: complex, linear_steps: int) -> list[complex]:
-    """Geometric magnitudes from FIRST_STEP by x10 until within one decade of
-    |target|, then linear_steps equal steps to the target, along its ray;
-    the last nome is the target itself, not its magnitude times its ray."""
-    mag = abs(target)
-    if mag == 0:
-        return []
-    ray = target / mag
-    mags: list[float] = []
-    s = FIRST_STEP
-    while s < (mag / 10.0) * (1 + 1e-9):
-        mags.append(s)
-        s *= 10.0
-    last = mags[-1] if mags else 0.0
-    for k in range(1, linear_steps):
-        mags.append(last + (mag - last) * k / linear_steps)
-    return [m * ray for m in mags] + [target]
-
-
 def _predict(last: list[PathStep], p: complex) -> np.ndarray:
     """The predictor: the Lagrange polynomial in the nome through the last
     accepted path points, evaluated at p (one point: the constant seed)."""
@@ -367,19 +355,25 @@ def _predict(last: list[PathStep], p: complex) -> np.ndarray:
 
 
 def continue_nome(trig: CriticalReport, xi: Weight, rs: RootSystemData,
-                  idx: BetheIndexing, target_p: complex, steps: int = 10,
+                  idx: BetheIndexing, target_p: complex, steps: int = 1,
                   *, newton_tol: float = NEWTON_TOL,
                   eigenvalues: bool = False) -> ContinuationPath:
     """Continue a non-degenerate p = 0 critical point to target_p.
 
     The seed report (a point at ``Nome(p=0)``, as the search returns it) is
-    the first path step.  Each advance predicts the root by the Lagrange
-    polynomial through the last (up to) ``PREDICTOR_POINTS`` accepted steps
-    (``_predict``) and Newton-corrects the elliptic Bethe root from there;
-    on failure the step is halved down to MIN_STEP, with the same
-    predictor; a degenerate Hessian (the search's scaled test) raises
-    DegeneracyError; every accepted point satisfies grad_norm < newton_tol
-    and membership in F.
+    the first path step.  The shortest path has ``steps`` steps: a trial
+    step is at most |target_p|/steps long, and the last lands on target_p
+    itself.  Each trial predicts the root by the Lagrange polynomial
+    through the last (up to) ``PREDICTOR_POINTS`` accepted steps
+    (``_predict``) and corrects it by the contracting Newton of
+    ``master._polish``.  A refused trial is recorded in ``path.rejected``
+    with its reason and the step halved; a step below MIN_STEP raises
+    ConvergenceError, and a degenerate Hessian (the search's scaled test)
+    DegeneracyError, each carrying the path so far as ``err.path``.  An
+    accepted step whose Newton is within the rounding floor after at most
+    three master evaluations doubles the next step, up to the longest.
+    Every accepted point satisfies grad_norm < newton_tol and membership
+    in F.
     With ``eigenvalues`` each step also carries ``eigenvalue_elliptic``.
     """
     if trig.point.nome.p != 0:
@@ -397,27 +391,38 @@ def continue_nome(trig: CriticalReport, xi: Weight, rs: RootSystemData,
         raise DomainError(
             f"trigonometric seed is not a Bethe root: |grad| = {trig.grad_norm:.2e}")
 
+    target = complex(target_p)
     pt0 = trig.point
     ev0 = eigenvalue_elliptic(pt0, xi, rs, idx) if eigenvalues else None
     path = ContinuationPath(steps=[PathStep(0j, pt0, trig, ev0)],
-                            target_p=complex(target_p))
-    pending = _schedule(complex(target_p), steps)
-    while pending:
-        p_try = pending[0]
+                            target_p=target)
+    longest = h = abs(target) / steps
+    while path.endpoint.p != target:
         p_good = path.endpoint.p
+        ahead = target - p_good
+        # within rounding of one step the trial is the target itself
+        p_try = target if abs(ahead) <= h * (1 + 1e-9) \
+            else p_good + h * ahead / abs(ahead)
         if abs(p_try - p_good) < MIN_STEP:
+            last = path.rejected[-1][1] if path.rejected else "none"
             err = ConvergenceError(
                 f"continuation stalled at p = {p_good} (step below "
-                f"MIN_STEP = {MIN_STEP}); last good point retained in path")
+                f"MIN_STEP = {MIN_STEP}; last refusal: {last}); last good "
+                f"point retained in path")
             err.path = path
             raise err
         t_seed = _predict(path.steps[-PREDICTOR_POINTS:], p_try)
         try:
-            rep = _polish(t_seed, xi, rs, idx, Nome(p=p_try), newton_tol)
-            if not rep.in_F:
-                raise MembershipError("corrected point left F")
-        except (ConvergenceError, MembershipError):
-            pending.insert(0, p_good + (p_try - p_good) / 2.0)
+            rep = _polish(t_seed, xi, rs, idx, Nome(p=p_try), newton_tol,
+                          contract=True)
+            reason = None if rep.in_F else "left F"
+        except ConvergenceError as exc:
+            reason = exc.reason
+        except MembershipError:
+            reason = "membership"
+        if reason is not None:
+            path.rejected.append((p_try, reason))
+            h = abs(p_try - p_good) / 2.0
             continue
         if _degenerate(rep):
             err = DegeneracyError(
@@ -427,5 +432,9 @@ def continue_nome(trig: CriticalReport, xi: Weight, rs: RootSystemData,
             raise err
         ev = eigenvalue_elliptic(rep.point, xi, rs, idx) if eigenvalues else None
         path.steps.append(PathStep(p_try, rep.point, rep, ev))
-        pending.pop(0)
+        # an easy step: within the rounding floor after three evaluations
+        # (iterations spent at the floor, on the last bits of |grad|, are
+        # no sign of a long step)
+        if sum(c > _CONTRACTION_FLOOR for c in rep.corrections) <= 2:
+            h = min(2.0 * h, longest)
     return path

@@ -55,6 +55,7 @@ _TWO_PI_I = 2j * math.pi
 _MEMBERSHIP_TOL = 1e-9    # factor-magnitude threshold of the F predicate
 _CRIT_TOL = 1e-8          # largest |grad| at which S_dtau accepts a root
 _MAX_STEP = 0.1           # Newton step cap, max-abs over the t coordinates
+_CONTRACTION_FLOOR = 1e-9  # corrections below it are rounding: not tested
 _RUNOFF_IM_T = 3.0        # max |Im t| (|T| within about e^{+-19}) of an iterate
 
 
@@ -82,13 +83,16 @@ class EllipticPoint:
 @dataclass(frozen=True)
 class CriticalReport:
     """Certificate data for a candidate critical point: the gradient norm of
-    log Phi, the Hessian of -log Phi in t and its determinant, membership."""
+    log Phi, the Hessian of -log Phi in t and its determinant, membership,
+    and the max-abs sizes of the Newton corrections that led to it."""
 
     point: EllipticPoint
     grad_norm: float
     hessian_det: complex
     hessian: np.ndarray = field(repr=False, compare=False)
     in_F: bool
+    corrections: tuple[float, ...] = field(default=(), repr=False,
+                                           compare=False)
 
 
 def _check_sizes(point_len: int, xi: Weight, rs: RootSystemData,
@@ -202,11 +206,22 @@ def hessian_tau(pt: EllipticPoint, xi: Weight, rs: RootSystemData,
 
 
 def _polish(t: np.ndarray, xi: Weight, rs: RootSystemData, idx: BetheIndexing,
-            nome: Nome, tol: float = 1e-12, max_iter: int = 30) -> CriticalReport:
+            nome: Nome, tol: float = 1e-12, max_iter: int = 30, *,
+            contract: bool = False) -> CriticalReport:
     """The Newton of ``newton_polish_tau``, returning the report of the
-    converged iterate (built from the evaluation that certified it)."""
+    converged iterate (built from the evaluation that certified it), with
+    the sizes of the corrections taken as ``corrections``.
+
+    With ``contract`` the iteration is refused as soon as a correction is
+    capped, or a correction above ``_CONTRACTION_FLOOR`` fails to halve the
+    previous one (Deuflhard's monotonicity test): the start is then outside
+    the region of quadratic convergence.  Every ConvergenceError carries a
+    ``reason``: "capped step", "no contraction", "iterations" or "runoff".
+    """
     t = np.array(t, dtype=complex)
     im_max = float(np.abs(t.imag).max())
+    sizes: list[float] = []
+    reason = "iterations"
     for it in range(max_iter + 1):
         pt = EllipticPoint(t=t, nome=nome)
         g, H, in_f = _master(pt, xi, rs, idx)
@@ -214,7 +229,8 @@ def _polish(t: np.ndarray, xi: Weight, rs: RootSystemData, idx: BetheIndexing,
         if gnorm < tol:
             return CriticalReport(point=pt, grad_norm=gnorm,
                                   hessian_det=complex(np.linalg.det(H)),
-                                  hessian=H, in_F=in_f)
+                                  hessian=H, in_F=in_f,
+                                  corrections=tuple(sizes))
         if it == max_iter:
             break
         # Jacobian of the gradient is the Hessian of +log Phi = -H
@@ -223,18 +239,29 @@ def _polish(t: np.ndarray, xi: Weight, rs: RootSystemData, idx: BetheIndexing,
         except np.linalg.LinAlgError as exc:
             raise DegeneracyError(f"singular Hessian during Newton: {exc}") from exc
         size = float(np.abs(step).max())
+        if contract and size > _MAX_STEP:
+            reason = "capped step"
+            break
+        if contract and sizes and size > max(_CONTRACTION_FLOOR,
+                                             0.5 * sizes[-1]):
+            reason = "no contraction"
+            break
         if size > _MAX_STEP:
             step *= _MAX_STEP / size
+        sizes.append(min(size, _MAX_STEP))
         t = t + step
         im_max = max(im_max, float(np.abs(t.imag).max()))
         if im_max > _RUNOFF_IM_T:
+            reason = "runoff"
             break
-    where = f"(final |grad| = {gnorm:.3e}, max |Im t| = {im_max:.3g})"
-    if im_max > _RUNOFF_IM_T:
-        raise ConvergenceError(
-            f"Newton iterate ran off past |Im t| = {_RUNOFF_IM_T} {where}")
-    raise ConvergenceError(
-        f"Newton did not reach |grad| < {tol} in {max_iter} iterations {where}")
+    msg = {"runoff": f"Newton iterate ran off past |Im t| = {_RUNOFF_IM_T}",
+           "iterations": f"Newton did not reach |grad| < {tol} in "
+                         f"{max_iter} iterations",
+           }.get(reason, f"Newton refused at evaluation {it + 1}: {reason}")
+    err = ConvergenceError(
+        f"{msg} (final |grad| = {gnorm:.3e}, max |Im t| = {im_max:.3g})")
+    err.reason = reason
+    raise err
 
 
 def newton_polish_tau(t: np.ndarray, xi: Weight, rs: RootSystemData,

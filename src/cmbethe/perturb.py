@@ -410,7 +410,7 @@ def rs_series(lam, N: int, l: int, K: int) -> EnergySeries:
 
 
 def bethe_crosscheck(series: EnergySeries, p: float, *,
-                     steps: int = 10) -> Dict:
+                     steps: int = 1) -> Dict:
     """Continue the Bethe root for xi = lam + (l+1) rho_bar to the nome p and
     compare: returns {p, E_BA, partial_sum, gap}.
 

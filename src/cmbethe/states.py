@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from itertools import permutations
 from typing import Callable, Optional, Sequence
@@ -115,14 +116,17 @@ def sample_torus_points(N: int, n: int, *, margin: float = 0.1, seed: int = 0
     min_{i<j} dist(x_i - x_j, Z) > margin.
 
     Points are the first n accepted of at most ``_SAMPLE_DRAWS`` successive
-    uniform draws from the seeded generator, tested in blocks.
+    uniform draws from the seeded generator, tested in blocks of about
+    twice the points still missing (at most ``_SAMPLE_CHUNK``); the stream
+    is sequential, so the block sizes do not change the points.
     """
     rng = np.random.default_rng(seed)
     iu, ju = np.triu_indices(N, 1)
     accepted = [np.empty((0, N))]
     count = drawn = 0
     while count < n and drawn < _SAMPLE_DRAWS:
-        chunk = min(_SAMPLE_DRAWS - drawn, _SAMPLE_CHUNK)
+        chunk = min(_SAMPLE_DRAWS - drawn, _SAMPLE_CHUNK,
+                    2 * (n - count) + 16)
         x = rng.random((chunk, N))
         drawn += chunk
         d = x[:, iu] - x[:, ju]
@@ -193,24 +197,73 @@ def _suffix_levels(labels: np.ndarray) -> tuple[np.ndarray, list]:
     return leaf, levels
 
 
+@dataclass(frozen=True)
+class _OmegaIndex:
+    """The index-only structure of omega at (N, l), as read-only arrays: the
+    distinct slots (k, f(k)) in order of first appearance, the ordered x
+    pairs side by side ((a, b) is 2j and (b, a) is 2j + 1 for the j-th
+    unordered pair a < b, the order of the sigma table's output), and the
+    suffix levels of the (w, f) words, each label split into its pair
+    (a, b) and its slot."""
+
+    k: np.ndarray
+    f: np.ndarray
+    unordered: tuple[np.ndarray, np.ndarray]
+    pair_a: np.ndarray
+    pair_b: np.ndarray
+    pair_id: np.ndarray
+    leaf: np.ndarray
+    levels: tuple
+
+
+@lru_cache(maxsize=16)
+def _omega_index(N: int, l: int) -> _OmegaIndex:
+    """The ``_OmegaIndex`` of (N, l), built from ``build_indexing``'s words;
+    the cache holds no word-sized array."""
+    idx = build_indexing(N, l)
+    w, f = idx.words.transpose(1, 0, 2)
+    # the distinct (k, f(k)), numbered in order of first appearance
+    code, first, u = np.unique(np.arange(idx.m) * (idx.m + 1) + f,
+                               return_index=True, return_inverse=True)
+    rank = np.argsort(np.argsort(first))
+    k, f_k = np.divmod(code[np.argsort(first)], idx.m + 1)
+    unordered = np.triu_indices(N, 1)
+    pair_a = np.column_stack(unordered).ravel()
+    pair_b = np.column_stack(unordered[::-1]).ravel()
+    pair_id = np.full((N, N), -1)
+    pair_id[pair_a, pair_b] = np.arange(N * (N - 1))
+    # slot k pairs the 0-based x indices c(k) - 1 and w(k)
+    pair = pair_id[np.asarray(idx.c) - 1, w]
+    leaf, levels = _suffix_levels(pair * k.size + rank[u.reshape(f.shape)])
+    levels = tuple((pair_a[label // k.size], pair_b[label // k.size],
+                    label % k.size, child, starts, below)
+                   for label, child, starts, below in levels)
+    for a in (k, f_k, *unordered, pair_a, pair_b, pair_id, leaf,
+              *(arr for level in levels for arr in level[:-1])):
+        a.setflags(write=False)
+    return _OmegaIndex(k, f_k, unordered, pair_a, pair_b, pair_id, leaf,
+                       levels)
+
+
 class _EllipticOmega:
     """The elliptic omega as a function of x, without base-point normalization.
 
     Each slot factor sigma_{x_a - x_b}(u) depends only on the ordered pair
     (a, b) = (c(k), w(k)+1) and on u = t_k - t_{f(k)}, so a (w, f) term is a
-    word of m labels (pair, u).  Construction factors the sum of the words'
-    products into levels (``_suffix_levels``): at N=4 l=2 the 4320 words of
-    12 labels become 9 levels with 1374 labels in all.  Evaluation builds,
-    per row block of real points x, the table of sigma over all N(N-1)
-    ordered pair differences and all u by one harmonic matrix product
-    (``SigmaTable``, built with the state): the ordered pairs are numbered so
-    that (a, b) and (b, a) sit side by side, so the kernel's
-    (unordered pairs, 2, u) output is the table as it stands.  omega(x o pi)
-    for any x-permutation pi relabels the pair of every label, all
-    permutations walk the levels together, and each is weighted by its
-    prefactor e^{2 pi i (xi, x o pi)}, with no further theta series.  Row
-    blocks hold at most ``_BLOCK_ENTRIES`` entries of the table and of the
-    harmonic array, whichever is larger, so neither grows with the batch.
+    word of m labels (pair, u).  The sum of the words' products is factored
+    into levels (``_suffix_levels``), once per (N, l) (``_omega_index``): at
+    N=4 l=2 the 4320 words of 12 labels become 9 levels with 1374 labels in
+    all.  Evaluation builds, per row block of real points x, the table of
+    sigma over all N(N-1) ordered pair differences and all u by one
+    harmonic matrix product (``SigmaTable``, built with the state): the
+    ordered pairs are numbered so that (a, b) and (b, a) sit side by side,
+    so the kernel's (unordered pairs, 2, u) output is the table as it
+    stands.  omega(x o pi) for any x-permutation pi relabels the pair of
+    every label, all permutations walk the levels together, and each is
+    weighted by its prefactor e^{2 pi i (xi, x o pi)}, with no further
+    theta series.  Row blocks hold at most ``_BLOCK_ENTRIES`` entries of
+    the table and of the harmonic array, whichever is larger, so neither
+    grows with the batch.
     """
 
     def __init__(self, point: EllipticPoint, xi: Weight, rs: RootSystemData,
@@ -218,35 +271,20 @@ class _EllipticOmega:
         if not membership_F(point, xi, rs, idx):
             raise MembershipError("t is outside F^tau (a factor of Phi_tau vanishes)")
         self.nome = point.nome
-        self.N = N = rs.N
+        self.N = rs.N
         self.xi = np.asarray(xi.coords, dtype=float)
-        w, f = idx.words.transpose(1, 0, 2)
-        # the distinct (k, f(k)), numbered in order of first appearance
-        code, first, u = np.unique(np.arange(idx.m) * (idx.m + 1) + f,
-                                   return_index=True, return_inverse=True)
-        rank = np.argsort(np.argsort(first))
-        self._k, self._f = np.divmod(code[np.argsort(first)], idx.m + 1)
+        index = _omega_index(idx.N, idx.l)
+        self._k, self._f = index.k, index.f
         self._t = np.concatenate([[0j], point.t])       # t_0 = 0
         self.u = self._t[self._k + 1] - self._t[self._f]
-        # ordered pairs side by side: (a, b) is 2j and (b, a) is 2j + 1 for
-        # the j-th unordered pair a < b, the order of the kernel's output
-        self._unordered = np.triu_indices(N, 1)
-        self._pair_a = np.column_stack(self._unordered).ravel()
-        self._pair_b = np.column_stack(self._unordered[::-1]).ravel()
-        self._pair_id = np.full((N, N), -1)
-        self._pair_id[self._pair_a, self._pair_b] = np.arange(N * (N - 1))
+        self._unordered = index.unordered
+        self._pair_a, self._pair_b = index.pair_a, index.pair_b
+        self._pair_id = index.pair_id
+        self._leaf, self._levels = index.leaf, index.levels
         self._sigma = SigmaTable(self.u, self.nome)
         self._rows = max(1, _BLOCK_ENTRIES // max(
             self._pair_a.size * self.u.size,
             self._unordered[0].size * self._sigma.terms))
-        # slot k pairs the 0-based x indices c(k) - 1 and w(k)
-        pair = self._pair_id[np.asarray(idx.c) - 1, w]
-        self._leaf, levels = _suffix_levels(
-            pair * self.u.size + rank[u.reshape(f.shape)])
-        self._levels = [(self._pair_a[label // self.u.size],
-                         self._pair_b[label // self.u.size],
-                         label % self.u.size, child, starts, below)
-                        for label, child, starts, below in levels]
 
     def __call__(self, x):
         return self.perm_sum(x, [(tuple(range(self.N)), 1)])

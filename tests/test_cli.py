@@ -130,6 +130,18 @@ class TestContinueCommand:
             "--p", "1e-4")
         assert inline["path"] == records
 
+    def test_refused_steps_reported(self, capsys):
+        """`cm continue` reports the refused trial steps, each with its
+        nome and reason, next to the accepted ones."""
+        code, payload, _ = run_cli(
+            capsys, "continue", "--N", "2", "--l", "2", "--lambda", "0,0",
+            "--p", "0.3", "--mode", "none")
+        assert code == 0
+        assert payload["steps_rejected"] == len(payload["rejected"]) >= 1
+        assert all(set(r) == {"p", "reason"} and isinstance(r["reason"], str)
+                   for r in payload["rejected"])
+        assert payload["endpoint"]["p"] == [0.3, 0.0]
+
     def test_inline_path_and_modes(self, capsys):
         code, payload, _ = run_cli(
             capsys, "continue", "--N", "2", "--l", "1", "--m", "3",

@@ -52,6 +52,7 @@ from cmbethe.weights import (
     root_system,
     weight_from_lambda_coords,
 )
+from schedule_path import max_root_gap, schedule_path
 
 RS21 = root_system(2, 1)
 IDX21 = build_indexing(2, 1)
@@ -367,12 +368,14 @@ class TestContinueNome:
 
     @pytest.mark.parametrize("target", [0.01, 0.3, 0.2 + 0.1j, 1e-4])
     def test_endpoint_is_the_target_exactly(self, target):
-        """The schedule ends on the requested nome, not one ulp past it
-        (the last linear magnitude gave 0.010000000000000002 for 0.01)."""
-        assert critical._schedule(complex(target), 10)[-1] == target
-        if target == 0.01:
-            path = continue_nome(self.seed(), XI_3L1, RS21, IDX21, 0.01)
-            assert path.endpoint.p == 0.01
+        """The path ends on the requested nome, not one ulp past it (the
+        schedule's last linear magnitude once gave 0.010000000000000002
+        for 0.01), in one step or in ten."""
+        for steps in (1, 10):
+            path = continue_nome(self.seed(), XI_3L1, RS21, IDX21, target,
+                                 steps=steps)
+            assert path.endpoint.p == target
+            assert len(path.steps) >= steps + 1
 
     def test_target_zero_returns_seed_only(self):
         path = continue_nome(self.seed(), XI_3L1, RS21, IDX21, 0.0, steps=8)
@@ -434,11 +437,10 @@ class TestContinueNome:
 
     @pytest.mark.parametrize("N,l,lam", [(3, 1, (1, 0, -1)), (2, 1, (1, -1))])
     def test_master_evaluations_to_p_001(self, monkeypatch, N, l, lam):
-        """To p = 0.01 on the default schedule (14 steps) the path makes at
-        most 29 master evaluations: one Newton step and the certifying
-        evaluation per step, one more on the constant-seeded first step
-        (a two-point linear predictor made 40).  Its endpoint is a Bethe
-        root to NEWTON_TOL."""
+        """To p = 0.01 at the default steps = 1 the path is one step of at
+        most 6 master evaluations: the contracting Newton from the constant
+        seed and the evaluation that certifies it (the fixed 14-step
+        schedule made 29).  Its endpoint is a Bethe root to NEWTON_TOL."""
         rs, idx = root_system(N, l), build_indexing(N, l)
         xi = lambda_to_xi(Weight(list(lam)), rs)
         sigma, seed = find_admissible_critical_point(xi, rs, idx)
@@ -452,10 +454,62 @@ class TestContinueNome:
 
         monkeypatch.setattr(master, "_master", counted)
         path = continue_nome(seed, xi_s, rs, idx, 0.01)
-        assert len(path.steps) == 15
-        assert len(calls) <= 29, len(calls)
-        assert abs(path.endpoint.p - 0.01) < 1e-15
+        assert len(path.steps) == 2 and path.rejected == []
+        assert len(calls) <= 6, len(calls)
+        assert path.endpoint.p == 0.01
         assert path.endpoint.report.grad_norm < NEWTON_TOL
+
+    def test_refused_steps_are_recorded(self):
+        """N=2 l=2 lambda=0 to p = 0.3 in one trial step refuses at least
+        one step, records each as (p, reason), and still ends exactly on
+        the target; no accepted step is longer than the target's modulus."""
+        rs, idx, xi_s, seed = searched_root(2, 2, (0, 0))
+        path = continue_nome(seed, xi_s, rs, idx, 0.3)
+        assert path.rejected, "expected a refused step"
+        assert path.rejected[0][0] == 0.3
+        for p, reason in path.rejected:
+            assert reason in {"capped step", "no contraction", "iterations",
+                              "runoff", "left F", "membership"}, reason
+            assert 0 < abs(p) <= 0.3
+        assert path.endpoint.p == 0.3
+        assert all(s.report.grad_norm < NEWTON_TOL for s in path.steps)
+
+    def test_step_is_halved_on_refusal_and_doubled_after_easy_steps(
+            self, monkeypatch):
+        """The trial nomes in order, at N=2 l=8 lambda=0 to p = 0.3 in two
+        steps: the first is |target|/steps along the target, a refused
+        step is halved, an accepted step within the
+        rounding floor after three evaluations doubles the next, no step
+        exceeds |target|/steps, and the last lands on the target."""
+        rs, idx, xi_s, seed = searched_root(2, 8, (0, 0))
+        trials = []
+        polish = critical._polish
+
+        def recorded(t, xi, rs, idx, nome, *args, **kwargs):
+            trials.append((nome.p, None))
+            rep = polish(t, xi, rs, idx, nome, *args, **kwargs)
+            trials[-1] = (nome.p, rep if rep.in_F else None)
+            return rep
+
+        monkeypatch.setattr(critical, "_polish", recorded)
+        path = continue_nome(seed, xi_s, rs, idx, 0.3, steps=2)
+        assert len(trials) == len(path.steps) - 1 + len(path.rejected)
+        assert path.rejected and trials[0][0] == 0.15
+        good, h, doubled = 0j, 0.15, 0
+        for p, rep in trials:
+            assert abs(p - good) <= h * (1 + 1e-12)
+            assert abs(p - good) == pytest.approx(min(h, abs(0.3 - good)),
+                                                  rel=1e-12)
+            if rep is None:
+                h = abs(p - good) / 2
+                continue
+            floor = master._CONTRACTION_FLOOR
+            if sum(c > floor for c in rep.corrections) <= 2:
+                doubled += h < 0.15
+                h = min(2 * h, 0.15)
+            good = p
+        assert good == 0.3 and path.endpoint.p == 0.3
+        assert doubled, "expected a doubled step"
 
     def test_predictor_is_exact_on_cubics(self):
         """The predictor is the Lagrange polynomial through the last four
@@ -540,6 +594,73 @@ class TestContinueNome:
         bad = dataclasses.replace(self.seed(), grad_norm=1.0)
         with pytest.raises(DomainError):
             continue_nome(bad, XI_3L1, RS21, IDX21, 1e-4)
+
+
+#: The sweep of the step controller against the fixed schedule: 57 levels.
+SWEEP_LEVELS = (
+    [(2, l, lam) for l in (1, 2, 3, 4, 6, 8, 12, 16, 20, 24)
+     for lam in ((0, 0), (Fraction(1, 2), Fraction(-1, 2)), (1, -1), (2, -2))]
+    + [(3, 1, lam) for lam in ((0, 0, 0), (1, 0, -1), (2, 0, -2), (1, 1, -2),
+                               (2, -1, -1), (3, 0, -3), (2, 1, -3), (4, 0, -4),
+                               (5, 0, -5), (8, 0, -8))]
+    + [(3, 2, (0, 0, 0)), (3, 2, (1, 0, -1)), (3, 3, (0, 0, 0)),
+       (4, 1, (0, 0, 0, 0)), (4, 1, (1, 0, 0, -1)), (4, 2, (0, 0, 0, 0)),
+       (5, 1, (0, 0, 0, 0, 0))])
+
+
+class TestStepControl:
+    """The step-controlled continuation against the fixed schedule it
+    replaced (``schedule_path``), and its limits."""
+
+    @pytest.mark.parametrize("p", [0.01, 0.1, 0.3, 0.2 + 0.1j])
+    def test_same_roots_as_the_schedule(self, monkeypatch, p):
+        """At every sweep level the schedule continues to p, the controller
+        continues too and reaches the same root to 1e-12, with fewer
+        master evaluations over the sweep."""
+        calls = [0]
+        evaluate = master._master
+
+        def counted(*args):
+            calls[0] += 1
+            return evaluate(*args)
+
+        monkeypatch.setattr(master, "_master", counted)
+        spent = {"schedule": 0, "controller": 0}
+        continued = 0
+        for N, l, lam in SWEEP_LEVELS:
+            rs, idx, xi_s, seed = searched_root(N, l, lam)
+            calls[0] = 0
+            try:
+                old = schedule_path(seed, xi_s, rs, idx, p)[-1]
+            except ConvergenceError:
+                continue
+            spent["schedule"] += calls[0]
+            calls[0] = 0
+            new = continue_nome(seed, xi_s, rs, idx, p).endpoint
+            spent["controller"] += calls[0]
+            continued += 1
+            assert new.p == old.p == p
+            gap = max_root_gap(old, new)
+            assert gap <= 1e-12, f"N={N} l={l} lambda={lam}: |dt| = {gap}"
+        assert continued >= 52, continued
+        assert spent["controller"] < spent["schedule"], spent
+
+    @pytest.mark.parametrize("l,lam", [(24, (0, 0)),
+                                       (20, (Fraction(1, 2), Fraction(-1, 2)))])
+    def test_large_l_stalls_at_the_rounding_floor(self, l, lam):
+        """A known limit: at N=2 l=24 lambda=0 and l=20 lambda=(1/2,-1/2),
+        continuation to p = 0.3 stalls past |p| = 0.15, where |grad| at the
+        floating-point neighbours of the root is about NEWTON_TOL itself,
+        so Newton runs out of iterations on its last bits.  The stall is a
+        typed ConvergenceError carrying the path of converged roots."""
+        rs, idx, xi_s, seed = searched_root(2, l, lam)
+        with pytest.raises(ConvergenceError, match="stalled") as info:
+            continue_nome(seed, xi_s, rs, idx, 0.3)
+        path = info.value.path
+        assert isinstance(path, critical.ContinuationPath)
+        assert 0.15 < abs(path.endpoint.p) < 0.3
+        assert all(s.report.grad_norm < NEWTON_TOL for s in path.steps)
+        assert path.rejected[-1][1] == "iterations"
 
 
 class TestPermutationRobustness:

@@ -17,7 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from cmbethe import elliptic
+from cmbethe import elliptic, master
 from cmbethe.elliptic import Nome, log_theta_dtau
 from cmbethe.errors import (ConvergenceError, DegeneracyError, DomainError,
                             MembershipError)
@@ -344,6 +344,37 @@ class TestNewtonPolish:
         assert counts["solve"] > 3
         # one call per iterate: each run evaluates one iterate past its steps
         assert counts["kernel"] == counts["solve"] + 2
+
+    def test_contracting_newton_refusals(self):
+        """With ``contract`` the Newton refuses a capped correction and one
+        that fails to halve the last; corrections below the rounding floor
+        are not tested, so an unreachable tolerance runs out of iterations.
+        Each refusal names its reason."""
+        t_half = cmath.log(2) / (2j * math.pi)
+        cases = [(0.45 + 0j, 0.1, 1e-12, "capped step"),
+                 (0.05 - 0.1j, 0.01, 1e-12, "no contraction"),
+                 (t_half, 0.01, 1e-300, "iterations")]
+        for seed, p, tol, reason in cases:
+            with pytest.raises(ConvergenceError) as info:
+                master._polish(np.array([seed]), XI_3L1, RS21, IDX21,
+                               Nome(p=p), tol, contract=True)
+            assert info.value.reason == reason, str(info.value)
+        # without the contraction test the capped Newton converges
+        rep = master._polish(np.array([0.05 - 0.1j]), XI_3L1, RS21, IDX21,
+                             Nome(p=0.01))
+        assert rep.grad_norm < 1e-12
+
+    def test_report_carries_correction_sizes(self):
+        """The report lists the max-abs size of each correction taken, one
+        per Newton step; none exceeds the cap, and they contract."""
+        t_half = cmath.log(2) / (2j * math.pi)
+        rep = master._polish(np.array([t_half]), XI_3L1, RS21, IDX21,
+                             Nome(p=0.01), contract=True)
+        sizes = rep.corrections
+        assert len(sizes) >= 1 and max(sizes) <= master._MAX_STEP
+        assert all(b <= 0.5 * a for a, b in zip(sizes, sizes[1:])), sizes
+        assert np.array_equal(rep.point.t, newton_polish_tau(
+            np.array([t_half]), XI_3L1, RS21, IDX21, Nome(p=0.01)))
 
     def test_unreachable_tolerance_raises(self):
         nm = Nome(p=0.1)

@@ -636,6 +636,40 @@ class TestSigmaTableEvaluator:
                    label % u.size, child, starts, below)
             assert all(np.array_equal(g, r) for g, r in zip(got, ref))
 
+    def test_index_structure_built_once_per_level(self, monkeypatch):
+        """Two omegas of one (N, l) at different nomes share one read-only
+        index structure, factored by one ``_suffix_levels`` call, and give
+        bit for bit the values of an omega built with an empty cache."""
+        rs, idx = root_system(3, 2), build_indexing(3, 2)
+        xi = lambda_to_xi(Weight([1, 0, -1]), rs)
+        sigma, seed = find_admissible_critical_point(xi, rs, idx)
+        xi = Weight([xi.exact[i] for i in sigma])
+        pa, pb = (continue_nome(seed, xi, rs, idx, p).endpoint.point
+                  for p in (0.05, 0.3))
+        states._omega_index.cache_clear()
+        calls = []
+        factor = states._suffix_levels
+
+        def counted(labels):
+            calls.append(labels.shape)
+            return factor(labels)
+
+        monkeypatch.setattr(states, "_suffix_levels", counted)
+        a = states._EllipticOmega(pa, xi, rs, idx)
+        b = states._EllipticOmega(pb, xi, rs, idx)
+        assert len(calls) == 1
+        assert a._levels is b._levels and a._pair_id is b._pair_id
+        assert not any(arr.flags.writeable for level in a._levels
+                       for arr in level[:-1])
+        xs = sample_torus_points(3, 32, seed=6)
+        before = a(xs), b(xs)
+        states._omega_index.cache_clear()
+        assert np.array_equal(states._EllipticOmega(pa, xi, rs, idx)(xs),
+                              before[0])
+        assert np.array_equal(states._EllipticOmega(pb, xi, rs, idx)(xs),
+                              before[1])
+        assert len(calls) == 2
+
     def test_pole_at_coincident_coordinates(self):
         point, xi, rs, idx = continued_state_parts([3, 3], 3, 1, 0.05)
         st = bethe_state_elliptic(point, xi, rs, idx, compute_eigenvalue=False)
@@ -816,6 +850,26 @@ class TestSampling:
         if traceless:
             got = got - got.mean(axis=1, keepdims=True)
         assert np.array_equal(got, one_at_a_time(margin))
+
+    @pytest.mark.parametrize("N", [2, 3, 4, 6])
+    @pytest.mark.parametrize("n", [1, 64, 1024])
+    def test_blocks_sized_to_need_keep_the_points(self, N, n):
+        """Blocks of about twice the missing points give the points of the
+        fixed 4096-row blocks, bit for bit."""
+        def fixed_blocks(seed, margin=0.1):
+            rng = np.random.default_rng(seed)
+            iu, ju = np.triu_indices(N, 1)
+            out = np.empty((0, N))
+            while len(out) < n:
+                x = rng.random((4096, N))
+                d = x[:, iu] - x[:, ju]
+                keep = np.all(np.abs(d - np.round(d)) > margin, axis=1)
+                out = np.concatenate([out, x[keep]])
+            return out[:n]
+
+        for seed in (0, 5, 9):
+            assert np.array_equal(sample_torus_points(N, n, seed=seed),
+                                  fixed_blocks(seed))
 
     def test_draw_cap(self):
         # three points on the unit circle cannot all be 0.4 apart
