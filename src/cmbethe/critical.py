@@ -87,11 +87,10 @@ def sigma_closed_form(m1: float, l: int) -> list:
             f"for |m1| in 1..l (l={l})")
     out = []
     if m1_int:
-        m = Fraction(int(m1))
+        # sigma_i = C(l, i) Prod_{j<=i} (-m+1+l-j)/(-m-j), as a running product
+        m, val = int(m1), Fraction(1)
         for i in range(1, l + 1):
-            val = Fraction(math.comb(l, i))
-            for j in range(1, i + 1):
-                val *= Fraction(-m + 1 + l - j, 1) / (-m - j)
+            val *= Fraction((l - i + 1) * (-m + 1 + l - i), i * (-m - i))
             out.append(val)
     else:
         for i in range(1, l + 1):

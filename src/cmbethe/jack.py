@@ -8,7 +8,7 @@ sum over distinct permutations of the exponent vector; evaluators take
 x-coordinates and compute X_i^a single-valuedly as e^{2 pi i a x_i}.
 
 J_lam^{(alpha)} = m_lam + Sum_{mu < lam} c_mu m_mu is constructed by exact
-rational linear algebra: the conjugated CS operator
+linear algebra over the integers: the conjugated CS operator
 
     D(alpha) = Sum_i (X_i d/dX_i)^2
              + (1/alpha) Sum_{i<j} (X_i+X_j)/(X_i-X_j) (X_i d_i - X_j d_j)
@@ -16,20 +16,31 @@ rational linear algebra: the conjugated CS operator
 acts triangularly in dominance order on monomial symmetric functions with
 diagonal E_mu = Sum mu_i^2 + (1/alpha) Sum_i (N+1-2i) mu_i, so fixing
 coeff(lam) = 1 determines the rest by back-substitution down one table per
-(N, degree, alpha): the degree's partitions in descending lexicographic
-order of prefix sums (each mu < lam comes after lam), their E_mu, and the
-D(alpha) columns, each built once and shared by every expansion of that
-degree.  A label that lam does not dominate lies below no label with a
-coefficient, so its right-hand side is exactly zero: it is skipped, and no
-dominance ideal is filtered out first.  On a symmetric Laurent polynomial
-the pair terms act finitely: for a monomial X^a with d = a_i - a_j > 0,
+(N, degree): the degree's partitions in descending lexicographic order of
+prefix sums (each mu < lam comes after lam), the two integer parts of E_mu,
+and the integer pair columns P of D(alpha) = diag + (1/alpha) P, all built
+once and shared by every expansion of that degree and every alpha.  With
+1/alpha = a/q the solve runs on the integer table q E and q D = a P off
+the diagonal, fraction-free (after Bareiss, Math. Comp. 22, 1968): the
+coefficients are numerators n_mu over one common denominator L, the
+right-hand sides Sum a P n are integers, and n_mu = rhs_mu / (q E_lam -
+q E_mu); when a gap does not divide its right-hand side, L and every
+numerator and pending right-hand side are rescaled by the missing factor.
+At the end the numerators are divided by their gcd with L, so L is the lcm
+of the coefficients' denominators and n_mu = c_mu L.  That integer form
+(``JackExpansion.numerators``, ``denominator``) is what the Laurent states
+read; the Fraction coefficients are built from it once.  A label that lam
+does not dominate lies below no label with a coefficient, so its
+right-hand side is exactly zero: it is skipped, and no dominance ideal is
+filtered out first.  On a symmetric Laurent polynomial the pair terms act
+finitely: for a monomial X^a with d = a_i - a_j > 0,
 
     (X_i+X_j)/(X_i-X_j)(X_i d_i - X_j d_j) [X^a + X^(swap_ij a)]
         = d [X^a + 2 Sum_{q=1}^{d-1} X^(a - q e_i + q e_j) + X^(swap_ij a)].
 
-The column of D on m_nu is built from these rows over the orbit of nu as one
-integer exponent matrix (``laurent``), merged, and read at the
-non-increasing monomials.
+The pair columns of a whole degree are built from these rows over the
+orbits of all its partitions as one integer exponent matrix (``laurent``),
+merged per column, and read at the non-increasing monomials.
 
 The spectral identity: with beta = l+1 = 1/alpha, the eigenfunctions of
 H_CS = -(1/2) Sum d^2/dx_i^2 + l(l+1) pi^2 Sum_{i<j} 1/sin^2(pi(x_i-x_j))
@@ -45,17 +56,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate, combinations
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .elliptic import Nome
 from .errors import DegeneracyError, DomainError
-from .laurent import merge, orbit
+from .laurent import find, merge, orbit
 from .states import _fd_hamiltonian, _rayleigh, sample_torus_points
-from .weights import jack_energy
 
 TWO_PI_I = 2j * math.pi
 
@@ -115,39 +125,58 @@ def _pad(nu: Tuple[int, ...], N: int) -> Tuple[int, ...]:
     return nu + (0,) * (N - len(nu))
 
 
-def _d_column(nu: Tuple[int, ...], inv_alpha: Fraction
-              ) -> Dict[Tuple[int, ...], Fraction]:
-    """The column of D(alpha) on m_nu in the m-basis, {kappa: coefficient
-    of X^kappa in D(alpha) m_nu}: each pair i < j and monomial X^a of m_nu
-    with d = a_i - a_j > 0 gives d X^(a - q e) + d X^(a - (q+1) e),
-    e = e_i - e_j, for q = 0..d-1 (the pair terms of the module docstring),
-    scaled by 1/alpha; Sum nu_i^2 is the diagonal."""
-    a, eye = orbit(nu), np.eye(len(nu), dtype=np.int64)
-    rows, weights = [eye[:0]], [np.zeros(0, dtype=np.int64)]
-    for i, j in combinations(range(len(nu)), 2):
-        pos = a[a[:, i] > a[:, j]]
+def _pair_columns(parts: List[Tuple[int, ...]]) -> List[tuple]:
+    """The pair part P of D(alpha) = diag + (1/alpha) P on every m_nu of one
+    degree, in one pass over all the orbits: each pair i < j and monomial
+    X^a of m_nu with d = a_i - a_j > 0 gives d X^(a - q e) + d X^(a - (q+1) e),
+    e = e_i - e_j, for q = 0..d-1 (the pair terms of the module docstring).
+    Per nu, in the order of ``parts``: the table positions of the
+    non-increasing monomials strictly below nu and their integer weights,
+    as two lists (the weight at nu itself is part of E_nu)."""
+    N = len(parts[0])
+    orbits = [orbit(nu) for nu in parts]
+    a = np.concatenate(orbits)
+    owner = np.repeat(np.arange(len(parts)), [len(o) for o in orbits])
+    eye = np.eye(N, dtype=np.int64)
+    rows = [np.zeros((0, N + 1), dtype=np.int64)]
+    weights = [np.zeros(0, dtype=np.int64)]
+    for i, j in combinations(range(N), 2):
+        hit = a[:, i] > a[:, j]
+        pos, own = a[hit], owner[hit]
         d = pos[:, i] - pos[:, j]
         rep = np.repeat(np.arange(len(pos)), d)
         q = np.arange(len(rep)) - (np.cumsum(d) - d)[rep]     # 0..d-1 per row
         r = pos[rep] - np.outer(q, eye[i] - eye[j])
-        rows += [r, r - eye[i] + eye[j]]
-        weights += [d[rep]] * 2
-    rows, weight = merge(np.concatenate(rows), np.concatenate(weights))
-    ordered = np.all(rows[:, :-1] >= rows[:, 1:], axis=1)
-    col = {tuple(r): inv_alpha * w for r, w in
-           zip(rows[ordered].tolist(), weight[ordered].tolist())}
-    col[nu] = col.get(nu, Fraction(0)) + sum(p * p for p in nu)
-    return col
+        for s in (r, r - eye[i] + eye[j]):
+            ordered = np.all(s[:, :-1] >= s[:, 1:], axis=1)
+            rows.append(np.column_stack([own[rep][ordered], s[ordered]]))
+            weights.append(d[rep][ordered])
+    keys, weight = merge(np.concatenate(rows), np.concatenate(weights))
+    at = find(np.array(parts, dtype=np.int64), keys[:, 1:])
+    below = at != keys[:, 0]
+    keys, at, weight = keys[below], at[below].tolist(), weight[below].tolist()
+    bounds = np.searchsorted(keys[:, 0], np.arange(len(parts) + 1)).tolist()
+    return [(at[s:e], weight[s:e]) for s, e in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True)
 class JackExpansion:
     """J_lam^{(alpha)} = Sum coeffs[mu] * m_mu with coeffs[lead] = 1; support
-    only on mu <= lead in dominance (shifted-partition keys)."""
+    only on mu <= lead in dominance (shifted-partition keys).  It is held in
+    integer form: coeffs[lead_N + nu] = numerators[nu] / denominator, keyed
+    by the integer offsets nu = mu - lead_N, the denominator the lcm of the
+    coefficients' denominators; ``coeffs`` is built from it on first use."""
 
     alpha: Fraction
     lead: PartitionT
-    coeffs: Dict[PartitionT, Fraction]
+    numerators: Dict[Tuple[int, ...], int]
+    denominator: int
+
+    @cached_property
+    def coeffs(self) -> Dict[PartitionT, Fraction]:
+        shift = self.lead[-1]
+        return {tuple(p + shift for p in nu): Fraction(n, self.denominator)
+                for nu, n in self.numerators.items()}
 
     @property
     def lam(self) -> PartitionT:
@@ -198,42 +227,67 @@ def jack_expand(lam: Sequence, alpha) -> JackExpansion:
     return _jack_expand_cached(mu_int, shift, alpha_f, N, total)
 
 
-@lru_cache(maxsize=64)
-def _degree_table(N: int, total: int, inv_alpha: Fraction):
-    """The degree table of the module docstring; columns fill on first use."""
+@lru_cache(maxsize=256)
+def _degree_table(N: int, total: int):
+    """The degree table of the module docstring: the partitions, their
+    positions, the parts Sum nu_i^2 and Sum (N+1-2i) nu_i of E_nu, and the
+    pair columns (``_pair_columns``)."""
     parts = sorted((_pad(nu, N) for nu in _integer_partitions(total, N)),
                    key=lambda nu: tuple(accumulate(nu)), reverse=True)
-    return parts, [jack_energy(nu, 1 / inv_alpha, N) for nu in parts], {}
+    square = [sum(p * p for p in nu) for nu in parts]
+    linear = [sum((N - 1 - 2 * i) * p for i, p in enumerate(nu))
+              for nu in parts]
+    return ({nu: k for k, nu in enumerate(parts)}, parts, square, linear,
+            _pair_columns(parts))
+
+
+def _jack_solve(mu_int: Tuple[int, ...], inv_alpha: Fraction
+                ) -> Tuple[Dict[Tuple[int, ...], int], int]:
+    """The fraction-free back-substitution of the module docstring:
+    ({nu: n_nu}, L) with c_nu = n_nu / L, gcd(L, every n_nu) = 1, in the
+    table's order."""
+    a, q = inv_alpha.numerator, inv_alpha.denominator
+    index, parts, square, linear, columns = _degree_table(len(mu_int),
+                                                          sum(mu_int))
+    start = index[mu_int]
+    top = q * square[start] + a * linear[start]
+    rhs = [0] * len(parts)
+    labels, nums, scale = [], [], 1
+    for k in range(start, len(parts)):
+        if k == start:
+            n = 1
+        elif not rhs[k]:
+            continue        # nu outside the ideal of mu, or an exact zero
+        else:
+            gap = top - q * square[k] - a * linear[k]
+            if gap == 0:
+                raise DegeneracyError(
+                    f"eigenvalue collision E_{parts[k]} = E_{mu_int} at "
+                    f"alpha = {1 / inv_alpha}: triangular system is singular")
+            n, rest = divmod(rhs[k], gap)
+            if rest:
+                h = abs(gap) // math.gcd(rhs[k], gap)
+                scale *= h
+                nums = [v * h for v in nums]
+                rhs[k:] = [v * h for v in rhs[k:]]
+                n = rhs[k] // gap
+        labels.append(parts[k])
+        nums.append(n)
+        an = a * n
+        below, weight = columns[k]
+        for i, w in zip(below, weight):
+            rhs[i] += w * an
+    g = math.gcd(scale, *nums)
+    return dict(zip(labels, (v // g for v in nums))), scale // g
 
 
 @lru_cache(maxsize=256)
 def _jack_expand_cached(mu_int: Tuple[int, ...], shift: Fraction,
                         alpha_f: Fraction, N: int, total: int) -> JackExpansion:
-    inv_alpha = 1 / alpha_f
-    parts, energies, columns = _degree_table(N, total, inv_alpha)
-    start = parts.index(mu_int)
-    coeffs, rhs = {}, {}
-    for nu, energy in zip(parts[start:], energies[start:]):
-        if nu == mu_int:
-            c = Fraction(1)
-        elif not rhs.get(nu):
-            continue        # nu outside the ideal of mu, or an exact zero
-        elif energy == energies[start]:
-            raise DegeneracyError(
-                f"eigenvalue collision E_{nu} = E_{mu_int} at alpha = "
-                f"{alpha_f}: triangular system is singular")
-        else:
-            c = rhs[nu] / (energies[start] - energy)
-        coeffs[nu] = c
-        if nu not in columns:
-            columns[nu] = _d_column(nu, inv_alpha)
-        for kappa, d in columns[nu].items():
-            rhs[kappa] = rhs.get(kappa, 0) + d * c
-
-    shifted = {tuple(Fraction(p) + shift for p in nu): c
-               for nu, c in coeffs.items()}
-    lead = tuple(Fraction(p) + shift for p in mu_int)
-    return JackExpansion(alpha=alpha_f, lead=lead, coeffs=shifted)
+    numerators, denominator = _jack_solve(mu_int, 1 / alpha_f)
+    return JackExpansion(alpha=alpha_f,
+                         lead=tuple(p + shift for p in mu_int),
+                         numerators=numerators, denominator=denominator)
 
 
 def inner_product(f: Callable, g: Callable, alpha, N: int, quad_n: int) -> complex:

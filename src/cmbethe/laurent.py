@@ -17,24 +17,45 @@ X^delta g is that of g Delta.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from .errors import ResourceError
+
 #: (rows, coef): an (n, N) int64 exponent matrix and its coefficients.
 Laurent = tuple[np.ndarray, np.ndarray]
+
+#: The largest int64: the bound on row keys (``_groups``) and on the
+#: coefficient sums that may run in int64 instead of Python ints.
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The stable lexicographic order of the rows, the sorted position of
-    each distinct row's first copy, and each row's number among them."""
-    order = np.lexsort(rows.T[::-1])
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = np.any(np.diff(rows[order], axis=0) != 0, axis=1)
-    inverse = np.empty(len(rows), dtype=np.int64)
+    each distinct row's first copy, and each row's number among them.
+
+    The rows are sorted by one int64 mixed-radix key: each column's offset
+    from its minimum is a digit below the column's span, the last column
+    fastest, so the key order is the lexicographic order.  Rows whose
+    column spans multiply past int64 raise ResourceError."""
+    n, N = rows.shape
+    lo = rows.min(axis=0) if n else np.zeros(N, dtype=np.int64)
+    span = (rows.max(axis=0) - lo + 1).tolist() if n else [1] * N
+    if math.prod(span) > _INT64_MAX:
+        raise ResourceError(
+            f"exponent rows with column spans {span} need a row key of "
+            f"{math.prod(span)} values, past int64")
+    key = np.zeros(n, dtype=np.int64)
+    for k in range(N):
+        key = key * span[k] + (rows[:, k] - lo[k])
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    new = np.ones(n, dtype=bool)
+    new[1:] = sorted_key[1:] != sorted_key[:-1]
+    inverse = np.empty(n, dtype=np.int64)
     inverse[order] = np.cumsum(new) - 1
     return order, np.flatnonzero(new), inverse
 
@@ -91,10 +112,11 @@ def chamber(rows: np.ndarray, coef: np.ndarray) -> Laurent:
 
 def times_delta(poly: Laurent, w: int) -> Laurent:
     """poly Delta^w, one binomial factor (X_i - X_j)^w, i < j, at a time: no
-    product outgrows the result by more than the factor's w + 1 terms."""
+    product outgrows the result by more than the factor's w + 1 terms.  The
+    coefficients keep poly's dtype."""
     q, N = np.arange(w + 1), poly[0].shape[1]
     binomial = np.array([(-1) ** (w - k) * math.comb(w, k)
-                         for k in range(w + 1)], dtype=object)
+                         for k in range(w + 1)], dtype=poly[1].dtype)
     for i, j in combinations(range(N), 2):
         rows = np.zeros((w + 1, N), dtype=np.int64)
         rows[:, i], rows[:, j] = q, w - q
@@ -102,19 +124,23 @@ def times_delta(poly: Laurent, w: int) -> Laurent:
     return poly
 
 
-def symmetric_times_delta(coeffs: Mapping[Sequence[Fraction], Fraction],
-                          shift: Fraction, power: int) -> Laurent:
-    """Delta^power Sum_nu coeffs[nu] m_nu (the monomial symmetric functions,
-    keyed as in ``jack.JackExpansion.coeffs``) times the lcm of the
-    coefficients' denominators, every exponent lowered by ``shift`` (a
-    member of the keys' periodicity class): integer exponents and
-    coefficients."""
-    scale = math.lcm(*(c.denominator for c in coeffs.values()))
-    orbits = [orbit([int(a - shift) for a in nu]) for nu in coeffs]
-    coef = np.empty(sum(map(len, orbits)), dtype=object)
-    coef[:] = [int(c * scale) for c, o in zip(coeffs.values(), orbits)
-               for _ in o]
-    return times_delta((np.concatenate(orbits), coef), power)
+def symmetric_times_delta(numerators: Mapping[Sequence[int], int],
+                          power: int) -> Laurent:
+    """Delta^power Sum_nu numerators[nu] m_nu, the monomial symmetric
+    functions of the integer exponent vectors nu (keyed as
+    ``jack.JackExpansion.numerators``) with integer coefficients, Python
+    ints.  The product runs in int64 when the bound on its l1 norm fits
+    there: the input's l1 norm times 2^power per binomial factor bounds
+    every coefficient and partial sum."""
+    orbits = [orbit(nu) for nu in numerators]
+    sizes = [len(o) for o in orbits]
+    N = orbits[0].shape[1]
+    norm = sum(abs(n) * k for n, k in zip(numerators.values(), sizes))
+    exact = norm << (power * N * (N - 1) // 2) <= _INT64_MAX
+    coef = np.repeat(np.array(list(numerators.values()),
+                              dtype=np.int64 if exact else object), sizes)
+    rows, coef = times_delta((np.concatenate(orbits), coef), power)
+    return rows, coef.astype(object)
 
 
 def stack(polys: Sequence[Laurent]) -> tuple[np.ndarray, np.ndarray]:

@@ -52,6 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -60,9 +61,10 @@ from .critical import continue_nome, find_admissible_critical_point
 from .elliptic import Nome, wp_shifted
 from .errors import DegeneracyError, DomainError
 from .jack import PartitionT, jack_expand, partition
-from .laurent import Laurent, find, stack, symmetric_times_delta
+from .laurent import (_INT64_MAX, Laurent, find, stack,
+                      symmetric_times_delta)
 from .master import eigenvalue_elliptic
-from .weights import (Weight, build_indexing, e0, jack_energy, lambda_to_xi,
+from .weights import (Weight, build_indexing, e0, lambda_to_xi,
                       permute_weight, root_system)
 
 TWO_PI = 2.0 * math.pi
@@ -208,11 +210,26 @@ def band_distance(mu, lam) -> int:
     return int(total / 2)
 
 
-def _laurent_state(mu: PartitionT, l: int, shift: Fraction) -> Laurent:
-    """An integer multiple of psi_mu, every exponent lowered by ``shift``;
-    the normalized pairings are invariant under both scale and shift."""
-    return symmetric_times_delta(jack_expand(mu, Fraction(1, l + 1)).coeffs,
-                                 shift, l + 1)
+@lru_cache(maxsize=256)
+def _laurent_state(offsets: Tuple[int, ...], l: int) -> Laurent:
+    """An integer multiple of psi_mu for mu = mu_N + offsets (the integer
+    offsets mu - mu_N, the last one 0), every exponent lowered by mu_N;
+    cached, read-only.  The normalized pairings are invariant under the
+    scale."""
+    rows, coef = symmetric_times_delta(
+        jack_expand(offsets, Fraction(1, l + 1)).numerators, l + 1)
+    rows.setflags(write=False)
+    coef.setflags(write=False)
+    return rows, coef
+
+
+def _state(offsets: Sequence[int], l: int) -> Laurent:
+    """An integer multiple of psi_mu for mu = shift + offsets, every
+    exponent lowered by ``shift``: the cached state of mu - mu_N, raised by
+    the integer mu_N - shift."""
+    lift = offsets[-1]
+    rows, coef = _laurent_state(tuple(o - lift for o in offsets), l)
+    return (rows + lift if lift else rows), coef
 
 
 def _pairings(states: Sequence[Laurent], ds: Iterable[int]
@@ -222,16 +239,22 @@ def _pairings(states: Sequence[Laurent], ds: Iterable[int]
     the sum over the N(N-1) shifts d (e_i - e_j), i != j.  The states are
     all symmetric or all antisymmetric (Delta^{l+1} J at one l), so every
     shift pairs them alike: the pairings of one d are N(N-1) times one
-    product over the shift d (e_1 - e_2), an index map on the shared rows."""
+    product over the shift d (e_1 - e_2), an index map on the shared rows.
+    The products are summed in int64 when no sum can pass it (rows times
+    the largest coefficient squared), in Python ints otherwise; either way
+    the results are Python ints."""
     rows, psi = stack(states)
+    top = int(np.abs(psi).max(initial=0))
+    if len(rows) * top * top <= _INT64_MAX:
+        psi = psi.astype(np.int64)
     N = rows.shape[1]
     step = np.eye(N, dtype=np.int64)[0] - np.eye(N, dtype=np.int64)[1]
     pairings = {}
     for d in ds:
         at = find(rows, rows - d * step)
         hit = np.flatnonzero(at >= 0)
-        pairings[d] = N * (N - 1) * (psi[hit].T @ psi[at[hit]])
-    return (psi * psi).sum(axis=0), pairings
+        pairings[d] = N * (N - 1) * (psi[hit].T @ psi[at[hit]]).astype(object)
+    return (psi * psi).sum(axis=0).astype(object), pairings
 
 
 def _normalized(raw: int, norm_a: int, norm_b: int) -> float:
@@ -263,8 +286,8 @@ def matrix_element(mu, lam, k: int, l: int) -> float:
                 "mu and lam lie in different periodicity classes "
                 f"({a} - {b} is not an integer); the pairing is undefined")
     shift = lam_t[-1]
-    norms, pairings = _pairings([_laurent_state(mu_t, l, shift),
-                                 _laurent_state(lam_t, l, shift)],
+    norms, pairings = _pairings([_state(_offsets(mu_t, shift), l),
+                                 _state(_offsets(lam_t, shift), l)],
                                 _divisors(k))
     raw = sum(d * pairings[d][0, 1] for d in _divisors(k))
     return _coupling(l) * _normalized(raw, norms[0], norms[1])
@@ -302,13 +325,60 @@ class EnergySeries:
         return out
 
 
+def _offsets(mu: PartitionT, shift: Fraction) -> Tuple[int, ...]:
+    """The integer offsets mu - shift (shift in mu's periodicity class)."""
+    return tuple(int(a - shift) for a in mu)
+
+
+def _levels(shift: Fraction, basis: Sequence[Tuple[int, ...]], l: int
+            ) -> List[float]:
+    """e0 + 2 pi^2 E_mu for each mu = shift + offsets in ``basis``, where
+    E_mu = Sum mu_i^2 + (l+1) Sum (N+1-2i) mu_i is exact: an integer over
+    the square of shift's denominator, rounded to float once."""
+    n, d = shift.numerator, shift.denominator
+    N = len(basis[0])
+    weight = [(l + 1) * d * (N - 1 - 2 * i) for i in range(N)]
+    head, two_pi2 = e0(N, l), 2.0 * math.pi ** 2
+    out = []
+    for offsets in basis:
+        dmu = [n + d * o for o in offsets]
+        exact = sum(m * m + w * m for m, w in zip(dmu, weight))
+        out.append(head + two_pi2 * (exact / (d * d)))
+    return out
+
+
 def unperturbed_energy(lam, N: int, l: int) -> float:
     """e0 + 2 pi^2 E_lam^[1/(l+1)], the eigenvalue of H_0 on psi_lam."""
     lam_t = partition(lam)
     if len(lam_t) != N:
         raise DomainError(f"partition must have length N = {N}")
-    return e0(N, l) + 2.0 * math.pi ** 2 * float(
-        jack_energy(lam_t, Fraction(1, l + 1)))
+    return _levels(lam_t[-1], [_offsets(lam_t, lam_t[-1])], l)[0]
+
+
+def _reachable(offsets: Tuple[int, ...], budget: int
+               ) -> List[Tuple[int, ...]]:
+    """The integer offsets of ``reachable_partitions``, from and to one
+    shift: the non-increasing integer vectors of equal total within
+    (1/2) Sum |mu_i - lam_i| <= budget of ``offsets``, in descending
+    lexicographic order."""
+    n = len(offsets)
+    lo, hi = -budget, offsets[0] + budget
+    found: List[Tuple[int, ...]] = []
+
+    def rec(i: int, prev: int, acc: List[int], left: int):
+        if i == n:
+            if left == 0 and sum(
+                    abs(a - b) for a, b in zip(acc, offsets)) <= 2 * budget:
+                found.append(tuple(acc))
+            return
+        rem = n - i - 1
+        top = min(prev, left - rem * lo)
+        bot = max(lo, left - rem * prev)
+        for o in range(top, bot - 1, -1):
+            rec(i + 1, o, acc + [o], left - o)
+
+    rec(0, hi, [], sum(offsets))
+    return found
 
 
 def reachable_partitions(lam, budget: int) -> List[PartitionT]:
@@ -323,28 +393,9 @@ def reachable_partitions(lam, budget: int) -> List[PartitionT]:
         raise DomainError(f"budget must be an integer, got {budget!r}")
     if budget < 0:
         return []
-    n = len(lam_t)
     base = lam_t[-1]
-    offsets = [int(a - base) for a in lam_t]
-    total = sum(offsets)
-    lo, hi = -budget, offsets[0] + budget
-    found: List[PartitionT] = []
-
-    def rec(i: int, prev: int, acc: List[int], left: int):
-        if i == n:
-            if left == 0:
-                cand = tuple(base + o for o in acc)
-                if band_distance(cand, lam_t) <= budget:
-                    found.append(partition(cand))
-            return
-        rem = n - i - 1
-        top = min(prev, left - rem * lo)
-        bot = max(lo, left - rem * prev)
-        for o in range(top, bot - 1, -1):
-            rec(i + 1, o, acc + [o], left - o)
-
-    rec(0, hi, [], total)
-    return found
+    return [tuple(base + o for o in mu)
+            for mu in _reachable(_offsets(lam_t, base), int(budget))]
 
 
 def rs_series(lam, N: int, l: int, K: int) -> EnergySeries:
@@ -354,30 +405,34 @@ def rs_series(lam, N: int, l: int, K: int) -> EnergySeries:
     of the closed-form V_1..V_K over the band-reachable basis, each basis
     state built once.  A second unperturbed level within
     DEGENERACY_TOL * scale of E^(0) inside that basis raises
-    DegeneracyError (degenerate RS is out of scope).
+    DegeneracyError (degenerate RS is out of scope).  The basis is kept as
+    integer offsets from lam_N.
     """
     lam_t = partition(lam)
     if len(lam_t) != N:
         raise DomainError(f"partition must have length N = {N}")
     _check_order(K)
     _check_coupling(l)
-    level0 = unperturbed_energy(lam_t, N, l)
+    shift = lam_t[-1]
+    own = _offsets(lam_t, shift)
     if K == 0:
-        return EnergySeries(lam_t, N, l, 0, (level0,))
+        return EnergySeries(lam_t, N, l, 0, tuple(_levels(shift, [own], l)))
 
-    basis = reachable_partitions(lam_t, K - 1)
-    i_lam = basis.index(lam_t)
-    levels = np.array([unperturbed_energy(mu, N, l) for mu in basis])
+    basis = _reachable(own, K - 1)
+    i_lam = basis.index(own)
+    energies = _levels(shift, basis, l)
+    level0, levels = energies[i_lam], np.array(energies)
     scale = max(1.0, abs(level0))
     for a, mu in enumerate(basis):
         if a != i_lam and abs(levels[a] - level0) <= DEGENERACY_TOL * scale:
             raise DegeneracyError(
-                f"unperturbed level of {mu} coincides with that of "
-                f"{lam_t} within {DEGENERACY_TOL:.1e} (relative); "
+                f"unperturbed level of {tuple(shift + o for o in mu)} "
+                f"coincides with that of {lam_t} within "
+                f"{DEGENERACY_TOL:.1e} (relative); "
                 "degenerate perturbation theory is out of scope")
 
-    norms, pairings = _pairings(
-        [_laurent_state(mu, l, lam_t[-1]) for mu in basis], range(1, K + 1))
+    norms, pairings = _pairings([_state(mu, l) for mu in basis],
+                                range(1, K + 1))
     m = len(basis)
     elements = {}
     for k in range(1, K + 1):

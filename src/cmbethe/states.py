@@ -486,7 +486,7 @@ def jack_proportionality(point: EllipticPoint, xi: Weight, jack, l: int
 
     # J Delta^{2l+1} = Alt(X^delta Delta^{2l} J), delta = (N-1, ..., 0);
     # both chambers keyed by their exponents' differences to the last one
-    rows, coef = symmetric_times_delta(jack.coeffs, jack.lam[-1], 2 * l)
+    rows, coef = symmetric_times_delta(jack.numerators, 2 * l)
     sides = [_omega_tri(point, xi, rs, idx)[1],
              chamber(rows + np.arange(N - 1, -1, -1), coef)]
     _, both = stack([(r - r[:, -1:], c) for r, c in sides])
@@ -494,8 +494,7 @@ def jack_proportionality(point: EllipticPoint, xi: Weight, jack, l: int
     c = complex(t @ a / (t @ t))
     fit = abs(c) * float(np.linalg.norm(t))
     residual = float(np.linalg.norm(a - c * t)) / fit if fit else math.inf
-    scale = math.lcm(*(q.denominator for q in jack.coeffs.values()))
-    return c * scale, residual
+    return c * jack.denominator, residual
 
 
 def _fd_hamiltonian(psi: Evaluator, pts: np.ndarray, nome: Nome, l: int

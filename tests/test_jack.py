@@ -14,8 +14,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cmbethe import jack
-from cmbethe.errors import DomainError
+from cmbethe import jack, perturb
+from cmbethe.errors import DegeneracyError, DomainError
 from cmbethe.jack import (
     JackExpansion,
     cs_apply,
@@ -29,6 +29,7 @@ from cmbethe.laurent import orbit
 from cmbethe.perturb import rs_series
 from cmbethe.states import _FD_STEP, sample_torus_points
 from cmbethe.weights import e0, jack_energy
+from fraction_jack import fraction_coefficients
 from laurent_dicts import jack_coefficients
 
 HALF = Fraction(1, 2)
@@ -161,34 +162,103 @@ class TestJackExpand:
             inner_product(np.ones_like, np.ones_like, alpha, 2, 4)
 
 
+#: The alphas of the Fraction-oracle comparison.
+ORACLE_ALPHAS = (THIRD, HALF, Fraction(2, 3), Fraction(1), Fraction(2))
+
+
+def shifted_labels(N, max_degree=8):
+    """Every partition of at most ``max_degree`` boxes into N parts, as is
+    and shifted by -1/2 and 5/2."""
+    for total in range(max_degree + 1):
+        for lam in partitions_of(total, N):
+            for shift in (0, -HALF, Fraction(5, 2)):
+                yield tuple(p + shift for p in lam)
+
+
+def outcome(solve):
+    """The solve's result, or "DegeneracyError" if it raised one."""
+    try:
+        return solve()
+    except DegeneracyError:
+        return "DegeneracyError"
+
+
+class TestFractionOracle:
+    """The fraction-free integer solve against the rejected Fraction
+    back-substitution it replaced (``fraction_jack``)."""
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4])
+    def test_same_coefficients(self, N):
+        """The same Fractions for every label of at most 8 boxes, shifted
+        labels included, and the integer form is c * lcm over the lcm of
+        the denominators."""
+        for alpha in ORACLE_ALPHAS:
+            for lam in shifted_labels(N):
+                jk, want = jack_expand(lam, alpha), fraction_coefficients(
+                    lam, alpha)
+                assert jk.coeffs == want, f"{lam} at {alpha}"
+                scale = math.lcm(*(c.denominator for c in want.values()))
+                assert jk.denominator == scale
+                assert jk.numerators == {
+                    tuple(int(p - lam[-1]) for p in mu): int(c * scale)
+                    for mu, c in want.items()}
+
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    def test_same_refusals(self, N):
+        """Both solves raise DegeneracyError at the same labels.  A positive
+        alpha never collides (E_mu falls strictly down the dominance order),
+        so the solve is driven with negative alphas, past jack_expand's
+        guard, where collisions occur."""
+        refused = 0
+        for alpha in (-THIRD, -HALF, Fraction(-2, 3), Fraction(-1),
+                      Fraction(-2)):
+            for total in range(9):
+                for lam in partitions_of(total, N):
+                    got = outcome(lambda: jack._jack_solve(lam, 1 / alpha))
+                    want = outcome(lambda: fraction_coefficients(lam, alpha))
+                    if want == "DegeneracyError":
+                        refused += 1
+                        assert got == want, f"{lam} at {alpha}"
+                        continue
+                    nums, scale = got
+                    assert {nu: Fraction(n, scale) for nu, n in nums.items()} \
+                        == want, f"{lam} at {alpha}"
+        assert refused, "no label reached a collision"
+
+
 class TestDegreeTable:
-    """Expansions of one degree share one table of D(alpha) columns."""
+    """Expansions of one degree share one table: its pair columns are built
+    in one pass, once per (N, degree), for every alpha."""
 
     @staticmethod
-    def _count_columns(monkeypatch):
+    def _count_tables(monkeypatch):
         jack._jack_expand_cached.cache_clear()
         jack._degree_table.cache_clear()
-        calls = Counter()
-        column = jack._d_column
+        perturb._laurent_state.cache_clear()
+        calls, built = Counter(), {}
+        build = jack._pair_columns
 
-        def counted(nu, inv_alpha):
-            calls[nu, inv_alpha] += 1
-            return column(nu, inv_alpha)
+        def counted(parts):
+            key = len(parts[0]), sum(parts[0])
+            calls[key] += 1
+            built[key] = list(parts)
+            return build(parts)
 
-        monkeypatch.setattr(jack, "_d_column", counted)
-        return calls
+        monkeypatch.setattr(jack, "_pair_columns", counted)
+        return calls, built
 
     def test_each_column_once_per_degree(self, monkeypatch):
-        calls = self._count_columns(monkeypatch)
+        calls, built = self._count_tables(monkeypatch)
         degree = partitions_of(8, 4)
-        for lam in degree:
-            if lam[-1] == 0:    # a positive last part shifts to a lower degree
-                jack_expand(lam, HALF)
-        assert set(calls) == {(nu, 2) for nu in degree}
-        assert max(calls.values()) == 1
+        for alpha in (HALF, THIRD):
+            for lam in degree:
+                if lam[-1] == 0:  # a positive last part shifts to a lower degree
+                    jack_expand(lam, alpha)
+        assert calls == Counter({(4, 8): 1})
+        assert set(built[4, 8]) == set(degree)
 
     def test_rs_series_computes_each_column_once(self, monkeypatch):
-        calls = self._count_columns(monkeypatch)
+        calls, _ = self._count_tables(monkeypatch)
         rs_series((1, 0, -1), 3, 1, 5)
         assert calls and max(calls.values()) == 1, calls.most_common(3)
 

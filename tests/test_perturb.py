@@ -18,10 +18,13 @@ import pytest
 from cmbethe.critical import continue_nome, find_admissible_critical_point
 from cmbethe.errors import DegeneracyError, DomainError
 from cmbethe.jack import jack_expand
+from cmbethe.laurent import stack
 from cmbethe.perturb import (
     K_MAX,
     EnergySeries,
     PotentialSeries,
+    _offsets,
+    _state,
     band_distance,
     bethe_crosscheck,
     exact_interaction,
@@ -245,6 +248,19 @@ class TestMatrixElement:
             lam_t = tuple(Fraction(v) for v in lam)
             assert matrix_element(mu, lam, k, l) == dict_matrix_element(
                 mu_t, lam_t, k, l), f"l={l} k={k} {mu},{lam}"
+
+    @pytest.mark.parametrize("l,past_int64", [(16, False), (32, True)])
+    def test_pairing_sums_exact(self, l, past_int64):
+        """The pairings are summed in int64 only where no sum of products
+        can pass it: at N=2 l=16 they are, at l=32 (rows times the largest
+        coefficient squared past 2^63) Python ints are; both are the dict
+        pairings' numbers."""
+        mu, lam = (Fraction(3, 2), -Fraction(3, 2)), LAM_N2
+        rows, psi = stack([_state(_offsets(x, lam[-1]), l) for x in (mu, lam)])
+        bound = len(rows) * int(np.abs(psi).max()) ** 2
+        assert (bound > 2 ** 63 - 1) == past_int64
+        assert matrix_element(mu, lam, 1, l) == dict_matrix_element(
+            mu, lam, 1, l)
 
 
 class TestReachable:
