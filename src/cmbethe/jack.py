@@ -29,7 +29,11 @@ numerator and pending right-hand side are rescaled by the missing factor.
 At the end the numerators are divided by their gcd with L, so L is the lcm
 of the coefficients' denominators and n_mu = c_mu L.  That integer form
 (``JackExpansion.numerators``, ``denominator``) is what the Laurent states
-read; the Fraction coefficients are built from it once.  A label that lam
+read; the Fraction coefficients are built from it once.  The solve commutes
+with the shift lam -> lam + c(1, ..., 1): J_{lam + c} = e_N^c J_lam, the
+degree's energy gaps do not move, and the numerators come out the same,
+every key raised by c.  The perturbation states use that to run all the
+solves of one level on one table.  A label that lam
 does not dominate lies below no label with a coefficient, so its
 right-hand side is exactly zero: it is skipped, and no dominance ideal is
 filtered out first.  On a symmetric Laurent polynomial the pair terms act
@@ -64,7 +68,7 @@ import numpy as np
 
 from .elliptic import Nome
 from .errors import DegeneracyError, DomainError
-from .laurent import find, merge, orbit
+from .laurent import find, merge, orbit, orbits
 from .states import _fd_hamiltonian, _rayleigh, sample_torus_points
 
 TWO_PI_I = 2j * math.pi
@@ -134,9 +138,7 @@ def _pair_columns(parts: List[Tuple[int, ...]]) -> List[tuple]:
     non-increasing monomials strictly below nu and their integer weights,
     as two lists (the weight at nu itself is part of E_nu)."""
     N = len(parts[0])
-    orbits = [orbit(nu) for nu in parts]
-    a = np.concatenate(orbits)
-    owner = np.repeat(np.arange(len(parts)), [len(o) for o in orbits])
+    a, owner = orbits(parts)
     eye = np.eye(N, dtype=np.int64)
     rows = [np.zeros((0, N + 1), dtype=np.int64)]
     weights = [np.zeros(0, dtype=np.int64)]
@@ -215,8 +217,12 @@ def jack_expand(lam: Sequence, alpha) -> JackExpansion:
     triangular solve described in the module docstring.
 
     Works for shifted partitions: the integer part is expanded and every key
-    is shifted back by lam_N.  Raises DegeneracyError if an eigenvalue
-    collision E_mu = E_lam (mu < lam) makes the triangular system singular.
+    is shifted back by lam_N.  The triangular system is never singular here:
+    for alpha > 0, E_mu < E_lam strictly for every mu < lam (Sum mu_i^2
+    falls strictly down the dominance order and Sum (N+1-2i) mu_i does not
+    rise), and alpha <= 0 is refused with DomainError.  The collision branch
+    of ``_jack_solve`` (DegeneracyError) only guards the private calls with
+    a negative alpha in ``TestFractionOracle::test_same_refusals``.
     """
     lam_t = partition(lam)
     alpha_f = _alpha(alpha)

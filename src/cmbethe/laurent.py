@@ -74,22 +74,36 @@ def mul(a: Laurent, b: Laurent) -> Laurent:
     return merge(rows, np.multiply.outer(a[1], b[1]).ravel())
 
 
+def orbits(parts) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct permutations of every row of the integer matrix
+    ``parts`` in one pass: each partial row grows by every value its row has
+    left, smallest first.  Returns the permutations, stacked in the order of
+    ``parts`` and each row's in lexicographic order, and the row of
+    ``parts`` each one belongs to."""
+    parts = np.asarray(parts, dtype=np.int64)
+    n, N = parts.shape
+    values, at = np.unique(parts, return_inverse=True)
+    left = np.bincount(np.repeat(np.arange(n) * len(values), N) + at.ravel(),
+                       minlength=n * len(values)).reshape(n, len(values))
+    rows, owner = np.zeros((n, 0), dtype=np.int64), np.arange(n)
+    for _ in range(N):
+        r, v = np.nonzero(left)
+        rows, left, owner = np.column_stack([rows[r], values[v]]), left[r], \
+            owner[r]
+        left[np.arange(len(r)), v] -= 1
+    return rows, owner
+
+
 def orbit(nu: Sequence[int]) -> np.ndarray:
     """The distinct permutations of the integer vector nu, in lexicographic
-    order: each row grows by every value it has left, smallest first.
-    Cached per vector; the array is read-only."""
+    order (``orbits`` of one row).  Cached per vector; the array is
+    read-only."""
     return _orbit(tuple(map(int, nu)))
 
 
 @lru_cache(maxsize=1024)
 def _orbit(nu: tuple[int, ...]) -> np.ndarray:
-    values, counts = np.unique(np.array(nu, dtype=np.int64),
-                               return_counts=True)
-    rows, left = np.zeros((1, 0), dtype=np.int64), counts[None, :]
-    for _ in range(len(nu)):
-        r, v = np.nonzero(left)
-        rows, left = np.column_stack([rows[r], values[v]]), left[r]
-        left[np.arange(len(r)), v] -= 1
+    rows = orbits([nu])[0]
     rows.setflags(write=False)
     return rows
 
@@ -110,37 +124,57 @@ def chamber(rows: np.ndarray, coef: np.ndarray) -> Laurent:
     return merge(-np.sort(-rows, axis=1), coef * parity(-rows))
 
 
-def times_delta(poly: Laurent, w: int) -> Laurent:
-    """poly Delta^w, one binomial factor (X_i - X_j)^w, i < j, at a time: no
-    product outgrows the result by more than the factor's w + 1 terms.  The
-    coefficients keep poly's dtype."""
-    q, N = np.arange(w + 1), poly[0].shape[1]
-    binomial = np.array([(-1) ** (w - k) * math.comb(w, k)
-                         for k in range(w + 1)], dtype=poly[1].dtype)
-    for i, j in combinations(range(N), 2):
-        rows = np.zeros((w + 1, N), dtype=np.int64)
-        rows[:, i], rows[:, j] = q, w - q
-        poly = mul(poly, (rows, binomial))
-    return poly
+def symmetric_times_delta(numerators: Sequence[Mapping[Sequence[int], int]],
+                          power: int) -> tuple[np.ndarray, np.ndarray]:
+    """Delta^power Sum_nu numerators[s][nu] m_nu for every coefficient set
+    s: the monomial symmetric functions of the integer exponent vectors nu
+    (keyed as ``jack.JackExpansion.numerators``) with integer coefficients.
 
-
-def symmetric_times_delta(numerators: Mapping[Sequence[int], int],
-                          power: int) -> Laurent:
-    """Delta^power Sum_nu numerators[nu] m_nu, the monomial symmetric
-    functions of the integer exponent vectors nu (keyed as
-    ``jack.JackExpansion.numerators``) with integer coefficients, Python
-    ints.  The product runs in int64 when the bound on its l1 norm fits
-    there: the input's l1 norm times 2^power per binomial factor bounds
-    every coefficient and partial sum."""
-    orbits = [orbit(nu) for nu in numerators]
-    sizes = [len(o) for o in orbits]
-    N = orbits[0].shape[1]
-    norm = sum(abs(n) * k for n, k in zip(numerators.values(), sizes))
+    The orbit rows of all the sets go into one stack, tagged by their set in
+    a last column, which is multiplied by Delta^power once, one binomial
+    factor (X_i - X_j)^power, i < j, at a time: no product outgrows the
+    result by more than the factor's power + 1 terms.  Returned as ``stack``
+    returns polynomials: the distinct exponent rows of all the products and
+    the coefficient matrix whose column s holds product s, Python ints.  The
+    merged rows are in lexicographic order, so the copies of one exponent
+    row in several products are adjacent and no second sort is needed.  The
+    product runs in int64 when the bound on its l1 norm fits there: the
+    largest l1 norm of a set times 2^power per binomial factor bounds every
+    coefficient and partial sum."""
+    keys = list(dict.fromkeys(nu for nums in numerators for nu in nums))
+    position = {nu: k for k, nu in enumerate(keys)}
+    rows, owner = orbits(keys)
+    size = np.bincount(owner, minlength=len(keys))
+    sizes = size.tolist()
+    N = rows.shape[1]
+    norm = max(sum(abs(n) * sizes[position[nu]] for nu, n in nums.items())
+               for nums in numerators)
     exact = norm << (power * N * (N - 1) // 2) <= _INT64_MAX
-    coef = np.repeat(np.array(list(numerators.values()),
-                              dtype=np.int64 if exact else object), sizes)
-    rows, coef = times_delta((np.concatenate(orbits), coef), power)
-    return rows, coef.astype(object)
+    which = np.array([position[nu] for nums in numerators for nu in nums],
+                     dtype=np.int64)
+    count = size[which]
+    first = np.cumsum(size) - size
+    pick = np.arange(count.sum()) + np.repeat(
+        first[which] - (np.cumsum(count) - count), count)
+    tag = np.repeat(np.arange(len(numerators)),
+                    [len(nums) for nums in numerators])
+    poly = (np.column_stack([rows[pick], np.repeat(tag, count)]),
+            np.repeat(np.array([n for nums in numerators
+                                for n in nums.values()],
+                               dtype=np.int64 if exact else object), count))
+    q = np.arange(power + 1)
+    binomial = np.array([(-1) ** (power - k) * math.comb(power, k)
+                         for k in range(power + 1)], dtype=poly[1].dtype)
+    for i, j in combinations(range(N), 2):
+        factor = np.zeros((power + 1, N + 1), dtype=np.int64)
+        factor[:, i], factor[:, j] = q, power - q
+        poly = mul(poly, (factor, binomial))
+    tagged, coef = poly
+    new = np.ones(len(tagged), dtype=bool)
+    new[1:] = np.any(tagged[1:, :-1] != tagged[:-1, :-1], axis=1)
+    mat = np.zeros((np.count_nonzero(new), len(numerators)), dtype=object)
+    mat[np.cumsum(new) - 1, tagged[:, -1]] = coef
+    return tagged[new, :-1], mat
 
 
 def stack(polys: Sequence[Laurent]) -> tuple[np.ndarray, np.ndarray]:

@@ -29,7 +29,9 @@ exponent shifts +-d (e_i - e_j) with weight 1/2.  ``matrix_element`` and
 as an exact integer pairing, rounded to float once: the states are integer
 exponent matrices with Python-int coefficients (``laurent``) over one shared
 row index, the torus inner product is the coefficient dot product, and each
-shift is an index map on that row index.
+shift is an index map on that row index.  All the states of one level are
+built in one pass (``_states``): their Jack numerators on one degree table,
+their products with Delta^{l+1} as one product.
 ``rs_series`` runs the standard non-degenerate Rayleigh-Schrodinger recursion
 to order K over the finite set of partitions reachable within the total band
 (never an ad-hoc cutoff): a state mu can enter at order K only if it can be
@@ -60,9 +62,8 @@ import numpy as np
 from .critical import continue_nome, find_admissible_critical_point
 from .elliptic import Nome, wp_shifted
 from .errors import DegeneracyError, DomainError
-from .jack import PartitionT, jack_expand, partition
-from .laurent import (_INT64_MAX, Laurent, find, stack,
-                      symmetric_times_delta)
+from .jack import PartitionT, _jack_solve, partition
+from .laurent import _INT64_MAX, find, symmetric_times_delta
 from .master import eigenvalue_elliptic
 from .weights import (Weight, build_indexing, e0, lambda_to_xi,
                       permute_weight, root_system)
@@ -211,39 +212,42 @@ def band_distance(mu, lam) -> int:
 
 
 @lru_cache(maxsize=256)
-def _laurent_state(offsets: Tuple[int, ...], l: int) -> Laurent:
-    """An integer multiple of psi_mu for mu = mu_N + offsets (the integer
-    offsets mu - mu_N, the last one 0), every exponent lowered by mu_N;
-    cached, read-only.  The normalized pairings are invariant under the
-    scale."""
-    rows, coef = symmetric_times_delta(
-        jack_expand(offsets, Fraction(1, l + 1)).numerators, l + 1)
+def _states(basis: Tuple[Tuple[int, ...], ...], l: int
+            ) -> Tuple[np.ndarray, np.ndarray]:
+    """Integer multiples of psi_mu for every mu = shift + offsets in
+    ``basis`` (integer offsets from one shift) over one shared row index:
+    the distinct exponent rows, lowered by shift + lo, and the coefficient
+    matrix with one column per state, Python ints; cached, read-only.
+
+    Every label is raised by -lo, lo the lowest last offset, so that every
+    Jack solve runs on one degree table: J_{mu + c(1,...,1)} = e_N^c J_mu
+    with the same numerators, since the energy gaps of one degree do not
+    move under the shift.  The states are multiplied by Delta^{l+1} in one
+    product.  The normalized pairings are invariant under the scales and
+    the common shift."""
+    lo = min(mu[-1] for mu in basis)
+    inv_alpha = Fraction(l + 1)
+    rows, psi = symmetric_times_delta(
+        [_jack_solve(tuple(o - lo for o in mu), inv_alpha)[0]
+         for mu in basis], l + 1)
     rows.setflags(write=False)
-    coef.setflags(write=False)
-    return rows, coef
+    psi.setflags(write=False)
+    return rows, psi
 
 
-def _state(offsets: Sequence[int], l: int) -> Laurent:
-    """An integer multiple of psi_mu for mu = shift + offsets, every
-    exponent lowered by ``shift``: the cached state of mu - mu_N, raised by
-    the integer mu_N - shift."""
-    lift = offsets[-1]
-    rows, coef = _laurent_state(tuple(o - lift for o in offsets), l)
-    return (rows + lift if lift else rows), coef
-
-
-def _pairings(states: Sequence[Laurent], ds: Iterable[int]
+def _pairings(rows: np.ndarray, psi: np.ndarray, ds: Iterable[int]
               ) -> Tuple[np.ndarray, Dict[int, np.ndarray]]:
-    """The squared norms of integer Laurent polynomials, and for each d in
-    ``ds`` the matrix of <psi_a, 2 Sum_{i<j} cos 2 pi d (x_i - x_j) psi_c>,
-    the sum over the N(N-1) shifts d (e_i - e_j), i != j.  The states are
-    all symmetric or all antisymmetric (Delta^{l+1} J at one l), so every
-    shift pairs them alike: the pairings of one d are N(N-1) times one
-    product over the shift d (e_1 - e_2), an index map on the shared rows.
-    The products are summed in int64 when no sum can pass it (rows times
-    the largest coefficient squared), in Python ints otherwise; either way
-    the results are Python ints."""
-    rows, psi = stack(states)
+    """The squared norms of integer Laurent polynomials, the columns of
+    ``psi`` over the distinct exponent rows ``rows`` (as ``_states`` gives
+    them), and for each d in ``ds`` the matrix of
+    <psi_a, 2 Sum_{i<j} cos 2 pi d (x_i - x_j) psi_c>, the sum over the
+    N(N-1) shifts d (e_i - e_j), i != j.  The states are all symmetric or
+    all antisymmetric (Delta^{l+1} J at one l), so every shift pairs them
+    alike: the pairings of one d are N(N-1) times one product over the
+    shift d (e_1 - e_2), an index map on the shared rows.  The products are
+    summed in int64 when no sum can pass it (rows times the largest
+    coefficient squared), in Python ints otherwise; either way the results
+    are Python ints."""
     top = int(np.abs(psi).max(initial=0))
     if len(rows) * top * top <= _INT64_MAX:
         psi = psi.astype(np.int64)
@@ -286,9 +290,9 @@ def matrix_element(mu, lam, k: int, l: int) -> float:
                 "mu and lam lie in different periodicity classes "
                 f"({a} - {b} is not an integer); the pairing is undefined")
     shift = lam_t[-1]
-    norms, pairings = _pairings([_state(_offsets(mu_t, shift), l),
-                                 _state(_offsets(lam_t, shift), l)],
-                                _divisors(k))
+    norms, pairings = _pairings(
+        *_states((_offsets(mu_t, shift), _offsets(lam_t, shift)), l),
+        _divisors(k))
     raw = sum(d * pairings[d][0, 1] for d in _divisors(k))
     return _coupling(l) * _normalized(raw, norms[0], norms[1])
 
@@ -402,8 +406,8 @@ def rs_series(lam, N: int, l: int, K: int) -> EnergySeries:
     """Non-degenerate Rayleigh-Schrodinger expansion to order K.
 
     E^(0) = e0 + 2 pi^2 E_lam; higher orders use the exact matrix elements
-    of the closed-form V_1..V_K over the band-reachable basis, each basis
-    state built once.  A second unperturbed level within
+    of the closed-form V_1..V_K over the band-reachable basis, all its
+    states built in one pass.  A second unperturbed level within
     DEGENERACY_TOL * scale of E^(0) inside that basis raises
     DegeneracyError (degenerate RS is out of scope).  The basis is kept as
     integer offsets from lam_N.
@@ -431,15 +435,19 @@ def rs_series(lam, N: int, l: int, K: int) -> EnergySeries:
                 f"{DEGENERACY_TOL:.1e} (relative); "
                 "degenerate perturbation theory is out of scope")
 
-    norms, pairings = _pairings([_state(mu, l) for mu in basis],
-                                range(1, K + 1))
+    norms, pairings = _pairings(*_states(tuple(basis), l), range(1, K + 1))
     m = len(basis)
+    upper = np.triu_indices(m)
+    pairs = list(zip(*(i.tolist() for i in upper)))
     elements = {}
     for k in range(1, K + 1):
+        # the pairings and _normalized are symmetric in (a, c)
         raw = sum(d * pairings[d] for d in _divisors(k))
-        elements[k] = _coupling(l) * np.array(
-            [[_normalized(raw[a, c], norms[a], norms[c]) for c in range(m)]
-             for a in range(m)])
+        half = [_normalized(raw[a, c], norms[a], norms[c]) for a, c in pairs]
+        element = np.empty((m, m))
+        element[upper] = half
+        element[upper[::-1]] = half
+        elements[k] = _coupling(l) * element
 
     coeffs = [level0]
     vectors = [np.eye(m)[i_lam]]

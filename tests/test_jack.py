@@ -234,7 +234,7 @@ class TestDegreeTable:
     def _count_tables(monkeypatch):
         jack._jack_expand_cached.cache_clear()
         jack._degree_table.cache_clear()
-        perturb._laurent_state.cache_clear()
+        perturb._states.cache_clear()
         calls, built = Counter(), {}
         build = jack._pair_columns
 
@@ -258,9 +258,37 @@ class TestDegreeTable:
         assert set(built[4, 8]) == set(degree)
 
     def test_rs_series_computes_each_column_once(self, monkeypatch):
+        """One rs_series level builds one table: every basis label is raised
+        by the lowest last part of the level, into one degree (the
+        rs-series benchmark items)."""
         calls, _ = self._count_tables(monkeypatch)
-        rs_series((1, 0, -1), 3, 1, 5)
-        assert calls and max(calls.values()) == 1, calls.most_common(3)
+        for lam, N, l, K in (((1, 0, -1), 3, 1, 5), ((1, 0, -1), 3, 2, 4),
+                             ((0, 0, 0, 0), 4, 1, 2),
+                             ((1, 0, 0, -1), 4, 1, 2)):
+            calls.clear()
+            jack._degree_table.cache_clear()
+            rs_series(lam, N, l, K)
+            assert sum(calls.values()) == 1, (lam, N, l, K, calls)
+
+
+class TestShiftIdentity:
+    """J_{mu + c(1,...,1)} = e_N^c J_mu with the same numerators: the solve
+    on the shifted label returns mu's numerators, every key raised by c,
+    over the same denominator, in the same order."""
+
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    def test_shifted_solve(self, N):
+        for inv_alpha in (Fraction(2), Fraction(3), Fraction(3, 2)):
+            for total in range(7):
+                for mu in partitions_of(total, N):
+                    nums, scale = jack._jack_solve(mu, inv_alpha)
+                    for c in (1, 2, 3):
+                        raised = tuple(p + c for p in mu)
+                        got, got_scale = jack._jack_solve(raised, inv_alpha)
+                        assert got_scale == scale, (mu, c, inv_alpha)
+                        assert list(got.items()) == [
+                            (tuple(p + c for p in nu), n)
+                            for nu, n in nums.items()], (mu, c, inv_alpha)
 
 
 class TestOrbit:

@@ -122,6 +122,6 @@ class TestKeyMargin:
 
     def test_rs_series_k_max_n4(self, monkeypatch):
         seen = key_spans(monkeypatch)
-        perturb._laurent_state.cache_clear()
+        perturb._states.cache_clear()
         perturb.rs_series((0, 0, 0, 0), 4, 1, perturb.K_MAX)
         assert seen and max(seen) < self.MARGIN, max(seen)

@@ -18,13 +18,14 @@ import pytest
 from cmbethe.critical import continue_nome, find_admissible_critical_point
 from cmbethe.errors import DegeneracyError, DomainError
 from cmbethe.jack import jack_expand
-from cmbethe.laurent import stack
 from cmbethe.perturb import (
     K_MAX,
     EnergySeries,
     PotentialSeries,
     _offsets,
-    _state,
+    _pairings,
+    _reachable,
+    _states,
     band_distance,
     bethe_crosscheck,
     exact_interaction,
@@ -256,7 +257,7 @@ class TestMatrixElement:
         coefficient squared past 2^63) Python ints are; both are the dict
         pairings' numbers."""
         mu, lam = (Fraction(3, 2), -Fraction(3, 2)), LAM_N2
-        rows, psi = stack([_state(_offsets(x, lam[-1]), l) for x in (mu, lam)])
+        rows, psi = _states(tuple(_offsets(x, lam[-1]) for x in (mu, lam)), l)
         bound = len(rows) * int(np.abs(psi).max()) ** 2
         assert (bound > 2 ** 63 - 1) == past_int64
         assert matrix_element(mu, lam, 1, l) == dict_matrix_element(
@@ -327,6 +328,20 @@ class TestRsSeries:
         lam_t = tuple(Fraction(v) for v in lam)
         assert rs_series(lam, N, l, K).coefficients == \
             dict_rs_coefficients(lam_t, N, l, K)
+
+    @pytest.mark.parametrize("lam,N,l,K", [
+        ((1, 0, -1), 3, 1, 5), ((1, 0, -1), 3, 2, 4), ((0, 0, 0, 0), 4, 1, 2),
+        ((1, 0, 0, -1), 4, 1, 2)])
+    def test_pairings_symmetric(self, lam, N, l, K):
+        """The raw pairings of a level are symmetric in (a, c), as
+        _normalized is, so rs_series fills each element matrix from its
+        upper triangle (the rs-series benchmark items)."""
+        basis = _reachable(tuple(a - lam[-1] for a in lam), K - 1)
+        norms, pairings = _pairings(*_states(tuple(basis), l), range(1, K + 1))
+        assert len(norms) == len(basis) > 1
+        for d, raw in pairings.items():
+            assert raw.shape == (len(basis),) * 2
+            assert (raw == raw.T).all(), d
 
     def test_coefficients_real_floats(self):
         series = rs_series(LAM_N2, 2, 1, 2)
