@@ -43,8 +43,10 @@ finitely: for a monomial X^a with d = a_i - a_j > 0,
         = d [X^a + 2 Sum_{q=1}^{d-1} X^(a - q e_i + q e_j) + X^(swap_ij a)].
 
 The pair columns of a whole degree are built from these rows over the
-orbits of all its partitions as one integer exponent matrix (``laurent``),
-merged per column, and read at the non-increasing monomials.
+orbits of all its partitions, each term one int64 key of (partition,
+monomial) in one ``laurent`` frame, merged on the keys, and read at the
+non-increasing monomials.  The table keeps the orbits, and the products
+with Delta^w of ``laurent.symmetric_times_delta`` gather from them.
 
 The spectral identity: with beta = l+1 = 1/alpha, the eigenfunctions of
 H_CS = -(1/2) Sum d^2/dx_i^2 + l(l+1) pi^2 Sum_{i<j} 1/sin^2(pi(x_i-x_j))
@@ -61,14 +63,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .elliptic import Nome
 from .errors import DegeneracyError, DomainError
-from .laurent import find, merge, orbit, orbits
+from .laurent import OrbitTable, frame, merge_keys, orbit, orbit_table
 from .states import _fd_hamiltonian, _rayleigh, sample_torus_points
 
 TWO_PI_I = 2j * math.pi
@@ -129,36 +131,49 @@ def _pad(nu: Tuple[int, ...], N: int) -> Tuple[int, ...]:
     return nu + (0,) * (N - len(nu))
 
 
-def _pair_columns(parts: List[Tuple[int, ...]]) -> List[tuple]:
+def _pair_columns(parts: List[Tuple[int, ...]]
+                  ) -> Tuple[List[tuple], OrbitTable]:
     """The pair part P of D(alpha) = diag + (1/alpha) P on every m_nu of one
     degree, in one pass over all the orbits: each pair i < j and monomial
     X^a of m_nu with d = a_i - a_j > 0 gives d X^(a - q e) + d X^(a - (q+1) e),
     e = e_i - e_j, for q = 0..d-1 (the pair terms of the module docstring).
-    Per nu, in the order of ``parts``: the table positions of the
-    non-increasing monomials strictly below nu and their integer weights,
-    as two lists (the weight at nu itself is part of E_nu)."""
-    N = len(parts[0])
-    a, owner = orbits(parts)
-    eye = np.eye(N, dtype=np.int64)
-    rows = [np.zeros((0, N + 1), dtype=np.int64)]
-    weights = [np.zeros(0, dtype=np.int64)]
-    for i, j in combinations(range(N), 2):
-        hit = a[:, i] > a[:, j]
-        pos, own = a[hit], owner[hit]
-        d = pos[:, i] - pos[:, j]
-        rep = np.repeat(np.arange(len(pos)), d)
-        q = np.arange(len(rep)) - (np.cumsum(d) - d)[rep]     # 0..d-1 per row
-        r = pos[rep] - np.outer(q, eye[i] - eye[j])
-        for s in (r, r - eye[i] + eye[j]):
-            ordered = np.all(s[:, :-1] >= s[:, 1:], axis=1)
-            rows.append(np.column_stack([own[rep][ordered], s[ordered]]))
-            weights.append(d[rep][ordered])
-    keys, weight = merge(np.concatenate(rows), np.concatenate(weights))
-    at = find(np.array(parts, dtype=np.int64), keys[:, 1:])
-    below = at != keys[:, 0]
-    keys, at, weight = keys[below], at[below].tolist(), weight[below].tolist()
-    bounds = np.searchsorted(keys[:, 0], np.arange(len(parts) + 1)).tolist()
-    return [(at[s:e], weight[s:e]) for s, e in zip(bounds, bounds[1:])]
+    The non-increasing ones are merged on one (nu, monomial) key and looked
+    up among the partitions' keys.  Per nu, in the order of ``parts``: the
+    table positions of the non-increasing monomials strictly below nu and
+    their integer weights, as two lists (the weight at nu itself is part of
+    E_nu); and the orbit table of ``parts`` they were built on."""
+    N, total = len(parts[0]), sum(parts[0])
+    table = orbit_table(parts)
+    _, a, _, size = table
+    fr = frame([0] * (N + 1), [len(parts) - 1] + [total] * N)
+    owner = np.repeat(np.arange(len(parts)) * fr.radix[0], size)
+    # every (orbit row, pair i < j) with d = a_i - a_j > 0, once per q
+    i, j = np.triu_indices(N, 1)
+    row, pair = np.nonzero(a[:, i] > a[:, j])
+    i, j = i[pair], j[pair]
+    d = a[row, i] - a[row, j]
+    rep = np.repeat(np.arange(len(row)), d)
+    q = np.arange(len(rep)) - (np.cumsum(d) - d)[rep]     # 0..d-1 per row
+    row, i, j, d, at = row[rep], i[rep], j[rep], d[rep], np.arange(len(rep))
+    s = a[row]
+    s[at, i] -= q
+    s[at, j] += q
+    t = s.copy()
+    t[at, i] -= 1
+    t[at, j] += 1
+    s = np.concatenate([s, t])
+    ordered = np.all(s[:, :-1] >= s[:, 1:], axis=1)
+    keys = (np.tile(owner[row], 2) + s @ fr.radix[1:])[ordered]
+    keys, weight = merge_keys(keys, np.tile(d, 2)[ordered])
+    nu, row = np.divmod(keys, fr.radix[0])
+    part_keys = np.array(parts, dtype=np.int64) @ fr.radix[1:]
+    sorter = np.argsort(part_keys)
+    at = sorter[np.searchsorted(part_keys, row, sorter=sorter)]
+    below = at != nu
+    nu, at, weight = nu[below], at[below].tolist(), weight[below].tolist()
+    bounds = np.searchsorted(nu, np.arange(len(parts) + 1)).tolist()
+    return [(at[s:e], weight[s:e]) for s, e in zip(bounds, bounds[1:])], \
+        table
 
 
 @dataclass(frozen=True)
@@ -183,6 +198,12 @@ class JackExpansion:
     @property
     def lam(self) -> PartitionT:
         return self.lead
+
+    def orbit_table(self) -> OrbitTable:
+        """The orbits of the numerators' keys: those of their degree
+        table."""
+        key = next(iter(self.numerators))
+        return _degree_orbits(len(key), sum(key))
 
     def evaluate(self, x) -> complex:
         """Sum_mu coeffs[mu] m_mu(X) at X_i = e^{2 pi i x_i}; x may be a
@@ -236,15 +257,22 @@ def jack_expand(lam: Sequence, alpha) -> JackExpansion:
 @lru_cache(maxsize=256)
 def _degree_table(N: int, total: int):
     """The degree table of the module docstring: the partitions, their
-    positions, the parts Sum nu_i^2 and Sum (N+1-2i) nu_i of E_nu, and the
-    pair columns (``_pair_columns``)."""
+    positions, the parts Sum nu_i^2 and Sum (N+1-2i) nu_i of E_nu, the
+    pair columns and the partitions' orbit table (``_pair_columns``)."""
     parts = sorted((_pad(nu, N) for nu in _integer_partitions(total, N)),
                    key=lambda nu: tuple(accumulate(nu)), reverse=True)
     square = [sum(p * p for p in nu) for nu in parts]
     linear = [sum((N - 1 - 2 * i) * p for i, p in enumerate(nu))
               for nu in parts]
-    return ({nu: k for k, nu in enumerate(parts)}, parts, square, linear,
-            _pair_columns(parts))
+    columns, table = _pair_columns(parts)
+    return table[0], parts, square, linear, columns, table
+
+
+def _degree_orbits(N: int, total: int) -> OrbitTable:
+    """The orbit table of the degree table of (N, total): the orbits of
+    every Jack numerator key of that degree, for
+    ``laurent.symmetric_times_delta``."""
+    return _degree_table(N, total)[5]
 
 
 def _jack_solve(mu_int: Tuple[int, ...], inv_alpha: Fraction
@@ -253,8 +281,8 @@ def _jack_solve(mu_int: Tuple[int, ...], inv_alpha: Fraction
     ({nu: n_nu}, L) with c_nu = n_nu / L, gcd(L, every n_nu) = 1, in the
     table's order."""
     a, q = inv_alpha.numerator, inv_alpha.denominator
-    index, parts, square, linear, columns = _degree_table(len(mu_int),
-                                                          sum(mu_int))
+    index, parts, square, linear, columns, _ = _degree_table(len(mu_int),
+                                                             sum(mu_int))
     start = index[mu_int]
     top = q * square[start] + a * linear[start]
     rhs = [0] * len(parts)

@@ -1,25 +1,33 @@
-"""Exact Laurent polynomials in X_1, ..., X_N as exponent matrices.
+"""Exact Laurent polynomials in X_1, ..., X_N as exponent keys.
 
 A Laurent polynomial Sum_r coef_r X^{rows_r} is an (n, N) int64 matrix of
 exponent rows with a coefficient vector: Python ints in an object array
 where the arithmetic is exact (Jack products outgrow int64: the N=2, l=32
 certificate's coefficients sum to 3.7e19), complex128 where it is floating
-point.  Every function returns merged form: distinct rows in lexicographic
-order, no zero coefficient.  An antisymmetric polynomial is stored by its
-chamber, its strictly decreasing rows: the coefficient of
-Alt(f) = Sum_pi sgn(pi) pi f at such a row s is the signed sum of f's
-coefficients over the rows that sort to s (Macdonald, Symmetric Functions
-and Hall Polynomials, ch. I.3).  Alt(X^delta) with delta = (N-1, ..., 0) is
-Delta = Prod_{i<j} (X_i - X_j), so for symmetric g the chamber of
-X^delta g is that of g Delta.
+point.  Inside a computation each row is one int64 key over a fixed
+``Frame``: per column an offset and a span, chosen once and large enough
+for every row the computation makes, the columns as the digits of a
+mixed-radix number, the last column fastest, so the key order is the
+lexicographic order of the rows.  A product by a monomial adds one constant
+to the keys, a product by a polynomial is an outer sum of keys, and like
+terms are merged on the keys alone (``merge_keys``); the rows are decoded
+once, at the end.  ``frame`` holds the one overflow guard.  Every function
+returns merged form: distinct rows (keys) in lexicographic order, no zero
+coefficient.  An antisymmetric polynomial is stored by its chamber, its
+strictly decreasing rows: the coefficient of Alt(f) = Sum_pi sgn(pi) pi f
+at such a row s is the signed sum of f's coefficients over the rows that
+sort to s (Macdonald, Symmetric Functions and Hall Polynomials, ch. I.3).
+Alt(X^delta) with delta = (N-1, ..., 0) is Delta = Prod_{i<j} (X_i - X_j),
+so for symmetric g the chamber of X^delta g is that of g Delta.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -28,50 +36,75 @@ from .errors import ResourceError
 #: (rows, coef): an (n, N) int64 exponent matrix and its coefficients.
 Laurent = tuple[np.ndarray, np.ndarray]
 
-#: The largest int64: the bound on row keys (``_groups``) and on the
+#: The largest int64: the bound on row keys (``frame``) and on the
 #: coefficient sums that may run in int64 instead of Python ints.
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def _groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The stable lexicographic order of the rows, the sorted position of
-    each distinct row's first copy, and each row's number among them.
+@dataclass(frozen=True, eq=False)
+class Frame:
+    """The mixed-radix key of exponent rows: column k is the digit
+    rows[:, k] - lo[k] below its span hi[k] - lo[k] + 1, worth radix[k];
+    the last column is fastest.  Rows outside lo..hi have no key."""
 
-    The rows are sorted by one int64 mixed-radix key: each column's offset
-    from its minimum is a digit below the column's span, the last column
-    fastest, so the key order is the lexicographic order.  Rows whose
-    column spans multiply past int64 raise ResourceError."""
-    n, N = rows.shape
-    lo = rows.min(axis=0) if n else np.zeros(N, dtype=np.int64)
-    span = (rows.max(axis=0) - lo + 1).tolist() if n else [1] * N
+    lo: np.ndarray
+    hi: np.ndarray
+    radix: np.ndarray
+
+    def encode(self, rows: np.ndarray) -> np.ndarray:
+        """The key of every row (rows inside the frame)."""
+        return (rows - self.lo) @ self.radix
+
+    def decode(self, keys: np.ndarray) -> np.ndarray:
+        """The rows of the keys."""
+        rows = np.empty((len(keys), len(self.lo)), dtype=np.int64)
+        for k in range(len(self.lo) - 1, 0, -1):
+            keys, rows[:, k] = np.divmod(keys, self.hi[k] - self.lo[k] + 1)
+        rows[:, 0] = keys
+        return rows + self.lo
+
+
+def frame(lo, hi) -> Frame:
+    """The frame of the rows with lo <= row <= hi columnwise; ResourceError
+    when its keys pass int64."""
+    lo, hi = np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64)
+    span = (hi - lo + 1).tolist()
     if math.prod(span) > _INT64_MAX:
         raise ResourceError(
             f"exponent rows with column spans {span} need a row key of "
             f"{math.prod(span)} values, past int64")
-    key = np.zeros(n, dtype=np.int64)
-    for k in range(N):
-        key = key * span[k] + (rows[:, k] - lo[k])
-    order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
-    new = np.ones(n, dtype=bool)
-    new[1:] = sorted_key[1:] != sorted_key[:-1]
-    inverse = np.empty(n, dtype=np.int64)
-    inverse[order] = np.cumsum(new) - 1
-    return order, np.flatnonzero(new), inverse
+    radix = np.array([math.prod(span[k + 1:]) for k in range(len(span))],
+                     dtype=np.int64)
+    return Frame(lo, hi, radix)
+
+
+def frame_of(rows: np.ndarray) -> Frame:
+    """The least frame holding the rows."""
+    if not len(rows):
+        return frame(np.zeros(rows.shape[1]), np.zeros(rows.shape[1]))
+    return frame(rows.min(axis=0), rows.max(axis=0))
+
+
+def merge_keys(keys: np.ndarray, coef: np.ndarray) -> tuple[np.ndarray,
+                                                           np.ndarray]:
+    """The distinct keys in increasing order, each with the sum of its
+    coefficients, zero sums dropped.  The sort is stable, so each sum runs
+    in the order the terms were given."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(new)
+    total = np.add.reduceat(coef[order], starts)
+    keep = total != 0
+    return keys[starts[keep]], total[keep]
 
 
 def merge(rows: np.ndarray, coef: np.ndarray) -> Laurent:
     """The distinct rows, each with the sum of its coefficients."""
-    order, starts, _ = _groups(rows)
-    total = np.add.reduceat(coef[order], starts)
-    keep = total != 0
-    return rows[order[starts[keep]]], total[keep]
-
-
-def mul(a: Laurent, b: Laurent) -> Laurent:
-    """The product of two Laurent polynomials."""
-    rows = (a[0][:, None] + b[0][None]).reshape(-1, a[0].shape[1])
-    return merge(rows, np.multiply.outer(a[1], b[1]).ravel())
+    fr = frame_of(rows)
+    keys, total = merge_keys(fr.encode(rows), coef)
+    return fr.decode(keys), total
 
 
 def orbits(parts) -> tuple[np.ndarray, np.ndarray]:
@@ -124,27 +157,45 @@ def chamber(rows: np.ndarray, coef: np.ndarray) -> Laurent:
     return merge(-np.sort(-rows, axis=1), coef * parity(-rows))
 
 
+#: The orbits of a list of exponent vectors: each vector's position, the
+#: stacked orbit rows (``orbits``), and each vector's first row and count.
+OrbitTable = tuple[Mapping[tuple, int], np.ndarray, np.ndarray, np.ndarray]
+
+
+def orbit_table(parts: Sequence[Sequence[int]]) -> OrbitTable:
+    """The ``OrbitTable`` of the distinct integer vectors ``parts``."""
+    rows, owner = orbits(parts)
+    size = np.bincount(owner, minlength=len(parts))
+    return ({tuple(nu): k for k, nu in enumerate(parts)}, rows,
+            np.cumsum(size) - size, size)
+
+
 def symmetric_times_delta(numerators: Sequence[Mapping[Sequence[int], int]],
-                          power: int) -> tuple[np.ndarray, np.ndarray]:
+                          power: int, table: Optional[OrbitTable] = None
+                          ) -> tuple[np.ndarray, np.ndarray]:
     """Delta^power Sum_nu numerators[s][nu] m_nu for every coefficient set
     s: the monomial symmetric functions of the integer exponent vectors nu
     (keyed as ``jack.JackExpansion.numerators``) with integer coefficients.
+    Their orbits are read from ``table`` when given (the Jack degree
+    table's), else computed.
 
-    The orbit rows of all the sets go into one stack, tagged by their set in
-    a last column, which is multiplied by Delta^power once, one binomial
-    factor (X_i - X_j)^power, i < j, at a time: no product outgrows the
-    result by more than the factor's power + 1 terms.  Returned as ``stack``
+    The orbit rows of all the sets go into one stack of keys, tagged by
+    their set in a last digit, which is multiplied by Delta^power once, one
+    binomial factor (X_i - X_j)^power, i < j, at a time, each an outer sum
+    of keys: no product outgrows the result by more than the factor's
+    power + 1 terms.  The frame spans the orbit rows plus power (N - 1) in
+    every column, which holds every partial product.  Returned as ``stack``
     returns polynomials: the distinct exponent rows of all the products and
     the coefficient matrix whose column s holds product s, Python ints.  The
-    merged rows are in lexicographic order, so the copies of one exponent
+    merged keys are in lexicographic order, so the copies of one exponent
     row in several products are adjacent and no second sort is needed.  The
     product runs in int64 when the bound on its l1 norm fits there: the
     largest l1 norm of a set times 2^power per binomial factor bounds every
     coefficient and partial sum."""
-    keys = list(dict.fromkeys(nu for nums in numerators for nu in nums))
-    position = {nu: k for k, nu in enumerate(keys)}
-    rows, owner = orbits(keys)
-    size = np.bincount(owner, minlength=len(keys))
+    if table is None:
+        table = orbit_table(list(dict.fromkeys(
+            nu for nums in numerators for nu in nums)))
+    position, rows, first, size = table
     sizes = size.tolist()
     N = rows.shape[1]
     norm = max(sum(abs(n) * sizes[position[nu]] for nu, n in nums.items())
@@ -153,44 +204,40 @@ def symmetric_times_delta(numerators: Sequence[Mapping[Sequence[int], int]],
     which = np.array([position[nu] for nums in numerators for nu in nums],
                      dtype=np.int64)
     count = size[which]
-    first = np.cumsum(size) - size
     pick = np.arange(count.sum()) + np.repeat(
         first[which] - (np.cumsum(count) - count), count)
     tag = np.repeat(np.arange(len(numerators)),
                     [len(nums) for nums in numerators])
-    poly = (np.column_stack([rows[pick], np.repeat(tag, count)]),
-            np.repeat(np.array([n for nums in numerators
-                                for n in nums.values()],
-                               dtype=np.int64 if exact else object), count))
+    rows = rows[pick]
+    lo, hi = rows.min(axis=0), rows.max(axis=0)
+    fr = frame(np.append(lo, 0),
+               np.append(hi + power * (N - 1), len(numerators) - 1))
+    keys = (rows - lo) @ fr.radix[:N] + np.repeat(tag, count)
+    coef = np.repeat(np.array([n for nums in numerators
+                               for n in nums.values()],
+                              dtype=np.int64 if exact else object), count)
     q = np.arange(power + 1)
     binomial = np.array([(-1) ** (power - k) * math.comb(power, k)
-                         for k in range(power + 1)], dtype=poly[1].dtype)
+                         for k in range(power + 1)], dtype=coef.dtype)
     for i, j in combinations(range(N), 2):
-        factor = np.zeros((power + 1, N + 1), dtype=np.int64)
-        factor[:, i], factor[:, j] = q, power - q
-        poly = mul(poly, (factor, binomial))
-    tagged, coef = poly
-    new = np.ones(len(tagged), dtype=bool)
-    new[1:] = np.any(tagged[1:, :-1] != tagged[:-1, :-1], axis=1)
+        step = q * fr.radix[i] + (power - q) * fr.radix[j]
+        keys, coef = merge_keys((keys[:, None] + step).ravel(),
+                                np.multiply.outer(coef, binomial).ravel())
+    row, tag = np.divmod(keys, len(numerators))
+    new = np.ones(len(row), dtype=bool)
+    new[1:] = row[1:] != row[:-1]
     mat = np.zeros((np.count_nonzero(new), len(numerators)), dtype=object)
-    mat[np.cumsum(new) - 1, tagged[:, -1]] = coef
-    return tagged[new, :-1], mat
+    mat[np.cumsum(new) - 1, tag] = coef
+    return fr.decode(keys[new])[:, :-1], mat
 
 
 def stack(polys: Sequence[Laurent]) -> tuple[np.ndarray, np.ndarray]:
     """Merged polynomials over one row index: the distinct rows of all of
     them, and the coefficient matrix whose column k holds polys[k]."""
     rows = np.concatenate([r for r, _ in polys])
-    order, starts, inverse = _groups(rows)
+    fr = frame_of(rows)
+    keys, inverse = np.unique(fr.encode(rows), return_inverse=True)
     column = np.repeat(np.arange(len(polys)), [len(r) for r, _ in polys])
-    mat = np.zeros((len(starts), len(polys)), dtype=object)
+    mat = np.zeros((len(keys), len(polys)), dtype=object)
     mat[inverse, column] = np.concatenate([c for _, c in polys])
-    return rows[order[starts]], mat
-
-
-def find(index: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The position of each row in ``index`` (distinct rows), or -1."""
-    _, _, inverse = _groups(np.concatenate([index, rows]))
-    at = np.full(len(index) + len(rows), -1, dtype=np.int64)
-    at[inverse[:len(index)]] = np.arange(len(index))
-    return at[inverse[len(index):]]
+    return fr.decode(keys), mat

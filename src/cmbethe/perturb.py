@@ -29,9 +29,9 @@ exponent shifts +-d (e_i - e_j) with weight 1/2.  ``matrix_element`` and
 as an exact integer pairing, rounded to float once: the states are integer
 exponent matrices with Python-int coefficients (``laurent``) over one shared
 row index, the torus inner product is the coefficient dot product, and each
-shift is an index map on that row index.  All the states of one level are
-built in one pass (``_states``): their Jack numerators on one degree table,
-their products with Delta^{l+1} as one product.
+shift is a key offset on that row index, keyed once.  All the states of one
+level are built in one pass (``_states``): their Jack numerators on one
+degree table, their products with Delta^{l+1} as one product.
 ``rs_series`` runs the standard non-degenerate Rayleigh-Schrodinger recursion
 to order K over the finite set of partitions reachable within the total band
 (never an ad-hoc cutoff): a state mu can enter at order K only if it can be
@@ -62,8 +62,8 @@ import numpy as np
 from .critical import continue_nome, find_admissible_critical_point
 from .elliptic import Nome, wp_shifted
 from .errors import DegeneracyError, DomainError
-from .jack import PartitionT, _jack_solve, partition
-from .laurent import _INT64_MAX, find, symmetric_times_delta
+from .jack import PartitionT, _degree_orbits, _jack_solve, partition
+from .laurent import _INT64_MAX, frame_of, symmetric_times_delta
 from .master import eigenvalue_elliptic
 from .weights import (Weight, build_indexing, e0, lambda_to_xi,
                       permute_weight, root_system)
@@ -223,13 +223,14 @@ def _states(basis: Tuple[Tuple[int, ...], ...], l: int
     Jack solve runs on one degree table: J_{mu + c(1,...,1)} = e_N^c J_mu
     with the same numerators, since the energy gaps of one degree do not
     move under the shift.  The states are multiplied by Delta^{l+1} in one
-    product.  The normalized pairings are invariant under the scales and
-    the common shift."""
+    product, on the orbits that table keeps.  The normalized pairings are
+    invariant under the scales and the common shift."""
     lo = min(mu[-1] for mu in basis)
     inv_alpha = Fraction(l + 1)
+    labels = [tuple(o - lo for o in mu) for mu in basis]
     rows, psi = symmetric_times_delta(
-        [_jack_solve(tuple(o - lo for o in mu), inv_alpha)[0]
-         for mu in basis], l + 1)
+        [_jack_solve(mu, inv_alpha)[0] for mu in labels], l + 1,
+        _degree_orbits(len(labels[0]), sum(labels[0])))
     rows.setflags(write=False)
     psi.setflags(write=False)
     return rows, psi
@@ -239,25 +240,34 @@ def _pairings(rows: np.ndarray, psi: np.ndarray, ds: Iterable[int]
               ) -> Tuple[np.ndarray, Dict[int, np.ndarray]]:
     """The squared norms of integer Laurent polynomials, the columns of
     ``psi`` over the distinct exponent rows ``rows`` (as ``_states`` gives
-    them), and for each d in ``ds`` the matrix of
+    them, in lexicographic order), and for each d in ``ds`` the matrix of
     <psi_a, 2 Sum_{i<j} cos 2 pi d (x_i - x_j) psi_c>, the sum over the
     N(N-1) shifts d (e_i - e_j), i != j.  The states are all symmetric or
     all antisymmetric (Delta^{l+1} J at one l), so every shift pairs them
     alike: the pairings of one d are N(N-1) times one product over the
-    shift d (e_1 - e_2), an index map on the shared rows.  The products are
-    summed in int64 when no sum can pass it (rows times the largest
-    coefficient squared), in Python ints otherwise; either way the results
-    are Python ints."""
+    shift d (e_1 - e_2).  The rows are keyed once in their least frame
+    (``laurent.frame_of``), where they are in key order; the shift is a key
+    offset and one ``searchsorted``, and a row the shift takes out of the
+    frame is dropped before its key could alias another row's.  The
+    products are summed in int64 when no sum can pass it (rows times the
+    largest coefficient squared), in Python ints otherwise; either way the
+    results are Python ints."""
     top = int(np.abs(psi).max(initial=0))
     if len(rows) * top * top <= _INT64_MAX:
         psi = psi.astype(np.int64)
     N = rows.shape[1]
-    step = np.eye(N, dtype=np.int64)[0] - np.eye(N, dtype=np.int64)[1]
+    fr = frame_of(rows)
+    keys = fr.encode(rows)
     pairings = {}
     for d in ds:
-        at = find(rows, rows - d * step)
-        hit = np.flatnonzero(at >= 0)
-        pairings[d] = N * (N - 1) * (psi[hit].T @ psi[at[hit]]).astype(object)
+        inside = np.flatnonzero((rows[:, 0] - d >= fr.lo[0])
+                                & (rows[:, 1] + d <= fr.hi[1]))
+        target = keys[inside] - d * (fr.radix[0] - fr.radix[1])
+        at = np.searchsorted(keys, target)
+        found = at < len(keys)
+        found[found] = keys[at[found]] == target[found]
+        hit, at = inside[found], at[found]
+        pairings[d] = N * (N - 1) * (psi[hit].T @ psi[at]).astype(object)
     return (psi * psi).sum(axis=0).astype(object), pairings
 
 

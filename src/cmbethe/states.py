@@ -71,8 +71,8 @@ import numpy as np
 
 from .elliptic import Nome, PoleError, SigmaTable, wp_shifted
 from .errors import DomainError, MembershipError, ResourceError
-from .laurent import (Laurent, chamber, merge, parity, stack,
-                      symmetric_times_delta)
+from .laurent import (Frame, Laurent, chamber, frame, merge_keys, parity,
+                      stack, symmetric_times_delta)
 from .master import EllipticPoint, eigenvalue_elliptic, membership_F
 from .weights import (BetheIndexing, RootSystemData, Weight, admissible,
                       build_indexing, root_system)
@@ -204,7 +204,10 @@ class _OmegaIndex:
     pairs side by side ((a, b) is 2j and (b, a) is 2j + 1 for the j-th
     unordered pair a < b, the order of the sigma table's output), and the
     suffix levels of the (w, f) words, each label split into its pair
-    (a, b) and its slot."""
+    (a, b) and its slot; and the key frame of the p = 0 expansion's
+    (node, exponents) terms: a node digit below the largest node count of
+    a level, and per x-column a digit below one more than the number of
+    slots whose factor can raise that column."""
 
     k: np.ndarray
     f: np.ndarray
@@ -214,6 +217,7 @@ class _OmegaIndex:
     pair_id: np.ndarray
     leaf: np.ndarray
     levels: tuple
+    frame: Frame
 
 
 @lru_cache(maxsize=16)
@@ -238,11 +242,18 @@ def _omega_index(N: int, l: int) -> _OmegaIndex:
     levels = tuple((pair_a[label // k.size], pair_b[label // k.size],
                     label % k.size, child, starts, below)
                    for label, child, starts, below in levels)
+    nodes, raised = len(leaf), np.zeros(N, dtype=np.int64)
+    for a, b, _, child, _, _ in levels:
+        nodes = max(nodes, len(child))
+        touched = np.zeros((a.shape[1], N), dtype=bool)
+        slot = np.arange(a.shape[1])
+        touched[slot, a] = touched[slot, b] = True
+        raised += touched.sum(axis=0)
     for a in (k, f_k, *unordered, pair_a, pair_b, pair_id, leaf,
               *(arr for level in levels for arr in level[:-1])):
         a.setflags(write=False)
     return _OmegaIndex(k, f_k, unordered, pair_a, pair_b, pair_id, leaf,
-                       levels)
+                       levels, frame(np.zeros(N + 1), [nodes - 1, *raised]))
 
 
 class _EllipticOmega:
@@ -281,6 +292,7 @@ class _EllipticOmega:
         self._pair_a, self._pair_b = index.pair_a, index.pair_b
         self._pair_id = index.pair_id
         self._leaf, self._levels = index.leaf, index.levels
+        self._frame = index.frame
         self._sigma = SigmaTable(self.u, self.nome)
         self._rows = max(1, _BLOCK_ENTRIES // max(
             self._pair_a.size * self.u.size,
@@ -293,8 +305,10 @@ class _EllipticOmega:
         """acc of omega_tri = X^xi acc / Delta^l as (rows, coef), walked over
         the sigma table's levels: label (pair (a, b), u = t_k - t_{f(k)}) is
         the factor (T_k X_a - T_{f(k)} X_b) / (T_k - T_{f(k)}), T_0 = 1, with
-        no denominator where f(k) = 0.  Each child polynomial is copied onto
-        every edge to it, and terms merge after every factor."""
+        no denominator where f(k) = 0.  Each term is one key of (node,
+        exponents) in the index's frame, node the leading digit: each child
+        polynomial is copied onto every edge to it, a slot factor adds the
+        radix of X_a or of X_b, and terms merge after every factor."""
         T = np.exp(-TWO_PI_I * self._t)
         T_k, T_f = T[self._k + 1], T[self._f]
         den = np.where(self._f == 0, 1.0 + 0j, T_k - T_f)
@@ -302,28 +316,30 @@ class _EllipticOmega:
             raise PoleError("paired collision T_k = T_{f(k)}: zero "
                             "denominator in omega_tri")
         own, other = T_k / den, -T_f / den
-        # rows: (node, exponent vector), grouped by node
-        keys = np.column_stack([np.arange(len(self._leaf)), np.zeros(
-            (len(self._leaf), self.N), dtype=np.int64)])
+        node = self._frame.radix[0]
+        radix = self._frame.radix[1:]
+        keys = np.arange(len(self._leaf)) * node
         coef = self._leaf.astype(complex)
         for a, b, u, child, starts, _ in self._levels:
-            lo = np.searchsorted(keys[:, 0], child)
-            count = np.searchsorted(keys[:, 0], child, side="right") - lo
+            held = keys // node
+            lo = np.searchsorted(held, child)
+            count = np.searchsorted(held, child, side="right") - lo
             take = np.repeat(lo - np.cumsum(count) + count, count) \
                 + np.arange(count.sum())
-            keys, coef = keys[take], coef[take]
-            keys[:, 0] = np.repeat(np.arange(len(child)), count)
+            keys = keys[take] % node \
+                + np.repeat(np.arange(len(child)) * node, count)
+            coef = coef[take]
             for j in reversed(range(a.shape[1])):
-                edge, at = keys[:, 0], np.arange(len(keys))
-                mine, theirs = keys.copy(), keys.copy()
-                mine[at, 1 + a[edge, j]] += 1
-                theirs[at, 1 + b[edge, j]] += 1
-                keys, coef = merge(np.concatenate([mine, theirs]),
-                                   np.concatenate([coef * own[u[edge, j]],
-                                                   coef * other[u[edge, j]]]))
-            keys[:, 0] = np.searchsorted(starts, keys[:, 0], side="right") - 1
-            keys, coef = merge(keys, coef)
-        return keys[:, 1:], coef
+                edge = keys // node
+                keys, coef = merge_keys(
+                    np.concatenate([keys + radix[a[edge, j]],
+                                    keys + radix[b[edge, j]]]),
+                    np.concatenate([coef * own[u[edge, j]],
+                                    coef * other[u[edge, j]]]))
+            keys = keys % node + node * (np.searchsorted(
+                starts, keys // node, side="right") - 1)
+            keys, coef = merge_keys(keys, coef)
+        return self._frame.decode(keys)[:, 1:], coef
 
     def perm_sum(self, x, perms: Sequence[tuple[Sequence[int], int]]):
         """Sum of sign * omega(x o perm) over the (perm, sign) pairs."""
@@ -486,7 +502,8 @@ def jack_proportionality(point: EllipticPoint, xi: Weight, jack, l: int
 
     # J Delta^{2l+1} = Alt(X^delta Delta^{2l} J), delta = (N-1, ..., 0);
     # both chambers keyed by their exponents' differences to the last one
-    rows, coef = symmetric_times_delta([jack.numerators], 2 * l)
+    rows, coef = symmetric_times_delta([jack.numerators], 2 * l,
+                                       jack.orbit_table())
     sides = [_omega_tri(point, xi, rs, idx)[1],
              chamber(rows + np.arange(N - 1, -1, -1), coef[:, 0])]
     _, both = stack([(r - r[:, -1:], c) for r, c in sides])

@@ -147,8 +147,10 @@ class RootSystemData:
         return out
 
 
+@lru_cache(maxsize=16)
 def root_system(N: int, l: int) -> RootSystemData:
-    """Build RootSystemData for A_{N-1} with coupling integer l >= 1."""
+    """Build RootSystemData for A_{N-1} with coupling integer l >= 1;
+    cached, its arrays read-only."""
     if N < 2 or l < 1:
         raise DomainError(f"need N >= 2 and l >= 1, got N={N}, l={l}")
     alphas = np.zeros((N - 1, N))
@@ -159,6 +161,8 @@ def root_system(N: int, l: int) -> RootSystemData:
         lambdas[i - 1, :i] = 1.0
         lambdas[i - 1] -= i / N
     rho = Weight([Fraction(N + 1 - 2 * i, 2) for i in range(1, N + 1)])
+    alphas.setflags(write=False)
+    lambdas.setflags(write=False)
     return RootSystemData(N=N, l=l, m=l * N * (N - 1) // 2,
                           simple_roots=alphas, fundamental_weights=lambdas,
                           rho_bar=rho)

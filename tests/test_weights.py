@@ -109,6 +109,14 @@ class TestRootSystem:
         rs = root_system(4, 1)
         assert len(rs.positive_roots) == 6
 
+    def test_cached_read_only(self):
+        """One RootSystemData per (N, l), shared, so its arrays are
+        read-only."""
+        rs = root_system(3, 2)
+        assert root_system(3, 2) is rs and root_system(3, 1) is not rs
+        for a in (rs.simple_roots, rs.fundamental_weights, rs.rho_bar.coords):
+            assert not a.flags.writeable
+
     def test_invalid_parameters(self):
         with pytest.raises(DomainError):
             root_system(1, 1)
