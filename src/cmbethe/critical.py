@@ -246,7 +246,7 @@ def find_admissible_critical_point(
     if not admissible(xi_dominant, rs):
         raise DomainError(f"weight {xi_dominant!r} fails the admissibility gate")
     N, l = rs.N, rs.l
-    rng = None          # only the Newton branch draws seeds
+    rng = np.random.default_rng(seed)
     failures: list[str] = []
     for sigma in _search_permutations(N):
         xi_s = permute_weight(xi_dominant, sigma)
@@ -265,8 +265,6 @@ def find_admissible_critical_point(
                 failures.append(f"sigma={sigma} closed form: {exc}")
         else:
             seed_failures: list[str] = []
-            if rng is None:
-                rng = np.random.default_rng(seed)
             for k in range(n_seeds):
                 r = 0.05 * (5.0 / 0.05) ** rng.random(idx.m)
                 if k % 2 == 0:

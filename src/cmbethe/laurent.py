@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -171,13 +171,13 @@ def orbit_table(parts: Sequence[Sequence[int]]) -> OrbitTable:
 
 
 def symmetric_times_delta(numerators: Sequence[Mapping[Sequence[int], int]],
-                          power: int, table: Optional[OrbitTable] = None
+                          power: int, table: OrbitTable
                           ) -> tuple[np.ndarray, np.ndarray]:
     """Delta^power Sum_nu numerators[s][nu] m_nu for every coefficient set
     s: the monomial symmetric functions of the integer exponent vectors nu
     (keyed as ``jack.JackExpansion.numerators``) with integer coefficients.
-    Their orbits are read from ``table`` when given (the Jack degree
-    table's), else computed.
+    Their orbits are read from ``table``, an ``orbit_table`` holding every
+    key of the sets (the Jack degree table's).
 
     The orbit rows of all the sets go into one stack of keys, tagged by
     their set in a last digit, which is multiplied by Delta^power once, one
@@ -192,9 +192,6 @@ def symmetric_times_delta(numerators: Sequence[Mapping[Sequence[int], int]],
     product runs in int64 when the bound on its l1 norm fits there: the
     largest l1 norm of a set times 2^power per binomial factor bounds every
     coefficient and partial sum."""
-    if table is None:
-        table = orbit_table(list(dict.fromkeys(
-            nu for nums in numerators for nu in nums)))
     position, rows, first, size = table
     sizes = size.tolist()
     N = rows.shape[1]

@@ -342,34 +342,6 @@ class TestFindAdmissible:
         assert abs(c.real - exact) < 1e-12, f"c = {c} vs {exact}"
         assert abs(c.imag) < 1e-12, f"c = {c}"
 
-    def test_seed_stream_built_on_first_use(self, monkeypatch):
-        """The seed generator is built only where seeds are drawn, once per
-        search and not for the closed forms, and draws the same stream: the
-        N=3 l=2 root of lambda = (1, 0, -1) is the one its first seeds have
-        always polished to."""
-        built = []
-        make = np.random.default_rng
-
-        def counted(seed):
-            built.append(seed)
-            return make(seed)
-
-        monkeypatch.setattr(np.random, "default_rng", counted)
-        find_admissible_critical_point(XI_3L1, RS21, IDX21)
-        find_admissible_critical_point(XI_33, RS31, IDX31)
-        assert built == []
-        rs, idx = root_system(3, 2), build_indexing(3, 2)
-        xi = lambda_to_xi(Weight([1, 0, -1]), rs)
-        sigma, report = find_admissible_critical_point(xi, rs, idx)
-        assert built == [1234] and sigma == (0, 1, 2)
-        pinned = [-0.11916768004638241 - 0.0782324436949052j,
-                  -0.03804009047027293 - 0.11049173429257789j,
-                  -0.8808323199536175 - 0.07823244369490519j,
-                  0.03804009047027293 - 0.11049173429257786j,
-                  0.08112758957610952 - 0.188724177987483j,
-                  0.9188724104238906 - 0.18872417798748306j]
-        assert np.allclose(report.point.t, pinned, rtol=0, atol=1e-12)
-
     def test_exhaustion_quotes_seed_failures(self, monkeypatch):
         monkeypatch.setattr(critical, "SEARCH_MAX_ITER", 1)
         rs, idx = root_system(3, 2), build_indexing(3, 2)

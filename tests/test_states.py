@@ -457,7 +457,8 @@ class TestJackProportionality:
         past 2^63, so the certificate needs arbitrary-precision integers; a
         fixed-width port would wrap them and lose the certificate."""
         l, jack = 32, jack_expand((1, -1), Fraction(1, 33))
-        _, coef = symmetric_times_delta([jack.numerators], 2 * l)
+        _, coef = symmetric_times_delta([jack.numerators], 2 * l,
+                                        jack.orbit_table())
         assert sum(abs(c) for c in coef[:, 0]) > 2 ** 63
         point, _ = closed_form_n2(35, l)
         xi = weight_from_lambda_coords([35], 2)
