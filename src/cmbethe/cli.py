@@ -479,8 +479,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser(
         "state", help="eigenstate + residual certificate",
         description="The Bethe state at nome --p, its residual under H and "
-        "its L2 estimates on grids of 16, 32 and 64 points per axis; \"l2\" "
-        "is null for xi outside P or for a grid past 2^20 points.")
+        "its L2 estimates on the last three of the grids of 4, 8, 16, 32 and "
+        "64 points per axis that have at most 2^18 points: 16, 32 and 64 for "
+        "N <= 3, 4, 8 and 16 at N = 4; \"l2\" is null for xi outside P.")
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--l", type=int, required=True)
     _add_weight_flags(sp)

@@ -45,8 +45,12 @@ finitely: for a monomial X^a with d = a_i - a_j > 0,
 The pair columns of a whole degree are built from these rows over the
 orbits of all its partitions, each term one int64 key of (partition,
 monomial) in one ``laurent`` frame, merged on the keys, and read at the
-non-increasing monomials.  The table keeps the orbits, and the products
-with Delta^w of ``laurent.symmetric_times_delta`` gather from them.
+non-increasing monomials.  The table keeps the orbits, and the product
+with Delta^w (``symmetric_times_delta``, several numerator sets of one
+degree at once; ``JackExpansion.times_delta`` for one) gathers from them,
+so only this module reads them.  The degree's partition list
+(``_partitions``) is cached on its own: the perturbation basis is read
+from it without building the pair columns.
 
 The spectral identity: with beta = l+1 = 1/alpha, the eigenfunctions of
 H_CS = -(1/2) Sum d^2/dx_i^2 + l(l+1) pi^2 Sum_{i<j} 1/sin^2(pi(x_i-x_j))
@@ -63,14 +67,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate
-from typing import Callable, Dict, List, Sequence, Tuple
+from itertools import combinations
+from typing import Callable, Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from .elliptic import Nome
 from .errors import DegeneracyError, DomainError
-from .laurent import OrbitTable, frame, merge_keys, orbit, orbit_table
+from .laurent import _INT64_MAX, frame, merge_keys, orbit, orbits
 from .states import _fd_hamiltonian, _rayleigh, sample_torus_points
 
 TWO_PI_I = 2j * math.pi
@@ -131,8 +135,8 @@ def _pad(nu: Tuple[int, ...], N: int) -> Tuple[int, ...]:
     return nu + (0,) * (N - len(nu))
 
 
-def _pair_columns(parts: List[Tuple[int, ...]]
-                  ) -> Tuple[List[tuple], OrbitTable]:
+def _pair_columns(parts: Sequence[Tuple[int, ...]]
+                  ) -> Tuple[List[tuple], np.ndarray, np.ndarray]:
     """The pair part P of D(alpha) = diag + (1/alpha) P on every m_nu of one
     degree, in one pass over all the orbits: each pair i < j and monomial
     X^a of m_nu with d = a_i - a_j > 0 gives d X^(a - q e) + d X^(a - (q+1) e),
@@ -141,12 +145,11 @@ def _pair_columns(parts: List[Tuple[int, ...]]
     up among the partitions' keys.  Per nu, in the order of ``parts``: the
     table positions of the non-increasing monomials strictly below nu and
     their integer weights, as two lists (the weight at nu itself is part of
-    E_nu); and the orbit table of ``parts`` they were built on."""
+    E_nu); and the orbits they were built on: the stacked orbit rows of
+    ``parts`` (``laurent.orbits``) and each partition's number of rows."""
     N, total = len(parts[0]), sum(parts[0])
-    table = orbit_table(parts)
-    _, a, _, size = table
+    a, owner = orbits(parts)
     fr = frame([0] * (N + 1), [len(parts) - 1] + [total] * N)
-    owner = np.repeat(np.arange(len(parts)) * fr.radix[0], size)
     # every (orbit row, pair i < j) with d = a_i - a_j > 0, once per q
     i, j = np.triu_indices(N, 1)
     row, pair = np.nonzero(a[:, i] > a[:, j])
@@ -163,7 +166,7 @@ def _pair_columns(parts: List[Tuple[int, ...]]
     t[at, j] += 1
     s = np.concatenate([s, t])
     ordered = np.all(s[:, :-1] >= s[:, 1:], axis=1)
-    keys = (np.tile(owner[row], 2) + s @ fr.radix[1:])[ordered]
+    keys = (np.tile(owner[row] * fr.radix[0], 2) + s @ fr.radix[1:])[ordered]
     keys, weight = merge_keys(keys, np.tile(d, 2)[ordered])
     nu, row = np.divmod(keys, fr.radix[0])
     part_keys = np.array(parts, dtype=np.int64) @ fr.radix[1:]
@@ -173,7 +176,7 @@ def _pair_columns(parts: List[Tuple[int, ...]]
     nu, at, weight = nu[below], at[below].tolist(), weight[below].tolist()
     bounds = np.searchsorted(nu, np.arange(len(parts) + 1)).tolist()
     return [(at[s:e], weight[s:e]) for s, e in zip(bounds, bounds[1:])], \
-        table
+        a, np.bincount(owner, minlength=len(parts))
 
 
 @dataclass(frozen=True)
@@ -199,11 +202,12 @@ class JackExpansion:
     def lam(self) -> PartitionT:
         return self.lead
 
-    def orbit_table(self) -> OrbitTable:
-        """The orbits of the numerators' keys: those of their degree
-        table."""
-        key = next(iter(self.numerators))
-        return _degree_orbits(len(key), sum(key))
+    def times_delta(self, power: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Delta^power Sum_nu numerators[nu] m_nu: its distinct exponent
+        rows and their integer coefficients (``symmetric_times_delta`` of
+        the one set)."""
+        rows, mat = symmetric_times_delta([self.numerators], power)
+        return rows, mat[:, 0]
 
     def evaluate(self, x) -> complex:
         """Sum_mu coeffs[mu] m_mu(X) at X_i = e^{2 pi i x_i}; x may be a
@@ -255,24 +259,89 @@ def jack_expand(lam: Sequence, alpha) -> JackExpansion:
 
 
 @lru_cache(maxsize=256)
-def _degree_table(N: int, total: int):
-    """The degree table of the module docstring: the partitions, their
-    positions, the parts Sum nu_i^2 and Sum (N+1-2i) nu_i of E_nu, the
-    pair columns and the partitions' orbit table (``_pair_columns``)."""
-    parts = sorted((_pad(nu, N) for nu in _integer_partitions(total, N)),
-                   key=lambda nu: tuple(accumulate(nu)), reverse=True)
-    square = [sum(p * p for p in nu) for nu in parts]
-    linear = [sum((N - 1 - 2 * i) * p for i, p in enumerate(nu))
-              for nu in parts]
-    columns, table = _pair_columns(parts)
-    return table[0], parts, square, linear, columns, table
+def _partitions(N: int, total: int) -> Tuple[Tuple[int, ...], ...]:
+    """The partitions of ``total`` into at most N parts, padded to N, in
+    descending lexicographic order, which on vectors of one total is that
+    of their prefix sums: the labels of the degree table."""
+    return tuple(sorted((_pad(nu, N) for nu in _integer_partitions(total, N)),
+                        reverse=True))
 
 
-def _degree_orbits(N: int, total: int) -> OrbitTable:
-    """The orbit table of the degree table of (N, total): the orbits of
-    every Jack numerator key of that degree, for
-    ``laurent.symmetric_times_delta``."""
-    return _degree_table(N, total)[5]
+class _Degree(NamedTuple):
+    """The degree table of the module docstring for one (N, total)."""
+
+    parts: Tuple[Tuple[int, ...], ...]      # ``_partitions``
+    position: Dict[Tuple[int, ...], int]    # of each partition in parts
+    square: List[int]                       # Sum nu_i^2
+    linear: List[int]                       # Sum (N + 1 - 2i) nu_i
+    columns: List[tuple]                    # ``_pair_columns``
+    rows: np.ndarray                        # the stacked orbits of parts
+    first: np.ndarray                       # each partition's first row
+    size: np.ndarray                        # and its number of rows
+
+
+@lru_cache(maxsize=256)
+def _degree_table(N: int, total: int) -> _Degree:
+    """The degree table of (N, total), built once."""
+    parts = _partitions(N, total)
+    columns, rows, size = _pair_columns(parts)
+    return _Degree(parts, {nu: k for k, nu in enumerate(parts)},
+                   [sum(p * p for p in nu) for nu in parts],
+                   [sum((N - 1 - 2 * i) * p for i, p in enumerate(nu))
+                    for nu in parts],
+                   columns, rows, np.cumsum(size) - size, size)
+
+
+def symmetric_times_delta(numerators: Sequence[Mapping[Tuple[int, ...], int]],
+                          power: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Delta^power Sum_nu numerators[s][nu] m_nu for every coefficient set
+    s of integer numerators keyed by partitions nu of one degree (as
+    ``JackExpansion.numerators``), their orbits gathered from that degree's
+    table.  The orbit rows of all the sets are one stack of ``laurent``
+    keys, tagged by their set in a last digit, multiplied by Delta^power
+    once, one binomial factor (X_i - X_j)^power, i < j, at a time, each an
+    outer sum of keys; the frame spans the orbit rows plus power (N - 1) in
+    every column, which holds every partial product.  Returned as
+    ``laurent.stack`` returns polynomials: the distinct exponent rows (the
+    merged keys are in lexicographic order, so no second sort is needed)
+    and the coefficient matrix whose column s holds product s, Python
+    ints.  It runs in int64 when the largest l1 norm of a set times
+    2^power per binomial factor, which bounds every coefficient and
+    partial sum, fits there."""
+    key = next(iter(numerators[0]))
+    N, table = len(key), _degree_table(len(key), sum(key))
+    sizes = table.size.tolist()
+    norm = max(sum(abs(n) * sizes[table.position[nu]]
+                   for nu, n in nums.items()) for nums in numerators)
+    exact = norm << (power * N * (N - 1) // 2) <= _INT64_MAX
+    which = np.array([table.position[nu] for nums in numerators
+                      for nu in nums], dtype=np.int64)
+    count = table.size[which]
+    pick = np.arange(count.sum()) + np.repeat(
+        table.first[which] - (np.cumsum(count) - count), count)
+    tag = np.repeat(np.arange(len(numerators)),
+                    [len(nums) for nums in numerators])
+    rows = table.rows[pick]
+    lo, hi = rows.min(axis=0), rows.max(axis=0)
+    fr = frame(np.append(lo, 0),
+               np.append(hi + power * (N - 1), len(numerators) - 1))
+    keys = (rows - lo) @ fr.radix[:N] + np.repeat(tag, count)
+    coef = np.repeat(np.array([n for nums in numerators
+                               for n in nums.values()],
+                              dtype=np.int64 if exact else object), count)
+    q = np.arange(power + 1)
+    binomial = np.array([(-1) ** (power - k) * math.comb(power, k)
+                         for k in range(power + 1)], dtype=coef.dtype)
+    for i, j in combinations(range(N), 2):
+        step = q * fr.radix[i] + (power - q) * fr.radix[j]
+        keys, coef = merge_keys((keys[:, None] + step).ravel(),
+                                np.multiply.outer(coef, binomial).ravel())
+    row, tag = np.divmod(keys, len(numerators))
+    new = np.ones(len(row), dtype=bool)
+    new[1:] = row[1:] != row[:-1]
+    mat = np.zeros((np.count_nonzero(new), len(numerators)), dtype=object)
+    mat[np.cumsum(new) - 1, tag] = coef
+    return fr.decode(keys[new])[:, :-1], mat
 
 
 def _jack_solve(mu_int: Tuple[int, ...], inv_alpha: Fraction
@@ -281,8 +350,8 @@ def _jack_solve(mu_int: Tuple[int, ...], inv_alpha: Fraction
     ({nu: n_nu}, L) with c_nu = n_nu / L, gcd(L, every n_nu) = 1, in the
     table's order."""
     a, q = inv_alpha.numerator, inv_alpha.denominator
-    index, parts, square, linear, columns, _ = _degree_table(len(mu_int),
-                                                             sum(mu_int))
+    parts, index, square, linear, columns, *_ = _degree_table(len(mu_int),
+                                                              sum(mu_int))
     start = index[mu_int]
     top = q * square[start] + a * linear[start]
     rhs = [0] * len(parts)

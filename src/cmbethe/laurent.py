@@ -11,7 +11,8 @@ mixed-radix number, the last column fastest, so the key order is the
 lexicographic order of the rows.  A product by a monomial adds one constant
 to the keys, a product by a polynomial is an outer sum of keys, and like
 terms are merged on the keys alone (``merge_keys``); the rows are decoded
-once, at the end.  ``frame`` holds the one overflow guard.  Every function
+once, at the end.  The J Delta^w product (``jack.symmetric_times_delta``)
+and the Jack degree table's pair columns run on these keys.  ``frame`` holds the one overflow guard.  Every function
 returns merged form: distinct rows (keys) in lexicographic order, no zero
 coefficient.  An antisymmetric polynomial is stored by its chamber, its
 strictly decreasing rows: the coefficient of Alt(f) = Sum_pi sgn(pi) pi f
@@ -26,8 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -155,77 +155,6 @@ def chamber(rows: np.ndarray, coef: np.ndarray) -> Laurent:
     keep = np.all(rows[:, iu] != rows[:, ju], axis=1)
     rows, coef = rows[keep], coef[keep]
     return merge(-np.sort(-rows, axis=1), coef * parity(-rows))
-
-
-#: The orbits of a list of exponent vectors: each vector's position, the
-#: stacked orbit rows (``orbits``), and each vector's first row and count.
-OrbitTable = tuple[Mapping[tuple, int], np.ndarray, np.ndarray, np.ndarray]
-
-
-def orbit_table(parts: Sequence[Sequence[int]]) -> OrbitTable:
-    """The ``OrbitTable`` of the distinct integer vectors ``parts``."""
-    rows, owner = orbits(parts)
-    size = np.bincount(owner, minlength=len(parts))
-    return ({tuple(nu): k for k, nu in enumerate(parts)}, rows,
-            np.cumsum(size) - size, size)
-
-
-def symmetric_times_delta(numerators: Sequence[Mapping[Sequence[int], int]],
-                          power: int, table: OrbitTable
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Delta^power Sum_nu numerators[s][nu] m_nu for every coefficient set
-    s: the monomial symmetric functions of the integer exponent vectors nu
-    (keyed as ``jack.JackExpansion.numerators``) with integer coefficients.
-    Their orbits are read from ``table``, an ``orbit_table`` holding every
-    key of the sets (the Jack degree table's).
-
-    The orbit rows of all the sets go into one stack of keys, tagged by
-    their set in a last digit, which is multiplied by Delta^power once, one
-    binomial factor (X_i - X_j)^power, i < j, at a time, each an outer sum
-    of keys: no product outgrows the result by more than the factor's
-    power + 1 terms.  The frame spans the orbit rows plus power (N - 1) in
-    every column, which holds every partial product.  Returned as ``stack``
-    returns polynomials: the distinct exponent rows of all the products and
-    the coefficient matrix whose column s holds product s, Python ints.  The
-    merged keys are in lexicographic order, so the copies of one exponent
-    row in several products are adjacent and no second sort is needed.  The
-    product runs in int64 when the bound on its l1 norm fits there: the
-    largest l1 norm of a set times 2^power per binomial factor bounds every
-    coefficient and partial sum."""
-    position, rows, first, size = table
-    sizes = size.tolist()
-    N = rows.shape[1]
-    norm = max(sum(abs(n) * sizes[position[nu]] for nu, n in nums.items())
-               for nums in numerators)
-    exact = norm << (power * N * (N - 1) // 2) <= _INT64_MAX
-    which = np.array([position[nu] for nums in numerators for nu in nums],
-                     dtype=np.int64)
-    count = size[which]
-    pick = np.arange(count.sum()) + np.repeat(
-        first[which] - (np.cumsum(count) - count), count)
-    tag = np.repeat(np.arange(len(numerators)),
-                    [len(nums) for nums in numerators])
-    rows = rows[pick]
-    lo, hi = rows.min(axis=0), rows.max(axis=0)
-    fr = frame(np.append(lo, 0),
-               np.append(hi + power * (N - 1), len(numerators) - 1))
-    keys = (rows - lo) @ fr.radix[:N] + np.repeat(tag, count)
-    coef = np.repeat(np.array([n for nums in numerators
-                               for n in nums.values()],
-                              dtype=np.int64 if exact else object), count)
-    q = np.arange(power + 1)
-    binomial = np.array([(-1) ** (power - k) * math.comb(power, k)
-                         for k in range(power + 1)], dtype=coef.dtype)
-    for i, j in combinations(range(N), 2):
-        step = q * fr.radix[i] + (power - q) * fr.radix[j]
-        keys, coef = merge_keys((keys[:, None] + step).ravel(),
-                                np.multiply.outer(coef, binomial).ravel())
-    row, tag = np.divmod(keys, len(numerators))
-    new = np.ones(len(row), dtype=bool)
-    new[1:] = row[1:] != row[:-1]
-    mat = np.zeros((np.count_nonzero(new), len(numerators)), dtype=object)
-    mat[np.cumsum(new) - 1, tag] = coef
-    return fr.decode(keys[new])[:, :-1], mat
 
 
 def stack(polys: Sequence[Laurent]) -> tuple[np.ndarray, np.ndarray]:

@@ -31,12 +31,17 @@ exponent matrices with Python-int coefficients (``laurent``) over one shared
 row index, the torus inner product is the coefficient dot product, and each
 shift is a key offset on that row index, keyed once.  All the states of one
 level are built in one pass (``_states``): their Jack numerators on one
-degree table, their products with Delta^{l+1} as one product.
+degree table, their products with Delta^{l+1} as one product.  Both read
+their elements from one builder (``_elements``): per order k, the Lambert
+sum of the pairings and one array expression for the normalization.  States
+of different total degree are orthogonal, so their element is 0.0.
 ``rs_series`` runs the standard non-degenerate Rayleigh-Schrodinger recursion
 to order K over the finite set of partitions reachable within the total band
 (never an ad-hoc cutoff): a state mu can enter at order K only if it can be
 reached from lambda and returned within total hop budget K, i.e.
-(1/2) Sum |mu_i - lambda_i| <= K - 1.
+(1/2) Sum |mu_i - lambda_i| <= K - 1.  That set is read off the partitions
+of the degree table its states are solved on (``_band``).  N, l, K, k and
+the budget are ints or numpy integers, never bools (``_integer``).
 
 Unperturbed levels: H_0 psi_lam = (e0 + 2 pi^2 E_lam) psi_lam with
 E_lam = Sum lam_i^2 + (l+1) Sum (N+1-2i) lam_i, which equals
@@ -62,8 +67,9 @@ import numpy as np
 from .critical import continue_nome, find_admissible_critical_point
 from .elliptic import Nome, wp_shifted
 from .errors import DegeneracyError, DomainError
-from .jack import PartitionT, _degree_orbits, _jack_solve, partition
-from .laurent import _INT64_MAX, frame_of, symmetric_times_delta
+from .jack import (PartitionT, _jack_solve, _partitions, partition,
+                   symmetric_times_delta)
+from .laurent import _INT64_MAX, frame_of
 from .master import eigenvalue_elliptic
 from .weights import (Weight, build_indexing, e0, lambda_to_xi,
                       permute_weight, root_system)
@@ -161,26 +167,25 @@ def _divisors(k: int) -> List[int]:
     return [d for d in range(1, k + 1) if k % d == 0]
 
 
-def _check_order(K: int) -> None:
-    if not (isinstance(K, int) and 0 <= K <= K_MAX):
-        raise DomainError(f"order K must satisfy 0 <= K <= {K_MAX}, got {K}")
-
-
-def _check_coupling(l: int) -> None:
-    if not (isinstance(l, int) and l >= 1):
-        raise DomainError(f"need integer l >= 1, got {l}")
+def _integer(name: str, value, low: float = -math.inf,
+             high: float = math.inf) -> int:
+    """``value`` as an int: an int or a numpy integer, never a bool, in
+    [low, high]; DomainError naming ``name`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or not low <= value <= high:
+        raise DomainError(f"{name} must be an integer in [{low}, {high}], "
+                          f"got {value!r}")
+    return int(value)
 
 
 def potential_coeffs(N: int, l: int, K: int) -> PotentialSeries:
     """V_1..V_K in closed form: ``coeffs[k-1][d]`` is -8 pi^2 l(l+1) d when
     d divides k and 0 otherwise (the Lambert expansion of the shifted pair
     potential, see the module docstring)."""
-    if not (isinstance(N, int) and N >= 2):
-        raise DomainError(f"need integer N >= 2, got {N}")
-    _check_coupling(l)
-    _check_order(K)
+    N, l, K = _integer("N", N, 2), _integer("l", l, 1), \
+        _integer("K", K, 0, K_MAX)
     c = _coupling(l)
-    coeffs = tuple(tuple(c * d if d and k % d == 0 else 0.0
+    coeffs = tuple(tuple(c * d if d in _divisors(k) else 0.0
                          for d in range(k + 1)) for k in range(1, K + 1))
     return PotentialSeries(N=N, l=l, K=K, coeffs=coeffs)
 
@@ -229,8 +234,7 @@ def _states(basis: Tuple[Tuple[int, ...], ...], l: int
     inv_alpha = Fraction(l + 1)
     labels = [tuple(o - lo for o in mu) for mu in basis]
     rows, psi = symmetric_times_delta(
-        [_jack_solve(mu, inv_alpha)[0] for mu in labels], l + 1,
-        _degree_orbits(len(labels[0]), sum(labels[0])))
+        [_jack_solve(mu, inv_alpha)[0] for mu in labels], l + 1)
     rows.setflags(write=False)
     psi.setflags(write=False)
     return rows, psi
@@ -271,10 +275,23 @@ def _pairings(rows: np.ndarray, psi: np.ndarray, ds: Iterable[int]
     return (psi * psi).sum(axis=0).astype(object), pairings
 
 
-def _normalized(raw: int, norm_a: int, norm_b: int) -> float:
-    """raw / (2 sqrt(norm_a norm_b)), rounded once from the exact integers
-    (the 1/2 undoes the doubled cosine of ``_pairings``)."""
-    return math.copysign(math.sqrt(raw * raw / (4 * norm_a * norm_b)), raw)
+def _elements(basis: Tuple[Tuple[int, ...], ...], l: int,
+              orders: Sequence[int]) -> Dict[int, np.ndarray]:
+    """For each k in ``orders``, the matrix of normalized elements
+    <psi_a, V_k psi_c>/(|psi_a| |psi_c|) over the states of ``basis`` (as
+    ``_states`` takes it): the coupling times raw / (2 sqrt(norm_a norm_c))
+    with raw = Sum_{d|k} d pairings[d], the Lambert weights of V_k (the 1/2
+    undoes the doubled cosine of ``_pairings``), rounded once from the
+    exact integers as copysign(sqrt(raw^2 / (4 norm_a norm_c)), raw)."""
+    norms, pairings = _pairings(
+        *_states(basis, l), sorted({d for k in orders for d in _divisors(k)}))
+    scale = 4 * np.multiply.outer(norms, norms)
+    elements = {}
+    for k in orders:
+        raw = sum(d * pairings[d] for d in _divisors(k))
+        root = np.sqrt((raw * raw / scale).astype(float))
+        elements[k] = _coupling(l) * np.where(raw < 0, -root, root)
+    return elements
 
 
 def matrix_element(mu, lam, k: int, l: int) -> float:
@@ -286,25 +303,22 @@ def matrix_element(mu, lam, k: int, l: int) -> float:
     by the root of the two integer norms, rounded to float once.  The norms
     are those ``jack.inner_product`` computes, up to a constant that cancels.
     Elements vanish whenever mu and lam differ beyond the V_k band or in
-    total degree.
+    total degree; the latter are 0.0 without a pairing.
     """
     mu_t, lam_t = partition(mu), partition(lam)
     if len(mu_t) != len(lam_t) or len(mu_t) < 2:
         raise DomainError("partitions must have one equal length N >= 2")
-    if not (isinstance(k, int) and k >= 1):
-        raise DomainError(f"order k must be an integer >= 1, got {k}")
-    _check_coupling(l)
+    k, l = _integer("k", k, 1), _integer("l", l, 1)
     for a, b in zip(mu_t, lam_t):
         if (a - b).denominator != 1:
             raise DomainError(
                 "mu and lam lie in different periodicity classes "
                 f"({a} - {b} is not an integer); the pairing is undefined")
+    if sum(mu_t) != sum(lam_t):
+        return 0.0
     shift = lam_t[-1]
-    norms, pairings = _pairings(
-        *_states((_offsets(mu_t, shift), _offsets(lam_t, shift)), l),
-        _divisors(k))
-    raw = sum(d * pairings[d][0, 1] for d in _divisors(k))
-    return _coupling(l) * _normalized(raw, norms[0], norms[1])
+    basis = (_offsets(mu_t, shift), _offsets(lam_t, shift))
+    return float(_elements(basis, l, [k])[k][0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -369,30 +383,18 @@ def unperturbed_energy(lam, N: int, l: int) -> float:
     return _levels(lam_t[-1], [_offsets(lam_t, lam_t[-1])], l)[0]
 
 
-def _reachable(offsets: Tuple[int, ...], budget: int
-               ) -> List[Tuple[int, ...]]:
-    """The integer offsets of ``reachable_partitions``, from and to one
-    shift: the non-increasing integer vectors of equal total within
-    (1/2) Sum |mu_i - lam_i| <= budget of ``offsets``, in descending
-    lexicographic order."""
-    n = len(offsets)
-    lo, hi = -budget, offsets[0] + budget
-    found: List[Tuple[int, ...]] = []
-
-    def rec(i: int, prev: int, acc: List[int], left: int):
-        if i == n:
-            if left == 0 and sum(
-                    abs(a - b) for a, b in zip(acc, offsets)) <= 2 * budget:
-                found.append(tuple(acc))
-            return
-        rem = n - i - 1
-        top = min(prev, left - rem * lo)
-        bot = max(lo, left - rem * prev)
-        for o in range(top, bot - 1, -1):
-            rec(i + 1, o, acc + [o], left - o)
-
-    rec(0, hi, [], sum(offsets))
-    return found
+def _band(own: Tuple[int, ...], budget: int) -> List[Tuple[int, ...]]:
+    """The integer offsets of ``reachable_partitions`` from and to one
+    shift, in descending lexicographic order.  Every such mu has
+    |mu_i - own_i| <= budget and own_N = 0, so mu + budget is a partition
+    of the degree ``_states`` solves the basis on (the basis reaches the
+    last offset -budget): the offsets are those partitions, lowered by
+    budget, within Sum |mu_i - own_i| <= 2 budget."""
+    N = len(own)
+    parts = np.array(_partitions(N, sum(own) + N * budget),
+                     dtype=np.int64) - budget
+    near = np.abs(parts - own).sum(axis=1) <= 2 * budget
+    return list(map(tuple, parts[near].tolist()))
 
 
 def reachable_partitions(lam, budget: int) -> List[PartitionT]:
@@ -403,13 +405,12 @@ def reachable_partitions(lam, budget: int) -> List[PartitionT]:
     intermediate states satisfy band_distance <= K - 1 = budget.
     """
     lam_t = partition(lam)
-    if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)):
-        raise DomainError(f"budget must be an integer, got {budget!r}")
+    budget = _integer("budget", budget)
     if budget < 0:
         return []
     base = lam_t[-1]
     return [tuple(base + o for o in mu)
-            for mu in _reachable(_offsets(lam_t, base), int(budget))]
+            for mu in _band(_offsets(lam_t, base), budget)]
 
 
 def rs_series(lam, N: int, l: int, K: int) -> EnergySeries:
@@ -423,16 +424,16 @@ def rs_series(lam, N: int, l: int, K: int) -> EnergySeries:
     integer offsets from lam_N.
     """
     lam_t = partition(lam)
+    N, l, K = _integer("N", N, 2), _integer("l", l, 1), \
+        _integer("K", K, 0, K_MAX)
     if len(lam_t) != N:
         raise DomainError(f"partition must have length N = {N}")
-    _check_order(K)
-    _check_coupling(l)
     shift = lam_t[-1]
     own = _offsets(lam_t, shift)
     if K == 0:
         return EnergySeries(lam_t, N, l, 0, tuple(_levels(shift, [own], l)))
 
-    basis = _reachable(own, K - 1)
+    basis = _band(own, K - 1)
     i_lam = basis.index(own)
     energies = _levels(shift, basis, l)
     level0, levels = energies[i_lam], np.array(energies)
@@ -445,20 +446,8 @@ def rs_series(lam, N: int, l: int, K: int) -> EnergySeries:
                 f"{DEGENERACY_TOL:.1e} (relative); "
                 "degenerate perturbation theory is out of scope")
 
-    norms, pairings = _pairings(*_states(tuple(basis), l), range(1, K + 1))
+    elements = _elements(tuple(basis), l, range(1, K + 1))
     m = len(basis)
-    upper = np.triu_indices(m)
-    pairs = list(zip(*(i.tolist() for i in upper)))
-    elements = {}
-    for k in range(1, K + 1):
-        # the pairings and _normalized are symmetric in (a, c)
-        raw = sum(d * pairings[d] for d in _divisors(k))
-        half = [_normalized(raw[a, c], norms[a], norms[c]) for a, c in pairs]
-        element = np.empty((m, m))
-        element[upper] = half
-        element[upper[::-1]] = half
-        elements[k] = _coupling(l) * element
-
     coeffs = [level0]
     vectors = [np.eye(m)[i_lam]]
     gaps = level0 - levels

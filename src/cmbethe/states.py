@@ -72,7 +72,7 @@ import numpy as np
 from .elliptic import Nome, PoleError, SigmaTable, wp_shifted
 from .errors import DomainError, MembershipError, ResourceError
 from .laurent import (Frame, Laurent, chamber, frame, merge_keys, parity,
-                      stack, symmetric_times_delta)
+                      stack)
 from .master import EllipticPoint, eigenvalue_elliptic, membership_F
 from .weights import (BetheIndexing, RootSystemData, Weight, admissible,
                       build_indexing, root_system)
@@ -502,10 +502,9 @@ def jack_proportionality(point: EllipticPoint, xi: Weight, jack, l: int
 
     # J Delta^{2l+1} = Alt(X^delta Delta^{2l} J), delta = (N-1, ..., 0);
     # both chambers keyed by their exponents' differences to the last one
-    rows, coef = symmetric_times_delta([jack.numerators], 2 * l,
-                                       jack.orbit_table())
+    rows, coef = jack.times_delta(2 * l)
     sides = [_omega_tri(point, xi, rs, idx)[1],
-             chamber(rows + np.arange(N - 1, -1, -1), coef[:, 0])]
+             chamber(rows + np.arange(N - 1, -1, -1), coef)]
     _, both = stack([(r - r[:, -1:], c) for r, c in sides])
     a, t = both[:, 0].astype(complex), both[:, 1].astype(float)
     c = complex(t @ a / (t @ t))

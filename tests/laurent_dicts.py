@@ -23,8 +23,7 @@ import numpy as np
 from cmbethe.jack import (_integer_partitions, _pad, dominance_leq,
                           jack_expand)
 from cmbethe.perturb import (DEGENERACY_TOL, _coupling, _divisors,
-                             _normalized, reachable_partitions,
-                             unperturbed_energy)
+                             reachable_partitions, unperturbed_energy)
 from cmbethe.weights import jack_energy
 from pointwise_jack import perm_sign
 
@@ -87,8 +86,12 @@ def pairing(a, b):
 
 
 def element(psi_a, images, norm_a, norm_b, k, l):
+    """raw / (2 sqrt(norm_a norm_b)) times the coupling, rounded once from
+    the exact integers one element at a time (the 1/2 undoes the doubled
+    cosine of ``harmonic``)."""
     raw = sum(d * pairing(psi_a, images[d]) for d in _divisors(k))
-    return _coupling(l) * _normalized(raw, norm_a, norm_b)
+    return _coupling(l) * math.copysign(
+        math.sqrt(raw * raw / (4 * norm_a * norm_b)), raw)
 
 
 def matrix_element(mu, lam, k, l):

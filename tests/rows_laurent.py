@@ -45,7 +45,7 @@ def mul(a, b):
 
 
 def symmetric_times_delta(numerators, power):
-    """``laurent.symmetric_times_delta`` on tagged rows: the orbit rows of
+    """``jack.symmetric_times_delta`` on tagged rows: the orbit rows of
     every set with their set in a last column, times one binomial factor
     (X_i - X_j)^power at a time by ``mul``."""
     keys = list(dict.fromkeys(nu for nums in numerators for nu in nums))

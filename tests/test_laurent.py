@@ -23,6 +23,7 @@ from cmbethe.weights import (Weight, build_indexing, lambda_to_xi,
 from laurent_dicts import delta_power, distinct_perms
 import rows_laurent
 from rows_laurent import lexsort_groups
+from recursive_reachable import reachable_offsets
 from test_states import searched_root
 
 
@@ -145,8 +146,7 @@ class TestFrame:
         power = 2 ** 15
         span = 3 * power + 1
         with pytest.raises(ResourceError, match=str([span] * 4 + [1])):
-            laurent.symmetric_times_delta([{(0, 0, 0, 0): 1}], power,
-                                          laurent.orbit_table([(0, 0, 0, 0)]))
+            jack.symmetric_times_delta([{(0, 0, 0, 0): 1}], power)
 
 
 class TestSymmetricTimesDelta:
@@ -167,12 +167,10 @@ class TestSymmetricTimesDelta:
     def test_int64_path(self, N, total, l):
         sets = self._sets(N, total, l)
         power = l + 1
-        table = jack_expand((total,) + (0,) * (N - 1),
-                            Fraction(1, l + 1)).orbit_table()
         norm = max(sum(abs(n) * len(distinct_perms(nu))
                        for nu, n in nums.items()) for nums in sets)
         assert norm << (power * N * (N - 1) // 2) <= laurent._INT64_MAX
-        rows, mat = laurent.symmetric_times_delta(sets, power, table)
+        rows, mat = jack.symmetric_times_delta(sets, power)
         ref_rows, ref_mat = rows_laurent.symmetric_times_delta(sets, power)
         assert np.array_equal(rows, ref_rows)
         assert mat.tolist() == ref_mat.tolist()
@@ -183,13 +181,12 @@ class TestSymmetricTimesDelta:
         """The N=2 l=32 certificate's J Delta^64: past int64."""
         l, jack = 32, jack_expand((1, -1), Fraction(1, 33))
         nums = jack.numerators
-        rows, mat = laurent.symmetric_times_delta([nums], 2 * l,
-                                                  jack.orbit_table())
-        assert sum(abs(c) for c in mat[:, 0]) > 2 ** 63
-        assert as_dict(rows, mat[:, 0]) == dict_product(nums, 2 * l)
+        rows, coef = jack.times_delta(2 * l)
+        assert sum(abs(c) for c in coef) > 2 ** 63
+        assert as_dict(rows, coef) == dict_product(nums, 2 * l)
         ref_rows, ref_mat = rows_laurent.symmetric_times_delta([nums], 2 * l)
         assert np.array_equal(rows, ref_rows)
-        assert mat.tolist() == ref_mat.tolist()
+        assert coef.tolist() == ref_mat[:, 0].tolist()
 
 
 class TestShiftLookup:
@@ -218,7 +215,7 @@ class TestShiftLookup:
     def test_matches_row_lookup(self, N, l, lam, K):
         """Every shift d (e_1 - e_2) of a level's shared rows finds what a
         dict of the rows finds."""
-        basis = perturb._reachable(lam, K - 1)
+        basis = reachable_offsets(lam, K - 1)
         rows, psi = perturb._states(tuple(basis), l)
         _, pairings = perturb._pairings(rows, psi, range(1, K + 1))
         where = {tuple(r): k for k, r in enumerate(rows.tolist())}

@@ -24,7 +24,6 @@ from cmbethe.perturb import (
     PotentialSeries,
     _offsets,
     _pairings,
-    _reachable,
     _states,
     band_distance,
     bethe_crosscheck,
@@ -38,6 +37,7 @@ from cmbethe.perturb import (
 from cmbethe.weights import Weight, build_indexing, lambda_to_xi, root_system
 from laurent_dicts import matrix_element as dict_matrix_element
 from laurent_dicts import rs_coefficients as dict_rs_coefficients
+from recursive_reachable import reachable_offsets
 from total_convention import eigenvalue_total
 
 H = Fraction(1, 2)
@@ -263,6 +263,16 @@ class TestMatrixElement:
         assert matrix_element(mu, lam, 1, l) == dict_matrix_element(
             mu, lam, 1, l)
 
+    @pytest.mark.parametrize("mu,lam", [((2, 0), (1, 0)),
+                                        ((3, 1, 0), (2, 1, 0)),
+                                        (LAM_N2, (Fraction(3, 2), H))])
+    def test_unequal_totals_vanish(self, mu, lam):
+        """States of different total degree are orthogonal under every
+        V_k: the element is 0.0, not a failed look-up."""
+        for k in (1, 2):
+            assert matrix_element(mu, lam, k, 1) == 0.0
+            assert matrix_element(lam, mu, k, 2) == 0.0
+
 
 class TestReachable:
     """The coupled basis from the band structure."""
@@ -281,13 +291,42 @@ class TestReachable:
             assert sum(mu) == 3
             assert band_distance(mu, (2, 1, 0)) <= 2
 
-    @pytest.mark.parametrize("budget", [math.inf, math.nan, 1.5, "2"])
+    @pytest.mark.parametrize("budget", [math.inf, math.nan, 1.5, "2", True])
     def test_non_integer_budget_refused(self, budget):
         with pytest.raises(DomainError, match="budget"):
             reachable_partitions((1, 0), budget)
 
     def test_negative_budget_is_empty(self):
         assert reachable_partitions((1, 0), -1) == []
+
+    def test_matches_recursive_oracle(self):
+        """The same lists in the same order as the recursive enumerator
+        it replaced, on every non-increasing offset vector of N = 2..5 with
+        entries 0..3 and last entry 0, and every budget 0..7 (552 cases)."""
+        import itertools
+        cases = 0
+        for N in range(2, 6):
+            for own in itertools.product(range(3, -1, -1), repeat=N):
+                if list(own) != sorted(own, reverse=True) or own[-1]:
+                    continue
+                for budget in range(8):
+                    assert reachable_partitions(own, budget) == \
+                        reachable_offsets(own, budget), (own, budget)
+                    cases += 1
+        assert cases == 552
+
+    @pytest.mark.parametrize("lam", [LAM_N2, (3, 1, 1), (2, 2, 1, 1),
+                                     (Fraction(4, 3), Fraction(1, 3),
+                                      Fraction(-2, 3))])
+    def test_shifted_labels_match_oracle(self, lam):
+        """Labels with a non-zero last part, integer or not: the oracle's
+        offsets raised by lam_N."""
+        base = Fraction(lam[-1])
+        own = tuple(int(a - base) for a in lam)
+        for budget in range(5):
+            assert reachable_partitions(lam, budget) == [
+                tuple(base + o for o in mu)
+                for mu in reachable_offsets(own, budget)]
 
 
 class TestRsSeries:
@@ -333,15 +372,47 @@ class TestRsSeries:
         ((1, 0, -1), 3, 1, 5), ((1, 0, -1), 3, 2, 4), ((0, 0, 0, 0), 4, 1, 2),
         ((1, 0, 0, -1), 4, 1, 2)])
     def test_pairings_symmetric(self, lam, N, l, K):
-        """The raw pairings of a level are symmetric in (a, c), as
-        _normalized is, so rs_series fills each element matrix from its
-        upper triangle (the rs-series benchmark items)."""
-        basis = _reachable(tuple(a - lam[-1] for a in lam), K - 1)
+        """The raw pairings of a level are symmetric in (a, c), so every
+        element matrix is (the rs-series benchmark items)."""
+        basis = reachable_offsets(tuple(a - lam[-1] for a in lam), K - 1)
         norms, pairings = _pairings(*_states(tuple(basis), l), range(1, K + 1))
         assert len(norms) == len(basis) > 1
         for d, raw in pairings.items():
             assert raw.shape == (len(basis),) * 2
             assert (raw == raw.T).all(), d
+
+    @pytest.mark.parametrize("lam,N,l,K,bits", [
+        ((1, 0, -1), 3, 1, 5, [
+            '0x1.634e462f60e9ap+8', '0x1.44d9d9c4eae44p+6',
+            '0x1.5cf31a2c1b599p+8', '0x1.f46707021ccfbp+6',
+            '0x1.f9a3885022ed1p+8', '-0x1.df7d272801572p+7']),
+        ((1, 0, -1), 3, 2, 4, [
+            '0x1.3bd3cc9be45dep+9', '0x1.71f81b920b83fp+8',
+            '0x1.07c1e981de608p+10', '0x1.4170a7fd942a8p+9',
+            '0x1.ae9fce2b5214ap+9']),
+        ((0, 0, 0, 0), 4, 1, 2, [
+            '0x1.8ac8bfc2dd755p+8', '0x1.0eb58acec3be3p+8',
+            '0x1.556ccd5ea348bp+9']),
+        ((1, 0, 0, -1), 4, 1, 2, [
+            '0x1.4f910965a2a3cp+9', '0x1.6360193fe484cp+7',
+            '0x1.05ce8f0e42469p+9']),
+        ((0, 0, 0, 0), 4, 1, K_MAX, [
+            '0x1.8ac8bfc2dd755p+8', '0x1.0eb58acec3be3p+8',
+            '0x1.556ccd5ea348bp+9', '0x1.2d20f2225e452p+9',
+            '0x1.fba15bc600b84p+5', '0x1.cead84109c12cp+8',
+            '0x1.837d9caa130e7p+9', '0x1.eb11370a97630p+10',
+            '-0x1.8951fe2ea45a6p+11']),
+        ((1, 0, -1), 3, 1, 8, [
+            '0x1.634e462f60e9ap+8', '0x1.44d9d9c4eae44p+6',
+            '0x1.5cf31a2c1b599p+8', '0x1.f46707021ccfbp+6',
+            '0x1.f9a3885022ed1p+8', '-0x1.df7d272801574p+7',
+            '0x1.e36ee2e0e7958p+9', '-0x1.6d1140b85d592p+9',
+            '0x1.32a59b44dbef4p+9'])])
+    def test_pinned_bits(self, lam, N, l, K, bits):
+        """The coefficients bit for bit as recorded before the element
+        builder and the basis enumeration were rewritten (the rs-series
+        benchmark items, N=4 l=1 at K_MAX and N=3 l=1 at K=8)."""
+        assert [c.hex() for c in rs_series(lam, N, l, K).coefficients] == bits
 
     def test_coefficients_real_floats(self):
         series = rs_series(LAM_N2, 2, 1, 2)
@@ -388,6 +459,41 @@ class TestRsSeries:
         p = 0.01
         assert abs(series.partial_sum(p)
                    - (e0_ + p * e1 + p * p * e2)) < 1e-12 * abs(e0_)
+
+
+class TestIntegerArguments:
+    """N, l, K, k and budget are ints or numpy integers, never bools."""
+
+    def test_bools_refused(self):
+        with pytest.raises(DomainError, match="True"):
+            rs_series((1, -1), 2, True, True)
+        with pytest.raises(DomainError):
+            rs_series((1,), True, 1, 1)
+        with pytest.raises(DomainError):
+            potential_coeffs(2, 1, True)
+        with pytest.raises(DomainError):
+            potential_coeffs(2, True, 2)
+        with pytest.raises(DomainError):
+            matrix_element(LAM_N2, LAM_N2, True, 1)
+        with pytest.raises(DomainError):
+            matrix_element(LAM_N2, LAM_N2, 1, True)
+
+    def test_numpy_integers_accepted(self):
+        two, one = np.int64(2), np.int32(1)
+        series = rs_series(LAM_N2, two, one, two)
+        assert series == rs_series(LAM_N2, 2, 1, 2)
+        assert type(series.K) is int and type(series.l) is int
+        assert potential_coeffs(two, one, two) == potential_coeffs(2, 1, 2)
+        mu = (Fraction(3, 2), -Fraction(3, 2))
+        assert matrix_element(mu, LAM_N2, one, two) == \
+            matrix_element(mu, LAM_N2, 1, 2)
+        assert reachable_partitions(LAM_N2, two) == \
+            reachable_partitions(LAM_N2, 2)
+
+    @pytest.mark.parametrize("value", [0, -1, 1.0, np.float64(2.0)])
+    def test_out_of_range_or_float_coupling_refused(self, value):
+        with pytest.raises(DomainError):
+            rs_series(LAM_N2, 2, value, 2)
 
 
 class TestCrossValidation:

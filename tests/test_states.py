@@ -24,7 +24,6 @@ from cmbethe.elliptic import Nome, SigmaTable, sigma_lambda, theta
 from cmbethe.errors import DomainError, MembershipError, PoleError, ResourceError
 from cmbethe.jack import jack_expand
 from cmbethe import states
-from cmbethe.laurent import symmetric_times_delta
 from cmbethe.master import EllipticPoint
 from cmbethe.states import (
     BetheState,
@@ -457,9 +456,8 @@ class TestJackProportionality:
         past 2^63, so the certificate needs arbitrary-precision integers; a
         fixed-width port would wrap them and lose the certificate."""
         l, jack = 32, jack_expand((1, -1), Fraction(1, 33))
-        _, coef = symmetric_times_delta([jack.numerators], 2 * l,
-                                        jack.orbit_table())
-        assert sum(abs(c) for c in coef[:, 0]) > 2 ** 63
+        _, coef = jack.times_delta(2 * l)
+        assert sum(abs(c) for c in coef) > 2 ** 63
         point, _ = closed_form_n2(35, l)
         xi = weight_from_lambda_coords([35], 2)
         _, residual = jack_proportionality(point, xi, jack, l)
