@@ -44,15 +44,17 @@ from .errors import CmError, DomainError, ResourceError
 from .jack import jack_expand, partition
 from .perturb import _crosscheck_record, bethe_crosscheck, rs_series
 from .states import (base_point, bethe_state_elliptic, jack_proportionality,
-                     l2_estimate, residual_check)
+                     l2_estimate, omega_labels, residual_check)
 from .weights import (Weight, build_indexing, lambda_to_xi, permute_weight,
                       root_system, weight_from_lambda_coords)
 
 SCHEMA = 1
 #: Per-axis resolutions of the L2 evidence of ``cm state``: the last three
-#: whose n^N grid has at most ``_STATE_L2_POINTS`` points.
+#: whose grid Sym^(l) omega evaluates within ``_STATE_L2_WORK``.
 _STATE_L2_LEVELS = (4, 8, 16, 32, 64)
-_STATE_L2_POINTS = 1 << 18
+#: Most sigma-factor products one L2 level of ``cm state`` may take: grid
+#: points x N! permutations x labels on omega's suffix levels.
+_STATE_L2_WORK = 1 << 30
 _STEPS_HELP = ("continuation steps of the shortest path: no step is longer "
                "than |p|/steps; shorter steps are taken where Newton "
                "refuses one")
@@ -297,12 +299,21 @@ def _build_state(args):
     return state, info
 
 
+def _state_l2_levels(N: int, l: int) -> list:
+    """The L2 levels of ``cm state`` at (N, l): the last three of
+    ``_STATE_L2_LEVELS`` whose n^N grid points times the N! permutations and
+    the labels of omega's suffix levels fit ``_STATE_L2_WORK``."""
+    work = math.factorial(N) * omega_labels(N, l)
+    return [n for n in _STATE_L2_LEVELS
+            if n ** N * work <= _STATE_L2_WORK][-3:]
+
+
 def cmd_state(args) -> Dict:
     state, info = _build_state(args)
+    levels = _state_l2_levels(args.N, args.l)
     try:
-        levels = [n for n in _STATE_L2_LEVELS
-                  if n ** args.N <= _STATE_L2_POINTS][-3:]
-        l2 = [float(v) for v in l2_estimate(state, levels)]
+        l2 = [float(v) for v in l2_estimate(state, levels)] \
+            if levels else None
     except (DomainError, ResourceError):
         l2 = None
     payload: Dict = {
@@ -480,8 +491,10 @@ def build_parser() -> argparse.ArgumentParser:
         "state", help="eigenstate + residual certificate",
         description="The Bethe state at nome --p, its residual under H and "
         "its L2 estimates on the last three of the grids of 4, 8, 16, 32 and "
-        "64 points per axis that have at most 2^18 points: 16, 32 and 64 for "
-        "N <= 3, 4, 8 and 16 at N = 4; \"l2\" is null for xi outside P.")
+        "64 points per axis whose evaluation takes at most 2^30 sigma-factor "
+        "products (grid points x N! x labels of omega): 16, 32 and 64 for "
+        "N = 2 and for N = 3 up to l = 3, 4, 8 and 16 at N = 4 l = 1; "
+        "\"l2\" is null for xi outside P and where no grid fits (N = 6).")
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--l", type=int, required=True)
     _add_weight_flags(sp)

@@ -35,10 +35,11 @@ summed by Clenshaw's recurrence in y = 2 cos(2*pi*x), as sin(pi*x) times a
 polynomial in y, from one sin and one cos per point (``_theta_hat``).
 
 The sigma table of a Bethe state, sigma_(+-lam)(u) for many real lam
-against the state's few fixed u, has its own kernel (``SigmaTable``): the
-sine addition formula applied term by term splits theta_hat(u -+ lam) into
-harmonics of lam, e^((2n-1) pi i lam) by one cumulative product, and per-u
-weights c_n sin((2n-1) pi u), c_n cos((2n-1) pi u), built once per table.
+against the state's few fixed u, has its own kernel (``SigmaTable``), with
+the point index last: the sine addition formula applied term by term splits
+theta_hat(u -+ lam) into harmonics of lam, e^((2n-1) pi i lam) by K - 1
+contiguous row products, and per-u weights c_n sin((2n-1) pi u),
+c_n cos((2n-1) pi u), built once per table with the per-u scale folded in.
 One real matrix product then gives every theta_hat(u -+ lam) and
 theta_hat(lam), and theta_hat(u) is summed once per table, not once per
 entry.  ``sigma_lambda`` stays the pointwise form and the table's oracle.
@@ -389,27 +390,31 @@ class SigmaTable:
     """sigma_lam(u) and sigma_(-lam)(u) for real lam against fixed points u.
 
     Built once per set of u (a Bethe state's distinct t_k - t_(f(k))); a call
-    on a real array lam returns the complex array of shape lam.shape + (2, U)
-    holding sigma_lam(u) and sigma_(-lam)(u) for the U points u.  With
-    k_n = (2n-1) pi, the sine addition formula applied term by term gives
+    on a real (pairs, M) array lam, the point index last, returns the complex
+    (pairs, 2, U, M) array of sigma_lam(u) and sigma_(-lam)(u) for the U
+    points u: each row (pair, orientation, u) is contiguous over the M
+    points.  With k_n = (2n-1) pi, the sine addition formula applied term by
+    term gives
 
         theta_hat(u -+ lam) = Sum_n c_n [sin(k_n u) cos(k_n lam)
                                          -+ cos(k_n u) sin(k_n lam)],
 
-    so one real matrix product of the harmonics (cos k_n lam, sin k_n lam)
-    against the per-u weights c_n sin(k_n u), c_n cos(k_n u), and c_n for
-    theta_hat(lam) (a u = 0 column), gives every theta_hat(u -+ lam) and
-    theta_hat(lam).  The harmonics are e^(i pi lam) e^(2 pi i lam (n-1)), one
-    cumulative product read as (cos, sin) pairs; theta_hat(u) and theta'(0)
-    enter once per table, as the per-u scale d1_0/theta_hat(u), and
-    sigma_(-lam)(u) = -d1_0 theta_hat(u+lam) / (theta_hat(u) theta_hat(lam))
-    takes the sign in its scale.  sigma is 1-periodic in u and in lam, so
-    both enter reduced to |Re| <= 1/2, which keeps the phases k_n u and
-    k_n lam small.  The term count K (``terms``) is ``_term_count`` at
-    max |Im u|, as ``sigma_lambda`` takes it for the same arguments
-    (Im lam = 0).  The weights are built, and u checked against the lattice,
-    at the first call; lam (whose lattice distance is |lam - rint(lam)|) is
-    checked at every call.
+    so one real matrix product of per-u weights against the harmonic rows
+    (cos k_n lam, sin k_n lam) gives the real and the imaginary parts of
+    every theta_hat(u -+ lam), and of theta_hat(lam) (c_n on the sine rows
+    alone, so nothing cancels near its zero lam = 0).  The weights carry the
+    per-u scale d1_0/theta_hat(u) and the sign of sigma_(-lam)(u) =
+    -d1_0 theta_hat(u+lam) / (theta_hat(u) theta_hat(lam)), so theta_hat(u)
+    and theta'(0) enter once per table, and theta_hat(lam) enters as one
+    reciprocal per lam.  The harmonics are e^(i pi lam) times K - 1
+    contiguous row products by e^(2 pi i lam), read as (cos, sin) rows.
+    sigma is 1-periodic in u and in lam, so both enter reduced to
+    |Re| <= 1/2, which keeps the phases k_n u and k_n lam small.  The term
+    count K (``terms``) is ``_term_count`` at max |Im u|, as
+    ``sigma_lambda`` takes it for the same arguments (Im lam = 0).  The
+    weights are built, and u checked against the lattice, at the first
+    call; lam (whose lattice distance is |lam - rint(lam)|) is checked at
+    every call.
     """
 
     def __init__(self, u: ArrayLike, nome: Nome | complex):
@@ -418,27 +423,28 @@ class SigmaTable:
         self.nome = _as_nome(nome)
         self.terms = _term_count(self.nome, float(np.abs(self.u.imag).max())
                                  if self.u.size else 0.0)
-        self._weights = self._scale = None
+        self._weights = None
 
     def _build(self) -> None:
-        """The read-only (2K, 2(2U+1)) float view of the complex weights,
-        rows (cos, sin) per term, columns theta_hat(u - lam),
-        theta_hat(u + lam) and theta_hat(lam), and the (2, U) scale."""
+        """The read-only (2R, 2K) float weights, R = 2U + 1: columns
+        (cos, sin) per term, rows the real parts, then the imaginary parts,
+        of sigma_lam(u) and sigma_(-lam)(u) times theta_hat(lam) per u, and
+        of theta_hat(lam)."""
         _check_off_lattice(self.u, self.nome, "u")
         K, U = self.terms, self.u.size
         u = self.u - np.rint(self.u.real)
-        c = np.array(_nome_weights(self.nome)[0][:K])[:, None]
-        ku = _K[:K, None] * u
-        s, co = c * np.sin(ku), c * np.cos(ku)
-        w = np.zeros((K, 2, 2 * U + 1), dtype=complex)
-        w[:, 0, :U] = w[:, 0, U:-1] = s
-        w[:, 1, :U], w[:, 1, U:-1], w[:, 1, -1] = -co, co, c[:, 0]
+        c = np.array(_nome_weights(self.nome)[0][:K])
         s0_u, = _theta_hat(u, self.nome, ("s0",))
-        scale = _zero_data(self.nome)[0] / s0_u * np.array([[1.0], [-1.0]])
-        self._weights = w.reshape(2 * K, -1).view(float)
-        self._scale = scale
-        for a in (self._weights, self._scale):
-            a.setflags(write=False)
+        scale = _zero_data(self.nome)[0] / s0_u * c[:, None]
+        ku = _K[:K, None] * u
+        s, co = scale * np.sin(ku), scale * np.cos(ku)
+        w = np.zeros((2 * U + 1, K, 2), dtype=complex)
+        w[:U, :, 0], w[:U, :, 1] = s.T, -co.T
+        w[U:-1, :, 0], w[U:-1, :, 1] = -s.T, -co.T
+        w[-1, :, 1] = c
+        self._weights = np.concatenate([w.real, w.imag]).reshape(
+            2 * w.shape[0], 2 * K)
+        self._weights.setflags(write=False)
 
     def __call__(self, lam: ArrayLike) -> np.ndarray:
         lam = np.asarray(lam, dtype=float)
@@ -448,15 +454,22 @@ class SigmaTable:
                             f"(distance < {_LATTICE_TOL})")
         if self._weights is None:
             self._build()
-        h = np.empty((lam.size, self.terms), dtype=complex)
-        h[:, 0] = np.exp(1j * math.pi * lam.ravel())
-        h[:, 1:] = (h[:, 0] * h[:, 0])[:, None]
-        np.cumprod(h, axis=1, out=h)
-        out = (h.view(float) @ self._weights).view(complex)
-        U = self.u.size
-        table = out[:, :-1].reshape(-1, 2, U) * self._scale
-        table /= out[:, -1, None, None]
-        return table.reshape(lam.shape + (2, U))
+        K, U = self.terms, self.u.size
+        pairs, M = lam.shape
+        h = np.empty((K, pairs, M), dtype=complex)
+        np.exp(lam * (1j * math.pi), out=h[0])
+        step = h[0] * h[0]
+        for n in range(1, K):
+            np.multiply(h[n - 1], step, out=h[n])
+        harmonics = np.empty((K, 2, pairs * M))
+        harmonics[:, 0], harmonics[:, 1] = \
+            h.real.reshape(K, -1), h.imag.reshape(K, -1)
+        z = (self._weights @ harmonics.reshape(2 * K, -1)).reshape(
+            2, 2 * U + 1, pairs, M).transpose(0, 2, 1, 3)
+        table = np.empty(z.shape[1:], dtype=complex)
+        table.real, table.imag = z
+        return (table[:, :-1] * (1.0 / table[:, -1:])).reshape(
+            pairs, 2, U, M)
 
 
 def wp(x: ArrayLike, nome: Nome | complex) -> ArrayLike:

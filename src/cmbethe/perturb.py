@@ -413,6 +413,11 @@ def reachable_partitions(lam, budget: int) -> List[PartitionT]:
             for mu in _band(_offsets(lam_t, base), budget)]
 
 
+def _plain(label) -> str:
+    """A label as a tuple of plain numbers: (7, 1, -8), 1/2 for halves."""
+    return f"({', '.join(map(str, label))})"
+
+
 def rs_series(lam, N: int, l: int, K: int) -> EnergySeries:
     """Non-degenerate Rayleigh-Schrodinger expansion to order K.
 
@@ -441,8 +446,8 @@ def rs_series(lam, N: int, l: int, K: int) -> EnergySeries:
     for a, mu in enumerate(basis):
         if a != i_lam and abs(levels[a] - level0) <= DEGENERACY_TOL * scale:
             raise DegeneracyError(
-                f"unperturbed level of {tuple(shift + o for o in mu)} "
-                f"coincides with that of {lam_t} within "
+                f"unperturbed level of {_plain(shift + o for o in mu)} "
+                f"coincides with that of {_plain(lam_t)} within "
                 f"{DEGENERACY_TOL:.1e} (relative); "
                 "degenerate perturbation theory is out of scope")
 

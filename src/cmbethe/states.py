@@ -30,13 +30,13 @@ evaluator, the elliptic ones, at every nome; at p = 0 omega is omega_tri
 times the constant (2 pi i)^m / Prod_{c(k)=1} (T_k - 1).  Every sigma factor
 depends only on an ordered pair (x_a, x_b) and on one of the distinct
 u = t_k - t_{f(k)}, so Sym^(l) omega is evaluated from one table of
-sigma_{x_a - x_b}(u) per row block of points: one real matrix product of the
-harmonics (cos, sin)((2n-1) pi (x_a - x_b)) of the unordered pairs against
-the state's per-u weights (``elliptic.SigmaTable``), with no theta series
-per entry.  The sum over (w, f) terms is factored once into levels of
-shared suffixes, each permutation relabels the pair columns of every level
-and contributes its own prefactor, and no theta series runs per permutation
-or per slot.  The wave function lives on the real torus: every evaluator
+sigma_{x_a - x_b}(u) per block of points, the point index last: one real
+matrix product of the harmonics (cos, sin)((2n-1) pi (x_a - x_b)) of the
+unordered pairs against the state's per-u weights (``elliptic.SigmaTable``),
+with no theta series per entry.  The sum over (w, f) terms is factored once
+into levels of shared suffixes, each permutation relabels the pair rows of
+every level and contributes its own prefactor, and no theta series runs per
+permutation or per slot.  The wave function lives on the real torus: every evaluator
 takes real points, and a point with a non-zero imaginary part raises
 DomainError.
 The numerator X^xi acc of omega_tri is a finite Laurent polynomial, expanded
@@ -79,7 +79,8 @@ from .weights import (BetheIndexing, RootSystemData, Weight, admissible,
 
 TWO_PI_I = 2j * math.pi
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-#: Cap on the complex entries of one row block of the elliptic sigma table.
+#: Cap on the complex entries per array of the sigma-table kernel in one
+#: block of points (64 KiB, under glibc's 128 KiB mmap threshold).
 _BLOCK_ENTRIES = 1 << 12
 #: Most uniform draws ``sample_torus_points`` makes before giving up, and
 #: the draws it tests per block.
@@ -256,6 +257,13 @@ def _omega_index(N: int, l: int) -> _OmegaIndex:
                        levels, frame(np.zeros(N + 1), [nodes - 1, *raised]))
 
 
+def omega_labels(N: int, l: int) -> int:
+    """The labels on the suffix levels of omega at (N, l): the sigma factors
+    one evaluation of omega multiplies per point (6 at N=3 l=1, 2737 at
+    N=6 l=1)."""
+    return sum(level[0].size for level in _omega_index(N, l).levels)
+
+
 class _EllipticOmega:
     """The elliptic omega as a function of x, without base-point normalization.
 
@@ -264,17 +272,22 @@ class _EllipticOmega:
     word of m labels (pair, u).  The sum of the words' products is factored
     into levels (``_suffix_levels``), once per (N, l) (``_omega_index``): at
     N=4 l=2 the 4320 words of 12 labels become 9 levels with 1374 labels in
-    all.  Evaluation builds, per row block of real points x, the table of
+    all.  Evaluation builds, per block of real points x, the table of
     sigma over all N(N-1) ordered pair differences and all u by one
-    harmonic matrix product (``SigmaTable``, built with the state): the
-    ordered pairs are numbered so that (a, b) and (b, a) sit side by side,
-    so the kernel's (unordered pairs, 2, u) output is the table as it
-    stands.  omega(x o pi) for any x-permutation pi relabels the pair of
-    every label, all permutations walk the levels together, and each is
-    weighted by its prefactor e^{2 pi i (xi, x o pi)}, with no further
-    theta series.  Row blocks hold at most ``_BLOCK_ENTRIES`` entries of
-    the table and of the harmonic array, whichever is larger, so neither
-    grows with the batch.
+    harmonic matrix product (``SigmaTable``, built with the state), the
+    point index last: the ordered pairs are numbered so that (a, b) and
+    (b, a) sit side by side, so the kernel's (unordered pairs, 2, u) rows
+    are the table's rows as they stand.  omega(x o pi) for any
+    x-permutation pi relabels the pair of every label, and all permutations
+    walk the levels together: a level gathers its labels' table rows, takes
+    each edge's product over the middle axis and sums each node's edges,
+    each step on whole rows of points.  The prefactors e^{2 pi i
+    (xi, x o pi)} of all permutations are one (perms x N)(N x points)
+    product and one exp; they start the leaves, with each permutation's
+    sign, so the top level's sum is the sum over permutations.  No theta
+    series runs per permutation.  A block holds at most ``_BLOCK_ENTRIES``
+    entries of the kernel's harmonics and of its product rows, whichever
+    is larger, so no array of the kernel grows with the batch.
     """
 
     def __init__(self, point: EllipticPoint, xi: Weight, rs: RootSystemData,
@@ -294,9 +307,15 @@ class _EllipticOmega:
         self._leaf, self._levels = index.leaf, index.levels
         self._frame = index.frame
         self._sigma = SigmaTable(self.u, self.nome)
-        self._rows = max(1, _BLOCK_ENTRIES // max(
-            self._pair_a.size * self.u.size,
-            self._unordered[0].size * self._sigma.terms))
+        # the unordered pair differences as one product per block, each
+        # entry x_a - x_b rounded once, as a subtraction rounds it
+        pairs = np.arange(self._unordered[0].size)
+        self._diff = np.zeros((pairs.size, self.N))
+        self._diff[pairs, self._unordered[0]] = 1.0
+        self._diff[pairs, self._unordered[1]] = -1.0
+        # complex entries per point of the kernel's harmonics and product
+        self._width = self._unordered[0].size * max(
+            self._sigma.terms, 2 * self.u.size + 1)
 
     def __call__(self, x):
         return self.perm_sum(x, [(tuple(range(self.N)), 1)])
@@ -346,28 +365,36 @@ class _EllipticOmega:
         xb, single = _as_batch(x, self.N)
         perm = np.array([p for p, _ in perms])
         sign = np.array([s for _, s in perms])
-        # the permutations side by side: each level's columns, and its child
-        # and first-edge indices shifted per permutation
-        shift = np.arange(len(perms))[:, None]
-        leaf = np.tile(self._leaf, len(perms)).astype(complex)[None, :]
+        count = len(perms)
+        # the permutations stacked on the first axis: each level's table
+        # rows, and its child and first-edge indices shifted per permutation
+        shift = np.arange(count)[:, None]
         walk = []
         for a, b, u, child, starts, below in self._levels:
             cols = self._pair_id[perm[:, a], perm[:, b]] * self.u.size + u
             walk.append((cols.reshape(-1, a.shape[1]),
                          (child + below * shift).ravel(),
                          (starts + len(a) * shift).ravel()))
+        *inner, (top, top_child, _) = walk
+        # 2 pi (xi, x o perm) = Sum_i 2 pi xi_(perm^-1(i)) x_i, so the
+        # prefactors of all permutations are one product; each leaf starts
+        # as its permutation's prefactor times sign and multiplicity, so the
+        # top level's sum is the sum over permutations
+        phase = np.zeros((count, self.N))
+        phase[shift, perm] = 2 * math.pi * self.xi
+        leaf_perm = np.repeat(np.arange(count), len(self._leaf))
+        leaf = np.outer(sign, self._leaf).reshape(-1, 1)
+        rows = max(1, _BLOCK_ENTRIES // self._width)
         acc = np.empty(xb.shape[0], dtype=complex)
-        a, b = self._unordered
-        for start in range(0, xb.shape[0], self._rows):
-            blk = xb[start:start + self._rows]
-            table = self._sigma(blk[:, a] - blk[:, b]).reshape(blk.shape[0], -1)
-            value = leaf
-            for cols, child, starts in walk:
+        for start in range(0, xb.shape[0], rows):
+            blk = xb[start:start + rows].T
+            table = self._sigma(self._diff @ blk).reshape(-1, blk.shape[1])
+            value = np.exp(1j * (phase @ blk))[leaf_perm] * leaf
+            for cols, child, starts in inner:
                 value = np.add.reduceat(
-                    table[:, cols].prod(axis=2) * value[:, child], starts,
-                    axis=1)
-            pref = np.exp(TWO_PI_I * (blk[:, perm] @ self.xi))
-            acc[start:start + blk.shape[0]] = (sign * pref * value).sum(axis=1)
+                    table[cols].prod(axis=1) * value[child], starts, axis=0)
+            (table[top].prod(axis=1) * value[top_child]).sum(
+                axis=0, out=acc[start:start + blk.shape[1]])
         return complex(acc[0]) if single else acc
 
 

@@ -224,6 +224,19 @@ class TestStateCommand:
         assert all(v > 0 for v in l2)
         assert abs(l2[-1] - l2[-2]) < 1e-5 * abs(l2[-1])
 
+    def test_l2_levels_by_evaluator_work(self):
+        """The L2 levels are chosen by the evaluator's work, grid points x
+        N! x omega's labels, against one budget: the levels reported at
+        N <= 4 by the former 2^18-point cap stay (N=4 l=2 keeps 4 and 8 of
+        its 2.2e9-product 16 level), and at N=6 l=1 even the 4^6 grid (8.1e9
+        products) is refused, so "l2" is null with no grid evaluated."""
+        levels = cli._state_l2_levels
+        for N, l in [(2, 1), (2, 16), (3, 1), (3, 2), (3, 3)]:
+            assert levels(N, l) == [16, 32, 64], (N, l)
+        assert levels(4, 1) == [4, 8, 16]
+        assert levels(4, 2) == [4, 8]
+        assert levels(6, 1) == []
+
     def test_csv_slice(self, capsys, tmp_path):
         out = tmp_path / "slice.csv"
         code, payload, _ = run_cli(

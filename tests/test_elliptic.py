@@ -322,8 +322,9 @@ class TestSigma:
 
 
 class TestSigmaTable:
-    """sigma_(+-lam)(u) for real lam by one harmonic matrix product, against
-    its oracle ``sigma_lambda``, entry by entry."""
+    """sigma_(+-lam)(u) for real (pairs, M) lam by one harmonic matrix
+    product, rows (pair, orientation, u) over the M points, against its
+    oracle ``sigma_lambda``, entry by entry."""
 
     @pytest.mark.parametrize("p", [0.0, 0.05, 0.3, 0.2 + 0.1j])
     def test_matches_sigma_lambda(self, p):
@@ -333,10 +334,11 @@ class TestSigmaTable:
         near = [1e-6, -1e-6, 1e-3, 0.5, 0.5 + 1e-9, 0.5 - 1e-9, -0.5, 1.5]
         lam = np.concatenate([rng.uniform(-1.5, 1.5, 40), near]).reshape(6, 8)
         table = SigmaTable(u, nm)(lam)
-        assert table.shape == (6, 8, 2, 7)
+        assert table.shape == (6, 2, 7, 8)
+        assert table.flags.c_contiguous
         for order, sign in enumerate((1.0, -1.0)):
-            ref = sigma_lambda(sign * lam[:, :, None], u, nm)
-            rel = np.abs(table[:, :, order] - ref) / np.abs(ref)
+            ref = sigma_lambda(sign * lam[:, None, :], u[:, None], nm)
+            rel = np.abs(table[:, order] - ref) / np.abs(ref)
             assert float(rel.max()) <= 1e-13, (order, float(rel.max()))
 
     def test_theta_of_u_once_per_table(self, monkeypatch):
@@ -354,7 +356,7 @@ class TestSigmaTable:
             return kernel(arg, *rest)
 
         monkeypatch.setattr(elliptic, "_theta_hat", counting)
-        tab(np.array([0.1, 0.3]))
+        tab(np.array([[0.1, 0.3]]))
         tab(np.array([[0.2], [0.6]]))
         assert sizes == [3]
         assert not tab._weights.flags.writeable
@@ -366,10 +368,10 @@ class TestSigmaTable:
         nm = Nome(p=0.1)
         tab = SigmaTable([0.3 + 0.1j], nm)
         with pytest.raises(PoleError):
-            tab(np.array([0.2, 1.0]))
+            tab(np.array([[0.2, 1.0]]))
         on_lattice = SigmaTable([0.3, 1.0 + nm.tau], nm)
         with pytest.raises(PoleError):
-            on_lattice(np.array([0.2]))
+            on_lattice(np.array([[0.2]]))
 
 
 class TestWp:

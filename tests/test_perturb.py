@@ -426,6 +426,19 @@ class TestRsSeries:
         series = rs_series((4, 1, 1), 3, 1, 2)
         assert len(series.coefficients) == 3
 
+    def test_degeneracy_message_prints_plain_labels(self):
+        """The refusal names both levels as plain numbers, not Fraction
+        reprs; K=2 reaches no collision for this label, K=4 does."""
+        with pytest.raises(DegeneracyError) as err:
+            rs_series((8, -1, -7), 3, 1, 4)
+        message = str(err.value)
+        assert "Fraction" not in message
+        assert ("unperturbed level of (7, 1, -8) coincides with that of "
+                "(8, -1, -7)") in message
+        assert len(rs_series((8, -1, -7), 3, 1, 2).coefficients) == 3
+        with pytest.raises(DegeneracyError, match=r"\(3, 3, 0\)"):
+            rs_series((4, 1, 1), 3, 1, 3)
+
     def test_non_finite_label_refused(self):
         with pytest.raises(DomainError):
             rs_series((math.inf, 0), 2, 1, 2)

@@ -9,6 +9,7 @@ validate the state end to end.
 
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -529,6 +530,16 @@ def continued_state_parts(lam, N, l, p):
     return point, xi_s, rs, idx
 
 
+def n2_l8_parts(p):
+    """(point, xi, rs, idx) of the N=2 l=8 lambda = (1/2, -1/2) root
+    continued to nome p."""
+    rs, idx = root_system(2, 8), build_indexing(2, 8)
+    xi = lambda_to_xi(Weight([Fraction(1, 2), Fraction(-1, 2)]), rs)
+    sigma, seed = find_admissible_critical_point(xi, rs, idx)
+    xi = Weight([xi.exact[i] for i in sigma])
+    return continue_nome(seed, xi, rs, idx, p).endpoint.point, xi, rs, idx
+
+
 def counting_sigma_table(monkeypatch):
     """Record every call of the sigma-table kernel; returns the list."""
     calls = []
@@ -547,23 +558,20 @@ class TestSigmaTableEvaluator:
     with the plain loop over x-permutations of omega."""
 
     def test_table_matches_sigma_lambda_at_n2_l8_root(self):
-        """The state's table, reshaped to (points, ordered pairs x u), holds
+        """The state's table, called on the (unordered pairs, points)
+        differences and reshaped to (ordered pairs x u, points), holds
         sigma_(x_a - x_b)(u) of the pair numbered (a, b), both orders, as
         the oracle gives it: at an N=2 l=8 root at p = 0.3, at points whose
         difference is near 0, near 1/2 and generic."""
-        rs, idx = root_system(2, 8), build_indexing(2, 8)
-        xi = lambda_to_xi(Weight([Fraction(1, 2), Fraction(-1, 2)]), rs)
-        sigma, seed = find_admissible_critical_point(xi, rs, idx)
-        xi = Weight([xi.exact[i] for i in sigma])
-        point = continue_nome(seed, xi, rs, idx, 0.3).endpoint.point
+        point, xi, rs, idx = n2_l8_parts(0.3)
         raw = states._EllipticOmega(point, xi, rs, idx)
         x = np.array([[0.3 + 1e-4, 0.3], [0.1, 0.6 - 1e-7], [0.8, 0.3],
                       [0.13, 0.37], [0.02, 0.91], [0.5, 0.5 + 1e-3]])
         a, b = raw._unordered
-        table = raw._sigma(x[:, a] - x[:, b]).reshape(len(x), -1)
-        diff = x[:, raw._pair_a] - x[:, raw._pair_b]
-        ref = sigma_lambda(diff[:, :, None], raw.u, point.nome)
-        rel = np.abs(table - ref.reshape(len(x), -1)) / np.abs(table)
+        table = raw._sigma((x[:, a] - x[:, b]).T).reshape(-1, len(x))
+        diff = (x[:, raw._pair_a] - x[:, raw._pair_b]).T
+        ref = sigma_lambda(diff[:, None, :], raw.u[:, None], point.nome)
+        rel = np.abs(table - ref.reshape(-1, len(x))) / np.abs(table)
         assert raw._pair_a.size == 2
         assert float(rel.max()) <= 1e-13, float(rel.max())
 
@@ -596,6 +604,51 @@ class TestSigmaTableEvaluator:
         one = fused(xs[3])
         assert isinstance(one, complex)
         assert abs(one - ref[3]) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("N,l,p", [(2, 8, 0.3), (3, 1, 0.05)])
+    def test_blocks_agree_with_points_and_small_blocks(self, N, l, p,
+                                                       monkeypatch):
+        """Sym omega on two full row blocks and a partial third agrees, to
+        1e-15 of its largest value, with a run in 7-point blocks, and to
+        1e-13 with one call per point: on one point at N = 2 the harmonic
+        product is a matrix-vector product, which BLAS rounds differently
+        (the parent layout read 8e-15 there too)."""
+        if N == 2:
+            point, xi, rs, idx = n2_l8_parts(p)
+        else:
+            point, xi, rs, idx = continued_state_parts([3, 3], N, l, p)
+        sym = bethe_state_elliptic(point, xi, rs, idx,
+                                   compute_eigenvalue=False).evaluator
+        width = states._EllipticOmega(point, xi, rs, idx)._width
+        rows = states._BLOCK_ENTRIES // width
+        xs = sample_torus_points(N, 2 * rows + rows // 3, seed=21)
+        batch = sym(xs)
+        scale = float(np.max(np.abs(batch)))
+        single = np.array([sym(x) for x in xs])
+        assert float(np.max(np.abs(single - batch))) <= 1e-13 * scale
+        monkeypatch.setattr(states, "_BLOCK_ENTRIES", 7 * width)
+        small = sym(xs)
+        assert float(np.max(np.abs(small - batch))) <= 1e-15 * scale
+
+    def test_memory_does_not_grow_with_the_batch(self):
+        """One call on 2^12 and on 2^15 points allocates, beyond its output
+        (the raw sum and its normalized copy, which numpy may elide), at
+        most a few row blocks, however many points the batch holds."""
+        point, xi, rs, idx = continued_state_parts([3, 3], 3, 1, 0.05)
+        sym = bethe_state_elliptic(point, xi, rs, idx,
+                                   compute_eigenvalue=False).evaluator
+        extra = []
+        for M in (1 << 12, 1 << 15):
+            xs = sample_torus_points(3, M, seed=8)
+            sym(xs[:2])
+            tracemalloc.start()
+            try:
+                out = sym(xs)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            extra.append(peak - 2 * out.nbytes)
+        assert max(extra) <= 8 * 16 * states._BLOCK_ENTRIES, extra
 
     def test_suffix_levels_factor_the_sum(self):
         """The levels give Sum_r Prod_k f(words[r, k]) for words with
@@ -683,13 +736,15 @@ class TestSigmaTableEvaluator:
         calls = counting_sigma_table(monkeypatch)
         st.evaluator(sample_torus_points(3, 64, seed=2))
         assert len(calls) == 1
+        assert calls[0][0].shape == (3, 64)
 
     def test_row_blocks_sized_by_table(self, monkeypatch):
-        """A row block holds as many points as the sigma table and the
-        harmonics allow: at N=5 l=1 (20 pair columns, 24 distinct u; 10
-        unordered pairs of a few harmonics each) that is 8 points, so the
-        528 stencil points of a grid-48 residual take 66 calls, not one call
-        per point."""
+        """A row block holds as many points as the sigma table kernel
+        allows: at N=5 l=1 (10 unordered pairs, each with a few harmonics
+        and 2 x 24 + 1 product rows for its 24 distinct u) that is 8 points,
+        so the 528 stencil points of a grid-48 residual take 66 calls, each
+        on the (pairs, points) differences of one block, not one call per
+        point."""
         rs, idx = root_system(5, 1), build_indexing(5, 1)
         xi = lambda_to_xi(Weight([0] * 5), rs)
         rng = np.random.default_rng(4)
@@ -699,6 +754,8 @@ class TestSigmaTableEvaluator:
         calls = counting_sigma_table(monkeypatch)
         residual_check(st, grid_n=48)
         assert len(calls) <= 70, len(calls)
+        assert all(lam.shape[0] == 10 and lam.shape[1] <= 8
+                   for lam, in calls)
 
 
 class TestLimitChain:
