@@ -612,7 +612,8 @@ class TestSigmaTableEvaluator:
         1e-15 of its largest value, with a run in 7-point blocks, and to
         1e-13 with one call per point: on one point at N = 2 the harmonic
         product is a matrix-vector product, which BLAS rounds differently
-        (the parent layout read 8e-15 there too)."""
+        from a batch's matrix product (by about 1e-14 of the largest value
+        at N=2 l=8)."""
         if N == 2:
             point, xi, rs, idx = n2_l8_parts(p)
         else:
